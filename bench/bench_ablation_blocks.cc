@@ -49,12 +49,12 @@ int Main(int argc, char** argv) {
     std::vector<std::vector<SparseEntry>> per_query(
         exp.workload.batch.size());
     for (uint64_t rank = 0; rank < exp.list.size(); ++rank) {
-      const MasterEntry& e = exp.list.entry(rank);
-      rank_of.emplace(e.key, rank);
-      packed[rank] = exp.store->Peek(e.key);
-      for (const auto& [query, coeff] : e.uses) {
+      const uint64_t key = exp.list.keys()[rank];
+      rank_of.emplace(key, rank);
+      packed[rank] = exp.store->Peek(key);
+      exp.list.ForEachUse(rank, [&](uint32_t query, double coeff) {
         per_query[query].push_back({rank, coeff});
-      }
+      });
     }
     for (size_t q = 0; q < per_query.size(); ++q) {
       rank_queries[q] = SparseVec::FromSorted(std::move(per_query[q]));
@@ -131,7 +131,7 @@ int Main(int argc, char** argv) {
     WB_CHECK_OK(by_block.StepToBlocks(block_budget));
     while (coeff_blocks_touched.size() < block_budget && !by_coeff.Done()) {
       const size_t entry = by_coeff.Step().value();
-      coeff_blocks_touched.insert(block_of(rank_list.entry(entry).key));
+      coeff_blocks_touched.insert(block_of(rank_list.keys()[entry]));
     }
     error_table.AddRow(
         {std::to_string(block_budget),

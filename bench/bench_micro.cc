@@ -610,12 +610,8 @@ void BM_ShardedFetchBatch(benchmark::State& state) {
     backends.push_back(std::move(*shard));
     paths.push_back(std::move(path));
   }
-  ShardedStoreOptions options;
-  options.threads_per_shard = 1;
-  options.promote_min_fetches = 0;  // measure the cold scatter-gather path
   ShardedStore store(std::move(backends),
-                     KeyRouter::Uniform(kFetchBenchCapacity, num_shards),
-                     options);
+                     KeyRouter::Uniform(kFetchBenchCapacity, num_shards));
 
   const std::vector<uint64_t> keys = MakeZipfKeys(kBatch);
   std::vector<double> out(kBatch);

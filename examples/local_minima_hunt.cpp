@@ -119,9 +119,9 @@ int main() {
     double total = 0.0;
     for (size_t i = 0; i < list.size(); ++i) {
       if (used[i]) continue;
-      for (const auto& [q, c] : list.entry(i).uses) column[q] = c;
+      list.ForEachUse(i, [&](uint32_t q, double c) { column[q] = c; });
       total += laplacian.Apply(column);
-      for (const auto& [q, c] : list.entry(i).uses) column[q] = 0.0;
+      list.ForEachUse(i, [&](uint32_t q, double) { column[q] = 0.0; });
     }
     return total;
   };

@@ -3,9 +3,8 @@
 // VersionedStore, evaluates its range-sum batch progressively against that
 // immutable snapshot, and is completely isolated from concurrent ingests —
 // a background merge folds the accumulated deltas into the base plane
-// without ever blocking a reader. The plan cache keys on the data epoch,
-// so refreshes at the same epoch share a plan and a merge invalidates the
-// superseded ones.
+// without ever blocking a reader. A plan depends only on the batch, so
+// every refresh, at every epoch, reuses the one cached plan.
 //
 //   ./build/examples/streaming_dashboard
 
@@ -51,7 +50,7 @@ int main() {
 
   // A viewer opens the dashboard before any stream data lands. Its session
   // pins epoch 0: nothing that happens below can change its answers.
-  auto plan0 = cache.GetOrBuild(batch, strategy, sse, store.epoch());
+  auto plan0 = cache.GetOrBuild(batch, strategy, sse);
   if (!plan0.ok()) return 1;
   EvalSession pinned(plan0.value(), store.PinVersion());
 
@@ -72,9 +71,8 @@ int main() {
     const size_t delta_entries = store.delta_entries();
     store.Publish();
 
-    // Refresh: plan at the published epoch (cached across refreshes that
-    // share an epoch), evaluate against the pinned snapshot.
-    auto plan = cache.GetOrBuild(batch, strategy, sse, store.epoch());
+    // Refresh: reuse the cached plan, evaluate against the pinned snapshot.
+    auto plan = cache.GetOrBuild(batch, strategy, sse);
     if (!plan.ok()) return 1;
     EvalSession session(plan.value(), store.PinVersion());
     if (!session.RunToExact().ok()) return 1;
@@ -88,15 +86,12 @@ int main() {
 
     // Halfway through, fold the overlay into the base off-thread. Readers
     // keep answering from their pinned snapshots while the fold runs; the
-    // merge publishes a fresh epoch, after which superseded plans are
-    // dropped from the cache.
+    // merge publishes a fresh epoch.
     if (refresh == 2) {
       store.StartBackgroundMerge(&merge_pool);
       store.WaitForMerge();
-      const size_t dropped = cache.InvalidateStale(store.epoch());
-      std::printf("merged -> epoch %llu (%zu stale plan%s dropped)\n",
-                  static_cast<unsigned long long>(store.epoch()), dropped,
-                  dropped == 1 ? "" : "s");
+      std::printf("merged -> epoch %llu\n",
+                  static_cast<unsigned long long>(store.epoch()));
     }
   }
 

@@ -19,12 +19,11 @@ BlockProgressiveEvaluator::BlockProgressiveEvaluator(
   std::unordered_map<uint64_t, size_t> block_index;
   std::vector<double> column(list_->num_queries(), 0.0);
   for (size_t i = 0; i < list_->size(); ++i) {
-    const MasterEntry& e = list_->entry(i);
-    for (const auto& [q, c] : e.uses) column[q] = c;
+    list_->ForEachUse(i, [&](uint32_t q, double c) { column[q] = c; });
     const double importance = penalty->Apply(column);
-    for (const auto& [q, c] : e.uses) column[q] = 0.0;
+    list_->ForEachUse(i, [&](uint32_t q, double) { column[q] = 0.0; });
 
-    const uint64_t block_id = block_of(e.key);
+    const uint64_t block_id = block_of(list_->keys()[i]);
     auto [it, inserted] = block_index.try_emplace(block_id, blocks_.size());
     if (inserted) blocks_.push_back({block_id, 0.0, {}});
     Block& block = blocks_[it->second];
@@ -47,7 +46,7 @@ size_t BlockProgressiveEvaluator::StepBlock() {
   std::vector<uint64_t> keys;
   keys.reserve(block.entries.size());
   for (size_t entry_idx : block.entries) {
-    keys.push_back(list_->entry(entry_idx).key);
+    keys.push_back(list_->keys()[entry_idx]);
   }
   std::vector<double> values(keys.size());
   // Legacy evaluator: crash-on-error golden reference (see engine for the
@@ -56,9 +55,9 @@ size_t BlockProgressiveEvaluator::StepBlock() {
   coefficients_fetched_ += block.entries.size();
   for (size_t i = 0; i < block.entries.size(); ++i) {
     if (values[i] == 0.0) continue;
-    for (const auto& [q, c] : list_->entry(block.entries[i]).uses) {
+    list_->ForEachUse(block.entries[i], [&](uint32_t q, double c) {
       estimates_[q] += c * values[i];
-    }
+    });
   }
   return block.entries.size();
 }

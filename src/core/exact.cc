@@ -1,6 +1,7 @@
 #include "core/exact.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 namespace wavebatch {
@@ -46,22 +47,20 @@ ExactBatchResult EvaluateShared(const MasterList& list,
   ExactBatchResult out;
   out.results.resize(list.num_queries(), 0.0);
   IoStats io;
-  const std::vector<MasterEntry>& entries = list.entries();
-  std::vector<uint64_t> keys;
+  const std::span<const uint64_t> keys(list.keys());
   std::vector<double> values;
-  for (size_t begin = 0; begin < entries.size(); begin += kFetchChunk) {
-    const size_t end = std::min(entries.size(), begin + kFetchChunk);
-    keys.clear();
-    for (size_t i = begin; i < end; ++i) keys.push_back(entries[i].key);
-    values.assign(keys.size(), 0.0);
-    WB_CHECK_OK(store.FetchBatch(keys, values, &io));
+  for (size_t begin = 0; begin < keys.size(); begin += kFetchChunk) {
+    const size_t end = std::min(keys.size(), begin + kFetchChunk);
+    values.assign(end - begin, 0.0);
+    WB_CHECK_OK(
+        store.FetchBatch(keys.subspan(begin, end - begin), values, &io));
     // Entry order, like the scalar loop: identical accumulation sequence.
     for (size_t i = begin; i < end; ++i) {
       const double data = values[i - begin];
       if (data == 0.0) continue;
-      for (const auto& [query, coeff] : entries[i].uses) {
+      list.ForEachUse(i, [&](uint32_t query, double coeff) {
         out.results[query] += coeff * data;
-      }
+      });
     }
   }
   out.retrievals = io.retrievals;

@@ -157,22 +157,6 @@ MasterList MasterList::FromQueryVectors(
     }
   });
   list.uses_offsets_[num_entries] = total;
-
-  // Legacy pointer-based view, built from the CSR image. The per-entry
-  // `uses` vectors are independent allocations, so they fill in parallel.
-  list.entries_.resize(num_entries);
-  ForRange(pool, num_entries, /*grain=*/512, [&](size_t begin, size_t end) {
-    for (size_t e = begin; e < end; ++e) {
-      MasterEntry& entry = list.entries_[e];
-      entry.key = list.keys_[e];
-      const size_t lo = list.uses_offsets_[e];
-      const size_t hi = list.uses_offsets_[e + 1];
-      entry.uses.reserve(hi - lo);
-      for (size_t i = lo; i < hi; ++i) {
-        entry.uses.emplace_back(list.uses_query_[i], list.uses_coeff_[i]);
-      }
-    }
-  });
   return list;
 }
 

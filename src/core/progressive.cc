@@ -25,11 +25,12 @@ ProgressiveEvaluator::ProgressiveEvaluator(const MasterList* list,
   importance_.resize(list_->size());
   std::vector<double> column(list_->num_queries(), 0.0);
   for (size_t i = 0; i < list_->size(); ++i) {
-    const MasterEntry& e = list_->entry(i);
-    for (const auto& [query, coeff] : e.uses) column[query] = coeff;
+    list_->ForEachUse(i, [&](uint32_t query, double coeff) {
+      column[query] = coeff;
+    });
     importance_[i] = penalty_->Apply(column);
     remaining_importance_ += importance_[i];
-    for (const auto& [query, coeff] : e.uses) column[query] = 0.0;
+    list_->ForEachUse(i, [&](uint32_t query, double) { column[query] = 0.0; });
   }
 
   BuildOrder(order, seed);
@@ -52,9 +53,9 @@ void ProgressiveEvaluator::BuildOrder(ProgressionOrder order, uint64_t seed) {
       std::vector<std::vector<std::pair<double, size_t>>> per_query(
           list_->num_queries());
       for (size_t i = 0; i < list_->size(); ++i) {
-        for (const auto& [query, coeff] : list_->entry(i).uses) {
+        list_->ForEachUse(i, [&](uint32_t query, double coeff) {
           per_query[query].emplace_back(std::abs(coeff), i);
-        }
+        });
       }
       for (auto& v : per_query) {
         std::sort(v.begin(), v.end(),
@@ -120,14 +121,13 @@ size_t ProgressiveEvaluator::PopNext() {
 size_t ProgressiveEvaluator::Step() {
   WB_CHECK(!Done()) << "Step() after completion";
   const size_t entry_idx = PopNext();
-  const MasterEntry& e = list_->entry(entry_idx);
   // Legacy evaluator: crash-on-error golden reference (see engine for the
   // fault-tolerant path).
-  const double data = store_->Fetch(e.key, &io_).value();
+  const double data = store_->Fetch(list_->keys()[entry_idx], &io_).value();
   if (data != 0.0) {
-    for (const auto& [query, coeff] : e.uses) {
+    list_->ForEachUse(entry_idx, [&](uint32_t query, double coeff) {
       estimates_[query] += coeff * data;
-    }
+    });
   }
   return entry_idx;
 }
@@ -146,7 +146,7 @@ size_t ProgressiveEvaluator::StepBatch(size_t n) {
   for (size_t i = 0; i < n; ++i) {
     const size_t entry_idx = PopNext();
     popped.push_back(entry_idx);
-    keys.push_back(list_->entry(entry_idx).key);
+    keys.push_back(list_->keys()[entry_idx]);
   }
   std::vector<double> values(keys.size());
   WB_CHECK_OK(store_->FetchBatch(keys, values, &io_));
@@ -154,9 +154,9 @@ size_t ProgressiveEvaluator::StepBatch(size_t n) {
   // a scalar Step() loop would produce.
   for (size_t i = 0; i < popped.size(); ++i) {
     if (values[i] == 0.0) continue;
-    for (const auto& [query, coeff] : list_->entry(popped[i]).uses) {
+    list_->ForEachUse(popped[i], [&](uint32_t query, double coeff) {
       estimates_[query] += coeff * values[i];
-    }
+    });
   }
   return n;
 }

@@ -18,12 +18,11 @@ namespace wavebatch {
 ///
 /// Everything here preserves the legacy evaluators' floating-point behavior
 /// bit for bit: uses are applied in CSR row order (= ascending query index,
-/// the order the pointer-based MasterEntry loop used), zero data skips the
-/// whole entry (exactly the legacy `data == 0` early-out), and importance
-/// is consumed with the same clamped subtraction in the same consumption
-/// order. The only differences are mechanical: no per-entry heap pointer
-/// chase, contiguous spans, and software prefetch of the next entry's use
-/// range while the current one is applied.
+/// the order the legacy loops use), zero data skips the whole entry
+/// (exactly the legacy `data == 0` early-out), and importance is consumed
+/// with the same clamped subtraction in the same consumption order. The
+/// only differences are mechanical: batched fetches, and software prefetch
+/// of the next entry's use range while the current one is applied.
 struct ApplyKernel {
   const uint64_t* keys = nullptr;
   const uint64_t* offsets = nullptr;  // size() + 1 prefix offsets

@@ -10,13 +10,16 @@ namespace wavebatch {
 
 namespace kernels {
 
-/// Per-ISA implementations of ApplyKernel::ApplyOrderedSlice, compiled in
-/// their own translation units (kernel_avx2.cc / kernel_avx512.cc) with the
-/// matching -m flags so the rest of the tree keeps its baseline codegen.
+/// The SIMD implementation of ApplyKernel::ApplyOrderedSlice, compiled in
+/// its own translation unit (kernel_avx2.cc) with -mavx2 so the rest of the
+/// tree keeps its baseline codegen. It serves the kAvx512 tier too: 8-long
+/// contiguous query runs are much rarer than 4-long ones, so 512-bit
+/// windows measured slower than the 256-bit body on AVX-512 hosts (the
+/// tier's 512-bit code is the dense-store gather in util/).
 ///
 /// The bit-identity contract: per use j of entry row r, every tier computes
 /// round(coeff[j] * data) with one IEEE multiply, then round(est + product)
-/// with one IEEE add into estimates[query[j]]. The SIMD tiers vectorize
+/// with one IEEE add into estimates[query[j]]. The SIMD kernel vectorizes
 /// windows of four uses whose query indices are CONSECUTIVE (query indices
 /// within a CSR row are strictly ascending, so query[j+3] == query[j]+3
 /// proves it): one vector load of the estimate slots, one per-lane
@@ -29,15 +32,12 @@ namespace kernels {
 /// path. Rows are applied strictly in `order`, and importance consumption
 /// interleaves exactly as in the scalar tier.
 ///
-/// On a toolchain whose compiler cannot target the ISA, the TU compiles a
+/// On a toolchain whose compiler cannot target AVX2, the TU compiles a
 /// forward to the scalar kernel instead; dispatch never selects such a tier
 /// (KernelTierCompiled() is false), the forward only keeps linking uniform.
 void ApplyOrderedSliceAvx2(const ApplyKernel& kernel, const size_t* order,
                            size_t n, const double* values, double* estimates,
                            double* remaining);
-void ApplyOrderedSliceAvx512(const ApplyKernel& kernel, const size_t* order,
-                             size_t n, const double* values, double* estimates,
-                             double* remaining);
 
 }  // namespace kernels
 
@@ -50,9 +50,6 @@ inline void ApplyOrderedSliceTiered(const ApplyKernel& kernel, KernelTier tier,
                                     double* remaining) {
   switch (tier) {
     case KernelTier::kAvx512:
-      kernels::ApplyOrderedSliceAvx512(kernel, order, n, values, estimates,
-                                       remaining);
-      return;
     case KernelTier::kAvx2:
       kernels::ApplyOrderedSliceAvx2(kernel, order, n, values, estimates,
                                      remaining);

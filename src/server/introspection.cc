@@ -179,9 +179,7 @@ std::string StatuszJson(const QueryService& service) {
     const PlanCache::EntryInfo& e = entries[i];
     if (i > 0) out += ',';
     out += "{\"fingerprint\":";
-    AppendString(out, e.fingerprint_prefix);
-    out += ",\"data_epoch\":";
-    AppendU64(out, e.data_epoch);
+    AppendString(out, e.fingerprint);
     out += ",\"plan_entries\":";
     AppendU64(out, e.plan_entries);
     out += ",\"num_queries\":";

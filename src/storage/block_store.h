@@ -193,8 +193,8 @@ class BlockStore : public CoefficientStore {
   telemetry::Counter* block_reads_metric_;
   telemetry::Counter* block_hits_metric_;
   /// Cache-pressure gauge pair: blocks currently buffered vs. the buffer's
-  /// capacity. Operators (and the hot-tier rebalancer) read the ratio to
-  /// see how full the simulated buffer pool runs.
+  /// capacity. Operators read the ratio to see how full the simulated
+  /// buffer pool runs.
   telemetry::Gauge* lru_occupancy_gauge_;
   telemetry::Gauge* lru_capacity_gauge_;
 };

@@ -18,8 +18,6 @@ namespace wavebatch {
 /// master-list order are fetched in sorted runs, so contiguous ownership
 /// keeps each shard's sub-batch a sorted run too, which is exactly what
 /// FileStore's coalescing and BlockStore's distinct-block batching want.
-/// The same property makes hot-range promotion meaningful: a "range" of
-/// keys is a unit both of routing and of tiering.
 ///
 /// A router is immutable after construction and safe to share across any
 /// number of threads.

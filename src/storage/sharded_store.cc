@@ -1,8 +1,8 @@
 #include "storage/sharded_store.h"
 
-#include <algorithm>
 #include <cmath>
 #include <condition_variable>
+#include <mutex>
 #include <utility>
 
 #include "telemetry/span.h"
@@ -35,27 +35,11 @@ ShardedStore::ShardedStore(
     shard_keys_metric_.push_back(registry.GetCounter(
         "wavebatch_sharded_shard_keys_total",
         {{"store", store}, {"shard", std::to_string(s)}},
-        "Counted keys served by this shard's backend (cold path)."));
+        "Counted keys served by this shard's backend."));
   }
-  const std::string tier_help = "Counted keys served, split by tier.";
-  hot_keys_metric_ =
-      registry.GetCounter("wavebatch_sharded_tier_keys_total",
-                          {{"store", store}, {"tier", "hot"}}, tier_help);
-  cold_keys_metric_ =
-      registry.GetCounter("wavebatch_sharded_tier_keys_total",
-                          {{"store", store}, {"tier", "cold"}}, tier_help);
   subbatches_metric_ = registry.GetCounter(
       "wavebatch_sharded_subbatches_total", {{"store", store}},
       "Per-shard sub-batches issued by batch scatter-gather.");
-  hot_ranges_gauge_ =
-      registry.GetGauge("wavebatch_sharded_hot_ranges", {{"store", store}},
-                        "Key ranges replicated in the hot tier.");
-  hot_keys_gauge_ =
-      registry.GetGauge("wavebatch_sharded_hot_keys", {{"store", store}},
-                        "Nonzero coefficients replicated in the hot tier.");
-  epoch_gauge_ =
-      registry.GetGauge("wavebatch_sharded_epoch", {{"store", store}},
-                        "Tiering epoch (Rebalance() count).");
 }
 
 ShardedStore::~ShardedStore() = default;
@@ -66,8 +50,6 @@ std::string ShardedStore::name() const {
 }
 
 double ShardedStore::Peek(uint64_t key) const {
-  // The owning shard is authoritative: Peek bypasses the hot tier (whose
-  // snapshot may lag an Add) exactly because it is the trusted path.
   return shards_[router_.ShardOf(key)]->Peek(key);
 }
 
@@ -112,31 +94,12 @@ uint64_t ShardedStore::shard_keys_fetched(size_t s) const {
   return shard_counters_[s].keys_fetched.load(std::memory_order_relaxed);
 }
 
-void ShardedStore::RecordRangeHits(
-    const std::unordered_map<uint64_t, uint64_t>& batch_hits) const {
-  if (batch_hits.empty()) return;
-  std::lock_guard<std::mutex> lock(hits_mu_);
-  for (const auto& [range, hits] : batch_hits) range_hits_[range] += hits;
-}
-
 Result<double> ShardedStore::DoFetch(uint64_t key, IoStats* io) const {
-  const std::shared_ptr<const HotTier> tier = PinTier();
-  const bool track = options_.promote_min_fetches > 0;
-  if (tier != nullptr && tier->ranges.contains(RangeOf(key))) {
-    const auto it = tier->values.find(key);
-    const double value = it != tier->values.end() ? it->second : 0.0;
-    hot_hits_.fetch_add(1, std::memory_order_relaxed);
-    hot_keys_metric_->Add(1);
-    if (track) RecordRangeHits({{RangeOf(key), 1}});
-    return value;
-  }
   const uint32_t s = router_.ShardOf(key);
   Result<double> value = DelegateFetch(*shards_[s], key, io);
   if (value.ok()) {
     shard_counters_[s].keys_fetched.fetch_add(1, std::memory_order_relaxed);
     shard_keys_metric_[s]->Add(1);
-    cold_keys_metric_->Add(1);
-    if (track) RecordRangeHits({{RangeOf(key), 1}});
   }
   return value;
 }
@@ -164,43 +127,26 @@ Status ShardedStore::FetchScatterGather(std::span<const uint64_t> keys,
                                         IoStats* io) const {
   const size_t n = keys.size();
   if (n == 0) return Status::OK();
-  const std::shared_ptr<const HotTier> tier = PinTier();
   const size_t num_shards = shards_.size();
-  const bool track = options_.promote_min_fetches > 0;
 
-  std::unordered_map<uint64_t, uint64_t> batch_hits;
-  if (track) {
-    for (size_t i = 0; i < n; ++i) ++batch_hits[RangeOf(keys[i])];
-  }
-
-  // Fast path: one shard, nothing promoted — forward the span untouched.
-  // This is the S=1 plane, bit-identical to the backend by construction.
-  if (num_shards == 1 && tier == nullptr) {
+  // Fast path: one shard — forward the span untouched. This is the S=1
+  // plane, bit-identical to the backend by construction.
+  if (num_shards == 1) {
     Status status = DelegateFetchBatch(*shards_[0], keys, out, io);
     if (status.ok()) {
       shard_counters_[0].keys_fetched.fetch_add(n, std::memory_order_relaxed);
       shard_keys_metric_[0]->Add(n);
-      cold_keys_metric_->Add(n);
       subbatches_.fetch_add(1, std::memory_order_relaxed);
       subbatches_metric_->Add(1);
-      if (track) RecordRangeHits(batch_hits);
     }
     return status;
   }
 
-  // Partition batch positions: hot keys are served inline from the pinned
-  // tier; cold keys group per owning shard, preserving batch order within
-  // each group (so each sub-batch sees the same relative sequence the
-  // unsharded backend would).
+  // Partition batch positions per owning shard, preserving batch order
+  // within each group (so each sub-batch sees the same relative sequence
+  // the unsharded backend would).
   std::vector<std::vector<size_t>> parts(num_shards);
-  size_t hot_count = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (tier != nullptr && tier->ranges.contains(RangeOf(keys[i]))) {
-      const auto it = tier->values.find(keys[i]);
-      out[i] = it != tier->values.end() ? it->second : 0.0;
-      ++hot_count;
-      continue;
-    }
     const uint32_t s = shards_of[i];
     WB_CHECK(s < num_shards);
     parts[s].push_back(i);
@@ -269,69 +215,9 @@ Status ShardedStore::FetchScatterGather(std::span<const uint64_t> keys,
                                               std::memory_order_relaxed);
     shard_keys_metric_[s]->Add(part.size());
   }
-  cold_keys_metric_->Add(n - hot_count);
-  if (hot_count > 0) {
-    hot_hits_.fetch_add(hot_count, std::memory_order_relaxed);
-    hot_keys_metric_->Add(hot_count);
-  }
   subbatches_.fetch_add(issued.size(), std::memory_order_relaxed);
   subbatches_metric_->Add(issued.size());
-  if (track) RecordRangeHits(batch_hits);
   return Status::OK();
-}
-
-RebalanceReport ShardedStore::Rebalance() {
-  // Snapshot-and-reset the observation window.
-  std::unordered_map<uint64_t, uint64_t> hits;
-  {
-    std::lock_guard<std::mutex> lock(hits_mu_);
-    hits.swap(range_hits_);
-  }
-
-  // Rank: hottest first, ties toward the lower range id (deterministic for
-  // a deterministic workload).
-  std::vector<std::pair<uint64_t, uint64_t>> ranked;  // (range, hits)
-  if (options_.promote_min_fetches > 0) {
-    for (const auto& [range, count] : hits) {
-      if (count >= options_.promote_min_fetches) ranked.emplace_back(range, count);
-    }
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  if (options_.max_hot_ranges > 0 && ranked.size() > options_.max_hot_ranges) {
-    ranked.resize(options_.max_hot_ranges);
-  }
-
-  auto tier = std::make_shared<HotTier>();
-  for (const auto& [range, count] : ranked) tier->ranges.insert(range);
-  if (!tier->ranges.empty()) {
-    // Snapshot the promoted ranges from their owning shards. ForEachNonZero
-    // (not Peek-per-key) so backends with bounded capacity are never probed
-    // outside it; absent keys read as 0.0 from the tier, matching every
-    // backend's absent-coefficient contract.
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s]->ForEachNonZero([&](uint64_t key, double value) {
-        if (router_.ShardOf(key) != s) return;
-        if (tier->ranges.contains(RangeOf(key))) tier->values.emplace(key, value);
-      });
-    }
-  }
-
-  RebalanceReport report;
-  report.hot_ranges = tier->ranges.size();
-  report.hot_keys = tier->values.size();
-  report.epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  tier->epoch = report.epoch;
-  // An empty tier is represented as "no tier": the read path keeps its
-  // pre-promotion fast paths and bit-identity guarantees.
-  hot_.Store(tier->ranges.empty() ? nullptr : std::move(tier));
-  hot_ranges_gauge_->Set(static_cast<double>(report.hot_ranges));
-  hot_keys_gauge_->Set(static_cast<double>(report.hot_keys));
-  epoch_gauge_->Set(static_cast<double>(report.epoch));
-  return report;
 }
 
 }  // namespace wavebatch

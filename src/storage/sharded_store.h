@@ -5,15 +5,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "storage/coefficient_store.h"
 #include "storage/key_router.h"
-#include "util/epoch_ptr.h"
 #include "util/thread_pool.h"
 
 namespace wavebatch {
@@ -27,29 +23,6 @@ struct ShardedStoreOptions {
   /// sub-batches run serially on the calling thread, in shard order — the
   /// deterministic mode for accounting tests.
   size_t threads_per_shard = 1;
-
-  /// Hot/cold tiering granularity: keys are grouped into ranges of
-  /// 2^hot_range_bits consecutive keys and promotion happens per range
-  /// (range id = key >> hot_range_bits).
-  uint32_t hot_range_bits = 6;
-
-  /// A range is promotion-eligible at the next Rebalance() once it has
-  /// absorbed at least this many counted fetches since the previous
-  /// Rebalance(). 0 disables promotion entirely (Rebalance() still bumps
-  /// the epoch but installs an empty tier).
-  uint64_t promote_min_fetches = 64;
-
-  /// Upper bound on simultaneously hot ranges; the hottest win (ties break
-  /// toward the lower range id). 0 means unlimited.
-  size_t max_hot_ranges = 1024;
-};
-
-/// Result of one Rebalance(): which epoch the new tier belongs to and how
-/// much of the key space it replicated.
-struct RebalanceReport {
-  uint64_t epoch = 0;
-  size_t hot_ranges = 0;
-  size_t hot_keys = 0;
 };
 
 /// The sharded coefficient plane: a CoefficientStore that range-partitions
@@ -70,22 +43,8 @@ struct RebalanceReport {
 /// the batches that touch its keys, which the engine's FaultPolicy::kSkip
 /// then degrades to scalar fetches, skipping only that shard's mass.
 ///
-/// Hot/cold tiering: the store counts fetches per key range; an explicit
-/// Rebalance() call promotes the hottest ranges into a replicated
-/// in-memory tier (a snapshot of the owning shards' values) and retires
-/// the previous tier. Reads pin the tier once per call, so a concurrent
-/// Rebalance() never tears a batch — every key in one batch is served
-/// from one epoch's placement. Until the first Rebalance() no hot tier
-/// exists and the plane is bit-identical to its backends (including
-/// sub-model counters like block_reads); after promotion, hot keys are
-/// served from memory (no backend I/O, no block reads) while cold keys
-/// still go to their shard.
-///
-/// Writes: Add routes to the owning shard (the authoritative copy). The
-/// hot tier is a snapshot — a hot key written after promotion serves the
-/// snapshot value until the next Rebalance() refreshes it. Load or
-/// maintain the plane first, then share it read-only, exactly like every
-/// other store.
+/// Writes: Add routes to the owning shard. Load or maintain the plane
+/// first, then share it read-only, exactly like every other store.
 class ShardedStore : public CoefficientStore {
  public:
   /// Takes ownership of `shards`; requires shards.size() ==
@@ -104,9 +63,7 @@ class ShardedStore : public CoefficientStore {
   std::string name() const override;
   const KeyRouter* router() const override { return &router_; }
 
-  /// Routes to the owning shard. The bound also covers hot-tier hits: the
-  /// tier snapshots the owning shard's (possibly decoded) values, so the
-  /// shard's error bound still bounds what any read of `key` returns.
+  /// Routes to the owning shard.
   double PeekErrorBound(uint64_t key) const override {
     return shards_[router_.ShardOf(key)]->PeekErrorBound(key);
   }
@@ -122,23 +79,7 @@ class ShardedStore : public CoefficientStore {
   const CoefficientStore& shard(size_t s) const { return *shards_[s]; }
   const ShardedStoreOptions& options() const { return options_; }
 
-  /// Recomputes hot-tier placement from the fetch counts observed since the
-  /// last Rebalance(): ranges with >= promote_min_fetches hits are ranked
-  /// (hits descending, range id ascending), the top max_hot_ranges are
-  /// snapshotted from their owning shards into a fresh in-memory tier, the
-  /// tier is swapped in atomically, and the epoch advances. In-flight
-  /// batches keep the tier they pinned; new ones see the new placement.
-  /// Safe to call concurrently with reads (the race surface exercised by
-  /// the TSan job).
-  RebalanceReport Rebalance();
-
-  /// Tiering epoch: 0 before the first Rebalance(), +1 per Rebalance().
-  uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
-  /// Counted keys served from the in-memory hot tier.
-  uint64_t hot_hits() const {
-    return hot_hits_.load(std::memory_order_relaxed);
-  }
-  /// Counted keys served by shard s's backend (cold path).
+  /// Counted keys served by shard s's backend.
   uint64_t shard_keys_fetched(size_t s) const;
   /// Per-shard sub-batches issued by batch scatter-gather. Deterministic
   /// for a fixed workload and shard count — the machine-independent
@@ -156,34 +97,15 @@ class ShardedStore : public CoefficientStore {
                             std::span<double> out, IoStats* io) const override;
 
  private:
-  /// One immutable tier placement. Readers pin it once per call through the
-  /// EpochPtr slot, so Rebalance() swapping in a successor can never tear a
-  /// read.
-  struct HotTier {
-    uint64_t epoch = 0;
-    std::unordered_set<uint64_t> ranges;
-    std::unordered_map<uint64_t, double> values;  // nonzero snapshot
-  };
-
   struct alignas(64) ShardCounters {
     std::atomic<uint64_t> keys_fetched{0};
   };
-
-  std::shared_ptr<const HotTier> PinTier() const { return hot_.Pin(); }
-
-  uint64_t RangeOf(uint64_t key) const {
-    return key >> options_.hot_range_bits;
-  }
 
   /// The scatter-gather core shared by both batch hooks. `shards_of` has
   /// one shard id per key (precomputed hints or this call's routing pass).
   Status FetchScatterGather(std::span<const uint64_t> keys,
                             std::span<const uint32_t> shards_of,
                             std::span<double> out, IoStats* io) const;
-
-  /// Merges a batch's per-range hit counts into the promotion stats.
-  void RecordRangeHits(
-      const std::unordered_map<uint64_t, uint64_t>& batch_hits) const;
 
   KeyRouter router_;
   std::vector<std::unique_ptr<CoefficientStore>> shards_;
@@ -193,25 +115,13 @@ class ShardedStore : public CoefficientStore {
   /// to shard backends) before any shard is destroyed.
   std::vector<std::unique_ptr<ThreadPool>> pools_;
 
-  EpochPtr<HotTier> hot_;  // pins null until the first promotion
-  std::atomic<uint64_t> epoch_{0};
-
-  mutable std::mutex hits_mu_;
-  mutable std::unordered_map<uint64_t, uint64_t> range_hits_;
-
   std::unique_ptr<ShardCounters[]> shard_counters_;
-  mutable std::atomic<uint64_t> hot_hits_{0};
   mutable std::atomic<uint64_t> subbatches_{0};
 
-  /// Process-wide shard/tier telemetry, labeled by store name (and shard
+  /// Process-wide shard telemetry, labeled by store name (and shard
   /// ordinal where applicable); bound in the constructor body.
   std::vector<telemetry::Counter*> shard_keys_metric_;
-  telemetry::Counter* hot_keys_metric_;
-  telemetry::Counter* cold_keys_metric_;
   telemetry::Counter* subbatches_metric_;
-  telemetry::Gauge* hot_ranges_gauge_;
-  telemetry::Gauge* hot_keys_gauge_;
-  telemetry::Gauge* epoch_gauge_;
 };
 
 }  // namespace wavebatch

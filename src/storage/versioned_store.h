@@ -108,9 +108,8 @@ struct VersionedStoreOptions {
   /// pool threads, and must not block on Merge()/WaitForMerge() — a
   /// merge-completion callback fires before its merge is marked complete
   /// (so the store cannot be destroyed mid-callback) and would
-  /// self-deadlock. Typical use: drop superseded plans
-  /// (`PlanCache::InvalidateStale`) so dead-epoch entries don't linger
-  /// until LRU eviction.
+  /// self-deadlock. Typical use: `QueryService::RefreshEpoch`, so new
+  /// admissions serve the fresh epoch.
   std::function<void(uint64_t epoch)> on_publish;
 };
 

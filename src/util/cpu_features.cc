@@ -30,8 +30,8 @@ bool DetectAvx2() {
 bool DetectAvx512() {
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
-  // The 512-bit kernels use only AVX-512F instructions (gather/scatter,
-  // 512-bit mul/add) plus AVX2 loads for the 32-bit index vectors.
+  // The kAvx512 tier runs the AVX-512F dense gather and the AVX2 apply
+  // kernel, so it needs both.
   return __builtin_cpu_supports("avx512f") != 0 &&
          __builtin_cpu_supports("avx2") != 0;
 #else

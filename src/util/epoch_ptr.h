@@ -8,8 +8,8 @@
 namespace wavebatch {
 
 /// Publication slot for an immutable, epoch-swapped snapshot — the
-/// pin-once-per-call idiom shared by the sharded plane's hot tier and the
-/// versioned coefficient plane's read snapshot.
+/// pin-once-per-call idiom behind the versioned coefficient plane's read
+/// snapshot.
 ///
 /// The protocol: a writer builds a fully-formed immutable object off to the
 /// side and installs it with Store() (or Exchange()); readers Pin() the

@@ -67,7 +67,7 @@ TEST(BlockProgressiveTest, BlockCountMatchesDistinctBlocks) {
   BlockFixture f;
   std::set<uint64_t> distinct;
   for (size_t i = 0; i < f.list.size(); ++i) {
-    distinct.insert(BlockBy16(f.list.entry(i).key));
+    distinct.insert(BlockBy16(f.list.keys()[i]));
   }
   BlockProgressiveEvaluator ev(&f.list, &f.sse, f.store.get(), BlockBy16);
   EXPECT_EQ(ev.TotalBlocks(), distinct.size());
@@ -91,9 +91,9 @@ TEST(BlockProgressiveTest, GreedyMaximizesCapturedImportancePerBlockBudget) {
   std::map<uint64_t, double> block_importance;
   std::vector<double> column(f.batch.size(), 0.0);
   for (size_t i = 0; i < f.list.size(); ++i) {
-    for (const auto& [q, c] : f.list.entry(i).uses) column[q] = c;
-    block_importance[BlockBy16(f.list.entry(i).key)] += f.sse.Apply(column);
-    for (const auto& [q, c] : f.list.entry(i).uses) column[q] = 0.0;
+    f.list.ForEachUse(i, [&](uint32_t q, double c) { column[q] = c; });
+    block_importance[BlockBy16(f.list.keys()[i])] += f.sse.Apply(column);
+    f.list.ForEachUse(i, [&](uint32_t q, double) { column[q] = 0.0; });
   }
   std::vector<double> sorted;
   for (const auto& [id, imp] : block_importance) sorted.push_back(imp);

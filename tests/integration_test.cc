@@ -137,9 +137,9 @@ TEST_F(IntegrationTest, CursoredPenaltySteersPrecisionToCursor) {
     double total = 0.0;
     for (size_t i = 0; i < list_->size(); ++i) {
       if (used[i]) continue;
-      for (const auto& [q, c] : list_->entry(i).uses) column[q] = c;
+      list_->ForEachUse(i, [&](uint32_t q, double c) { column[q] = c; });
       total += p.Apply(column);
-      for (const auto& [q, c] : list_->entry(i).uses) column[q] = 0.0;
+      list_->ForEachUse(i, [&](uint32_t q, double) { column[q] = 0.0; });
     }
     return total;
   };
@@ -199,9 +199,9 @@ TEST_F(IntegrationTest, LaplacianOrderOptimizesGuaranteedLaplacianRisk) {
     std::vector<double> column(workload_->batch.size(), 0.0);
     for (size_t i = 0; i < list_->size(); ++i) {
       if (fetched[i]) continue;
-      for (const auto& [q, c] : list_->entry(i).uses) column[q] = c;
+      list_->ForEachUse(i, [&](uint32_t q, double c) { column[q] = c; });
       total += lap.Apply(column);
-      for (const auto& [q, c] : list_->entry(i).uses) column[q] = 0.0;
+      list_->ForEachUse(i, [&](uint32_t q, double) { column[q] = 0.0; });
     }
     (void)ev;
     return total;
@@ -220,9 +220,9 @@ TEST_F(IntegrationTest, LaplacianOrderOptimizesGuaranteedLaplacianRisk) {
   {
     std::vector<double> column(workload_->batch.size(), 0.0);
     for (size_t i = 0; i < list_->size(); ++i) {
-      for (const auto& [q, c] : list_->entry(i).uses) column[q] = c;
+      list_->ForEachUse(i, [&](uint32_t q, double c) { column[q] = c; });
       const double imp = lap.Apply(column);
-      for (const auto& [q, c] : list_->entry(i).uses) column[q] = 0.0;
+      list_->ForEachUse(i, [&](uint32_t q, double) { column[q] = 0.0; });
       if (!fetched_sse[i]) max_unused_sse = std::max(max_unused_sse, imp);
       if (!fetched_lap[i]) max_unused_lap = std::max(max_unused_lap, imp);
     }

@@ -206,7 +206,7 @@ TEST(KernelTierTest, SkipPolicyDegradesIdenticallyAcrossTiers) {
       auto faulty = std::make_unique<FaultInjectionStore>(std::move(inner));
       // Kill every 5th plan key — enough to fragment most batches.
       for (size_t i = 0; i < f.list->size(); i += 5) {
-        faulty->FailKey(f.list->entry(i).key);
+        faulty->FailKey(f.list->keys()[i]);
       }
       return faulty;
     };
@@ -241,7 +241,7 @@ TEST(KernelTierTest, FailPolicyRefusesIdenticallyThenResumes) {
       f.store->ForEachNonZero(
           [&](uint64_t key, double value) { inner->Add(key, value); });
       auto faulty = std::make_unique<FaultInjectionStore>(std::move(inner));
-      faulty->FailKey(f.list->entry(f.list->size() / 2).key);
+      faulty->FailKey(f.list->keys()[f.list->size() / 2]);
       return faulty;
     };
     auto scalar_store = make_store();

@@ -38,9 +38,9 @@ struct TinyWorkload {
     SsePenalty sse;
     std::vector<double> column(batch.size(), 0.0);
     for (size_t i = 0; i < list.size(); ++i) {
-      for (const auto& [q, c] : list.entry(i).uses) column[q] = c;
+      list.ForEachUse(i, [&](uint32_t q, double c) { column[q] = c; });
       importance.push_back(sse.Apply(column));
-      for (const auto& [q, c] : list.entry(i).uses) column[q] = 0.0;
+      list.ForEachUse(i, [&](uint32_t q, double) { column[q] = 0.0; });
     }
   }
 
@@ -53,9 +53,9 @@ struct TinyWorkload {
     std::vector<double> err(batch.size(), 0.0);
     for (size_t i = 0; i < list.size(); ++i) {
       if (used[i]) continue;
-      for (const auto& [q, c] : list.entry(i).uses) {
+      list.ForEachUse(i, [&](uint32_t q, double c) {
         err[q] += c * delta_hat[i];
-      }
+      });
     }
     double sse = 0.0;
     for (double e : err) sse += e * e;

@@ -193,85 +193,27 @@ TEST(PlanCacheTest, ConcurrentGetOrBuildIsConsistent) {
   EXPECT_GE(cache.misses(), kBatches);
 }
 
-TEST(PlanCacheTest, DataEpochParticipatesInTheKey) {
-  // The epoch-aware seam for streaming planes: plans built against
-  // different published epochs are distinct cache entries, the default
-  // epoch (0, static stores) reproduces the historical behavior, and the
-  // epoch is part of Fingerprint() itself.
+TEST(PlanCacheTest, EntriesFingerprintTheWholeKey) {
+  // Every key starts with the strategy name ("wavelet-haar..."), so a
+  // fingerprint taken from a fixed-length key prefix is the same for every
+  // plan of one strategy. Two different batches must show two different
+  // fingerprints on /statusz.
   Fixture f;
-  auto sse = std::make_shared<SsePenalty>();
-  EXPECT_NE(PlanCache::Fingerprint(f.batch, f.strategy, sse.get(), 0),
-            PlanCache::Fingerprint(f.batch, f.strategy, sse.get(), 1));
-  EXPECT_EQ(PlanCache::Fingerprint(f.batch, f.strategy, sse.get()),
-            PlanCache::Fingerprint(f.batch, f.strategy, sse.get(), 0));
-
-  PlanCache cache(8);
-  auto at_zero = cache.GetOrBuild(f.batch, f.strategy, sse);  // epoch 0
-  auto at_three = cache.GetOrBuild(f.batch, f.strategy, sse, 3);
-  auto at_three_again = cache.GetOrBuild(f.batch, f.strategy, sse, 3);
-  ASSERT_TRUE(at_zero.ok());
-  ASSERT_TRUE(at_three.ok());
-  ASSERT_TRUE(at_three_again.ok());
-  EXPECT_NE(at_zero.value().get(), at_three.value().get());
-  EXPECT_EQ(at_three.value().get(), at_three_again.value().get());
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(PlanCacheTest, InvalidateStaleDropsSupersededEpochsOnly) {
-  Fixture f;
+  QueryBatch other(f.schema);
+  other.Add(RangeSumQuery::Count(Range::All(f.schema).Restrict(1, 0, 3)));
   auto sse = std::make_shared<SsePenalty>();
   PlanCache cache(8);
-  // Descending order keeps all four resident: only an epoch *advance*
-  // triggers the automatic watermark drop.
-  for (uint64_t epoch : {5u, 3u, 2u, 1u}) {
-    ASSERT_TRUE(cache.GetOrBuild(f.batch, f.strategy, sse, epoch).ok());
+  ASSERT_TRUE(cache.GetOrBuild(f.batch, f.strategy, sse).ok());
+  ASSERT_TRUE(cache.GetOrBuild(other, f.strategy, sse).ok());
+
+  const std::vector<PlanCache::EntryInfo> entries = cache.Entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_NE(entries[0].fingerprint, entries[1].fingerprint);
+  for (const PlanCache::EntryInfo& entry : entries) {
+    EXPECT_EQ(entry.fingerprint.size(), 16u);
+    EXPECT_EQ(entry.fingerprint.find_first_not_of("0123456789abcdef"),
+              std::string::npos);
   }
-  ASSERT_EQ(cache.size(), 4u);
-  const uint64_t evictions_before = cache.evictions();
-
-  // A merge published epoch 3: everything older is superseded.
-  EXPECT_EQ(cache.InvalidateStale(3), 2u);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), evictions_before + 2);
-
-  // Epochs >= 3 survived — both are hits, not rebuilds.
-  const uint64_t hits_before = cache.hits();
-  ASSERT_TRUE(cache.GetOrBuild(f.batch, f.strategy, sse, 3).ok());
-  ASSERT_TRUE(cache.GetOrBuild(f.batch, f.strategy, sse, 5).ok());
-  EXPECT_EQ(cache.hits(), hits_before + 2);
-
-  // min_epoch 0 is a no-op (static epoch-0 plans are never stale).
-  ASSERT_TRUE(cache.GetOrBuild(f.batch, f.strategy, sse).ok());
-  EXPECT_EQ(cache.InvalidateStale(0), 0u);
-  EXPECT_EQ(cache.size(), 3u);
-}
-
-TEST(PlanCacheTest, WatermarkRetiresDeadEpochsInGetOrBuild) {
-  // The automatic half of epoch invalidation: nothing is wired to
-  // InvalidateStale, yet advancing the data_epoch seen by GetOrBuild must
-  // retire older-epoch plans on its own — dead-epoch entries must not
-  // squat in the LRU until capacity pressure reaches them.
-  Fixture f;
-  auto sse = std::make_shared<SsePenalty>();
-  PlanCache cache(64);
-
-  // A static (epoch-0) plan alongside the versioned traffic: the
-  // watermark must never touch it.
-  ASSERT_TRUE(cache.GetOrBuild(f.batch, f.strategy, sse).ok());
-
-  for (uint64_t epoch = 1; epoch <= 50; ++epoch) {
-    ASSERT_TRUE(cache.GetOrBuild(f.batch, f.strategy, sse, epoch).ok());
-    EXPECT_LE(cache.size(), 2u) << "epoch " << epoch
-                                << ": dead epochs must not accumulate";
-  }
-  // Exactly the static plan and the newest epoch remain.
-  EXPECT_EQ(cache.size(), 2u);
-  const uint64_t hits_before = cache.hits();
-  ASSERT_TRUE(cache.GetOrBuild(f.batch, f.strategy, sse).ok());
-  ASSERT_TRUE(cache.GetOrBuild(f.batch, f.strategy, sse, 50).ok());
-  EXPECT_EQ(cache.hits(), hits_before + 2);
 }
 
 }  // namespace

@@ -170,9 +170,9 @@ TEST(ProgressiveTest, PartialEstimatesAreBTermApproximations) {
   for (size_t i = 0; i < b; ++i) used.push_back(ev.Step());
   std::vector<double> manual(f.batch.size(), 0.0);
   for (size_t idx : used) {
-    const MasterEntry& e = f.list.entry(idx);
-    const double data = f.store->Peek(e.key);
-    for (const auto& [q, c] : e.uses) manual[q] += c * data;
+    const double data = f.store->Peek(f.list.keys()[idx]);
+    f.list.ForEachUse(idx,
+                      [&](uint32_t q, double c) { manual[q] += c * data; });
   }
   for (size_t q = 0; q < manual.size(); ++q) {
     EXPECT_NEAR(ev.Estimates()[q], manual[q], 1e-9);
@@ -241,7 +241,7 @@ TEST(ProgressiveTest, ImportanceMatchesPenaltyOfCoefficientColumn) {
   ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
   for (size_t i = 0; i < f.list.size(); ++i) {
     double expected = 0.0;
-    for (const auto& [q, c] : f.list.entry(i).uses) expected += c * c;
+    f.list.ForEachUse(i, [&](uint32_t, double c) { expected += c * c; });
     EXPECT_NEAR(ev.ImportanceOf(i), expected, 1e-12);
   }
 }

@@ -206,6 +206,50 @@ TEST(QueryServiceGolden, MatchesIsolatedSessionsVersioned) {
   GoldenAgainstIsolated(versioned, f, "versioned plane at epoch 1");
 }
 
+/// A plan depends only on the batch, strategy and penalty, so the one plan
+/// cached at the first epoch serves the next: after ingest + publish (with
+/// on_publish -> RefreshEpoch) the same batch is a cache hit, and its
+/// answer reflects the new tuples.
+TEST(QueryServiceEpochs, OneCachedPlanServesEveryEpoch) {
+  ServingFixture f;
+  QueryService* service_ptr = nullptr;
+  VersionedStoreOptions store_options;
+  store_options.on_publish = [&service_ptr](uint64_t) {
+    if (service_ptr != nullptr) service_ptr->RefreshEpoch();
+  };
+  auto versioned = std::make_shared<VersionedStore>(
+      f.strategy.BuildStore(f.rel.FrequencyDistribution()), store_options);
+  QueryService service(versioned, f.shared_strategy);
+  service_ptr = &service;
+
+  QueryRequest request(f.MakeBatch(0));
+  request.penalty = f.sse;
+  const QueryResponse before = Serve(service, {request})[0];
+  ASSERT_TRUE(before.status.ok()) << before.status;
+
+  Relation seen = f.rel;
+  const Relation stream = MakeUniformRelation(f.schema, 40, 91);
+  for (const Tuple& t : stream.tuples()) {
+    versioned->Ingest(f.strategy.TransformUpdate(t, 1.0).value());
+    seen.Add(t);
+  }
+  ASSERT_EQ(versioned->Publish(), 1u);
+  const QueryResponse after = Serve(service, {request})[0];
+  ASSERT_TRUE(after.status.ok()) << after.status;
+
+  EXPECT_EQ(service.plan_cache().misses(), 1u);
+  EXPECT_EQ(service.plan_cache().hits(), 1u);
+  EXPECT_GT(after.generation, before.generation);
+  ASSERT_TRUE(after.exact);
+  const std::vector<double> old_truth = request.batch.BruteForce(f.rel);
+  const std::vector<double> truth = request.batch.BruteForce(seen);
+  ASSERT_EQ(after.estimates.size(), truth.size());
+  ASSERT_NE(truth, old_truth) << "the ingest must change some answer";
+  for (size_t q = 0; q < truth.size(); ++q) {
+    EXPECT_NEAR(after.estimates[q], truth[q], 1e-6) << "query " << q;
+  }
+}
+
 /// The acceptance criterion: K=8 concurrent sessions over one FileStore.
 /// Every session's own io() stays the isolated cost, but the backend sees
 /// each coefficient once — per-session backend traffic drops by ~K (>= 2x

@@ -1,17 +1,14 @@
 // The sharded coefficient plane's contract: routing is a pure partition
 // (values and cost identical to the unsharded plane), S=1 is bit-identical
 // to the backend it wraps, S>1 is value-identical with per-shard IoStats
-// summing to the unsharded totals, batches stay all-or-nothing across
-// shard failures, and hot-tier promotion moves traffic off the backends
-// without changing a single answer.
+// summing to the unsharded totals, and batches stay all-or-nothing across
+// shard failures.
 
 #include "storage/sharded_store.h"
 
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -285,184 +282,6 @@ TEST(ShardedStoreTest, ShardFailureFailsTheWholeBatchAndChargesNothing) {
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(out[i], f.store->Peek(keys[i])) << "key " << keys[i];
   }
-}
-
-TEST(ShardedStoreTest, RebalancePromotesHotRangesIntoTheMemoryTier) {
-  Fixture f;
-  const KeyRouter router = KeyRouter::Uniform(f.MaxKey() + 1, 4);
-  std::vector<std::unique_ptr<CoefficientStore>> shards;
-  std::vector<FaultInjectionStore*> faulty(4, nullptr);
-  for (auto& shard : MakeHashShards(*f.store, router)) {
-    auto wrapped = std::make_unique<FaultInjectionStore>(std::move(shard));
-    faulty[shards.size()] = wrapped.get();
-    shards.push_back(std::move(wrapped));
-  }
-  ShardedStoreOptions opts;
-  opts.threads_per_shard = 0;
-  opts.hot_range_bits = 3;  // 8-key ranges
-  opts.promote_min_fetches = 4;
-  opts.max_hot_ranges = 2;
-  ShardedStore sharded(std::move(shards), router, opts);
-  EXPECT_EQ(sharded.epoch(), 0u);
-
-  // Pick two nonzero "head" keys on different shards and hammer them.
-  std::vector<uint64_t> head;
-  f.store->ForEachNonZero([&](uint64_t key, double) {
-    if (head.empty()) {
-      head.push_back(key);
-    } else if (head.size() == 1 &&
-               router.ShardOf(key) != router.ShardOf(head[0]) &&
-               (key >> opts.hot_range_bits) != (head[0] >> opts.hot_range_bits)) {
-      head.push_back(key);
-    }
-  });
-  ASSERT_EQ(head.size(), 2u);
-  IoStats io;
-  for (int round = 0; round < 8; ++round) {
-    for (uint64_t key : head) {
-      ASSERT_TRUE(sharded.Fetch(key, &io).ok());
-    }
-  }
-  EXPECT_EQ(sharded.hot_hits(), 0u);  // nothing promoted before Rebalance()
-
-  const RebalanceReport report = sharded.Rebalance();
-  EXPECT_EQ(report.epoch, 1u);
-  EXPECT_EQ(sharded.epoch(), 1u);
-  EXPECT_EQ(report.hot_ranges, 2u);
-  EXPECT_GE(report.hot_keys, 2u);
-
-  // Proof the hot tier serves from memory: fail the head keys on their
-  // backends — fetches must still succeed, with the correct values, and
-  // without advancing the backends' fetch ordinals.
-  for (uint64_t key : head) faulty[router.ShardOf(key)]->FailKey(key);
-  std::vector<uint64_t> backend_fetches;
-  for (auto* store : faulty) backend_fetches.push_back(store->fetch_count());
-  const uint64_t hot_before = sharded.hot_hits();
-  for (uint64_t key : head) {
-    Result<double> value = sharded.Fetch(key, &io);
-    ASSERT_TRUE(value.ok()) << "hot key must be served from the memory tier";
-    EXPECT_EQ(*value, f.store->Peek(key));
-  }
-  EXPECT_EQ(sharded.hot_hits(), hot_before + head.size());
-  for (size_t s = 0; s < faulty.size(); ++s) {
-    EXPECT_EQ(faulty[s]->fetch_count(), backend_fetches[s])
-        << "shard " << s << " backend touched for a hot key";
-  }
-
-  // Batches mix tiers: hot keys from memory, cold keys from shards.
-  std::vector<uint64_t> mixed = head;
-  f.store->ForEachNonZero([&](uint64_t key, double) {
-    if (mixed.size() < 6 && key != head[0] && key != head[1]) {
-      mixed.push_back(key);
-    }
-  });
-  std::vector<double> out(mixed.size());
-  ASSERT_TRUE(sharded.FetchBatch(mixed, out, &io).ok());
-  for (size_t i = 0; i < mixed.size(); ++i) {
-    EXPECT_EQ(out[i], f.store->Peek(mixed[i]));
-  }
-
-  // Rebalancing against an empty observation window demotes everything:
-  // the first call consumes the window accumulated above, the second sees
-  // no traffic at all and installs no tier.
-  EXPECT_EQ(sharded.Rebalance().epoch, 2u);
-  const RebalanceReport demoted = sharded.Rebalance();
-  EXPECT_EQ(demoted.epoch, 3u);
-  EXPECT_EQ(demoted.hot_ranges, 0u);
-  for (uint64_t key : head) {
-    EXPECT_FALSE(sharded.Fetch(key, &io).ok())
-        << "demoted key must hit the (failed) backend again";
-  }
-}
-
-TEST(ShardedStoreTest, HotTierTelemetrySplitsTrafficByTier) {
-  Fixture f;
-  const KeyRouter router = KeyRouter::Uniform(f.MaxKey() + 1, 2);
-  ShardedStoreOptions opts;
-  opts.threads_per_shard = 0;
-  opts.hot_range_bits = 3;
-  opts.promote_min_fetches = 2;
-  ShardedStore sharded(MakeHashShards(*f.store, router), router, opts);
-
-  auto& registry = telemetry::MetricsRegistry::Default();
-  telemetry::Counter* hot = registry.GetCounter(
-      "wavebatch_sharded_tier_keys_total",
-      {{"store", sharded.name()}, {"tier", "hot"}});
-  telemetry::Counter* cold = registry.GetCounter(
-      "wavebatch_sharded_tier_keys_total",
-      {{"store", sharded.name()}, {"tier", "cold"}});
-  telemetry::Gauge* hot_ranges =
-      registry.GetGauge("wavebatch_sharded_hot_ranges",
-                        {{"store", sharded.name()}});
-
-  uint64_t head_key = ~uint64_t{0};
-  f.store->ForEachNonZero(
-      [&](uint64_t key, double) { head_key = std::min(head_key, key); });
-  ASSERT_NE(head_key, ~uint64_t{0});
-
-  const uint64_t cold_before = cold->Value();
-  IoStats io;
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(sharded.Fetch(head_key, &io).ok());
-  EXPECT_EQ(cold->Value(), cold_before + 4);
-
-  ASSERT_GE(sharded.Rebalance().hot_ranges, 1u);
-  EXPECT_GE(hot_ranges->Value(), 1.0);
-
-  const uint64_t hot_before = hot->Value();
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(sharded.Fetch(head_key, &io).ok());
-  EXPECT_EQ(hot->Value(), hot_before + 4)
-      << "the head of the workload must be absorbed by the hot tier";
-}
-
-TEST(ShardedStoreTest, RebalanceConcurrentWithFetchBatchIsSafe) {
-  // The TSan race surface: promotion/demotion swapping the tier while
-  // sessions batch-fetch through it. Values must stay correct under every
-  // interleaving (each batch pins one epoch's placement).
-  Fixture f;
-  const KeyRouter router = KeyRouter::Uniform(f.MaxKey() + 1, 4);
-  ShardedStoreOptions opts;
-  opts.threads_per_shard = 1;
-  opts.hot_range_bits = 3;
-  opts.promote_min_fetches = 2;
-  ShardedStore sharded(MakeHashShards(*f.store, router), router, opts);
-
-  std::vector<uint64_t> keys;
-  std::vector<double> expected;
-  f.store->ForEachNonZero([&](uint64_t key, double value) {
-    if (keys.size() < 64) {
-      keys.push_back(key);
-      expected.push_back(value);
-    }
-  });
-  ASSERT_FALSE(keys.empty());
-
-  std::atomic<bool> stop{false};
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&] {
-      std::vector<double> out(keys.size());
-      IoStats io;
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (!sharded.FetchBatch(keys, out, &io).ok()) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        for (size_t i = 0; i < keys.size(); ++i) {
-          if (out[i] != expected[i]) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-    });
-  }
-  for (int round = 0; round < 50; ++round) {
-    sharded.Rebalance();
-  }
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& reader : readers) reader.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(sharded.epoch(), 50u);
 }
 
 }  // namespace

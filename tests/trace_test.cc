@@ -151,7 +151,7 @@ TEST(TraceTest, SkippedImportanceColumnForDegradedSessions) {
   const std::span<const size_t> order =
       plan->Permutation(ProgressionOrder::kBiggestB);
   const size_t failed_entry = order[3];
-  faulty.FailKey(f.list.entry(failed_entry).key);
+  faulty.FailKey(f.list.keys()[failed_entry]);
   const double failed_importance = plan->importance(failed_entry);
 
   EvalSession::Options opts;

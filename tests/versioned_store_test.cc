@@ -19,7 +19,6 @@
 #include "data/generators.h"
 #include "engine/eval_plan.h"
 #include "engine/eval_session.h"
-#include "engine/plan_cache.h"
 #include "gtest/gtest.h"
 #include "penalty/sse.h"
 #include "storage/delta_store.h"
@@ -242,36 +241,6 @@ TEST(VersionedStoreTest, OnPublishFiresOnEveryPublishPath) {
 
   std::lock_guard<std::mutex> lock(mu);
   EXPECT_EQ(published, (std::vector<uint64_t>{1, 2, 3, 4}));
-}
-
-TEST(VersionedStoreTest, PublishCallbackKeepsPlanCacheBounded) {
-  // The dead-epoch leak this wiring fixes: every publish cycle used to
-  // strand the previous epoch's plan in the cache until LRU pressure
-  // happened to evict it. With on_publish → InvalidateStale, the cache is
-  // empty immediately after every publish/merge, no matter how many
-  // cycles run (asserted at size() == 0, which the GetOrBuild watermark
-  // alone cannot produce — only the callback drops the newest entry).
-  StreamFixture f;
-  PlanCache cache(64);
-  VersionedStoreOptions options;
-  options.on_publish = [&cache](uint64_t epoch) {
-    cache.InvalidateStale(epoch);
-  };
-  VersionedStore store(f.BuildBase(), options);
-
-  for (size_t cycle = 0; cycle < 30; ++cycle) {
-    ASSERT_TRUE(
-        cache.GetOrBuild(f.batch, f.strategy, f.sse, store.epoch()).ok());
-    EXPECT_EQ(cache.size(), 1u);
-    store.Ingest(f.deltas[cycle % f.deltas.size()]);
-    if (cycle % 5 == 4) {
-      store.Merge();
-    } else {
-      store.Publish();
-    }
-    EXPECT_EQ(cache.size(), 0u)
-        << "cycle " << cycle << ": superseded plan must be dropped";
-  }
 }
 
 TEST(VersionedStoreTest, PinnedEpochIsImmuneToLaterIngestsAndMerges) {
