@@ -42,17 +42,17 @@ int Main(int argc, char** argv) {
   // Master-list entries are already key-sorted, so entry index == disk
   // rank. Rebuild a rank-keyed master list and a rank-indexed store.
   std::unordered_map<uint64_t, uint64_t> rank_of;
-  rank_of.reserve(exp.list.size());
-  std::vector<double> packed(exp.list.size());
+  rank_of.reserve(exp.list->size());
+  std::vector<double> packed(exp.list->size());
   std::vector<SparseVec> rank_queries(exp.workload.batch.size());
   {
     std::vector<std::vector<SparseEntry>> per_query(
         exp.workload.batch.size());
-    for (uint64_t rank = 0; rank < exp.list.size(); ++rank) {
-      const uint64_t key = exp.list.keys()[rank];
+    for (uint64_t rank = 0; rank < exp.list->size(); ++rank) {
+      const uint64_t key = exp.list->keys()[rank];
       rank_of.emplace(key, rank);
       packed[rank] = exp.store->Peek(key);
-      exp.list.ForEachUse(rank, [&](uint32_t query, double coeff) {
+      exp.list->ForEachUse(rank, [&](uint32_t query, double coeff) {
         per_query[query].push_back({rank, coeff});
       });
     }

@@ -9,10 +9,9 @@
 //   key-order   — ascending coefficient key (a sequential scan)
 
 #include "bench_common.h"
-#include "util/table.h"
-#include "core/progressive.h"
-#include "core/trace.h"
+#include "engine/progression_trace.h"
 #include "penalty/sse.h"
+#include "util/table.h"
 
 namespace wavebatch::bench {
 namespace {
@@ -30,7 +29,9 @@ int Main(int argc, char** argv) {
             << options.num_records << " records)..." << std::endl;
   Experiment exp(options, parts, 1234, WaveletKind::kDb4);
 
-  SsePenalty sse;
+  auto sse = std::make_shared<SsePenalty>();
+  std::shared_ptr<const EvalPlan> plan =
+      EvalPlan::FromMasterList(exp.list, sse);
   double norm = 0.0;
   for (double e : exp.exact) norm += e * e;
 
@@ -48,11 +49,15 @@ int Main(int argc, char** argv) {
   std::vector<ProgressionTrace> traces;
   for (const OrderSpec& spec : specs) {
     std::cout << "running order: " << spec.name << std::endl;
-    ProgressiveEvaluator ev(&exp.list, &sse, exp.store.get(), spec.order,
-                            /*seed=*/7);
-    traces.push_back(ProgressionTrace::Run(
-        ev, exp.exact, {{"nsse", &sse, norm}}, /*dense_until=*/16,
-        /*growth=*/1.6));
+    EvalSession::Options opts;
+    opts.order = spec.order;
+    opts.seed = 7;
+    EvalSession ev(plan, UnownedStore(*exp.store), opts);
+    traces.push_back(ProgressionTrace::Run(ev, exp.exact,
+                                           {{"nsse", sse.get(), norm}},
+                                           /*dense_until=*/16,
+                                           /*growth=*/1.6)
+                         .value());
   }
 
   Table table({"retrieved", "nsse[biggest-B]", "nsse[round-robin]",

@@ -9,9 +9,8 @@
 #include <cmath>
 
 #include "bench_common.h"
-#include "util/table.h"
-#include "core/progressive.h"
 #include "penalty/sse.h"
+#include "util/table.h"
 
 namespace wavebatch::bench {
 namespace {
@@ -48,11 +47,12 @@ int Main(int argc, char** argv) {
                                       (1.0 + std::abs(brute[i])));
     }
     // Progressive MRE to 1%.
-    SsePenalty sse;
-    ProgressiveEvaluator ev(&exp.list, &sse, exp.store.get());
+    EvalSession ev(
+        EvalPlan::FromMasterList(exp.list, std::make_shared<SsePenalty>()),
+        UnownedStore(*exp.store));
     uint64_t to_1pct = 0;
     while (!ev.Done()) {
-      ev.Step();
+      WB_CHECK_OK(ev.Step());
       if (ev.StepsTaken() % 64 == 0 || ev.Done()) {
         double mre = 0.0;
         size_t counted = 0;
@@ -71,10 +71,10 @@ int Main(int argc, char** argv) {
     const double s = static_cast<double>(exp.workload.batch.size());
     table.AddRow(
         {filter.name(), std::to_string(filter.max_degree()),
-         FormatDouble(exp.list.TotalQueryCoefficients() / s, 5),
-         std::to_string(exp.list.size()),
-         FormatDouble(exp.list.TotalQueryCoefficients() /
-                          static_cast<double>(exp.list.size()),
+         FormatDouble(exp.list->TotalQueryCoefficients() / s, 5),
+         std::to_string(exp.list->size()),
+         FormatDouble(exp.list->TotalQueryCoefficients() /
+                          static_cast<double>(exp.list->size()),
                       4),
          FormatDouble(max_err, 3), std::to_string(to_1pct)});
   }

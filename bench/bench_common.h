@@ -14,10 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "core/exact.h"
-#include "core/master_list.h"
 #include "data/generators.h"
 #include "data/workloads.h"
+#include "engine/eval_plan.h"
+#include "engine/eval_session.h"
 #include "strategy/wavelet_strategy.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
@@ -76,14 +76,15 @@ class Flags {
 
 /// The paper-shaped experiment: temperature cube, a lat×lon grid partition
 /// summing temperature per cell, the Db4 wavelet view, and exact reference
-/// results.
+/// results. Harnesses plan their progressions over `list` with
+/// EvalPlan::FromMasterList.
 struct Experiment {
   TemperatureDatasetOptions data_options;
   DenseCube cube;
   PartitionWorkload workload;
   WaveletStrategy strategy;
   std::unique_ptr<CoefficientStore> store;
-  MasterList list;
+  std::shared_ptr<const MasterList> list;
   std::vector<double> exact;
 
   Experiment(TemperatureDatasetOptions options, std::vector<size_t> parts,
@@ -106,13 +107,21 @@ struct Experiment {
                 << std::endl;
       std::exit(1);
     }
-    list = std::move(built).value();
-    // Reference results: exact shared evaluation (itself validated against
-    // brute force in the test suite). I/O is counted per caller-provided
-    // sink now, so the warm-up fetches here don't pollute later
-    // measurements — there is no store-level counter to reset.
-    ExactBatchResult res = EvaluateShared(list, *store);
-    exact = std::move(res.results);
+    list = std::make_shared<const MasterList>(std::move(built).value());
+    // Reference results: exact shared evaluation, a penalty-free kKeyOrder
+    // session run to exactness (itself validated against brute force in
+    // the test suite). I/O is counted per session, so the warm-up fetches
+    // here don't pollute later measurements.
+    EvalSession::Options opts;
+    opts.order = ProgressionOrder::kKeyOrder;
+    EvalSession session(EvalPlan::FromMasterList(list, /*penalty=*/nullptr),
+                        UnownedStore(*store), opts);
+    Status run = session.RunToExact();
+    if (!run.ok()) {
+      std::cerr << "exact evaluation failed: " << run << std::endl;
+      std::exit(1);
+    }
+    exact = session.Estimates();
   }
 };
 
@@ -201,7 +210,7 @@ inline std::vector<size_t> PartsFromFlags(const Flags& flags) {
 
 inline const std::string kCommonFlagsHelp =
     "  --lat= --lon= --alt= --time= --temp=   domain sizes (powers of 2)\n"
-    "  --records=N   synthetic observations (default 2000000)\n"
+    "  --records=N   synthetic observations (default 15700000)\n"
     "  --seed=N      data seed (default 42)\n"
     "  --lat_parts= --lon_parts= --alt_parts= --time_parts=\n"
     "                partition grid (default 32x16 = 512 ranges)\n"

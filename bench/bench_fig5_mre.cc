@@ -5,10 +5,9 @@
 // — less than one I/O per query.
 
 #include "bench_common.h"
-#include "util/table.h"
-#include "core/progressive.h"
-#include "core/trace.h"
+#include "engine/progression_trace.h"
 #include "penalty/sse.h"
+#include "util/table.h"
 
 namespace wavebatch::bench {
 namespace {
@@ -29,19 +28,23 @@ int Main(int argc, char** argv) {
             << " ranges)..." << std::endl;
   Experiment exp(options, parts, 1234, WaveletKind::kDb4);
 
-  SsePenalty sse;
+  auto sse = std::make_shared<SsePenalty>();
   double norm = 0.0;
   for (double e : exp.exact) norm += e * e;
 
-  ProgressiveEvaluator ev(&exp.list, &sse, exp.store.get());
-  ProgressionTrace trace = ProgressionTrace::Run(
-      ev, exp.exact, {{"normalized_sse", &sse, norm}},
-      /*dense_until=*/32, /*growth=*/1.3, /*k_sum_abs=*/exp.store->SumAbs(),
-      /*domain_cells=*/exp.cube.schema().cell_count());
+  EvalSession ev(EvalPlan::FromMasterList(exp.list, sse),
+                 UnownedStore(*exp.store));
+  ProgressionTrace trace =
+      ProgressionTrace::Run(
+          ev, exp.exact, {{"normalized_sse", sse.get(), norm}},
+          /*dense_until=*/32, /*growth=*/1.3,
+          /*k_sum_abs=*/exp.store->SumAbs(),
+          /*domain_cells=*/exp.cube.schema().cell_count())
+          .value();
 
   std::cout << "\nFigure 5: progressive mean relative error "
             << "(biggest-B, SSE importance), " << exp.workload.batch.size()
-            << " queries, master list " << exp.list.size() << "\n";
+            << " queries, master list " << exp.list->size() << "\n";
   trace.ToTable().Print(std::cout);
 
   // Headline numbers.
@@ -61,8 +64,8 @@ int Main(int argc, char** argv) {
   std::cout << "MRE < 0.1% after ~" << below_01pct << " retrievals ("
             << FormatDouble(static_cast<double>(below_01pct) / s, 3)
             << " per query)\n";
-  std::cout << "exact after " << exp.list.size() << " retrievals ("
-            << FormatDouble(static_cast<double>(exp.list.size()) / s, 3)
+  std::cout << "exact after " << exp.list->size() << " retrievals ("
+            << FormatDouble(static_cast<double>(exp.list->size()) / s, 3)
             << " per query)\n";
   std::cout << "elapsed: " << FormatDouble(total.ElapsedSeconds(), 3)
             << "s\n";

@@ -33,9 +33,9 @@ struct BoundedRunResult {
 /// coefficient lists fit `max_workspace_coefficients`; each group becomes a
 /// penalty-free EvalPlan evaluated to exactness by a kKeyOrder EvalSession
 /// and discarded before the next group starts. A single query over budget
-/// gets its own group — exactness is never sacrificed. Results and
-/// retrieval counts reproduce the legacy EvaluateWithBoundedWorkspace bit
-/// for bit.
+/// gets its own group — exactness is never sacrificed. A budget of 1
+/// puts every query in its own group: the naive per-query evaluation of
+/// Section 2.2, one retrieval per query coefficient.
 ///
 /// Fallible: a failed fetch (or query transform) surfaces as a non-OK
 /// Status. Groups completed before the failure are discarded with the

@@ -65,9 +65,8 @@ EvalPlan::EvalPlan(std::shared_ptr<const MasterList> list,
   // each entry. Entries are independent (PenaltyFunction::Apply is a pure
   // const read), so they fan out in fixed chunks, each chunk scribbling in
   // its own column buffer — every importance_[i] is the same value the
-  // serial loop computes. The total is then summed serially in entry order:
-  // the same floating-point sequence as the legacy evaluator, so sessions
-  // reproduce its bounds bit for bit.
+  // serial loop computes. The total is then summed serially in entry order,
+  // so it does not depend on the thread count either.
   if (penalty_ != nullptr) {
     importance_.resize(n);
     ForRange(pool, n, /*grain=*/256, [&](size_t begin, size_t end) {
@@ -106,10 +105,9 @@ EvalPlan::EvalPlan(std::shared_ptr<const MasterList> list,
   // magnitude, one per round; an entry already consumed by an earlier query
   // is skipped, i.e. the raw round-robin sequence collapses onto first
   // appearances. The per-query sorts are independent and fan out across
-  // queries; each one is the exact std::sort call the legacy evaluator
-  // makes (same comparator, same input sequence), so equal-magnitude ties
-  // resolve identically. The collapse is inherently sequential and stays
-  // serial.
+  // queries; each sort sees the same input sequence whatever the thread
+  // count, so equal-magnitude ties resolve identically. The collapse is
+  // inherently sequential and stays serial.
   {
     std::vector<std::vector<std::pair<double, size_t>>> per_query(
         list_->num_queries());

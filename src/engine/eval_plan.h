@@ -7,15 +7,31 @@
 #include <span>
 #include <vector>
 
-#include "core/master_list.h"
-#include "core/progressive.h"
 #include "engine/apply_kernel.h"
+#include "engine/master_list.h"
 #include "penalty/penalty.h"
 #include "query/batch.h"
 #include "strategy/linear_strategy.h"
 #include "util/status.h"
 
 namespace wavebatch {
+
+/// Orders in which a progressive evaluation may walk the master list.
+/// kBiggestB is the paper's algorithm; the others are ablation baselines
+/// (all of them share I/O — the comparison isolates the *ordering*).
+enum class ProgressionOrder {
+  /// Decreasing importance ι_p — the Batch-Biggest-B order, optimal for
+  /// worst-case (Thm 1) and expected (Thm 2) penalty at every step.
+  kBiggestB,
+  /// Round-robin over queries, each advancing through its own coefficients
+  /// in decreasing |q̂_i| — the natural "s independent single-query
+  /// ProPolyne instances" order, with fetches deduplicated.
+  kRoundRobin,
+  /// Uniformly random order (seeded).
+  kRandom,
+  /// Ascending key order — what a pure sequential scan would do.
+  kKeyOrder,
+};
 
 /// The immutable, shareable half of a progressive batch evaluation: master
 /// list, per-entry importances ι_p(ξ), and the consumption permutation of
@@ -26,14 +42,12 @@ namespace wavebatch {
 /// and can be cached across identical batches (PlanCache).
 ///
 /// Plans own their inputs via shared_ptr: a session holding the plan keeps
-/// the master list and penalty alive, closing the raw-pointer lifetime trap
-/// of the legacy ProgressiveEvaluator ("list/penalty/store must outlive the
-/// evaluator").
+/// the master list and penalty alive.
 ///
 /// Construction fans out over util::ThreadPool::Shared() by default
 /// (importances, permutation sorts, and the master-list merge); pass
 /// BuildParallelism::kSerial to force the single-threaded path. Both
-/// settings produce bit-identical plans — see core/master_list.h.
+/// settings produce bit-identical plans — see engine/master_list.h.
 class EvalPlan {
  public:
   /// Rewrites `batch` under `strategy` (MasterList::Build) and plans it.
@@ -81,8 +95,8 @@ class EvalPlan {
   /// RandomPermutation.
   std::span<const size_t> Permutation(ProgressionOrder order) const;
 
-  /// The kRandom consumption order for `seed` (identity permutation through
-  /// a seeded Fisher–Yates, matching the legacy evaluator step for step).
+  /// The kRandom consumption order for `seed` (the identity permutation
+  /// through a seeded Fisher–Yates).
   /// The last (seed, permutation) pair is memoized behind a mutex — the
   /// plan stays logically immutable, and the common pattern of many
   /// sessions sharing one seed costs one shuffle instead of one per

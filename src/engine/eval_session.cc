@@ -369,6 +369,7 @@ double EvalSession::NextBlockImportance() const {
 }
 
 double EvalSession::NextImportance() const {
+  WB_CHECK(plan_->HasImportance());
   if (Done()) return 0.0;
   if (options_.block_of) return NextBlockImportance();
   return plan_->importance(permutation_[steps_taken_]);
@@ -388,7 +389,7 @@ double EvalSession::WorstCaseBound(double k_sum_abs) const {
     // per-source worst cases add (triangle inequality), then raise back:
     //   bound = (tail^(1/α) + Σ ε_ξ·ι_p(ξ)^(1/α))^α.
     // For α = 1 this is exactly tail + Σ ε·ι. Guarded so exact stores
-    // return the untouched legacy expression bit for bit.
+    // return the plain Theorem-1 expression bit for bit.
     bound = std::pow(std::pow(bound, inv_alpha_) + quant_error_l1_, alpha);
   }
   if (telemetry_ != nullptr && telemetry::Enabled()) {

@@ -53,8 +53,8 @@ enum class FaultPolicy {
 ///   ablation orders    — {kRoundRobin / kRandom / kKeyOrder}
 ///   block-granularity  — Options::block_of set + StepBlock()
 ///   bounded workspace  — engine/bounded.h groups queries into sessions
-/// All of them reproduce the legacy core/ evaluators bit for bit
-/// (estimates, bounds, and retrieval counts) — enforced by engine_test.
+/// Their estimates, bounds, and I/O counts are pinned bit for bit by the
+/// frozen fixture in tests/golden/.
 struct EvalSessionOptions {
   ProgressionOrder order = ProgressionOrder::kBiggestB;
   /// Only read under kRandom.

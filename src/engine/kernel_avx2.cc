@@ -74,7 +74,7 @@ void ApplyOrderedSliceAvx2(const ApplyKernel& kernel, const size_t* order,
     const size_t entry = order[i];
     kernel.ConsumeImportance(entry, remaining);
     const double data = values[i];
-    if (data == 0.0) continue;  // the legacy zero-data early-out
+    if (data == 0.0) continue;  // ApplyOne's zero-data early-out
     ApplyRowAvx2(kernel.query, kernel.coeff, kernel.offsets[entry],
                  kernel.offsets[entry + 1], data, estimates);
   }

@@ -136,7 +136,7 @@ const Status& GetStatus(const Result<T>& r) {
 
 /// Aborts with the status's diagnostic when `expr` (a Status or Result) is
 /// not OK. For callers that treat a fallible operation as infallible —
-/// tests, benches, and the legacy crash-on-error evaluators.
+/// tests, benches, and store reads that cannot fail by construction.
 #define WB_CHECK_OK(expr)                                            \
   do {                                                               \
     auto&& wb_check_ok_value = (expr);                               \

@@ -2,8 +2,8 @@
 
 #include "baselines/compressed_view.h"
 #include "baselines/online_aggregation.h"
-#include "core/exact.h"
 #include "data/generators.h"
+#include "engine/bounded.h"
 #include "gtest/gtest.h"
 #include "strategy/wavelet_strategy.h"
 #include "util/random.h"
@@ -54,13 +54,18 @@ TEST(CompressedViewTest, QueryErrorShrinksWithBudget) {
     uint32_t hi = lo + static_cast<uint32_t>(rng.UniformInt(32 - lo));
     batch.Add(RangeSumQuery::Count(Range::All(schema).Restrict(0, lo, hi)));
   }
-  MasterList list = MasterList::Build(batch, strategy).value();
-  std::vector<double> exact = EvaluateShared(list, *full).results;
+  // Exact shared evaluation: one workspace group holds the whole batch.
+  auto answers = [&](const CoefficientStore& store) {
+    return RunWithBoundedWorkspace(batch, strategy, store, ~uint64_t{0})
+        .value()
+        .results;
+  };
+  std::vector<double> exact = answers(*full);
   auto sse_of = [&](CoefficientStore& store) {
-    ExactBatchResult res = EvaluateShared(list, store);
+    const std::vector<double> res = answers(store);
     double acc = 0.0;
     for (size_t i = 0; i < exact.size(); ++i) {
-      const double e = res.results[i] - exact[i];
+      const double e = res[i] - exact[i];
       acc += e * e;
     }
     return acc;

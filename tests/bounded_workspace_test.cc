@@ -1,6 +1,8 @@
-#include "core/bounded_workspace.h"
+#include "engine/bounded.h"
 
-#include "core/exact.h"
+#include <algorithm>
+#include <cmath>
+
 #include "data/generators.h"
 #include "gtest/gtest.h"
 #include "strategy/wavelet_strategy.h"
@@ -33,14 +35,17 @@ struct WorkspaceFixture {
     list = MasterList::Build(batch, strategy).value();
     expected = batch.BruteForce(rel);
   }
+
+  BoundedRunResult Run(uint64_t budget) const {
+    return RunWithBoundedWorkspace(batch, strategy, *store, budget).value();
+  }
 };
 
 TEST(BoundedWorkspaceTest, ExactAtEveryBudget) {
   WorkspaceFixture f;
   for (uint64_t budget : {uint64_t{1}, uint64_t{50}, uint64_t{200},
                           uint64_t{100000}}) {
-    BoundedWorkspaceResult res = EvaluateWithBoundedWorkspace(
-        f.batch, f.strategy, *f.store, budget);
+    BoundedRunResult res = f.Run(budget);
     ASSERT_EQ(res.results.size(), f.expected.size());
     for (size_t i = 0; i < f.expected.size(); ++i) {
       EXPECT_NEAR(res.results[i], f.expected[i],
@@ -52,31 +57,28 @@ TEST(BoundedWorkspaceTest, ExactAtEveryBudget) {
 
 TEST(BoundedWorkspaceTest, UnboundedBudgetMatchesSharedCost) {
   WorkspaceFixture f;
-  BoundedWorkspaceResult res = EvaluateWithBoundedWorkspace(
-      f.batch, f.strategy, *f.store, uint64_t{1} << 40);
+  BoundedRunResult res = f.Run(uint64_t{1} << 40);
   EXPECT_EQ(res.num_groups, 1u);
-  EXPECT_EQ(res.retrievals, f.list.size());
+  EXPECT_EQ(res.io.retrievals, f.list.size());
   EXPECT_EQ(res.peak_workspace, f.list.TotalQueryCoefficients());
 }
 
 TEST(BoundedWorkspaceTest, MinimalBudgetMatchesNaiveCost) {
   WorkspaceFixture f;
   // Budget 1: every query exceeds it, so each gets its own group.
-  BoundedWorkspaceResult res =
-      EvaluateWithBoundedWorkspace(f.batch, f.strategy, *f.store, 1);
+  BoundedRunResult res = f.Run(1);
   EXPECT_EQ(res.num_groups, f.batch.size());
-  EXPECT_EQ(res.retrievals, f.list.TotalQueryCoefficients());
+  EXPECT_EQ(res.io.retrievals, f.list.TotalQueryCoefficients());
 }
 
 TEST(BoundedWorkspaceTest, IntermediateBudgetsInterpolate) {
   WorkspaceFixture f;
   const uint64_t mid_budget = f.list.TotalQueryCoefficients() / 4;
-  BoundedWorkspaceResult res = EvaluateWithBoundedWorkspace(
-      f.batch, f.strategy, *f.store, mid_budget);
+  BoundedRunResult res = f.Run(mid_budget);
   EXPECT_GT(res.num_groups, 1u);
   EXPECT_LT(res.num_groups, f.batch.size());
-  EXPECT_GE(res.retrievals, f.list.size());
-  EXPECT_LE(res.retrievals, f.list.TotalQueryCoefficients());
+  EXPECT_GE(res.io.retrievals, f.list.size());
+  EXPECT_LE(res.io.retrievals, f.list.TotalQueryCoefficients());
   EXPECT_LE(res.peak_workspace, mid_budget);
 }
 
@@ -87,8 +89,7 @@ TEST(BoundedWorkspaceTest, PeakWorkspaceRespectsBudgetWhenQueriesFit) {
     max_single = std::max(max_single, nnz);
   }
   const uint64_t budget = max_single * 2;
-  BoundedWorkspaceResult res = EvaluateWithBoundedWorkspace(
-      f.batch, f.strategy, *f.store, budget);
+  BoundedRunResult res = f.Run(budget);
   EXPECT_LE(res.peak_workspace, budget);
 }
 

@@ -14,10 +14,9 @@
 #include <memory>
 #include <vector>
 
-#include "data/generators.h"
 #include "engine/bounded.h"
-#include "engine/eval_plan.h"
 #include "engine/eval_session.h"
+#include "golden/progression_golden.h"
 #include "gtest/gtest.h"
 #include "penalty/sse.h"
 #include "storage/block_store.h"
@@ -258,35 +257,10 @@ TEST(CompressedBlockStoreTest, QuantizedModeReportsErrorBounds) {
 // ---------------------------------------------------------------------------
 // Engine soundness over quantized pages.
 
-struct EngineFixture {
-  Schema schema = Schema::Uniform(2, 16);
-  Relation rel;
-  QueryBatch batch;
-  std::shared_ptr<const MasterList> list;
-  std::unique_ptr<CoefficientStore> exact_store;
-  std::shared_ptr<const SsePenalty> sse = std::make_shared<SsePenalty>();
-  std::shared_ptr<const EvalPlan> plan;
-
-  EngineFixture() : rel(MakeUniformRelation(schema, 500, 3)), batch(schema) {
-    WaveletStrategy strategy(schema, WaveletKind::kHaar);
-    Rng rng(9);
-    for (int i = 0; i < 12; ++i) {
-      uint32_t lo0 = static_cast<uint32_t>(rng.UniformInt(16));
-      uint32_t hi0 = lo0 + static_cast<uint32_t>(rng.UniformInt(16 - lo0));
-      uint32_t lo1 = static_cast<uint32_t>(rng.UniformInt(16));
-      uint32_t hi1 = lo1 + static_cast<uint32_t>(rng.UniformInt(16 - lo1));
-      batch.Add(RangeSumQuery::Count(
-          Range::Create(schema, {{lo0, hi0}, {lo1, hi1}}).value()));
-    }
-    list = std::make_shared<const MasterList>(
-        MasterList::Build(batch, strategy).value());
-    exact_store = strategy.BuildStore(rel.FrequencyDistribution());
-    plan = EvalPlan::FromMasterList(list, sse);
-  }
-
+struct EngineFixture : golden::Fixture {
   std::unique_ptr<BlockStore> MakeQuantized(uint32_t quant_bits) const {
     auto inner = std::make_unique<HashStore>();
-    exact_store->ForEachNonZero(
+    store->ForEachNonZero(
         [&](uint64_t key, double value) { inner->Add(key, value); });
     BlockStoreOptions opts;
     opts.block_size = 64;
@@ -304,7 +278,7 @@ TEST(QuantizedBoundTest, WorstCaseBoundEnclosesTrueErrorAtEveryStep) {
   // real work here.
   EngineFixture f;
   // True answers: exact store, run to completion.
-  EvalSession truth(f.plan, UnownedStore(*f.exact_store));
+  EvalSession truth(f.plan, UnownedStore(*f.store));
   ASSERT_TRUE(truth.RunToExact().ok());
   const std::vector<double> exact = truth.Estimates();
 
@@ -347,8 +321,8 @@ TEST(QuantizedBoundTest, ExactStoresKeepLegacyBoundBitForBit) {
   // The widening is gated on accumulated error mass; exact stores must see
   // the identical legacy bound expression, not a rounded-trip rewrite.
   EngineFixture f;
-  EvalSession session(f.plan, UnownedStore(*f.exact_store));
-  const double k = f.exact_store->SumAbs();
+  EvalSession session(f.plan, UnownedStore(*f.store));
+  const double k = f.store->SumAbs();
   while (!session.Done()) {
     ASSERT_TRUE(session.StepBatch(5).ok());
     EXPECT_EQ(session.QuantizationErrorMass(), 0.0);
@@ -367,7 +341,7 @@ TEST(QuantizedBoundTest, BoundedRunErrorBoundsEncloseTrueResults) {
   WaveletStrategy strategy(f.schema, WaveletKind::kHaar);
 
   Result<BoundedRunResult> exact_run = RunWithBoundedWorkspace(
-      f.batch, strategy, *f.exact_store, /*max_workspace_coefficients=*/64);
+      f.batch, strategy, *f.store, /*max_workspace_coefficients=*/64);
   ASSERT_TRUE(exact_run.ok());
   for (double b : exact_run->error_bounds) EXPECT_EQ(b, 0.0);
 

@@ -1,6 +1,7 @@
-// The engine layer's contract: EvalPlan + EvalSession reproduce every
-// legacy evaluation mode bit for bit — estimates, Theorem 1/2 bound
-// trackers, and retrieval counts — across all four progression orders and
+// The engine layer's contract: EvalPlan + EvalSession reproduce the frozen
+// Batch-Biggest-B outputs in tests/golden/ bit for bit — estimates,
+// Theorem 1/2 bound trackers, and I/O counts — across all four progression
+// orders, both fault policies, block granularity, bounded workspace, and
 // all four store backends, while fixing the lifetime and accounting
 // problems (shared ownership, per-session IoStats).
 
@@ -13,13 +14,9 @@
 #include <string>
 #include <vector>
 
-#include "core/block_progressive.h"
-#include "core/bounded_workspace.h"
-#include "core/exact.h"
-#include "core/progressive.h"
-#include "data/generators.h"
 #include "engine/bounded.h"
 #include "engine/plan_cache.h"
+#include "golden/progression_golden.h"
 #include "gtest/gtest.h"
 #include "penalty/sse.h"
 #include "storage/block_store.h"
@@ -28,59 +25,27 @@
 #include "storage/file_store.h"
 #include "storage/memory_store.h"
 #include "strategy/wavelet_strategy.h"
-#include "util/random.h"
 
 namespace wavebatch {
 namespace {
 
-struct Fixture {
-  Schema schema = Schema::Uniform(2, 16);
-  Relation rel;
-  QueryBatch batch;
-  std::shared_ptr<const MasterList> list;
-  std::unique_ptr<CoefficientStore> store;
-  std::shared_ptr<const SsePenalty> sse = std::make_shared<SsePenalty>();
-  std::shared_ptr<const EvalPlan> plan;
-  std::vector<double> exact;
-
-  Fixture() : rel(MakeUniformRelation(schema, 500, 3)), batch(schema) {
-    WaveletStrategy strategy(schema, WaveletKind::kHaar);
-    Rng rng(9);
-    for (int i = 0; i < 12; ++i) {
-      uint32_t lo0 = static_cast<uint32_t>(rng.UniformInt(16));
-      uint32_t hi0 = lo0 + static_cast<uint32_t>(rng.UniformInt(16 - lo0));
-      uint32_t lo1 = static_cast<uint32_t>(rng.UniformInt(16));
-      uint32_t hi1 = lo1 + static_cast<uint32_t>(rng.UniformInt(16 - lo1));
-      batch.Add(RangeSumQuery::Count(
-          Range::Create(schema, {{lo0, hi0}, {lo1, hi1}}).value()));
-    }
-    list = std::make_shared<const MasterList>(
-        MasterList::Build(batch, strategy).value());
-    store = strategy.BuildStore(rel.FrequencyDistribution());
-    plan = EvalPlan::FromMasterList(list, sse);
-    exact = batch.BruteForce(rel);
-  }
-};
+using golden::Fixture;
 
 /// Copies a store's contents into every backend flavor (BlockStore is
-/// unbuffered so its per-call block counters are history-independent).
+/// unbuffered so its per-call block counters are history-independent; it
+/// is the backend the goldens were recorded on).
 struct Backends {
   std::vector<std::pair<std::string, std::unique_ptr<CoefficientStore>>>
       stores;
   std::string file_path;
 
-  explicit Backends(const CoefficientStore& source) {
-    uint64_t max_key = 0;
+  explicit Backends(const Fixture& f) {
+    std::vector<double> values(f.MaxKey() + 1, 0.0);
     auto hash = std::make_unique<HashStore>();
-    auto block_inner = std::make_unique<HashStore>();
-    source.ForEachNonZero([&](uint64_t key, double value) {
-      max_key = std::max(max_key, key);
+    f.store->ForEachNonZero([&](uint64_t key, double value) {
       hash->Add(key, value);
-      block_inner->Add(key, value);
+      values[key] = value;
     });
-    std::vector<double> values(max_key + 1, 0.0);
-    source.ForEachNonZero(
-        [&](uint64_t key, double value) { values[key] = value; });
 
     file_path = ::testing::TempDir() + "/wavebatch_engine_test_" +
                 std::to_string(reinterpret_cast<uintptr_t>(this)) + ".bin";
@@ -90,121 +55,117 @@ struct Backends {
     stores.emplace_back("hash", std::move(hash));
     stores.emplace_back("dense", std::make_unique<DenseStore>(values));
     stores.emplace_back("file", std::move(file).value());
-    stores.emplace_back("block",
-                        std::make_unique<BlockStore>(std::move(block_inner),
-                                                     /*block_size=*/8,
-                                                     /*cache_blocks=*/0));
+    stores.emplace_back("block", f.MakeBlockBackend());
   }
 
   ~Backends() { std::remove(file_path.c_str()); }
 };
 
+/// Fails master-list keys 0, kSkipStride, 2·kSkipStride, … of `f` on
+/// `store` — the fault schedule of the recorded kSkip runs.
+void FailRecordedKeys(const Fixture& f, FaultInjectionStore& store) {
+  for (size_t i = 0; i < f.list->size(); i += golden::kSkipStride) {
+    store.FailKey(f.list->keys()[i]);
+  }
+}
+
+EvalSession::Options RecordedOptions(ProgressionOrder order,
+                                     FaultPolicy policy) {
+  EvalSession::Options opts;
+  opts.order = order;
+  opts.seed = golden::kRandomSeed;
+  opts.fault_policy = policy;
+  return opts;
+}
+
 class EngineOrderTest : public ::testing::TestWithParam<ProgressionOrder> {};
 
 TEST_P(EngineOrderTest, GoldenAgainstLegacyEvaluatorOnEveryBackend) {
-  // Lockstep: after every batch of steps the session and the legacy
-  // evaluator must agree exactly — estimates, both bound trackers, next
-  // importance, steps, and I/O.
+  // Batched stepping over every backend, with and without the recorded
+  // fault schedule, must land on the recorded rows at every batch
+  // boundary: estimates, both bound trackers, next importance, skipped
+  // mass, steps, and I/O.
   Fixture f;
-  Backends backends(*f.store);
-  for (auto& [name, store] : backends.stores) {
-    ProgressiveEvaluator legacy(f.list.get(), f.sse.get(), store.get(),
-                                GetParam(), 17);
-    EvalSession::Options opts;
-    opts.order = GetParam();
-    opts.seed = 17;
-    EvalSession session(f.plan, UnownedStore(*store), opts);
-    ASSERT_EQ(session.TotalSteps(), legacy.TotalSteps());
-    const double k = store->SumAbs();
-    const size_t batch_sizes[] = {1, 3, 7, 16, 64};
-    size_t bi = 0;
-    while (!session.Done()) {
-      EXPECT_EQ(session.NextImportance(), legacy.NextImportance()) << name;
-      const size_t n = batch_sizes[bi++ % std::size(batch_sizes)];
-      const size_t taken = session.StepBatch(n).value();
-      EXPECT_EQ(taken, legacy.StepBatch(n)) << name;
-      ASSERT_EQ(session.StepsTaken(), legacy.StepsTaken()) << name;
-      for (size_t q = 0; q < f.batch.size(); ++q) {
-        EXPECT_EQ(session.Estimates()[q], legacy.Estimates()[q])
-            << name << " query " << q << " after " << session.StepsTaken();
+  Backends backends(f);
+  const double k = f.store->SumAbs();
+  for (FaultPolicy policy : {FaultPolicy::kFail, FaultPolicy::kSkip}) {
+    for (auto& [name, store] : backends.stores) {
+      SCOPED_TRACE(name + (policy == FaultPolicy::kSkip ? " kSkip" : ""));
+      FaultInjectionStore faulty(store.get());
+      FailRecordedKeys(f, faulty);
+      EvalSession session(
+          f.plan,
+          UnownedStore(policy == FaultPolicy::kSkip ? faulty : *store),
+          RecordedOptions(GetParam(), policy));
+      golden::ExpectBatchedRun(golden::Recorded(GetParam(), policy), session,
+                               k, f.schema.cell_count(), name == "block");
+      if (policy == FaultPolicy::kFail) {
+        EXPECT_EQ(session.io().retrievals, f.list->size());
+        for (size_t i = 0; i < f.exact.size(); ++i) {
+          EXPECT_NEAR(session.Estimates()[i], f.exact[i],
+                      1e-6 * (1.0 + std::abs(f.exact[i])));
+        }
+      } else {
+        EXPECT_GT(session.SkippedCoefficients(), 0u);
       }
-      EXPECT_EQ(session.WorstCaseBound(k), legacy.WorstCaseBound(k)) << name;
-      EXPECT_EQ(session.ExpectedPenalty(f.schema.cell_count()),
-                legacy.ExpectedPenalty(f.schema.cell_count()))
-          << name;
-      // Invariant: the remaining importance mass is clamped, so the
-      // Theorem-2 tracker can never report a negative expected penalty.
-      EXPECT_GE(session.ExpectedPenalty(f.schema.cell_count()), 0.0) << name;
-      EXPECT_EQ(session.io(), legacy.io()) << name;
-    }
-    EXPECT_TRUE(legacy.Done());
-    EXPECT_EQ(session.io().retrievals, f.list->size());
-    for (size_t i = 0; i < f.exact.size(); ++i) {
-      EXPECT_NEAR(session.Estimates()[i], f.exact[i],
-                  1e-6 * (1.0 + std::abs(f.exact[i])));
     }
   }
 }
 
 TEST_P(EngineOrderTest, ScalarStepsMatchLegacyEntryForEntry) {
+  // Scalar Step() reaches every recorded boundary in the same state as
+  // the batched runs, and consumes entries in plan order.
   Fixture f;
-  ProgressiveEvaluator legacy(f.list.get(), f.sse.get(), f.store.get(),
-                              GetParam(), 17);
-  EvalSession::Options opts;
-  opts.order = GetParam();
-  opts.seed = 17;
+  EvalSession::Options opts = RecordedOptions(GetParam(), FaultPolicy::kFail);
   EvalSession session(f.plan, UnownedStore(*f.store), opts);
-  while (!session.Done()) {
-    EXPECT_EQ(session.Step().value(), legacy.Step());
+  const std::vector<size_t> order =
+      GetParam() == ProgressionOrder::kRandom
+          ? f.plan->RandomPermutation(golden::kRandomSeed)
+          : std::vector<size_t>(f.plan->Permutation(GetParam()).begin(),
+                                f.plan->Permutation(GetParam()).end());
+  const double k = f.store->SumAbs();
+  for (const golden::Step& row :
+       golden::Recorded(GetParam(), FaultPolicy::kFail)) {
+    while (session.StepsTaken() < row.steps) {
+      const uint64_t i = session.StepsTaken();
+      EXPECT_EQ(session.Step().value(), order[i]);
+    }
+    golden::ExpectStep(row, session, k, f.schema.cell_count(),
+                       /*block_backend=*/false);
   }
-  EXPECT_TRUE(legacy.Done());
-  EXPECT_EQ(session.io(), legacy.io());
+  EXPECT_TRUE(session.Done());
 }
 
 TEST_P(EngineOrderTest, SkipModeBatchAndScalarPathsAgree) {
   // Under FaultPolicy::kSkip a failed FetchBatch falls back to per-key
-  // scalar fetches. That fallback and a pure scalar Step() loop must be
-  // indistinguishable: same estimates, same bound trackers, same skipped
-  // mass — entry for entry, under every progression order.
+  // scalar fetches. That fallback and a pure scalar Step() loop must both
+  // reproduce the recorded kSkip run: same estimates, same bound trackers,
+  // same skipped mass, at every batch boundary.
   Fixture f;
-  auto make_faulty = [&] {
-    auto inner = std::make_unique<HashStore>();
-    f.store->ForEachNonZero(
-        [&](uint64_t key, double value) { inner->Add(key, value); });
-    auto faulty = std::make_unique<FaultInjectionStore>(std::move(inner));
-    for (size_t i = 0; i < f.list->size(); i += 3) {
-      faulty->FailKey(f.list->keys()[i]);
-    }
-    return faulty;
-  };
-  auto batch_store = make_faulty();
-  auto scalar_store = make_faulty();
-  EvalSession::Options opts;
-  opts.order = GetParam();
-  opts.seed = 17;
-  opts.fault_policy = FaultPolicy::kSkip;
-  EvalSession batched(f.plan, UnownedStore(*batch_store), opts);
-  EvalSession scalar(f.plan, UnownedStore(*scalar_store), opts);
+  std::unique_ptr<BlockStore> block = f.MakeBlockBackend();
+  FaultInjectionStore batch_store(block.get());
+  FaultInjectionStore scalar_store(f.store.get());
+  FailRecordedKeys(f, batch_store);
+  FailRecordedKeys(f, scalar_store);
+  EvalSession::Options opts = RecordedOptions(GetParam(), FaultPolicy::kSkip);
+  EvalSession batched(f.plan, UnownedStore(batch_store), opts);
+  EvalSession scalar(f.plan, UnownedStore(scalar_store), opts);
   const double k = f.store->SumAbs();
-  const size_t batch_sizes[] = {1, 3, 7, 16, 64};
   size_t bi = 0;
-  while (!batched.Done()) {
-    const size_t n = batch_sizes[bi++ % std::size(batch_sizes)];
+  for (const golden::Step& row :
+       golden::Recorded(GetParam(), FaultPolicy::kSkip)) {
+    const size_t n = golden::kBatchSizes[bi++ % std::size(golden::kBatchSizes)];
     const size_t taken = batched.StepBatch(n).value();
     ASSERT_TRUE(scalar.StepMany(taken).ok());
-    ASSERT_EQ(batched.StepsTaken(), scalar.StepsTaken());
-    EXPECT_EQ(batched.SkippedCoefficients(), scalar.SkippedCoefficients());
-    EXPECT_EQ(batched.SkippedImportance(), scalar.SkippedImportance());
-    for (size_t q = 0; q < f.batch.size(); ++q) {
-      EXPECT_EQ(batched.Estimates()[q], scalar.Estimates()[q])
-          << "query " << q << " after " << batched.StepsTaken();
-    }
-    EXPECT_EQ(batched.WorstCaseBound(k), scalar.WorstCaseBound(k));
-    EXPECT_EQ(batched.ExpectedPenalty(f.schema.cell_count()),
-              scalar.ExpectedPenalty(f.schema.cell_count()));
+    golden::ExpectStep(row, batched, k, f.schema.cell_count(),
+                       /*block_backend=*/true);
+    golden::ExpectStep(row, scalar, k, f.schema.cell_count(),
+                       /*block_backend=*/false);
   }
+  EXPECT_TRUE(batched.Done());
   EXPECT_TRUE(scalar.Done());
   EXPECT_GT(batched.SkippedCoefficients(), 0u);
+  EXPECT_EQ(batched.SkippedCoefficients(), scalar.SkippedCoefficients());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOrders, EngineOrderTest,
@@ -301,18 +262,20 @@ TEST(EnginePlanTest, BiggestBPermutationIsDecreasingImportance) {
   }
 }
 
-TEST(EngineSessionTest, KeyOrderRunToExactMatchesEvaluateShared) {
+TEST(EngineSessionTest, KeyOrderRunToExactIsTheSharedExactRun) {
+  // Exact shared evaluation = a kKeyOrder session run to exactness: it
+  // lands on the last recorded kKeyOrder row, one retrieval per entry.
   Fixture f;
-  ExactBatchResult shared = EvaluateShared(*f.list, *f.store);
   EvalSession::Options opts;
   opts.order = ProgressionOrder::kKeyOrder;
   EvalSession session(f.plan, UnownedStore(*f.store), opts);
   ASSERT_TRUE(session.RunToExact().ok());
-  ASSERT_EQ(session.Estimates().size(), shared.results.size());
-  for (size_t q = 0; q < shared.results.size(); ++q) {
-    EXPECT_EQ(session.Estimates()[q], shared.results[q]);
-  }
-  EXPECT_EQ(session.io().retrievals, shared.retrievals);
+  golden::ExpectEstimates(
+      golden::Recorded(ProgressionOrder::kKeyOrder, FaultPolicy::kFail)
+          .back()
+          .estimates,
+      session.Estimates());
+  EXPECT_EQ(session.io().retrievals, f.list->size());
 }
 
 TEST(EngineSessionTest, PenaltyFreePlanRunsExactOnly) {
@@ -331,32 +294,39 @@ TEST(EngineSessionTest, PenaltyFreePlanRunsExactOnly) {
   }
 }
 
+TEST(EngineSessionTest, NextImportanceRequiresAPenalty) {
+  // A penalty-free plan has no importances to rank by; asking for the next
+  // one is a precondition violation, not an out-of-bounds read.
+  Fixture f;
+  auto plan = EvalPlan::FromMasterList(f.list, /*penalty=*/nullptr);
+  EvalSession::Options opts;
+  opts.order = ProgressionOrder::kKeyOrder;
+  EvalSession session(plan, UnownedStore(*f.store), opts);
+  EXPECT_DEATH(session.NextImportance(), "HasImportance");
+}
+
 TEST(EngineSessionTest, BlockModeGoldenAgainstLegacyBlockEvaluator) {
   Fixture f;
-  Backends backends(*f.store);
-  auto block_of = [](uint64_t key) { return key / 8; };
+  Backends backends(f);
+  EvalSession::Options opts;
+  opts.block_of = [](uint64_t key) { return key / golden::kBlockSize; };
   for (auto& [name, store] : backends.stores) {
-    BlockProgressiveEvaluator legacy(f.list.get(), f.sse.get(), store.get(),
-                                     block_of);
-    EvalSession::Options opts;
-    opts.block_of = block_of;
+    SCOPED_TRACE(name);
     EvalSession session(f.plan, UnownedStore(*store), opts);
-    ASSERT_EQ(session.TotalBlocks(), legacy.TotalBlocks()) << name;
-    while (!session.Done()) {
-      EXPECT_EQ(session.NextBlockImportance(), legacy.NextBlockImportance())
-          << name;
-      EXPECT_EQ(session.StepBlock().value(), legacy.StepBlock()) << name;
-      EXPECT_GE(session.ExpectedPenalty(f.schema.cell_count()), 0.0) << name;
-      EXPECT_EQ(session.BlocksFetched(), legacy.BlocksFetched()) << name;
-      EXPECT_EQ(session.CoefficientsFetched(), legacy.CoefficientsFetched())
-          << name;
-      for (size_t q = 0; q < f.batch.size(); ++q) {
-        EXPECT_EQ(session.Estimates()[q], legacy.Estimates()[q])
-            << name << " query " << q;
-      }
+    ASSERT_EQ(session.TotalBlocks(), std::size(golden::kBlockRun));
+    for (const golden::BlockStep& row : golden::kBlockRun) {
+      const uint64_t before = session.CoefficientsFetched();
+      EXPECT_EQ(session.StepBlock().value(),
+                row.coefficients_fetched - before);
+      EXPECT_EQ(session.BlocksFetched(), row.blocks_fetched);
+      EXPECT_EQ(session.CoefficientsFetched(), row.coefficients_fetched);
+      EXPECT_PRED_FORMAT2(golden::SameBits, row.next_block_importance,
+                          session.NextBlockImportance());
+      EXPECT_GE(session.ExpectedPenalty(f.schema.cell_count()), 0.0);
+      golden::ExpectEstimates(row.estimates, session.Estimates());
+      EXPECT_EQ(session.io(), golden::ExpectedIo(row.io, name == "block"));
     }
-    EXPECT_TRUE(legacy.Done());
-    EXPECT_EQ(session.io(), legacy.io()) << name;
+    EXPECT_TRUE(session.Done());
     for (size_t i = 0; i < f.exact.size(); ++i) {
       EXPECT_NEAR(session.Estimates()[i], f.exact[i],
                   1e-6 * (1.0 + std::abs(f.exact[i])));
@@ -367,19 +337,15 @@ TEST(EngineSessionTest, BlockModeGoldenAgainstLegacyBlockEvaluator) {
 TEST(EngineBoundedTest, GoldenAgainstLegacyBoundedWorkspace) {
   Fixture f;
   WaveletStrategy strategy(f.schema, WaveletKind::kHaar);
-  for (uint64_t budget : {uint64_t{1}, uint64_t{64}, uint64_t{256},
-                          uint64_t{1} << 40}) {
-    BoundedWorkspaceResult legacy =
-        EvaluateWithBoundedWorkspace(f.batch, strategy, *f.store, budget);
-    BoundedRunResult engine =
-        RunWithBoundedWorkspace(f.batch, strategy, *f.store, budget).value();
-    ASSERT_EQ(engine.results.size(), legacy.results.size());
-    for (size_t q = 0; q < legacy.results.size(); ++q) {
-      EXPECT_EQ(engine.results[q], legacy.results[q]) << "budget " << budget;
-    }
-    EXPECT_EQ(engine.io.retrievals, legacy.retrievals) << "budget " << budget;
-    EXPECT_EQ(engine.peak_workspace, legacy.peak_workspace);
-    EXPECT_EQ(engine.num_groups, legacy.num_groups);
+  for (const golden::BoundedRun& want : golden::kBoundedRuns) {
+    SCOPED_TRACE("budget " + std::to_string(want.budget));
+    BoundedRunResult got =
+        RunWithBoundedWorkspace(f.batch, strategy, *f.store, want.budget)
+            .value();
+    golden::ExpectEstimates(want.results, got.results);
+    EXPECT_EQ(got.io.retrievals, want.retrievals);
+    EXPECT_EQ(got.peak_workspace, want.peak_workspace);
+    EXPECT_EQ(got.num_groups, want.num_groups);
   }
 }
 

@@ -16,20 +16,17 @@
 #include <string_view>
 #include <vector>
 
-#include "data/generators.h"
 #include "engine/eval_plan.h"
 #include "engine/eval_session.h"
+#include "golden/progression_golden.h"
 #include "gtest/gtest.h"
-#include "penalty/sse.h"
 #include "storage/block_store.h"
 #include "storage/dense_store.h"
 #include "storage/file_store.h"
 #include "storage/key_router.h"
 #include "storage/memory_store.h"
 #include "storage/sharded_store.h"
-#include "strategy/wavelet_strategy.h"
 #include "telemetry/metrics.h"
-#include "util/random.h"
 
 namespace wavebatch {
 namespace {
@@ -170,31 +167,7 @@ TEST(FaultInjectionStoreTest, NonOwningWrapSharesInnerState) {
 // ---------------------------------------------------------------------------
 // The fault matrix: engine sessions over every backend × every fault shape.
 
-struct MatrixFixture {
-  Schema schema = Schema::Uniform(2, 16);
-  Relation rel;
-  QueryBatch batch;
-  std::shared_ptr<const MasterList> list;
-  std::unique_ptr<CoefficientStore> source;
-  std::shared_ptr<const EvalPlan> plan;
-
-  MatrixFixture() : rel(MakeUniformRelation(schema, 500, 3)), batch(schema) {
-    WaveletStrategy strategy(schema, WaveletKind::kHaar);
-    Rng rng(9);
-    for (int i = 0; i < 12; ++i) {
-      uint32_t lo0 = static_cast<uint32_t>(rng.UniformInt(16));
-      uint32_t hi0 = lo0 + static_cast<uint32_t>(rng.UniformInt(16 - lo0));
-      uint32_t lo1 = static_cast<uint32_t>(rng.UniformInt(16));
-      uint32_t hi1 = lo1 + static_cast<uint32_t>(rng.UniformInt(16 - lo1));
-      batch.Add(RangeSumQuery::Count(
-          Range::Create(schema, {{lo0, hi0}, {lo1, hi1}}).value()));
-    }
-    list = std::make_shared<const MasterList>(
-        MasterList::Build(batch, strategy).value());
-    source = strategy.BuildStore(rel.FrequencyDistribution());
-    plan = EvalPlan::FromMasterList(list, std::make_shared<SsePenalty>());
-  }
-};
+using golden::Fixture;
 
 /// Builds every backend flavor from one source store, each wrapped in a
 /// FaultInjectionStore the test can drive.
@@ -251,8 +224,8 @@ std::vector<double> CleanFinals(const std::shared_ptr<const EvalPlan>& plan,
 }
 
 TEST(FaultMatrixTest, FailAtStepKLeavesSessionResumable) {
-  MatrixFixture f;
-  FaultyBackends backends(*f.source);
+  Fixture f;
+  FaultyBackends backends(*f.store);
   for (const auto& b : backends.stores) {
     SCOPED_TRACE(b.name);
     const std::vector<double> clean = CleanFinals(
@@ -298,8 +271,8 @@ TEST(FaultMatrixTest, FailAtStepKLeavesSessionResumable) {
 }
 
 TEST(FaultMatrixTest, FailEveryNthSurvivesWithRetries) {
-  MatrixFixture f;
-  FaultyBackends backends(*f.source);
+  Fixture f;
+  FaultyBackends backends(*f.store);
   for (const auto& b : backends.stores) {
     SCOPED_TRACE(b.name);
     b.store->Heal();
@@ -327,8 +300,8 @@ TEST(FaultMatrixTest, FailEveryNthSurvivesWithRetries) {
 }
 
 TEST(FaultMatrixTest, FailOnceThenHealAcrossBatchedSteps) {
-  MatrixFixture f;
-  FaultyBackends backends(*f.source);
+  Fixture f;
+  FaultyBackends backends(*f.store);
   for (const auto& b : backends.stores) {
     SCOPED_TRACE(b.name);
     b.store->Heal();
@@ -357,8 +330,8 @@ TEST(FaultMatrixTest, FailOnceThenHealAcrossBatchedSteps) {
 }
 
 TEST(FaultMatrixTest, BlockGranularityFaultIsResumable) {
-  MatrixFixture f;
-  FaultyBackends backends(*f.source);
+  Fixture f;
+  FaultyBackends backends(*f.store);
   auto block_of = [](uint64_t key) { return key / 8; };
   for (const auto& b : backends.stores) {
     SCOPED_TRACE(b.name);
@@ -396,8 +369,8 @@ TEST(FaultMatrixTest, BlockGranularityFaultIsResumable) {
 }
 
 TEST(FaultMatrixTest, DegradedModeSkipsAndWidensTheBound) {
-  MatrixFixture f;
-  FaultyBackends backends(*f.source);
+  Fixture f;
+  FaultyBackends backends(*f.store);
   for (const auto& b : backends.stores) {
     SCOPED_TRACE(b.name);
     b.store->Heal();
@@ -459,8 +432,8 @@ TEST(FaultMatrixTest, DegradedModeSkipsAndWidensTheBound) {
 TEST(FaultMatrixTest, DegradedModeBatchFallsBackToScalar) {
   // A batched step under kSkip must skip only the genuinely failed keys —
   // the rest of the batch contributes normally.
-  MatrixFixture f;
-  FaultyBackends backends(*f.source);
+  Fixture f;
+  FaultyBackends backends(*f.store);
   for (const auto& b : backends.stores) {
     SCOPED_TRACE(b.name);
     b.store->Heal();
@@ -540,13 +513,13 @@ class ShardedFaultMatrixTest : public ::testing::TestWithParam<size_t> {};
 TEST_P(ShardedFaultMatrixTest, KFailSessionResumesAfterHeal) {
   const size_t num_shards = GetParam();
   const size_t faulty_shard = num_shards - 1;
-  MatrixFixture f;
-  ShardedFaultyPlane plane(*f.source, num_shards, faulty_shard);
+  Fixture f;
+  ShardedFaultyPlane plane(*f.store, num_shards, faulty_shard);
   const std::vector<size_t> owned =
       plane.OwnedEntries(*f.list, faulty_shard);
   ASSERT_FALSE(owned.empty()) << "pick a shard that owns plan keys";
   const std::vector<double> clean = CleanFinals(
-      f.plan, UnownedStore(*f.source), EvalSession::Options());
+      f.plan, UnownedStore(*f.store), EvalSession::Options());
 
   // Kill the shard: every key it owns fails until Heal().
   for (size_t entry : owned) plane.faulty->FailKey(f.list->keys()[entry]);
@@ -581,25 +554,25 @@ TEST_P(ShardedFaultMatrixTest, KFailSessionResumesAfterHeal) {
 TEST_P(ShardedFaultMatrixTest, KSkipDegradesOnlyTheFaultyShardsMass) {
   const size_t num_shards = GetParam();
   const size_t faulty_shard = num_shards - 1;
-  MatrixFixture f;
-  ShardedFaultyPlane plane(*f.source, num_shards, faulty_shard);
+  Fixture f;
+  ShardedFaultyPlane plane(*f.store, num_shards, faulty_shard);
   const std::vector<size_t> owned =
       plane.OwnedEntries(*f.list, faulty_shard);
   ASSERT_FALSE(owned.empty());
-  const double k = f.source->SumAbs();
+  const double k = f.store->SumAbs();
 
   for (size_t entry : owned) plane.faulty->FailKey(f.list->keys()[entry]);
 
   // Reference: a clean run over the plane with the faulty shard's
   // coefficients zeroed — exactly what degradation should compute.
   auto zeroed = std::make_unique<HashStore>();
-  f.source->ForEachNonZero([&](uint64_t key, double value) {
+  f.store->ForEachNonZero([&](uint64_t key, double value) {
     if (plane.router.ShardOf(key) != faulty_shard) zeroed->Add(key, value);
   });
   const std::vector<double> reference = CleanFinals(
       f.plan, UnownedStore(*zeroed), EvalSession::Options());
   // Fault-free witness for the bound trajectory.
-  EvalSession witness(f.plan, UnownedStore(*f.source), EvalSession::Options());
+  EvalSession witness(f.plan, UnownedStore(*f.store), EvalSession::Options());
   ASSERT_TRUE(witness.RunToExact().ok());
 
   EvalSession::Options opts;

@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "core/exact.h"
 #include "data/generators.h"
+#include "engine/bounded.h"
 #include "gtest/gtest.h"
 #include "strategy/wavelet_strategy.h"
 #include "wavelet/dwt_nd.h"
@@ -180,14 +180,19 @@ TEST_F(FileStoreTest, AnswersBatchQueriesLikeInMemoryStore) {
   QueryBatch batch(schema);
   batch.Add(RangeSumQuery::Count(Range::All(schema).Restrict(0, 3, 12)));
   batch.Add(RangeSumQuery::Sum(Range::All(schema), 1));
-  MasterList list = MasterList::Build(batch, strategy).value();
-  ExactBatchResult from_file = EvaluateShared(list, **file_store);
-  ExactBatchResult from_memory = EvaluateShared(list, *memory_store);
+  // One workspace group holding the whole batch: exact shared evaluation.
+  const uint64_t unbounded = ~uint64_t{0};
+  BoundedRunResult from_file =
+      RunWithBoundedWorkspace(batch, strategy, **file_store, unbounded)
+          .value();
+  BoundedRunResult from_memory =
+      RunWithBoundedWorkspace(batch, strategy, *memory_store, unbounded)
+          .value();
   ASSERT_EQ(from_file.results.size(), from_memory.results.size());
   for (size_t i = 0; i < from_file.results.size(); ++i) {
     EXPECT_NEAR(from_file.results[i], from_memory.results[i], 1e-9);
   }
-  EXPECT_EQ(from_file.retrievals, from_memory.retrievals);
+  EXPECT_EQ(from_file.io.retrievals, from_memory.io.retrievals);
 }
 
 }  // namespace

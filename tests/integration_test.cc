@@ -6,11 +6,11 @@
 #include <cmath>
 #include <memory>
 
-#include "core/exact.h"
-#include "core/progressive.h"
-#include "core/trace.h"
 #include "data/generators.h"
 #include "data/workloads.h"
+#include "engine/bounded.h"
+#include "engine/eval_plan.h"
+#include "engine/eval_session.h"
 #include "query/derived.h"
 #include "gtest/gtest.h"
 #include "penalty/laplacian.h"
@@ -20,6 +20,15 @@
 
 namespace wavebatch {
 namespace {
+
+/// Exact shared evaluation: one workspace group holds the whole batch.
+std::vector<double> ExactShared(const QueryBatch& batch,
+                                const LinearStrategy& strategy,
+                                const CoefficientStore& store) {
+  return RunWithBoundedWorkspace(batch, strategy, store, ~uint64_t{0})
+      .value()
+      .results;
+}
 
 class IntegrationTest : public ::testing::Test {
  protected:
@@ -39,14 +48,14 @@ class IntegrationTest : public ::testing::Test {
 
     strategy_ = new WaveletStrategy(rel_->schema(), WaveletKind::kDb4);
     store_ = strategy_->BuildStore(rel_->FrequencyDistribution()).release();
-    list_ = new MasterList(
+    list_ = std::make_shared<const MasterList>(
         MasterList::Build(workload_->batch, *strategy_).value());
     exact_ = new std::vector<double>(workload_->batch.BruteForce(*rel_));
   }
 
   static void TearDownTestSuite() {
     delete exact_;
-    delete list_;
+    list_.reset();
     delete store_;
     delete strategy_;
     delete workload_;
@@ -57,22 +66,30 @@ class IntegrationTest : public ::testing::Test {
   static PartitionWorkload* workload_;
   static WaveletStrategy* strategy_;
   static CoefficientStore* store_;
-  static MasterList* list_;
+  static std::shared_ptr<const MasterList> list_;
   static std::vector<double>* exact_;
+
+  /// A biggest-B session over the workload ranking by `penalty`.
+  static EvalSession Progressive(
+      std::shared_ptr<const PenaltyFunction> penalty) {
+    return EvalSession(EvalPlan::FromMasterList(list_, std::move(penalty)),
+                       UnownedStore(*store_));
+  }
 };
 
 Relation* IntegrationTest::rel_ = nullptr;
 PartitionWorkload* IntegrationTest::workload_ = nullptr;
 WaveletStrategy* IntegrationTest::strategy_ = nullptr;
 CoefficientStore* IntegrationTest::store_ = nullptr;
-MasterList* IntegrationTest::list_ = nullptr;
+std::shared_ptr<const MasterList> IntegrationTest::list_;
 std::vector<double>* IntegrationTest::exact_ = nullptr;
 
 TEST_F(IntegrationTest, SharedExactMatchesBruteForce) {
-  ExactBatchResult shared = EvaluateShared(*list_, *store_);
-  ASSERT_EQ(shared.results.size(), exact_->size());
+  const std::vector<double> shared =
+      ExactShared(workload_->batch, *strategy_, *store_);
+  ASSERT_EQ(shared.size(), exact_->size());
   for (size_t i = 0; i < exact_->size(); ++i) {
-    EXPECT_NEAR(shared.results[i], (*exact_)[i],
+    EXPECT_NEAR(shared[i], (*exact_)[i],
                 1e-6 * (1.0 + std::abs((*exact_)[i])));
   }
 }
@@ -91,8 +108,7 @@ TEST_F(IntegrationTest, ProgressiveMreDecaysByOrdersOfMagnitude) {
   // well before the master list is exhausted. (The paper's "<1% after one
   // coefficient per query" headline depends on the paper-scale domain and
   // data density; bench_fig5_mre reproduces it at full scale.)
-  SsePenalty sse;
-  ProgressiveEvaluator ev(list_, &sse, store_);
+  EvalSession ev = Progressive(std::make_shared<SsePenalty>());
   auto mre = [&] {
     double sum_rel = 0.0;
     size_t counted = 0;
@@ -104,11 +120,11 @@ TEST_F(IntegrationTest, ProgressiveMreDecaysByOrdersOfMagnitude) {
     }
     return counted ? sum_rel / counted : 0.0;
   };
-  ev.StepMany(16);
+  ASSERT_TRUE(ev.StepMany(16).ok());
   const double early = mre();
-  ev.StepMany(list_->size() / 2 - ev.StepsTaken());
+  ASSERT_TRUE(ev.StepMany(list_->size() / 2 - ev.StepsTaken()).ok());
   const double mid = mre();
-  ev.RunToCompletion();
+  ASSERT_TRUE(ev.RunToExact().ok());
   const double final = mre();
   EXPECT_LT(mid, early / 3.0);
   EXPECT_LT(final, 1e-9);
@@ -127,8 +143,9 @@ TEST_F(IntegrationTest, CursoredPenaltySteersPrecisionToCursor) {
   WeightedSsePenalty cursored =
       CursoredSsePenalty(workload_->batch.size(), cursor, 10.0);
 
-  ProgressiveEvaluator ev_sse(list_, &sse, store_);
-  ProgressiveEvaluator ev_cur(list_, &cursored, store_);
+  EvalSession ev_sse = Progressive(std::make_shared<SsePenalty>(sse));
+  EvalSession ev_cur =
+      Progressive(std::make_shared<WeightedSsePenalty>(cursored));
   std::vector<bool> used_sse(list_->size(), false);
   std::vector<bool> used_cur(list_->size(), false);
   auto remaining = [&](const PenaltyFunction& p,
@@ -145,16 +162,16 @@ TEST_F(IntegrationTest, CursoredPenaltySteersPrecisionToCursor) {
   };
   for (double frac : {0.125, 0.5}) {
     const size_t budget = static_cast<size_t>(frac * list_->size());
-    while (ev_sse.StepsTaken() < budget) used_sse[ev_sse.Step()] = true;
-    while (ev_cur.StepsTaken() < budget) used_cur[ev_cur.Step()] = true;
+    while (ev_sse.StepsTaken() < budget) used_sse[ev_sse.Step().value()] = true;
+    while (ev_cur.StepsTaken() < budget) used_cur[ev_cur.Step().value()] = true;
     // Guaranteed-risk dominance under each progression's own penalty.
     EXPECT_LE(remaining(cursored, used_cur),
               remaining(cursored, used_sse) + 1e-9);
     EXPECT_LE(remaining(sse, used_sse), remaining(sse, used_cur) + 1e-9);
   }
   // Both progressions land on the exact results.
-  ev_sse.RunToCompletion();
-  ev_cur.RunToCompletion();
+  ASSERT_TRUE(ev_sse.RunToExact().ok());
+  ASSERT_TRUE(ev_cur.RunToExact().ok());
   for (size_t i = 0; i < exact_->size(); ++i) {
     EXPECT_NEAR(ev_cur.Estimates()[i], (*exact_)[i],
                 1e-6 * (1.0 + std::abs((*exact_)[i])));
@@ -167,9 +184,10 @@ TEST_F(IntegrationTest, PrefixSumStrategyAgreesAndIsCheapPerQuery) {
   auto ps_store = ps.BuildStore(rel_->FrequencyDistribution());
   Result<MasterList> ps_list = MasterList::Build(workload_->batch, ps);
   ASSERT_TRUE(ps_list.ok()) << ps_list.status();
-  ExactBatchResult shared = EvaluateShared(*ps_list, *ps_store);
+  const std::vector<double> shared =
+      ExactShared(workload_->batch, ps, *ps_store);
   for (size_t i = 0; i < exact_->size(); ++i) {
-    EXPECT_NEAR(shared.results[i], (*exact_)[i],
+    EXPECT_NEAR(shared[i], (*exact_)[i],
                 1e-6 * (1.0 + std::abs((*exact_)[i])));
   }
   // Prefix sums: ≤ 2^d corners per query, and grid sharing compresses the
@@ -188,13 +206,11 @@ TEST_F(IntegrationTest, LaplacianOrderOptimizesGuaranteedLaplacianRisk) {
   // (On a single smooth dataset the realized Laplacian error need not be
   // smaller — the theorems are worst-case/average statements — which
   // bench_ablation_orders quantifies empirically.)
-  SsePenalty sse;
   LaplacianPenalty lap = LaplacianPenalty::ForGrid(workload_->partition);
-  ProgressiveEvaluator ev_sse(list_, &sse, store_);
-  ProgressiveEvaluator ev_lap(list_, &lap, store_);
-  // Remaining Laplacian importance for an evaluator's fetched set.
-  auto remaining_lap = [&](ProgressiveEvaluator& ev,
-                           std::vector<bool>& fetched) {
+  EvalSession ev_sse = Progressive(std::make_shared<SsePenalty>());
+  EvalSession ev_lap = Progressive(std::make_shared<LaplacianPenalty>(lap));
+  // Remaining Laplacian importance for a session's fetched set.
+  auto remaining_lap = [&](EvalSession& ev, std::vector<bool>& fetched) {
     double total = 0.0;
     std::vector<double> column(workload_->batch.size(), 0.0);
     for (size_t i = 0; i < list_->size(); ++i) {
@@ -210,8 +226,8 @@ TEST_F(IntegrationTest, LaplacianOrderOptimizesGuaranteedLaplacianRisk) {
   std::vector<bool> fetched_lap(list_->size(), false);
   const size_t budget = list_->size() / 8;
   for (size_t b = 0; b < budget; ++b) {
-    fetched_sse[ev_sse.Step()] = true;
-    fetched_lap[ev_lap.Step()] = true;
+    fetched_sse[ev_sse.Step().value()] = true;
+    fetched_lap[ev_lap.Step().value()] = true;
   }
   EXPECT_LE(remaining_lap(ev_lap, fetched_lap),
             remaining_lap(ev_sse, fetched_sse) + 1e-9);
@@ -239,12 +255,11 @@ TEST_F(IntegrationTest, DerivedAveragePerCellFromSharedBatch) {
     handles.push_back(
         PlanAverage(stats_batch, workload_->partition.cell(c), kTemp));
   }
-  Result<MasterList> stats_list = MasterList::Build(stats_batch, *strategy_);
-  ASSERT_TRUE(stats_list.ok());
-  ExactBatchResult res = EvaluateShared(*stats_list, *store_);
+  const std::vector<double> res =
+      ExactShared(stats_batch, *strategy_, *store_);
   std::vector<double> brute = stats_batch.BruteForce(*rel_);
   for (const AverageHandle& h : handles) {
-    const double got = FinishAverage(h, res.results);
+    const double got = FinishAverage(h, res);
     const double want = FinishAverage(h, brute);
     EXPECT_NEAR(got, want, 1e-5 * (1.0 + std::abs(want)));
   }
@@ -266,11 +281,10 @@ TEST_F(IntegrationTest, StreamingBuildAnswersSameAsDense) {
   const std::vector<size_t> parts = {4, 4, 1, 1, 1};
   PartitionWorkload w = MakePartitionWorkload(
       small.schema(), parts, CellAggregate::kSum, kTemp, 5);
-  MasterList list = MasterList::Build(w.batch, strategy).value();
-  ExactBatchResult res = EvaluateShared(list, *streaming);
+  const std::vector<double> res = ExactShared(w.batch, strategy, *streaming);
   std::vector<double> brute = w.batch.BruteForce(small);
   for (size_t i = 0; i < brute.size(); ++i) {
-    EXPECT_NEAR(res.results[i], brute[i], 1e-5 * (1.0 + std::abs(brute[i])));
+    EXPECT_NEAR(res[i], brute[i], 1e-5 * (1.0 + std::abs(brute[i])));
   }
 }
 

@@ -17,57 +17,22 @@
 #include <string>
 #include <vector>
 
-#include "data/generators.h"
-#include "engine/eval_plan.h"
 #include "engine/eval_session.h"
+#include "golden/progression_golden.h"
 #include "gtest/gtest.h"
-#include "penalty/sse.h"
 #include "storage/dense_store.h"
 #include "storage/fault_injection_store.h"
 #include "storage/key_router.h"
 #include "storage/memory_store.h"
 #include "storage/sharded_store.h"
 #include "storage/versioned_store.h"
-#include "strategy/wavelet_strategy.h"
 #include "util/cpu_features.h"
 #include "util/random.h"
 
 namespace wavebatch {
 namespace {
 
-struct Fixture {
-  Schema schema = Schema::Uniform(2, 16);
-  Relation rel;
-  QueryBatch batch;
-  std::shared_ptr<const MasterList> list;
-  std::unique_ptr<CoefficientStore> store;
-  std::shared_ptr<const SsePenalty> sse = std::make_shared<SsePenalty>();
-  std::shared_ptr<const EvalPlan> plan;
-
-  Fixture() : rel(MakeUniformRelation(schema, 500, 3)), batch(schema) {
-    WaveletStrategy strategy(schema, WaveletKind::kHaar);
-    Rng rng(9);
-    for (int i = 0; i < 12; ++i) {
-      uint32_t lo0 = static_cast<uint32_t>(rng.UniformInt(16));
-      uint32_t hi0 = lo0 + static_cast<uint32_t>(rng.UniformInt(16 - lo0));
-      uint32_t lo1 = static_cast<uint32_t>(rng.UniformInt(16));
-      uint32_t hi1 = lo1 + static_cast<uint32_t>(rng.UniformInt(16 - lo1));
-      batch.Add(RangeSumQuery::Count(
-          Range::Create(schema, {{lo0, hi0}, {lo1, hi1}}).value()));
-    }
-    list = std::make_shared<const MasterList>(
-        MasterList::Build(batch, strategy).value());
-    store = strategy.BuildStore(rel.FrequencyDistribution());
-    plan = EvalPlan::FromMasterList(list, sse);
-  }
-
-  uint64_t MaxKey() const {
-    uint64_t max_key = 0;
-    store->ForEachNonZero(
-        [&](uint64_t key, double) { max_key = std::max(max_key, key); });
-    return max_key;
-  }
-};
+using golden::Fixture;
 
 /// The plan's coefficient plane behind every backend shape whose read path
 /// the tiered kernel can sit on top of: flat hash, dense array, a 4-way

@@ -1,4 +1,4 @@
-#include "core/master_list.h"
+#include "engine/master_list.h"
 
 #include <utility>
 #include <vector>

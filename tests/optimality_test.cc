@@ -8,7 +8,7 @@
 #include <numeric>
 #include <vector>
 
-#include "core/master_list.h"
+#include "engine/master_list.h"
 #include "gtest/gtest.h"
 #include "penalty/sse.h"
 #include "strategy/wavelet_strategy.h"

@@ -2,17 +2,19 @@
 // shape, polynomial degree) combination, the wavelet strategy must answer
 // random range-sums exactly, with query-vector sparsity respecting the
 // paper's O((4δ+2)^d log^d N) bound, and progressive evaluation must obey
-// the Theorem 1 bound on arbitrary random data.
+// the Theorem 1 bound on arbitrary random data — also when faults force a
+// degraded (kSkip) session to consume coefficients without their data.
 
 #include <cmath>
 #include <memory>
 
-#include "core/exact.h"
-#include "core/progressive.h"
 #include "data/generators.h"
+#include "engine/eval_plan.h"
+#include "engine/eval_session.h"
 #include "gtest/gtest.h"
 #include "penalty/lp.h"
 #include "penalty/sse.h"
+#include "storage/fault_injection_store.h"
 #include "strategy/wavelet_strategy.h"
 #include "util/random.h"
 
@@ -46,6 +48,51 @@ class PipelinePropertyTest : public ::testing::TestWithParam<PipelineParam> {
     if (degree == 0) return RangeSumQuery::Count(range);
     const size_t dim = rng.UniformInt(schema.num_dims());
     return RangeSumQuery::SumPower(range, dim, degree);
+  }
+
+  /// The Theorem-1 workload: Zipf-skewed data (it stresses the bound more
+  /// than uniform), 6 random queries, and their SSE-ranked plan.
+  struct Theorem1Setup {
+    Relation rel;
+    std::unique_ptr<CoefficientStore> store;
+    std::shared_ptr<const EvalPlan> plan;
+    std::vector<double> exact;
+  };
+  static Theorem1Setup MakeTheorem1Setup(const PipelineParam& p) {
+    Schema schema = Schema::Uniform(p.num_dims, p.dim_size);
+    Theorem1Setup s{
+        MakeZipfRelation(schema,
+                         std::min<uint64_t>(300, schema.cell_count() * 4),
+                         1.1, 3000 + p.num_dims),
+        nullptr, nullptr, {}};
+    WaveletStrategy strategy(schema, p.kind);
+    s.store = strategy.BuildStore(s.rel.FrequencyDistribution());
+    QueryBatch batch(schema);
+    Rng rng(4000 + p.num_dims);
+    for (int i = 0; i < 6; ++i) {
+      batch.Add(RandomQuery(schema, p.degree, rng));
+    }
+    s.plan = EvalPlan::Build(batch, strategy, std::make_shared<SsePenalty>())
+                 .value();
+    s.exact = batch.BruteForce(s.rel);
+    return s;
+  }
+
+  /// Asserts Theorem 1 — SSE(exact − estimate) ≤ WorstCaseBound(K) — at
+  /// every StepBatch boundary of `session` until it is done.
+  static void ExpectTheorem1Holds(EvalSession& session,
+                                  const std::vector<double>& exact,
+                                  double k) {
+    const SsePenalty sse;
+    while (!session.Done()) {
+      std::vector<double> err(exact.size());
+      for (size_t i = 0; i < err.size(); ++i) {
+        err[i] = session.Estimates()[i] - exact[i];
+      }
+      EXPECT_LE(sse.Apply(err),
+                session.WorstCaseBound(k) * (1.0 + 1e-6) + 1e-4);
+      ASSERT_TRUE(session.StepBatch(session.TotalSteps() / 7 + 1).ok());
+    }
   }
 };
 
@@ -91,33 +138,25 @@ TEST_P(PipelinePropertyTest, SparsityBoundWhenFilterSufficient) {
 }
 
 TEST_P(PipelinePropertyTest, Theorem1BoundHoldsOnArbitraryData) {
-  const PipelineParam& p = GetParam();
-  Schema schema = Schema::Uniform(p.num_dims, p.dim_size);
-  // Skewed data stresses the bound more than uniform.
-  Relation rel = MakeZipfRelation(
-      schema, std::min<uint64_t>(300, schema.cell_count() * 4), 1.1,
-      3000 + p.num_dims);
-  WaveletStrategy strategy(schema, p.kind);
-  auto store = strategy.BuildStore(rel.FrequencyDistribution());
-  QueryBatch batch(schema);
-  Rng rng(4000 + p.num_dims);
-  for (int i = 0; i < 6; ++i) {
-    batch.Add(RandomQuery(schema, p.degree, rng));
+  Theorem1Setup s = MakeTheorem1Setup(GetParam());
+  EvalSession session(s.plan, UnownedStore(*s.store));
+  ExpectTheorem1Holds(session, s.exact, s.store->SumAbs());
+}
+
+TEST_P(PipelinePropertyTest, Theorem1BoundHoldsUnderSkippedFaults) {
+  // Every fourth master-list key is unavailable: the kSkip session consumes
+  // those coefficients without data, and the bound must widen by their
+  // importance enough to stay sound.
+  Theorem1Setup s = MakeTheorem1Setup(GetParam());
+  FaultInjectionStore faulty(s.store.get());
+  for (size_t i = 0; i < s.plan->size(); i += 4) {
+    faulty.FailKey(s.plan->list().keys()[i]);
   }
-  Result<MasterList> list = MasterList::Build(batch, strategy);
-  ASSERT_TRUE(list.ok());
-  std::vector<double> exact = batch.BruteForce(rel);
-  SsePenalty sse;
-  const double k = store->SumAbs();
-  ProgressiveEvaluator ev(&*list, &sse, store.get());
-  while (!ev.Done()) {
-    std::vector<double> err(exact.size());
-    for (size_t i = 0; i < err.size(); ++i) {
-      err[i] = ev.Estimates()[i] - exact[i];
-    }
-    EXPECT_LE(sse.Apply(err), ev.WorstCaseBound(k) * (1.0 + 1e-6) + 1e-4);
-    ev.StepMany(list->size() / 7 + 1);
-  }
+  EvalSession::Options opts;
+  opts.fault_policy = FaultPolicy::kSkip;
+  EvalSession session(s.plan, UnownedStore(faulty), opts);
+  ExpectTheorem1Holds(session, s.exact, s.store->SumAbs());
+  EXPECT_GT(session.SkippedCoefficients(), 0u);
 }
 
 TEST_P(PipelinePropertyTest, LinfWorstCaseBoundAlsoHolds) {
@@ -132,19 +171,20 @@ TEST_P(PipelinePropertyTest, LinfWorstCaseBoundAlsoHolds) {
   QueryBatch batch(schema);
   Rng rng(5000);
   for (int i = 0; i < 5; ++i) batch.Add(RandomQuery(schema, 0, rng));
-  Result<MasterList> list = MasterList::Build(batch, strategy);
-  ASSERT_TRUE(list.ok());
+  auto linf = std::make_shared<LpPenalty>(LpPenalty::Infinity());
+  Result<std::shared_ptr<const EvalPlan>> plan =
+      EvalPlan::Build(batch, strategy, linf);
+  ASSERT_TRUE(plan.ok());
   std::vector<double> exact = batch.BruteForce(rel);
-  LpPenalty linf = LpPenalty::Infinity();
   const double k = store->SumAbs();
-  ProgressiveEvaluator ev(&*list, &linf, store.get());
+  EvalSession ev(*plan, UnownedStore(*store));
   while (!ev.Done()) {
     std::vector<double> err(exact.size());
     for (size_t i = 0; i < err.size(); ++i) {
       err[i] = ev.Estimates()[i] - exact[i];
     }
-    EXPECT_LE(linf.Apply(err), ev.WorstCaseBound(k) * (1.0 + 1e-6) + 1e-6);
-    ev.StepMany(list->size() / 5 + 1);
+    EXPECT_LE(linf->Apply(err), ev.WorstCaseBound(k) * (1.0 + 1e-6) + 1e-6);
+    ASSERT_TRUE(ev.StepMany(ev.TotalSteps() / 5 + 1).ok());
   }
 }
 

@@ -6,24 +6,18 @@
 
 #include "storage/sharded_store.h"
 
-#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/progressive.h"
-#include "data/generators.h"
-#include "engine/eval_plan.h"
 #include "engine/eval_session.h"
+#include "golden/progression_golden.h"
 #include "gtest/gtest.h"
-#include "penalty/sse.h"
 #include "storage/block_store.h"
 #include "storage/fault_injection_store.h"
 #include "storage/key_router.h"
 #include "storage/memory_store.h"
-#include "strategy/wavelet_strategy.h"
-#include "util/random.h"
 
 namespace wavebatch {
 namespace {
@@ -52,41 +46,7 @@ TEST(KeyRouterTest, SingleShardOwnsEverything) {
   EXPECT_EQ(router.ShardOf(~uint64_t{0}), 0u);
 }
 
-/// The shared evaluation fixture (same shape as engine_test): a 2×16 Haar
-/// cube, 12 Count queries, an SSE-ranked plan, and the Δ̂ store.
-struct Fixture {
-  Schema schema = Schema::Uniform(2, 16);
-  Relation rel;
-  QueryBatch batch;
-  std::shared_ptr<const MasterList> list;
-  std::unique_ptr<CoefficientStore> store;
-  std::shared_ptr<const SsePenalty> sse = std::make_shared<SsePenalty>();
-  std::shared_ptr<const EvalPlan> plan;
-
-  Fixture() : rel(MakeUniformRelation(schema, 500, 3)), batch(schema) {
-    WaveletStrategy strategy(schema, WaveletKind::kHaar);
-    Rng rng(9);
-    for (int i = 0; i < 12; ++i) {
-      uint32_t lo0 = static_cast<uint32_t>(rng.UniformInt(16));
-      uint32_t hi0 = lo0 + static_cast<uint32_t>(rng.UniformInt(16 - lo0));
-      uint32_t lo1 = static_cast<uint32_t>(rng.UniformInt(16));
-      uint32_t hi1 = lo1 + static_cast<uint32_t>(rng.UniformInt(16 - lo1));
-      batch.Add(RangeSumQuery::Count(
-          Range::Create(schema, {{lo0, hi0}, {lo1, hi1}}).value()));
-    }
-    list = std::make_shared<const MasterList>(
-        MasterList::Build(batch, strategy).value());
-    store = strategy.BuildStore(rel.FrequencyDistribution());
-    plan = EvalPlan::FromMasterList(list, sse);
-  }
-
-  uint64_t MaxKey() const {
-    uint64_t max_key = 0;
-    store->ForEachNonZero(
-        [&](uint64_t key, double) { max_key = std::max(max_key, key); });
-    return max_key;
-  }
-};
+using golden::Fixture;
 
 /// Hash-backed shards holding `source`'s coefficients, each shard loaded
 /// with exactly the keys it owns under `router`.
@@ -122,65 +82,37 @@ TEST(ShardedStoreTest, AggregatesMatchTheUnshardedPlane) {
 class ShardedOrderTest : public ::testing::TestWithParam<ProgressionOrder> {};
 
 TEST_P(ShardedOrderTest, S1GoldenBitIdenticalToLegacyEvaluator) {
-  // The single-shard plane wrapping a copy of the store must be
-  // indistinguishable from the legacy evaluator on the store itself:
-  // estimates, both bound trackers, and IoStats, at every batch boundary.
+  // The single-shard plane wrapping a copy of the store must reproduce the
+  // recorded run: estimates, both bound trackers, and IoStats, at every
+  // batch boundary.
   Fixture f;
   const KeyRouter router = KeyRouter::Uniform(f.MaxKey() + 1, 1);
   ShardedStore sharded(MakeHashShards(*f.store, router), router);
-  ProgressiveEvaluator legacy(f.list.get(), f.sse.get(), f.store.get(),
-                              GetParam(), 17);
   EvalSession::Options opts;
   opts.order = GetParam();
-  opts.seed = 17;
+  opts.seed = golden::kRandomSeed;
   EvalSession session(f.plan, UnownedStore(sharded), opts);
-  const double k = f.store->SumAbs();
-  const size_t batch_sizes[] = {1, 3, 7, 16, 64};
-  size_t bi = 0;
-  while (!session.Done()) {
-    const size_t n = batch_sizes[bi++ % std::size(batch_sizes)];
-    const size_t taken = session.StepBatch(n).value();
-    EXPECT_EQ(taken, legacy.StepBatch(n));
-    ASSERT_EQ(session.StepsTaken(), legacy.StepsTaken());
-    for (size_t q = 0; q < f.batch.size(); ++q) {
-      EXPECT_EQ(session.Estimates()[q], legacy.Estimates()[q])
-          << "query " << q << " after " << session.StepsTaken();
-    }
-    EXPECT_EQ(session.WorstCaseBound(k), legacy.WorstCaseBound(k));
-    EXPECT_EQ(session.ExpectedPenalty(f.schema.cell_count()),
-              legacy.ExpectedPenalty(f.schema.cell_count()));
-    EXPECT_EQ(session.io(), legacy.io());
-  }
-  EXPECT_TRUE(legacy.Done());
+  golden::ExpectBatchedRun(golden::Recorded(GetParam(), FaultPolicy::kFail),
+                           session, f.store->SumAbs(), f.schema.cell_count(),
+                           /*block_backend=*/false);
   EXPECT_EQ(session.io().retrievals, f.list->size());
 }
 
 TEST_P(ShardedOrderTest, S4GoldenValueIdenticalToLegacyEvaluator) {
   // Four shards with real fan-out: every estimate, bound, and the
-  // retrieval total must still match the legacy evaluator exactly — the
+  // retrieval total must still match the recorded run exactly — the
   // scatter-gather reorders I/O, never arithmetic.
   Fixture f;
   const KeyRouter router = KeyRouter::Uniform(f.MaxKey() + 1, 4);
   ShardedStore sharded(MakeHashShards(*f.store, router), router,
                        {.threads_per_shard = 1});
-  ProgressiveEvaluator legacy(f.list.get(), f.sse.get(), f.store.get(),
-                              GetParam(), 17);
   EvalSession::Options opts;
   opts.order = GetParam();
-  opts.seed = 17;
+  opts.seed = golden::kRandomSeed;
   EvalSession session(f.plan, UnownedStore(sharded), opts);
-  const double k = f.store->SumAbs();
-  while (!session.Done()) {
-    const size_t taken = session.StepBatch(16).value();
-    EXPECT_EQ(taken, legacy.StepBatch(16));
-    for (size_t q = 0; q < f.batch.size(); ++q) {
-      EXPECT_EQ(session.Estimates()[q], legacy.Estimates()[q])
-          << "query " << q << " after " << session.StepsTaken();
-    }
-    EXPECT_EQ(session.WorstCaseBound(k), legacy.WorstCaseBound(k));
-    EXPECT_EQ(session.io(), legacy.io());
-  }
-  EXPECT_TRUE(legacy.Done());
+  golden::ExpectBatchedRun(golden::Recorded(GetParam(), FaultPolicy::kFail),
+                           session, f.store->SumAbs(), f.schema.cell_count(),
+                           /*block_backend=*/false);
   // Every counted key was served by the shard the router assigned it.
   uint64_t shard_sum = 0;
   for (size_t s = 0; s < sharded.num_shards(); ++s) {

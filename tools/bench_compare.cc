@@ -6,17 +6,19 @@
 //
 // Prints a per-benchmark delta table (cpu time plus every shared counter)
 // and exits nonzero iff a *named* counter regressed by more than the
-// threshold. Counters like block_reads count work (I/O round-trips), so
-// "regressed" means "grew"; they are machine-independent, which is what
-// makes them enforceable against a snapshot committed from a different
-// machine. Wall/CPU times are reported for eyeballs only unless
-// --enforce-time is passed (useful when baseline and candidate ran on the
-// same box), in which case cpu_time joins the gated set with the same
-// threshold.
+// threshold or a baseline benchmark is missing from the current report (a
+// gated counter cannot pass by disappearing). Counters like block_reads
+// count work (I/O round-trips), so "regressed" means "grew"; they are
+// machine-independent, which is what makes them enforceable against a
+// snapshot committed from a different machine. Wall/CPU times are reported
+// for eyeballs only unless --enforce-time is passed (useful when baseline
+// and candidate ran on the same box), in which case cpu_time joins the
+// gated set with the same threshold.
 //
-// Exit codes: 0 ok, 1 regression, 2 usage / malformed / debug-built input
-// (reports whose context says the project was compiled in debug are
-// rejected on either side — their numbers gate nothing meaningfully).
+// Exit codes: 0 ok, 1 regression or missing benchmark, 2 usage / malformed
+// / debug-built input (reports whose context says the project was compiled
+// in debug are rejected on either side — their numbers gate nothing
+// meaningfully).
 // Reports also carry a "wavebatch_kernel_tier" context stamp; when the two
 // sides ran different SIMD tiers, --enforce-time is refused (exit 2) and
 // only counters gate — cpu times measured on different kernels are not
@@ -439,6 +441,7 @@ int main(int argc, char** argv) {
   }
 
   int regressions = 0;
+  int missing = 0;
   size_t compared = 0;
   std::printf("%-55s %12s %12s\n", "benchmark", "cpu Δ%", "counters");
   for (const auto& [name, base] : baseline) {
@@ -446,6 +449,7 @@ int main(int argc, char** argv) {
     if (it == current.end()) {
       std::printf("%-55s %12s   MISSING from current report\n", name.c_str(),
                   "-");
+      ++missing;
       continue;
     }
     const BenchRun& cur = it->second;
@@ -489,11 +493,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_compare: no overlapping benchmarks\n");
     return 2;
   }
+  if (missing > 0) {
+    std::fprintf(stderr,
+                 "bench_compare: %d baseline benchmark(s) missing from the "
+                 "current report\n",
+                 missing);
+  }
   if (regressions > 0) {
     std::fprintf(stderr, "bench_compare: %d regression(s) beyond %.0f%%\n",
                  regressions, threshold * 100.0);
-    return 1;
   }
+  if (missing > 0 || regressions > 0) return 1;
   std::printf("OK: %zu benchmark(s) compared, no enforced regressions\n",
               compared);
   return 0;
