@@ -52,7 +52,9 @@ std::shared_ptr<const EvalPlan> EvalPlan::FromMasterList(
 EvalPlan::EvalPlan(std::shared_ptr<const MasterList> list,
                    std::shared_ptr<const PenaltyFunction> penalty,
                    BuildParallelism parallelism)
-    : list_(std::move(list)), penalty_(std::move(penalty)) {
+    : list_(std::move(list)),
+      penalty_(std::move(penalty)),
+      parallelism_(parallelism) {
   const size_t n = list_->size();
   ThreadPool* pool = parallelism == BuildParallelism::kParallel
                          ? &ThreadPool::Shared()
@@ -100,48 +102,55 @@ EvalPlan::EvalPlan(std::shared_ptr<const MasterList> list,
                  },
                  pool);
   }
+}
 
-  // kRoundRobin: each query walks its own coefficients in decreasing
-  // magnitude, one per round; an entry already consumed by an earlier query
-  // is skipped, i.e. the raw round-robin sequence collapses onto first
-  // appearances. The per-query sorts are independent and fan out across
-  // queries; each sort sees the same input sequence whatever the thread
-  // count, so equal-magnitude ties resolve identically. The collapse is
-  // inherently sequential and stays serial.
-  {
-    std::vector<std::vector<std::pair<double, size_t>>> per_query(
-        list_->num_queries());
-    for (size_t i = 0; i < n; ++i) {
-      for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
-        per_query[uses_query[r]].emplace_back(std::abs(uses_coeff[r]), i);
-      }
+// kRoundRobin: each query walks its own coefficients in decreasing
+// magnitude, one per round; an entry already consumed by an earlier query is
+// skipped, i.e. the raw round-robin sequence collapses onto first
+// appearances. The per-query sorts are independent and fan out across
+// queries; each sort sees the same input sequence whatever the thread count,
+// so equal-magnitude ties resolve identically. The collapse is inherently
+// sequential and stays serial.
+void EvalPlan::BuildRoundRobin() const {
+  const size_t n = list_->size();
+  ThreadPool* pool = parallelism_ == BuildParallelism::kParallel
+                         ? &ThreadPool::Shared()
+                         : nullptr;
+  const std::vector<uint64_t>& offsets = list_->uses_offsets();
+  const std::vector<uint32_t>& uses_query = list_->uses_query();
+  const std::vector<double>& uses_coeff = list_->uses_coeff();
+  std::vector<std::vector<std::pair<double, size_t>>> per_query(
+      list_->num_queries());
+  for (size_t i = 0; i < n; ++i) {
+    for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+      per_query[uses_query[r]].emplace_back(std::abs(uses_coeff[r]), i);
     }
-    ForRange(pool, per_query.size(), /*grain=*/8,
-             [&](size_t begin, size_t end) {
-               for (size_t q = begin; q < end; ++q) {
-                 std::sort(per_query[q].begin(), per_query[q].end(),
-                           [](const auto& a, const auto& b) {
-                             return a.first > b.first;
-                           });
-               }
-             });
-    std::vector<bool> taken(n, false);
-    round_robin_.reserve(n);
-    for (size_t round = 0;; ++round) {
-      bool any = false;
-      for (const auto& v : per_query) {
-        if (round >= v.size()) continue;
-        any = true;
-        const size_t entry = v[round].second;
-        if (!taken[entry]) {
-          taken[entry] = true;
-          round_robin_.push_back(entry);
-        }
-      }
-      if (!any) break;
-    }
-    WB_CHECK_EQ(round_robin_.size(), n);
   }
+  ForRange(pool, per_query.size(), /*grain=*/8,
+           [&](size_t begin, size_t end) {
+             for (size_t q = begin; q < end; ++q) {
+               std::sort(per_query[q].begin(), per_query[q].end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first > b.first;
+                         });
+             }
+           });
+  std::vector<bool> taken(n, false);
+  round_robin_.reserve(n);
+  for (size_t round = 0;; ++round) {
+    bool any = false;
+    for (const auto& v : per_query) {
+      if (round >= v.size()) continue;
+      any = true;
+      const size_t entry = v[round].second;
+      if (!taken[entry]) {
+        taken[entry] = true;
+        round_robin_.push_back(entry);
+      }
+    }
+    if (!any) break;
+  }
+  WB_CHECK_EQ(round_robin_.size(), n);
 }
 
 std::span<const size_t> EvalPlan::Permutation(ProgressionOrder order) const {
@@ -151,6 +160,7 @@ std::span<const size_t> EvalPlan::Permutation(ProgressionOrder order) const {
           << "kBiggestB needs a penalty (plan was built without one)";
       return biggest_b_;
     case ProgressionOrder::kRoundRobin:
+      std::call_once(round_robin_once_, [this] { BuildRoundRobin(); });
       return round_robin_;
     case ProgressionOrder::kKeyOrder:
       return key_order_;

@@ -35,11 +35,11 @@ enum class ProgressionOrder {
 
 /// The immutable, shareable half of a progressive batch evaluation: master
 /// list, per-entry importances ι_p(ξ), and the consumption permutation of
-/// every deterministic ProgressionOrder, computed once. Plans carry no
-/// cursor and touch no store, so one plan can back any number of
-/// EvalSessions — sequentially (a dashboard re-running the same batch) or
-/// concurrently (sessions on different threads over one shared store) —
-/// and can be cached across identical batches (PlanCache).
+/// every deterministic ProgressionOrder, each computed once (round-robin on
+/// first use). Plans carry no cursor and touch no store, so one plan can
+/// back any number of EvalSessions — sequentially (a dashboard re-running
+/// the same batch) or concurrently (sessions on different threads over one
+/// shared store) — and can be cached across identical batches (PlanCache).
 ///
 /// Plans own their inputs via shared_ptr: a session holding the plan keeps
 /// the master list and penalty alive.
@@ -90,9 +90,9 @@ class EvalPlan {
   }
 
   /// The order in which a session under `order` consumes master-list entry
-  /// indices. Precomputed for kBiggestB (requires HasImportance()),
-  /// kRoundRobin, and kKeyOrder; kRandom depends on a seed — use
-  /// RandomPermutation.
+  /// indices. Precomputed for kBiggestB (requires HasImportance()) and
+  /// kKeyOrder; kRoundRobin is built on its first request, once per plan
+  /// (thread-safe). kRandom depends on a seed — use RandomPermutation.
   std::span<const size_t> Permutation(ProgressionOrder order) const;
 
   /// The kRandom consumption order for `seed` (the identity permutation
@@ -108,8 +108,12 @@ class EvalPlan {
            std::shared_ptr<const PenaltyFunction> penalty,
            BuildParallelism parallelism);
 
+  /// Fills round_robin_. Runs once, under round_robin_once_.
+  void BuildRoundRobin() const;
+
   std::shared_ptr<const MasterList> list_;
   std::shared_ptr<const PenaltyFunction> penalty_;
+  const BuildParallelism parallelism_;
 
   std::vector<double> importance_;  // empty when penalty_ is null
   double total_importance_ = 0.0;
@@ -120,8 +124,11 @@ class EvalPlan {
   // collapsed onto their first appearance; key_order_ is the identity
   // (master lists are ascending by key).
   std::vector<size_t> biggest_b_;
-  std::vector<size_t> round_robin_;
   std::vector<size_t> key_order_;
+  // Only ablations walk round-robin, so it is a memo (logical const: a
+  // pure function of the immutable plan) built on the first request.
+  mutable std::once_flag round_robin_once_;
+  mutable std::vector<size_t> round_robin_;
 
   // RandomPermutation memo (logical const: a cache of a pure function of
   // the immutable plan).

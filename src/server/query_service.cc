@@ -95,6 +95,9 @@ void QueryService::RepinLocked() {
   // trace shows which data version served each request.
   const auto* snapshot = dynamic_cast<const SnapshotStore*>(pinned_.get());
   pinned_epoch_ = snapshot != nullptr ? snapshot->epoch() : 0;
+  // K of the new version is read by its first group (GetGroupLocked), so a
+  // re-pin costs nothing on the publisher's thread.
+  pinned_k_.reset();
 }
 
 uint64_t QueryService::epoch() const {
@@ -257,7 +260,10 @@ std::shared_ptr<QueryService::Group> QueryService::GetGroupLocked(
   group->key = key;
   group->cache = std::make_shared<SharedFetchCache>();
   group->store = std::make_shared<SharedFetchStore>(pinned_, group->cache);
-  group->k_sum_abs = pinned_->SumAbs();
+  // One full scan per pin generation, paid by its first group; later
+  // groups of the generation reuse it.
+  if (!pinned_k_.has_value()) pinned_k_ = pinned_->SumAbs();
+  group->k_sum_abs = *pinned_k_;
   group->generation = generation_;
   group->epoch = pinned_epoch_;
   groups_[std::move(key)] = group;

@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -134,6 +135,14 @@ struct QueryServiceOptions {
 /// RefreshEpoch() re-pins — wire it to VersionedStoreOptions::on_publish so
 /// new admissions serve fresh data while in-flight sessions finish on the
 /// epoch they pinned.
+///
+/// Theorem 1's K is read once per pin generation: the generation's first
+/// session group scans the pinned store's SumAbs(), and every later group
+/// of that generation reuses the value. A generation that admits nothing
+/// never scans. Contract: a store that is not versioned and is mutated
+/// through Add() after the service read its K needs RefreshEpoch() before
+/// new admissions; until then the cached K may be stale and the reported
+/// bounds unsound.
 class QueryService {
  public:
   QueryService(std::shared_ptr<const CoefficientStore> store,
@@ -162,8 +171,10 @@ class QueryService {
   /// drained by RunUntilIdle() or a later Start().
   void Stop();
 
-  /// Re-pins the store's current version; later admissions form new groups
-  /// over the fresh snapshot. Wire to VersionedStoreOptions::on_publish.
+  /// Re-pins the store's current version and drops the cached K (the next
+  /// group re-reads it); later admissions form new groups over the fresh
+  /// snapshot. Wire to VersionedStoreOptions::on_publish, and call it after
+  /// mutating a plain store through Add().
   void RefreshEpoch();
 
   // Introspection (tests, ops).
@@ -215,7 +226,7 @@ class QueryService {
     std::string key;
     std::shared_ptr<SharedFetchStore> store;
     std::shared_ptr<SharedFetchCache> cache;
-    /// Theorem 1's K = SumAbs of the pinned snapshot, computed once.
+    /// Theorem 1's K of the pinned snapshot (the generation's pinned_k_).
     double k_sum_abs = 0.0;
     size_t members = 0;
     uint64_t generation = 0;
@@ -283,6 +294,8 @@ class QueryService {
       std::chrono::steady_clock::time_point now);
   std::shared_ptr<Group> GetGroupLocked(const QueryRequest& request);
   std::string GroupKeyLocked(const QueryRequest& request) const;
+  /// Pins the store's current version and drops the cached K. Must hold
+  /// mu_.
   void RepinLocked();
 
   const std::shared_ptr<const CoefficientStore> root_store_;
@@ -300,6 +313,8 @@ class QueryService {
   std::shared_ptr<const CoefficientStore> pinned_;  // current epoch snapshot
   uint64_t generation_ = 1;
   uint64_t pinned_epoch_ = 0;  // SnapshotStore::epoch() of pinned_, else 0
+  // Theorem 1's K of pinned_; empty until the generation's first group.
+  std::optional<double> pinned_k_;
   std::deque<TimelineRecord> recent_timelines_;
   uint64_t retired_hits_ = 0;
   uint64_t retired_misses_ = 0;

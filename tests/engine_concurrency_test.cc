@@ -4,6 +4,8 @@
 // serially — retrieval is const and sessions share no mutable state. Run
 // under TSan/ASan in CI to gate the concurrent read path.
 
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -254,6 +256,53 @@ TEST(EngineConcurrencyTest, IoStatsAggregateAcrossSessionsIntoSharedSink) {
   EXPECT_EQ(zero, shared_sink);
   zero.Reset();
   EXPECT_EQ(zero, IoStats{});
+}
+
+TEST(EngineConcurrencyTest, RoundRobinBuiltOnceUnderConcurrentFirstUse) {
+  // A plan builds its round-robin order on the first request for it. Eight
+  // threads open kRoundRobin sessions on one freshly built shared plan at
+  // the same moment: every session must consume the order of a serially
+  // built plan and reach bit-identical estimates.
+  Fixture f;
+  WaveletStrategy strategy(f.schema, WaveletKind::kHaar);
+  EvalSession::Options options;
+  options.order = ProgressionOrder::kRoundRobin;
+  auto run = [&](std::shared_ptr<const EvalPlan> plan,
+                 std::vector<uint64_t>* order) {
+    EvalSession session(plan, UnownedStore(*f.store), options);
+    session.PeekUpcomingKeys(plan->size(), order);
+    while (!session.Done()) session.StepBatch(7);
+    return session.Estimates();
+  };
+  auto serial_plan =
+      EvalPlan::Build(f.batch, strategy, f.sse, BuildParallelism::kSerial)
+          .value();
+  std::vector<uint64_t> serial_order;
+  const std::vector<double> serial_estimates = run(serial_plan, &serial_order);
+  ASSERT_EQ(serial_order.size(), serial_plan->size());
+
+  auto shared_plan = EvalPlan::Build(f.batch, strategy, f.sse).value();
+  std::atomic<size_t> arrived{0};
+  std::vector<std::vector<uint64_t>> orders(kNumThreads);
+  std::vector<std::vector<double>> estimates(kNumThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kNumThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kNumThreads) std::this_thread::yield();
+      estimates[t] = run(shared_plan, &orders[t]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kNumThreads; ++t) {
+    EXPECT_EQ(orders[t], serial_order) << "thread " << t;
+    ASSERT_EQ(estimates[t].size(), serial_estimates.size());
+    for (size_t q = 0; q < serial_estimates.size(); ++q) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(estimates[t][q]),
+                std::bit_cast<uint64_t>(serial_estimates[q]))
+          << "thread " << t << " query " << q;
+    }
+  }
 }
 
 TEST(EngineConcurrencyTest, PlanCacheSharedAcrossThreads) {

@@ -13,8 +13,11 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <unordered_set>
@@ -248,6 +251,176 @@ TEST(QueryServiceEpochs, OneCachedPlanServesEveryEpoch) {
   for (size_t q = 0; q < truth.size(); ++q) {
     EXPECT_NEAR(after.estimates[q], truth[q], 1e-6) << "query " << q;
   }
+}
+
+/// Forwards to an inner store and counts its full scans — SumAbs() and
+/// ForEachNonZero() — which is how a Theorem-1 K read shows up.
+class ScanCountingStore : public CoefficientStore {
+ public:
+  explicit ScanCountingStore(std::unique_ptr<CoefficientStore> inner)
+      : inner_(std::move(inner)) {}
+
+  double Peek(uint64_t key) const override { return inner_->Peek(key); }
+  void Add(uint64_t key, double delta) override { inner_->Add(key, delta); }
+  uint64_t NumNonZero() const override { return inner_->NumNonZero(); }
+  double SumAbs() const override {
+    ++scans_;
+    return inner_->SumAbs();
+  }
+  void ForEachNonZero(
+      const std::function<void(uint64_t, double)>& fn) const override {
+    ++scans_;
+    inner_->ForEachNonZero(fn);
+  }
+  std::string name() const override { return inner_->name(); }
+
+  uint64_t scans() const { return scans_.load(); }
+
+ protected:
+  Result<double> DoFetch(uint64_t key, IoStats* io) const override {
+    return DelegateFetch(*inner_, key, io);
+  }
+  Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
+                      IoStats* io) const override {
+    return DelegateFetchBatch(*inner_, keys, out, io);
+  }
+
+ private:
+  std::unique_ptr<CoefficientStore> inner_;
+  mutable std::atomic<uint64_t> scans_{0};
+};
+
+std::unique_ptr<HashStore> HashCopy(const CoefficientStore& source) {
+  auto copy = std::make_unique<HashStore>();
+  source.ForEachNonZero(
+      [&copy](uint64_t key, double value) { copy->Add(key, value); });
+  return copy;
+}
+
+/// K belongs to a pin generation, not to a session group: the first group
+/// of a generation scans the static store once, later groups of that
+/// generation (each admitted after the previous one retired) reuse the
+/// value, and a re-pin only drops it, so a generation that admits nothing
+/// never scans.
+TEST(QueryServiceEpochs, KIsReadOncePerPinGeneration) {
+  ServingFixture f;
+  auto store = std::make_shared<ScanCountingStore>(HashCopy(*f.BuildView()));
+  QueryService service(store, f.shared_strategy);
+  EXPECT_EQ(store->scans(), 0u) << "construction must not scan";
+
+  auto serve_groups = [&](uint64_t groups) {
+    for (uint64_t t = 0; t < groups; ++t) {
+      QueryRequest request(f.MakeBatch(t));
+      request.penalty = f.sse;
+      const QueryResponse response = Serve(service, {request})[0];
+      ASSERT_TRUE(response.status.ok()) << response.status;
+      EXPECT_TRUE(service.GroupStatuses().empty()) << "the group retired";
+    }
+  };
+  serve_groups(3);
+  EXPECT_EQ(store->scans(), 1u) << "a new group must not rescan the store";
+
+  service.RefreshEpoch();
+  service.RefreshEpoch();
+  EXPECT_EQ(store->scans(), 1u) << "a re-pin must not scan";
+  serve_groups(2);
+  EXPECT_EQ(store->scans(), 2u);
+}
+
+/// Over a versioned plane wired on_publish -> RefreshEpoch, publishing
+/// never scans (the publisher's thread only re-pins), and an epoch that
+/// serves several groups scans its snapshot once.
+TEST(QueryServiceEpochs, PublishesDoNotScanAndEachServedEpochScansOnce) {
+  ServingFixture f;
+  auto counting = std::make_unique<ScanCountingStore>(HashCopy(*f.BuildView()));
+  const ScanCountingStore* base = counting.get();
+  QueryService* service_ptr = nullptr;
+  VersionedStoreOptions store_options;
+  store_options.on_publish = [&service_ptr](uint64_t) {
+    if (service_ptr != nullptr) service_ptr->RefreshEpoch();
+  };
+  auto versioned =
+      std::make_shared<VersionedStore>(std::move(counting), store_options);
+  QueryService service(versioned, f.shared_strategy);
+  service_ptr = &service;
+  EXPECT_EQ(base->scans(), 0u);
+
+  const Relation stream = MakeUniformRelation(f.schema, 40, 91);
+  auto ingest_and_publish = [&](size_t p) {
+    for (size_t i = 10 * p; i < 10 * (p + 1); ++i) {
+      versioned->Ingest(
+          f.strategy.TransformUpdate(stream.tuples()[i], 1.0).value());
+    }
+    EXPECT_EQ(versioned->Publish(), p + 1);
+  };
+  for (size_t p = 0; p < 3; ++p) ingest_and_publish(p);
+  EXPECT_EQ(base->scans(), 0u) << "publishing must not scan";
+
+  for (size_t round = 0; round < 2; ++round) {
+    for (uint64_t t = 0; t < 3; ++t) {
+      QueryRequest request(f.MakeBatch(t));
+      request.penalty = f.sse;
+      const QueryResponse response = Serve(service, {request})[0];
+      ASSERT_TRUE(response.status.ok()) << response.status;
+      EXPECT_EQ(service.epoch(), 3 + round);
+    }
+    EXPECT_EQ(base->scans(), round + 1)
+        << "one snapshot scan per served epoch";
+    if (round == 0) ingest_and_publish(3);
+  }
+}
+
+/// The plain-store contract: a store mutated through Add() after the
+/// service pinned it needs RefreshEpoch(). After the refresh, a
+/// target-bound request reports the bound of the mutated store's K — the
+/// one an isolated session computes at the same step — and its brute-force
+/// SSE stays within it.
+TEST(QueryServiceEpochs, RefreshAfterAddServesTheMutatedStoresBound) {
+  ServingFixture f;
+  std::shared_ptr<HashStore> store = HashCopy(*f.BuildView());
+  QueryServiceOptions options;
+  options.default_quantum = 4;
+  QueryService service(store, f.shared_strategy, options);
+  {
+    // Cache the unmutated store's K in this generation.
+    QueryRequest request(f.MakeBatch(1));
+    request.penalty = f.sse;
+    ASSERT_TRUE(Serve(service, {request})[0].status.ok());
+  }
+
+  Relation seen = f.rel;
+  const Relation extra = MakeUniformRelation(f.schema, 200, 93);
+  for (const Tuple& t : extra.tuples()) {
+    const SparseVec delta = f.strategy.TransformUpdate(t, 1.0).value();
+    for (const SparseEntry& e : delta) store->Add(e.key, e.value);
+    seen.Add(t);
+  }
+  service.RefreshEpoch();
+
+  const double k = store->SumAbs();
+  auto plan = EvalPlan::Build(f.MakeBatch(2), f.strategy, f.sse).value();
+  EvalSession probe(plan, store);
+  QueryRequest request(f.MakeBatch(2));
+  request.penalty = f.sse;
+  request.target_bound = probe.WorstCaseBound(k) / 2;
+  const QueryResponse response = Serve(service, {request})[0];
+  ASSERT_TRUE(response.status.ok()) << response.status;
+  ASSERT_LT(response.steps_taken, response.total_steps);
+
+  while (probe.StepsTaken() < response.steps_taken) {
+    ASSERT_TRUE(probe.StepBatch(options.default_quantum).ok());
+  }
+  ASSERT_EQ(probe.StepsTaken(), response.steps_taken);
+  EXPECT_EQ(response.worst_case_bound, probe.WorstCaseBound(k));
+
+  const std::vector<double> truth = request.batch.BruteForce(seen);
+  ASSERT_EQ(response.estimates.size(), truth.size());
+  double sse = 0.0;
+  for (size_t q = 0; q < truth.size(); ++q) {
+    const double e = response.estimates[q] - truth[q];
+    sse += e * e;
+  }
+  EXPECT_LE(sse, response.worst_case_bound);
 }
 
 /// The acceptance criterion: K=8 concurrent sessions over one FileStore.

@@ -1,5 +1,9 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "data/generators.h"
@@ -9,6 +13,9 @@
 #include "strategy/prefix_sum_strategy.h"
 #include "strategy/wavelet_strategy.h"
 #include "util/random.h"
+#include "wavelet/impulse.h"
+#include "wavelet/lazy_query_transform.h"
+#include "wavelet/query_transform.h"
 
 namespace wavebatch {
 namespace {
@@ -172,6 +179,195 @@ TEST(WaveletStrategySparsity, UpdateDeltaNnzWithinPaperBound) {
         EXPECT_LE(static_cast<double>(delta->size()), bound)
             << "d=" << d << " N=" << n << " filter length " << filter_len;
         EXPECT_GT(delta->size(), 0u);
+      }
+    }
+  }
+}
+
+// The hash-accumulator tensor expansion WaveletStrategy used before it
+// expanded each monomial as a sorted run: every product is added into one
+// unordered_map (0.0 + v₀ + v₁ … per key, in term order), and the result is
+// sorted and swept afterwards. The reference the sorted-run expansion must
+// reproduce bit for bit.
+void ReferenceExpand(const Schema& schema,
+                     const std::vector<std::vector<SparseEntry>>& factors,
+                     double coeff, SparseAccumulator& acc) {
+  for (const auto& f : factors) {
+    if (f.empty()) return;
+  }
+  const size_t d = factors.size();
+  std::vector<size_t> idx(d, 0);
+  for (;;) {
+    uint64_t key = 0;
+    double value = coeff;
+    for (size_t i = 0; i < d; ++i) {
+      const SparseEntry& e = factors[i][idx[i]];
+      key = (key << schema.bits(i)) | e.key;
+      value *= e.value;
+    }
+    acc.Add(key, value);
+    size_t i = d;
+    while (i-- > 0) {
+      if (++idx[i] < factors[i].size()) break;
+      idx[i] = 0;
+      if (i == 0) return;
+    }
+  }
+}
+
+SparseVec ReferenceTransformQuery(const Schema& schema,
+                                  const WaveletFilter& filter,
+                                  const RangeSumQuery& query) {
+  SparseAccumulator acc;
+  for (const Monomial& term : query.poly().terms()) {
+    std::vector<std::vector<SparseEntry>> factors(schema.num_dims());
+    for (size_t i = 0; i < schema.num_dims(); ++i) {
+      const Interval& iv = query.range().interval(i);
+      factors[i] = LazyRangeMonomialDwt1D(schema.dim(i).size, iv.lo, iv.hi,
+                                          term.exponents[i], filter);
+    }
+    ReferenceExpand(schema, factors, term.coeff, acc);
+  }
+  double max_abs = 0.0;
+  for (const auto& [key, value] : acc.map()) {
+    max_abs = std::max(max_abs, std::abs(value));
+  }
+  return acc.ToVec(max_abs * kQueryCoefficientRelEps);
+}
+
+SparseVec ReferenceTransformUpdate(const Schema& schema,
+                                   const WaveletFilter& filter,
+                                   const Tuple& tuple, double count) {
+  std::vector<std::vector<SparseEntry>> factors(schema.num_dims());
+  for (size_t i = 0; i < schema.num_dims(); ++i) {
+    factors[i] = SparseImpulseDwt1D(schema.dim(i).size, tuple[i], 1.0, filter);
+  }
+  SparseAccumulator acc;
+  ReferenceExpand(schema, factors, count, acc);
+  return acc.ToVec();
+}
+
+std::string Hex(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+/// Key for key, value bit for bit; mismatching values print as %a.
+void ExpectSameEntries(const SparseVec& got, const SparseVec& want,
+                       const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i].key != want[i].key ||
+        std::bit_cast<uint64_t>(got[i].value) !=
+            std::bit_cast<uint64_t>(want[i].value)) {
+      ADD_FAILURE() << label << " entry " << i << ": got key " << got[i].key
+                    << " = " << Hex(got[i].value) << ", reference key "
+                    << want[i].key << " = " << Hex(want[i].value);
+      return;
+    }
+  }
+}
+
+/// A d-dimensional schema with random power-of-two sizes, kept small
+/// enough that dense-fallback products stay cheap.
+Schema RandomSchema(size_t d, Rng& rng) {
+  static constexpr uint64_t kMaxBits[] = {8, 5, 4, 3, 3};
+  std::vector<Dimension> dims;
+  for (size_t i = 0; i < d; ++i) {
+    const uint32_t bits =
+        1 + static_cast<uint32_t>(rng.UniformInt(kMaxBits[d - 1]));
+    dims.push_back({"x" + std::to_string(i), 1u << bits});
+  }
+  return Schema::Create(std::move(dims)).value();
+}
+
+/// One seeded test query: 1–3 monomials with per-variable degrees up to
+/// one above the filter's max_degree() (the dense fallback). Every fourth
+/// query is a cancelling polynomial instead: x − x + c, or x − (n−1)/2 over
+/// the whole of x's domain, whose scaling coefficients cancel across terms.
+RangeSumQuery RandomPolyQuery(const Schema& schema, uint32_t max_degree,
+                              size_t t, Rng& rng) {
+  const size_t d = schema.num_dims();
+  Range range = RandomRange(schema, rng);
+  std::vector<Monomial> terms;
+  if (t % 4 == 3) {
+    const size_t dim = rng.UniformInt(d);
+    std::vector<uint32_t> x(d, 0);
+    x[dim] = 1;
+    const std::vector<uint32_t> one(d, 0);
+    if (t % 8 == 3) {
+      terms = {{1.0, x}, {-1.0, x}, {2.5, one}};
+    } else {
+      std::vector<Interval> ivs = range.intervals();
+      ivs[dim] = {0, schema.dim(dim).size - 1};
+      range = Range::Create(schema, ivs).value();
+      terms = {{1.0, x},
+               {-0.5 * static_cast<double>(schema.dim(dim).size - 1), one}};
+    }
+  } else {
+    const size_t num_terms = 1 + rng.UniformInt(3);
+    for (size_t m = 0; m < num_terms; ++m) {
+      Monomial term;
+      term.coeff = 4.0 * rng.UniformDouble() - 2.0;
+      for (size_t i = 0; i < d; ++i) {
+        term.exponents.push_back(
+            static_cast<uint32_t>(rng.UniformInt(max_degree + 2)));
+      }
+      terms.push_back(std::move(term));
+    }
+  }
+  return RangeSumQuery(std::move(range), Polynomial(d, std::move(terms)));
+}
+
+TEST(WaveletStrategyExpansion, TransformQueryMatchesHashAccumulatorBitForBit) {
+  size_t cases = 0;
+  for (const WaveletKind kind :
+       {WaveletKind::kHaar, WaveletKind::kDb4, WaveletKind::kDb6}) {
+    const WaveletFilter& filter = WaveletFilter::Get(kind);
+    for (size_t d = 1; d <= 5; ++d) {
+      Rng rng(700 + 10 * static_cast<uint64_t>(kind) + d);
+      for (size_t t = 0; t < 40; ++t) {
+        Schema schema = RandomSchema(d, rng);
+        WaveletStrategy strategy(schema, kind);
+        const RangeSumQuery query =
+            RandomPolyQuery(schema, filter.max_degree(), t, rng);
+        Result<SparseVec> got = strategy.TransformQuery(query);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ExpectSameEntries(*got, ReferenceTransformQuery(schema, filter, query),
+                          std::string(filter.name()) + " d=" +
+                              std::to_string(d) + " query " +
+                              std::to_string(t) + " p=" +
+                              query.poly().ToString());
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GE(cases, 500u);
+}
+
+TEST(WaveletStrategyExpansion, TransformUpdateMatchesHashAccumulatorBitForBit) {
+  static constexpr double kCounts[] = {1.0, -1.0, 2.5, 0.0};
+  for (const WaveletKind kind :
+       {WaveletKind::kHaar, WaveletKind::kDb4, WaveletKind::kDb6}) {
+    const WaveletFilter& filter = WaveletFilter::Get(kind);
+    for (size_t d = 1; d <= 5; ++d) {
+      Rng rng(900 + 10 * static_cast<uint64_t>(kind) + d);
+      for (size_t t = 0; t < 12; ++t) {
+        Schema schema = RandomSchema(d, rng);
+        WaveletStrategy strategy(schema, kind);
+        Tuple tuple(d);
+        for (size_t i = 0; i < d; ++i) {
+          tuple[i] =
+              static_cast<uint32_t>(rng.UniformInt(schema.dim(i).size));
+        }
+        const double count = kCounts[t % std::size(kCounts)];
+        Result<SparseVec> got = strategy.TransformUpdate(tuple, count);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ExpectSameEntries(
+            *got, ReferenceTransformUpdate(schema, filter, tuple, count),
+            std::string(filter.name()) + " d=" + std::to_string(d) +
+                " tuple " + std::to_string(t));
       }
     }
   }

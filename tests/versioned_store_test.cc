@@ -11,6 +11,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "engine/eval_session.h"
 #include "gtest/gtest.h"
 #include "penalty/sse.h"
+#include "server/query_service.h"
 #include "storage/delta_store.h"
 #include "storage/fault_injection_store.h"
 #include "storage/key_router.h"
@@ -338,6 +340,120 @@ TEST(VersionedStoreTest, SnapshotAnswersMatchBruteForceOverAllIngested) {
                 1e-6 * (1.0 + std::abs(expected)))
         << "query " << q;
   }
+}
+
+// Theorem 1's K per published epoch, as the service reads it (once per pin
+// generation, from the pinned snapshot). Over a seeded log of ingests,
+// publishes, synchronous merges and background merges (quiet, or racing
+// ingests), a target-bound request served through QueryService
+// (on_publish -> RefreshEpoch) at every epoch must report the bound an
+// isolated session over that snapshot computes with its exact Σ|v| at the
+// same step, and its brute-force SSE must stay within that bound.
+TEST(VersionedStoreTest, ServedBoundIsSoundAtEveryPublishedEpoch) {
+  StreamFixture f;
+  auto base = std::make_unique<HashStore>();
+  f.BuildBase()->ForEachNonZero(
+      [&base](uint64_t key, double value) { base->Add(key, value); });
+  server::QueryService* service_ptr = nullptr;
+  VersionedStoreOptions options;
+  options.on_publish = [&service_ptr](uint64_t) {
+    if (service_ptr != nullptr) service_ptr->RefreshEpoch();
+  };
+  auto plane = std::make_shared<VersionedStore>(std::move(base), options);
+  server::QueryServiceOptions service_options;
+  service_options.default_quantum = 4;
+  server::QueryService service(
+      plane, std::make_shared<WaveletStrategy>(f.schema, WaveletKind::kHaar),
+      service_options);
+  service_ptr = &service;
+
+  const std::shared_ptr<const SnapshotStore> first = plane->Snapshot();
+  const double target_bound =
+      EvalSession(f.plan, first).WorstCaseBound(first->SumAbs()) / 2;
+  Relation seen = f.rel;
+  size_t ingested = 0;
+  auto ingest = [&](uint64_t count) {
+    for (; count > 0 && ingested < f.deltas.size(); --count, ++ingested) {
+      plane->Ingest(f.deltas[ingested]);
+      seen.Add(f.stream_rel.tuples()[ingested]);
+    }
+  };
+  // Called only when every ingested tuple is published.
+  auto check_epoch = [&](const char* event) {
+    const std::shared_ptr<const SnapshotStore> snapshot = plane->Snapshot();
+    SCOPED_TRACE(std::string(event) + " at epoch " +
+                 std::to_string(snapshot->epoch()));
+    EXPECT_EQ(service.epoch(), snapshot->epoch());
+
+    server::QueryRequest request(f.batch);
+    request.penalty = f.sse;
+    request.target_bound = target_bound;
+    server::QueryResponse response;
+    ASSERT_TRUE(service
+                    .Submit(request,
+                            [&response](server::QueryResponse r) {
+                              response = std::move(r);
+                            })
+                    .ok());
+    service.RunUntilIdle();
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    EXPECT_LT(response.steps_taken, response.total_steps)
+        << "the target should stop the request before exactness";
+    EvalSession probe(f.plan, snapshot);
+    while (probe.StepsTaken() < response.steps_taken) {
+      ASSERT_TRUE(probe.StepBatch(service_options.default_quantum).ok());
+    }
+    ASSERT_EQ(probe.StepsTaken(), response.steps_taken);
+    EXPECT_EQ(response.worst_case_bound,
+              probe.WorstCaseBound(snapshot->SumAbs()));
+    const std::vector<double> truth = f.batch.BruteForce(seen);
+    ASSERT_EQ(response.estimates.size(), truth.size());
+    double sse = 0.0;
+    for (size_t q = 0; q < truth.size(); ++q) {
+      const double e = response.estimates[q] - truth[q];
+      sse += e * e;
+    }
+    EXPECT_LE(sse, response.worst_case_bound);
+  };
+
+  check_epoch("construction");
+  Rng rng(41);
+  std::vector<size_t> events(6, 0);
+  while (ingested < f.deltas.size()) {
+    const uint64_t event = rng.UniformInt(events.size());
+    ++events[event];
+    switch (event) {
+      case 0:
+      case 1:
+        ingest(1 + rng.UniformInt(6));
+        break;
+      case 2:
+        ingest(1 + rng.UniformInt(6));
+        plane->Publish();
+        check_epoch("publish");
+        break;
+      case 3:
+        plane->Merge();
+        check_epoch("merge");
+        break;
+      case 4:
+        plane->StartBackgroundMerge();
+        plane->WaitForMerge();
+        check_epoch("quiet background merge");
+        break;
+      case 5:
+        plane->StartBackgroundMerge();
+        ingest(1 + rng.UniformInt(4));  // races the fold
+        plane->WaitForMerge();
+        plane->Publish();
+        check_epoch("background merge racing ingests");
+        break;
+    }
+  }
+  for (size_t e = 0; e < events.size(); ++e) {
+    EXPECT_GT(events[e], 0u) << "the log never drew event kind " << e;
+  }
+  service_ptr = nullptr;
 }
 
 TEST(VersionedStoreTest, SessionPinsItsEpochAtConstruction) {
