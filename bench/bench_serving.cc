@@ -2,8 +2,7 @@
 // QueryService. Arrivals are Poisson at --qps (open loop: the schedule is
 // fixed up front and a slow server cannot push back on it — the honest way
 // to measure latency under load); query templates are Zipf-popular, so hot
-// batches hit the plan cache and overlap heavily in the shared-fetch
-// cache. Two standard runs:
+// batches hit the plan cache. Two standard runs:
 //
 //   steady state  ./bench_serving --qps=500 --requests=200
 //                 (queue stays shallow, zero sheds expected)
@@ -11,8 +10,9 @@
 //                 (admission backpressure sheds, survivors stay bounded)
 //
 // Reports per-run: completion/shed counts, latency percentiles, per-query
-// session I/O vs backend I/O (the cross-session sharing factor), and the
-// usual JSON + --metrics_out companions.
+// session I/O (the paper's cost model, which is also what the backend
+// serves), the backend fetch spans' request attribution, and the usual
+// JSON + --metrics_out companions.
 
 #include <algorithm>
 #include <chrono>
@@ -215,13 +215,9 @@ int Main(int argc, char** argv) {
                                 static_cast<size_t>(p * latencies_us.size()));
     return latencies_us[idx];
   };
-  const uint64_t backend_keys = service.shared_misses();
-  const uint64_t warm_keys = service.shared_hits();
   const double per_query_session =
       completed == 0 ? 0.0
                      : static_cast<double>(session_retrievals) / completed;
-  const double per_query_backend =
-      completed == 0 ? 0.0 : static_cast<double>(backend_keys) / completed;
 
   Table table({"metric", "value", "notes"});
   table.AddRow({"offered", std::to_string(offered),
@@ -235,11 +231,7 @@ int Main(int argc, char** argv) {
   table.AddRow({"latency_p95_us", std::to_string(pct(0.95)), ""});
   table.AddRow({"latency_p99_us", std::to_string(pct(0.99)), ""});
   table.AddRow({"session_io_per_query", FormatDouble(per_query_session, 2),
-                "paper cost model (unchanged by sharing)"});
-  table.AddRow({"backend_io_per_query", FormatDouble(per_query_backend, 2),
-                "shared-cache misses / completed"});
-  table.AddRow({"warm_fetches", std::to_string(warm_keys),
-                "retrievals served from the shared cache"});
+                "paper cost model"});
   table.AddRow({"fetch_attribution_pct", FormatDouble(attribution_pct, 4),
                 std::to_string(attributed_fetch_spans) + "/" +
                     std::to_string(fetch_spans) +
@@ -273,8 +265,6 @@ int Main(int argc, char** argv) {
   add("latency_p95_us", pct(0.95));
   add("latency_p99_us", pct(0.99));
   add("session_io", session_retrievals);
-  add("backend_io", backend_keys);
-  add("warm_fetches", warm_keys);
   add("fetch_spans", fetch_spans);
   add("attributed_fetch_spans", attributed_fetch_spans);
   if (!json.Write(flags.Str("json", "BENCH_serving.json"))) {

@@ -1,11 +1,9 @@
 // The query-serving front end in one page. Several "dashboard clients"
-// submit overlapping range-sum batches to a QueryService; the service
-// groups their sessions over one pinned snapshot and merges their per-step
-// coefficient needs into cross-session fetch batches, so a coefficient any
-// client needs is read from the backend once. Each client still sees the
-// paper's per-session I/O accounting — sharing changes backend traffic,
-// never the cost model — and each response carries the Theorem-1
-// progressive bound it completed with.
+// submit overlapping range-sum batches to a QueryService; the service runs
+// each as a progressive session over one pinned snapshot of the cube,
+// scheduling the session whose next quantum buys the most bound reduction
+// first. Each response reports the paper's per-session I/O (coefficient
+// retrievals) and the Theorem-1 progressive bound it completed with.
 //
 //   ./build/examples/serving_quickstart
 
@@ -29,8 +27,7 @@ int main() {
       strategy->BuildStore(relation.FrequencyDistribution());
   auto sse = std::make_shared<SsePenalty>();
 
-  // Three clients watching overlapping slices of the same cube — the
-  // dashboard-fan-out shape where cross-session sharing pays off.
+  // Three clients watching overlapping slices of the same cube.
   std::vector<QueryBatch> clients;
   for (int c = 0; c < 3; ++c) {
     QueryBatch batch(schema);
@@ -81,9 +78,5 @@ int main() {
                 static_cast<unsigned long long>(r.io.retrievals),
                 r.worst_case_bound, r.estimates.back());
   }
-  std::printf("\nbackend fetches %llu, served warm %llu "
-              "(coefficients other clients already paid for)\n",
-              static_cast<unsigned long long>(service.shared_misses()),
-              static_cast<unsigned long long>(service.shared_hits()));
   return 0;
 }

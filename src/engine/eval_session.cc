@@ -162,26 +162,6 @@ bool EvalSession::Done() const {
   return steps_taken_ == TotalSteps();
 }
 
-size_t EvalSession::PeekUpcomingKeys(size_t n, std::vector<uint64_t>* out) const {
-  size_t appended = 0;
-  if (options_.block_of) {
-    for (uint64_t b = blocks_fetched_; b < blocks_.size() && appended < n;
-         ++b) {
-      for (size_t entry_idx : blocks_[block_order_[b]].entries) {
-        out->push_back(kernel_.keys[entry_idx]);
-        ++appended;
-      }
-    }
-    return appended;
-  }
-  const size_t end = std::min(TotalSteps(), steps_taken_ + n);
-  for (size_t i = steps_taken_; i < end; ++i) {
-    out->push_back(kernel_.keys[permutation_[i]]);
-    ++appended;
-  }
-  return appended;
-}
-
 void EvalSession::ApplyEntry(size_t entry_idx, double data) {
   kernel_.ApplyOne(entry_idx, data, estimates_.data());
 }

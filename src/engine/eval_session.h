@@ -141,15 +141,6 @@ class EvalSession {
   /// Current progressive estimates (exact once Done()).
   const std::vector<double>& Estimates() const { return estimates_; }
 
-  /// Appends the storage keys the next up-to-`n` retrievals would fetch, in
-  /// consumption order, without advancing the cursor — the shared-fetch
-  /// seam: a serving layer merges the upcoming needs of many sessions into
-  /// one cross-session prefetch batch (server/QueryService). At block
-  /// granularity whole blocks are appended until at least `n` coefficients
-  /// are covered (a block is never split). Returns the number of keys
-  /// appended; uncounted (nothing is charged to io()).
-  size_t PeekUpcomingKeys(size_t n, std::vector<uint64_t>* out) const;
-
   /// ι_p of the coefficient the next Step() retrieves (0 when done).
   /// Requires a plan with importances.
   double NextImportance() const;

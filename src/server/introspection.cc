@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "telemetry/export.h"
@@ -138,33 +139,14 @@ std::string StatuszJson(const QueryService& service) {
   AppendU64(out, service.sheds());
   out += ",\"completed\":";
   AppendU64(out, service.completed());
-  out += ",\"shared_fetch\":{\"hits\":";
-  AppendU64(out, service.shared_hits());
-  out += ",\"misses\":";
-  AppendU64(out, service.shared_misses());
-  out += "},\"groups\":[";
-  const std::vector<QueryService::GroupStatus> groups =
-      service.GroupStatuses();
-  for (size_t i = 0; i < groups.size(); ++i) {
-    const QueryService::GroupStatus& g = groups[i];
-    if (i > 0) out += ',';
-    out += "{\"generation\":";
-    AppendU64(out, g.generation);
-    out += ",\"epoch\":";
-    AppendU64(out, g.epoch);
-    out += ",\"members\":";
-    AppendU64(out, g.members);
-    out += ",\"cache_entries\":";
-    AppendU64(out, g.cache_entries);
-    out += ",\"cache_hits\":";
-    AppendU64(out, g.cache_hits);
-    out += ",\"cache_misses\":";
-    AppendU64(out, g.cache_misses);
-    out += ",\"k_sum_abs\":";
-    AppendNumber(out, g.k_sum_abs);
-    out += '}';
+  out += ",\"k_sum_abs\":";
+  const std::optional<double> k = service.k_sum_abs();
+  if (k.has_value()) {
+    AppendNumber(out, *k);
+  } else {
+    out += "null";
   }
-  out += "],\"plan_cache\":{\"size\":";
+  out += ",\"plan_cache\":{\"size\":";
   const PlanCache& cache = service.plan_cache();
   AppendU64(out, cache.size());
   out += ",\"hits\":";

@@ -20,8 +20,9 @@ namespace wavebatch::server {
 /// identical text from a one-shot dump.
 
 /// /statusz: admission queue depth, live sessions, epoch/generation, shed
-/// and completion counts, the live session groups (members, cache ledger,
-/// pinned epoch), and the plan cache's contents.
+/// and completion counts, Theorem 1's K of the current snapshot (null until
+/// the generation's first admission reads it), and the plan cache's
+/// contents.
 std::string StatuszJson(const QueryService& service);
 
 /// The convergence timelines of recently completed requests — each record

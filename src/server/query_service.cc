@@ -8,7 +8,6 @@
 #include "storage/versioned_store.h"
 #include "telemetry/span.h"
 #include "util/check.h"
-#include "util/fingerprint.h"
 
 namespace wavebatch::server {
 
@@ -95,8 +94,8 @@ void QueryService::RepinLocked() {
   // trace shows which data version served each request.
   const auto* snapshot = dynamic_cast<const SnapshotStore*>(pinned_.get());
   pinned_epoch_ = snapshot != nullptr ? snapshot->epoch() : 0;
-  // K of the new version is read by its first group (GetGroupLocked), so a
-  // re-pin costs nothing on the publisher's thread.
+  // K of the new version is read by its first admission (AdmitLocked), so
+  // a re-pin costs nothing on the publisher's thread.
   pinned_k_.reset();
 }
 
@@ -105,29 +104,9 @@ uint64_t QueryService::epoch() const {
   return pinned_epoch_;
 }
 
-std::vector<QueryService::GroupStatus> QueryService::GroupStatuses() const {
+std::optional<double> QueryService::k_sum_abs() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<GroupStatus> out;
-  out.reserve(groups_.size());
-  for (const auto& [key, group] : groups_) {
-    GroupStatus status;
-    status.generation = group->generation;
-    status.epoch = group->epoch;
-    status.members = group->members;
-    status.cache_entries = group->cache->size();
-    status.cache_hits = group->cache->hits();
-    status.cache_misses = group->cache->misses();
-    status.k_sum_abs = group->k_sum_abs;
-    out.push_back(status);
-  }
-  // groups_ is a hash map; give callers a stable order.
-  std::sort(out.begin(), out.end(),
-            [](const GroupStatus& a, const GroupStatus& b) {
-              return a.generation != b.generation
-                         ? a.generation < b.generation
-                         : a.members > b.members;
-            });
-  return out;
+  return pinned_k_;
 }
 
 std::vector<QueryService::TimelineRecord> QueryService::RecentTimelines()
@@ -165,20 +144,6 @@ size_t QueryService::queue_depth() const {
 size_t QueryService::live_sessions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return live_.size();
-}
-
-uint64_t QueryService::shared_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = retired_hits_;
-  for (const auto& [key, group] : groups_) total += group->cache->hits();
-  return total;
-}
-
-uint64_t QueryService::shared_misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = retired_misses_;
-  for (const auto& [key, group] : groups_) total += group->cache->misses();
-  return total;
 }
 
 Status QueryService::Submit(QueryRequest request, ResponseCallback done) {
@@ -232,44 +197,6 @@ Status QueryService::Submit(QueryRequest request, ResponseCallback done) {
   return Status::OK();
 }
 
-std::string QueryService::GroupKeyLocked(const QueryRequest& request) const {
-  std::string key;
-  fingerprint::AppendString(key, strategy_->name());
-  if (request.penalty == nullptr) {
-    fingerprint::AppendU64(key, 0);
-  } else {
-    fingerprint::AppendString(key, request.penalty->Fingerprint());
-  }
-  const Schema& schema = request.batch.schema();
-  fingerprint::AppendU64(key, schema.num_dims());
-  for (const Dimension& d : schema.dims()) {
-    key += d.name;
-    key += '\0';
-    fingerprint::AppendU64(key, d.size);
-  }
-  fingerprint::AppendU64(key, generation_);
-  return key;
-}
-
-std::shared_ptr<QueryService::Group> QueryService::GetGroupLocked(
-    const QueryRequest& request) {
-  std::string key = GroupKeyLocked(request);
-  auto it = groups_.find(key);
-  if (it != groups_.end()) return it->second;
-  auto group = std::make_shared<Group>();
-  group->key = key;
-  group->cache = std::make_shared<SharedFetchCache>();
-  group->store = std::make_shared<SharedFetchStore>(pinned_, group->cache);
-  // One full scan per pin generation, paid by its first group; later
-  // groups of the generation reuse it.
-  if (!pinned_k_.has_value()) pinned_k_ = pinned_->SumAbs();
-  group->k_sum_abs = *pinned_k_;
-  group->generation = generation_;
-  group->epoch = pinned_epoch_;
-  groups_[std::move(key)] = group;
-  return group;
-}
-
 void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
   const auto now = std::chrono::steady_clock::now();
   while (!pending_.empty() && live_.size() < options_.max_live_sessions) {
@@ -316,32 +243,34 @@ void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
       continue;
     }
 
-    active->group = GetGroupLocked(active->request);
-    ++active->group->members;
+    // One full scan per pin generation, paid by its first admission; later
+    // admissions of the generation reuse it.
+    if (!pinned_k_.has_value()) pinned_k_ = pinned_->SumAbs();
+    active->k_sum_abs = *pinned_k_;
+    active->epoch = pinned_epoch_;
     EvalSession::Options session_options;
     session_options.order = active->request.penalty != nullptr
                                 ? ProgressionOrder::kBiggestB
                                 : ProgressionOrder::kKeyOrder;
     session_options.fault_policy = active->request.fault_policy;
-    active->session = std::make_unique<EvalSession>(
-        plan.value(), active->group->store, session_options);
+    active->session = std::make_unique<EvalSession>(plan.value(), pinned_,
+                                                    session_options);
     live_.push_back(std::move(active));
     live_sessions_gauge_->Set(static_cast<double>(live_.size()));
   }
 }
 
+bool QueryService::TargetMetLocked(const Active& active) const {
+  return active.request.target_bound > 0.0 &&
+         active.session->plan().HasImportance() &&
+         active.session->WorstCaseBound(active.k_sum_abs) <=
+             active.request.target_bound;
+}
+
 bool QueryService::IsFinishedLocked(
     const Active& active, std::chrono::steady_clock::time_point now) const {
-  if (active.failed) return true;
-  if (active.session->Done()) return true;
-  if (now >= active.deadline_at) return true;
-  if (active.request.target_bound > 0.0 &&
-      active.session->plan().HasImportance() &&
-      active.session->WorstCaseBound(active.group->k_sum_abs) <=
-          active.request.target_bound) {
-    return true;
-  }
-  return false;
+  return active.failed || active.session->Done() ||
+         now >= active.deadline_at || TargetMetLocked(active);
 }
 
 QueryService::Active* QueryService::PickLocked(
@@ -374,27 +303,6 @@ QueryService::Active* QueryService::PickLocked(
   return best;
 }
 
-void QueryService::GatherGroupKeysLocked(
-    const Active& active, std::vector<uint64_t>* out,
-    std::vector<telemetry::TraceContext>* siblings) {
-  out->clear();
-  if (siblings != nullptr) siblings->clear();
-  active.session->PeekUpcomingKeys(active.quantum, out);
-  for (const auto& other : live_) {
-    if (other.get() == &active || other->group != active.group) continue;
-    // Busy siblings are mid-quantum on another worker; their cursor is
-    // theirs alone until they put it down.
-    if (other->busy || other->failed) continue;
-    const size_t appended =
-        other->session->PeekUpcomingKeys(other->quantum, out);
-    // Merged-batch attribution: remember whose keys rode along so the
-    // quantum can mark those requests' traces as advanced by this fetch.
-    if (siblings != nullptr && appended > 0 && other->trace.active()) {
-      siblings->push_back(other->trace);
-    }
-  }
-}
-
 void QueryService::SampleTimeline(Active& active, bool force) const {
   telemetry::TimelinePoint point;
   point.steps = active.session->StepsTaken();
@@ -402,7 +310,7 @@ void QueryService::SampleTimeline(Active& active, bool force) const {
   const std::vector<double>& estimates = active.session->Estimates();
   point.estimate = estimates.empty() ? 0.0 : estimates[0];
   if (active.session->plan().HasImportance()) {
-    point.bound = active.session->WorstCaseBound(active.group->k_sum_abs);
+    point.bound = active.session->WorstCaseBound(active.k_sum_abs);
   }
   point.skipped_importance = active.session->SkippedImportance();
   point.elapsed_us =
@@ -416,43 +324,19 @@ void QueryService::SampleTimeline(Active& active, bool force) const {
   }
 }
 
-void QueryService::StepQuantum(Active& active, std::vector<uint64_t>* keys,
-                               std::vector<telemetry::TraceContext>* siblings) {
-  // The whole quantum — the merged prefetch and this session's StepBatch —
-  // runs under the request's TraceContext, so every backend span it causes
-  // (store_fetch_batch, shard_subbatch) attributes to this request.
+void QueryService::StepQuantum(Active& active) {
+  // The whole quantum runs under the request's TraceContext, so every
+  // backend span it causes (store_fetch_batch, shard_subbatch) attributes
+  // to this request.
   const bool traced = active.trace.active() && telemetry::Enabled();
   std::optional<telemetry::ScopedTraceContext> trace_guard;
   std::optional<telemetry::ScopedSpan> quantum_span;
   if (traced) {
     trace_guard.emplace(active.trace);
     quantum_span.emplace("request_quantum");
-    quantum_span->AddAttr("union_keys", static_cast<double>(keys->size()));
-    quantum_span->AddAttr("siblings",
-                          static_cast<double>(siblings->size()));
     quantum_span->AddAttr("generation",
                           static_cast<double>(active.generation));
-    quantum_span->AddAttr("epoch", static_cast<double>(active.group->epoch));
-  }
-  // The cross-session fetch: the union of the group's upcoming needs goes
-  // to the backend as one batch (cold keys only — the cache drops warm and
-  // duplicate keys), then this session's own StepBatch runs warm. Prefetch
-  // is best-effort; a faulty batch is retried per key inside and whatever
-  // stays unavailable surfaces through the session's own FaultPolicy.
-  (void)active.group->store->Prefetch(*keys);
-  if (traced && !siblings->empty()) {
-    // Sibling attribution: the merged batch warmed these requests' upcoming
-    // keys too. A zero-duration marker in each sibling's trace names the
-    // request whose quantum paid for the fetch, so a trace shows both sides
-    // of every cross-session share.
-    const auto now = std::chrono::steady_clock::now();
-    const double by_request = static_cast<double>(active.trace.request_id);
-    for (const telemetry::TraceContext& sibling : *siblings) {
-      telemetry::ScopedTraceContext sibling_guard(sibling);
-      telemetry::MetricsRegistry::Default().RecordSpan(
-          "shared_prefetch_advance", now, now,
-          {telemetry::SpanAttr{"by_request", by_request}});
-    }
+    quantum_span->AddAttr("epoch", static_cast<double>(active.epoch));
   }
   Result<size_t> stepped = active.session->StepBatch(active.quantum);
   if (!stepped.ok()) {
@@ -491,7 +375,7 @@ std::function<void()> QueryService::FinalizeLocked(
   response.generation = active->generation;
   if (active->session->plan().HasImportance()) {
     response.worst_case_bound =
-        active->session->WorstCaseBound(active->group->k_sum_abs);
+        active->session->WorstCaseBound(active->k_sum_abs);
   }
   response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
       now - active->admitted_at);
@@ -521,114 +405,53 @@ std::function<void()> QueryService::FinalizeLocked(
   if (deadline_expired) deadline_expired_->Add();
   if (!response.status.ok()) failed_->Add();
 
-  // Retire the group when its last member leaves: the epoch's cache has
-  // served its purpose, and holding it would pin the snapshot (and its
-  // memory) forever. The ledger folds into the retired totals first.
-  if (--active->group->members == 0) {
-    retired_hits_ += active->group->cache->hits();
-    retired_misses_ += active->group->cache->misses();
-    groups_.erase(active->group->key);
-  }
-
   return [done = std::move(active->done), r = std::move(response)]() mutable {
     done(std::move(r));
   };
 }
 
-void QueryService::RunUntilIdle() {
-  std::vector<uint64_t> key_scratch;
-  std::vector<telemetry::TraceContext> sibling_scratch;
-  for (;;) {
-    std::vector<std::function<void()>> callbacks;
-    Active* picked = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      AdmitLocked(&callbacks);
-      const auto now = std::chrono::steady_clock::now();
-      // Finalize everything already complete (deadline may expire while a
-      // session waits its turn; target bounds are met mid-stream).
-      for (size_t i = live_.size(); i-- > 0;) {
-        Active& active = *live_[i];
-        if (active.busy || !IsFinishedLocked(active, now)) continue;
-        const bool expired = !active.failed && !active.session->Done() &&
-                             now >= active.deadline_at &&
-                             !(active.request.target_bound > 0.0 &&
-                               active.session->plan().HasImportance() &&
-                               active.session->WorstCaseBound(
-                                   active.group->k_sum_abs) <=
-                                   active.request.target_bound);
-        callbacks.push_back(FinalizeLocked(
-            i, active.failed ? active.failure : Status::OK(), expired, now));
-      }
-      picked = PickLocked(now);
-      if (picked != nullptr) {
-        picked->busy = true;
-        GatherGroupKeysLocked(*picked, &key_scratch, &sibling_scratch);
-      }
-    }
-    for (auto& cb : callbacks) cb();
-    if (picked == nullptr) {
-      std::unique_lock<std::mutex> lock(mu_);
-      const bool busy_elsewhere =
-          std::any_of(live_.begin(), live_.end(),
-                      [](const auto& a) { return a->busy; });
-      if (pending_.empty() && !busy_elsewhere) return;
-      // Workers hold every runnable session (or the queue drains into slots
-      // they will free): yield briefly and re-check.
-      cv_.wait_for(lock, std::chrono::milliseconds(1));
-      continue;
-    }
-    StepQuantum(*picked, &key_scratch, &sibling_scratch);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      picked->busy = false;
-    }
-    cv_.notify_all();
-  }
+bool QueryService::HasWorkLocked() const {
+  return (!pending_.empty() && live_.size() < options_.max_live_sessions) ||
+         std::any_of(live_.begin(), live_.end(),
+                     [](const auto& a) { return !a->busy; });
 }
 
-void QueryService::WorkerLoop() {
-  std::vector<uint64_t> key_scratch;
-  std::vector<telemetry::TraceContext> sibling_scratch;
+void QueryService::RunUntilIdle() { ServeLoop(/*until_idle=*/true); }
+
+void QueryService::ServeLoop(bool until_idle) {
   std::unique_lock<std::mutex> lock(mu_);
-  while (!stopping_) {
+  while (until_idle || !stopping_) {
     std::vector<std::function<void()>> callbacks;
     AdmitLocked(&callbacks);
     const auto now = std::chrono::steady_clock::now();
+    // Finalize everything already complete (a deadline may expire while a
+    // session waits its turn; target bounds are met mid-stream).
     for (size_t i = live_.size(); i-- > 0;) {
       Active& active = *live_[i];
       if (active.busy || !IsFinishedLocked(active, now)) continue;
+      // Finished for none of the other reasons: the deadline expired.
       const bool expired = !active.failed && !active.session->Done() &&
-                           now >= active.deadline_at &&
-                           !(active.request.target_bound > 0.0 &&
-                             active.session->plan().HasImportance() &&
-                             active.session->WorstCaseBound(
-                                 active.group->k_sum_abs) <=
-                                 active.request.target_bound);
+                           !TargetMetLocked(active);
       callbacks.push_back(FinalizeLocked(
           i, active.failed ? active.failure : Status::OK(), expired, now));
     }
     Active* picked = PickLocked(now);
     if (picked == nullptr && callbacks.empty()) {
-      // Nothing runnable: if sessions are only waiting on their deadlines
-      // (none here — sessions always make progress until complete), or the
-      // queue is empty, sleep until new work or a sibling frees capacity.
-      cv_.wait(lock, [this] {
-        return stopping_ || !pending_.empty() ||
-               std::any_of(live_.begin(), live_.end(),
-                           [](const auto& a) { return !a->busy; });
+      // Every live session is mid-quantum on another thread, and queued
+      // requests (if any) wait for their slots. Wake only when work can
+      // start: waking on a queue that has no free slot would spin here
+      // holding mu_ and starve the threads that would free one.
+      if (until_idle && pending_.empty() && live_.empty()) return;
+      cv_.wait(lock, [this, until_idle] {
+        return HasWorkLocked() ||
+               (until_idle ? pending_.empty() && live_.empty() : stopping_);
       });
       continue;
     }
-    if (picked != nullptr) {
-      picked->busy = true;
-      GatherGroupKeysLocked(*picked, &key_scratch, &sibling_scratch);
-    }
+    if (picked != nullptr) picked->busy = true;
     lock.unlock();
     for (auto& cb : callbacks) cb();
-    if (picked != nullptr) {
-      StepQuantum(*picked, &key_scratch, &sibling_scratch);
-    }
+    if (picked != nullptr) StepQuantum(*picked);
     lock.lock();
     if (picked != nullptr) picked->busy = false;
     cv_.notify_all();
@@ -642,7 +465,7 @@ void QueryService::Start(size_t num_threads) {
   stopping_ = false;
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this] { ServeLoop(/*until_idle=*/false); });
   }
 }
 

@@ -9,15 +9,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/eval_session.h"
 #include "engine/plan_cache.h"
 #include "query/batch.h"
-#include "server/shared_fetch.h"
 #include "storage/coefficient_store.h"
 #include "strategy/linear_strategy.h"
 #include "telemetry/metrics.h"
@@ -58,7 +55,7 @@ struct QueryResponse {
   uint64_t total_steps = 0;
   uint64_t skipped_coefficients = 0;
   /// Per-session I/O accounting — identical to an isolated run of the same
-  /// batch; cross-session sharing changes backend traffic, never this.
+  /// batch.
   IoStats io;
   bool exact = false;
   bool deadline_expired = false;
@@ -107,17 +104,11 @@ struct QueryServiceOptions {
 };
 
 /// The serving front end: accepts query batches from many clients into an
-/// admission queue, runs each as a progressive EvalSession, and merges the
-/// per-step coefficient needs of concurrent sessions into cross-session
-/// fetch batches (Observation 1 across batches, not just within one).
-///
-/// Grouping: live sessions are grouped by (schema fingerprint, strategy,
-/// penalty fingerprint, pinned epoch generation); each group owns one
-/// SharedFetchCache over one pinned snapshot, so a coefficient any group
-/// member needs is fetched from the backend once per epoch. Before a
-/// session's quantum runs, the scheduler unions the upcoming keys of every
-/// live session in its group (EvalSession::PeekUpcomingKeys) into one
-/// prefetch batch — the cross-session FetchBatch.
+/// admission queue and runs each as a progressive EvalSession over the
+/// current pinned snapshot. I/O is shared the paper's way, inside one batch
+/// through its master list (Observation 1); every session reads the
+/// snapshot directly, so a served request costs the backend exactly what
+/// an isolated session costs.
 ///
 /// Scheduling is progress-aware: the runnable session with the least
 /// deadline slack goes first; among equals, the one whose next quantum buys
@@ -130,14 +121,15 @@ struct QueryServiceOptions {
 /// process thread-pool queue gauge crosses the configured threshold.
 ///
 /// Execution: either call RunUntilIdle() on your own thread (deterministic;
-/// tests and single-tenant tools), or Start()/Stop() worker threads.
+/// tests and single-tenant tools), or Start()/Stop() worker threads. Both
+/// run the same scheduler loop.
 /// Epochs: the service pins its store's current version at construction;
 /// RefreshEpoch() re-pins — wire it to VersionedStoreOptions::on_publish so
 /// new admissions serve fresh data while in-flight sessions finish on the
 /// epoch they pinned.
 ///
 /// Theorem 1's K is read once per pin generation: the generation's first
-/// session group scans the pinned store's SumAbs(), and every later group
+/// admission scans the pinned store's SumAbs(), and every later admission
 /// of that generation reuses the value. A generation that admits nothing
 /// never scans. Contract: a store that is not versioned and is mutated
 /// through Add() after the service read its K needs RefreshEpoch() before
@@ -172,9 +164,9 @@ class QueryService {
   void Stop();
 
   /// Re-pins the store's current version and drops the cached K (the next
-  /// group re-reads it); later admissions form new groups over the fresh
-  /// snapshot. Wire to VersionedStoreOptions::on_publish, and call it after
-  /// mutating a plain store through Add().
+  /// admission re-reads it); later admissions read the fresh snapshot. Wire
+  /// to VersionedStoreOptions::on_publish, and call it after mutating a
+  /// plain store through Add().
   void RefreshEpoch();
 
   // Introspection (tests, ops).
@@ -185,27 +177,19 @@ class QueryService {
   /// services in the process).
   uint64_t sheds() const;
   uint64_t completed() const;
-  /// Cross-session ledger summed over live and retired groups: hits are
-  /// backend fetches some other session already paid for.
-  uint64_t shared_hits() const;
-  uint64_t shared_misses() const;
+  /// Always 0: sessions share no fetches across requests. Kept only because
+  /// the repository benchmark (perfbench) still reads them for its
+  /// server.shared_hit_ratio metric; they go when that metric does.
+  uint64_t shared_hits() const { return 0; }
+  uint64_t shared_misses() const { return 0; }
 
   /// Pinned epoch of the current snapshot (SnapshotStore::epoch(); 0 when
   /// the store is not versioned).
   uint64_t epoch() const;
+  /// Theorem 1's K of the current snapshot; empty until the generation's
+  /// first admission reads it.
+  std::optional<double> k_sum_abs() const;
   const PlanCache& plan_cache() const { return *plan_cache_; }
-
-  /// One live session group, for /statusz.
-  struct GroupStatus {
-    uint64_t generation = 0;
-    uint64_t epoch = 0;
-    size_t members = 0;
-    size_t cache_entries = 0;
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
-    double k_sum_abs = 0.0;
-  };
-  std::vector<GroupStatus> GroupStatuses() const;
 
   /// A completed request's bound-convergence record, for /tracez.
   struct TimelineRecord {
@@ -222,17 +206,6 @@ class QueryService {
   std::vector<TimelineRecord> RecentTimelines() const;
 
  private:
-  struct Group {
-    std::string key;
-    std::shared_ptr<SharedFetchStore> store;
-    std::shared_ptr<SharedFetchCache> cache;
-    /// Theorem 1's K of the pinned snapshot (the generation's pinned_k_).
-    double k_sum_abs = 0.0;
-    size_t members = 0;
-    uint64_t generation = 0;
-    uint64_t epoch = 0;  // pinned SnapshotStore epoch, 0 if unversioned
-  };
-
   struct Pending {
     QueryRequest request;
     ResponseCallback done;
@@ -249,8 +222,10 @@ class QueryService {
     std::chrono::steady_clock::time_point admitted_at;
     std::chrono::steady_clock::time_point deadline_at;  // max() = none
     std::unique_ptr<EvalSession> session;
-    std::shared_ptr<Group> group;
+    /// Theorem 1's K of the snapshot the session reads.
+    double k_sum_abs = 0.0;
     uint64_t generation = 0;
+    uint64_t epoch = 0;  // pinned SnapshotStore epoch, 0 if unversioned
     size_t quantum = 0;
     bool busy = false;      // a worker owns this session's next quantum
     Status failure;         // sticky non-OK fetch status under kFail
@@ -259,7 +234,16 @@ class QueryService {
     telemetry::ConvergenceTimeline timeline;
   };
 
-  void WorkerLoop();
+  /// The scheduler, shared by RunUntilIdle() and the workers: admit,
+  /// finalize what is complete, pick one session and run its quantum
+  /// outside the lock. With `until_idle` it returns once nothing is queued
+  /// or live; otherwise it sleeps while no work can start and returns on
+  /// Stop().
+  void ServeLoop(bool until_idle);
+  /// True when a waiting thread could start work: a queued request fits a
+  /// free live slot, or some live session is not busy (it is runnable or
+  /// complete). Must hold mu_.
+  bool HasWorkLocked() const;
   /// Admits pending requests into live sessions while capacity allows.
   /// Must hold mu_. Completed-at-admission requests (empty plans, expired
   /// deadlines, failed plan builds) are finalized into *finished.
@@ -267,23 +251,17 @@ class QueryService {
   /// Picks the runnable live session with (least deadline slack, highest
   /// marginal bound reduction). Null when none is runnable. Must hold mu_.
   Active* PickLocked(std::chrono::steady_clock::time_point now);
-  /// Runs one quantum for `active` WITHOUT the lock: group prefetch of the
-  /// unioned upcoming keys, then one StepBatch. When the request is traced,
-  /// the whole quantum runs under its TraceContext (so backend fetch spans
-  /// attribute to it), records a "request_quantum" span, marks which
-  /// sibling requests the merged prefetch advanced, and samples the
-  /// convergence timeline.
-  void StepQuantum(Active& active, std::vector<uint64_t>* scratch,
-                   std::vector<telemetry::TraceContext>* siblings);
-  /// Union of upcoming keys across the group's live sessions. Must hold
-  /// mu_ (reads sibling sessions' cursors; they are not busy). When
-  /// telemetry is enabled, appends the TraceContext of every sibling that
-  /// contributed keys to *siblings (merged-batch attribution).
-  void GatherGroupKeysLocked(const Active& active, std::vector<uint64_t>* out,
-                             std::vector<telemetry::TraceContext>* siblings);
+  /// Runs one quantum for `active` WITHOUT the lock: one StepBatch. When
+  /// the request is traced, the quantum runs under its TraceContext (so
+  /// backend fetch spans attribute to it), records a "request_quantum"
+  /// span, and samples the convergence timeline.
+  void StepQuantum(Active& active);
   /// Appends one convergence-timeline point from the session's current
   /// progress. `force` bypasses stride decimation (completion point).
   void SampleTimeline(Active& active, bool force) const;
+  /// True when the request has a target bound and its Theorem-1 bound is
+  /// at or under it.
+  bool TargetMetLocked(const Active& active) const;
   /// True when the request is complete (exact, bound met, deadline, fault).
   bool IsFinishedLocked(const Active& active,
                         std::chrono::steady_clock::time_point now) const;
@@ -292,8 +270,6 @@ class QueryService {
   std::function<void()> FinalizeLocked(
       size_t live_index, Status status, bool deadline_expired,
       std::chrono::steady_clock::time_point now);
-  std::shared_ptr<Group> GetGroupLocked(const QueryRequest& request);
-  std::string GroupKeyLocked(const QueryRequest& request) const;
   /// Pins the store's current version and drops the cached K. Must hold
   /// mu_.
   void RepinLocked();
@@ -309,15 +285,12 @@ class QueryService {
   std::vector<std::thread> workers_;
   std::vector<Pending> pending_;
   std::vector<std::unique_ptr<Active>> live_;
-  std::unordered_map<std::string, std::shared_ptr<Group>> groups_;
   std::shared_ptr<const CoefficientStore> pinned_;  // current epoch snapshot
   uint64_t generation_ = 1;
   uint64_t pinned_epoch_ = 0;  // SnapshotStore::epoch() of pinned_, else 0
-  // Theorem 1's K of pinned_; empty until the generation's first group.
+  // Theorem 1's K of pinned_; empty until the generation's first admission.
   std::optional<double> pinned_k_;
   std::deque<TimelineRecord> recent_timelines_;
-  uint64_t retired_hits_ = 0;
-  uint64_t retired_misses_ = 0;
   uint64_t local_sheds_ = 0;
   uint64_t local_completed_ = 0;
 

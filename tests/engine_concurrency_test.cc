@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -268,22 +269,24 @@ TEST(EngineConcurrencyTest, RoundRobinBuiltOnceUnderConcurrentFirstUse) {
   EvalSession::Options options;
   options.order = ProgressionOrder::kRoundRobin;
   auto run = [&](std::shared_ptr<const EvalPlan> plan,
-                 std::vector<uint64_t>* order) {
+                 std::vector<size_t>* order) {
     EvalSession session(plan, UnownedStore(*f.store), options);
-    session.PeekUpcomingKeys(plan->size(), order);
+    const std::span<const size_t> permutation =
+        plan->Permutation(ProgressionOrder::kRoundRobin);
+    order->assign(permutation.begin(), permutation.end());
     while (!session.Done()) session.StepBatch(7);
     return session.Estimates();
   };
   auto serial_plan =
       EvalPlan::Build(f.batch, strategy, f.sse, BuildParallelism::kSerial)
           .value();
-  std::vector<uint64_t> serial_order;
+  std::vector<size_t> serial_order;
   const std::vector<double> serial_estimates = run(serial_plan, &serial_order);
   ASSERT_EQ(serial_order.size(), serial_plan->size());
 
   auto shared_plan = EvalPlan::Build(f.batch, strategy, f.sse).value();
   std::atomic<size_t> arrived{0};
-  std::vector<std::vector<uint64_t>> orders(kNumThreads);
+  std::vector<std::vector<size_t>> orders(kNumThreads);
   std::vector<std::vector<double>> estimates(kNumThreads);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kNumThreads; ++t) {

@@ -1,18 +1,21 @@
 // The serving front end's contract: a request served through QueryService —
-// admission queue, cross-session shared fetches, progress-aware scheduling
-// — produces results bit-identical to an isolated EvalSession over the same
-// plan and store, with identical per-session I/O accounting, across fault
-// policies and store shapes (unsharded, sharded S=4, versioned). What the
-// shared-fetch layer is allowed to change is backend traffic only: K
-// concurrent sessions over one FileStore must each cost the backend a
-// fraction of an isolated run. Plus the serving-specific surface: deadline
-// and target-bound completion, admission backpressure (queue depth and the
-// thread-pool gauge), and a writer publishing epochs under live traffic.
+// admission queue, progress-aware scheduling, on the caller's thread or on
+// worker threads — produces results bit-identical to an isolated
+// EvalSession over the same plan and store, with identical per-session I/O
+// accounting, across fault policies and store shapes (unsharded, sharded
+// S=4, versioned). There is no hidden cache: over a FileStore the backend
+// serves exactly the keys the sessions retrieve. Plus the serving-specific
+// surface: deadline and target-bound completion, admission backpressure
+// (queue depth and the thread-pool gauge), a writer publishing epochs under
+// live traffic, more workers than live slots, and what /statusz reports.
 
 #include "server/query_service.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -29,7 +32,7 @@
 #include "engine/eval_session.h"
 #include "gtest/gtest.h"
 #include "penalty/sse.h"
-#include "server/shared_fetch.h"
+#include "server/introspection.h"
 #include "storage/fault_injection_store.h"
 #include "storage/file_store.h"
 #include "storage/key_router.h"
@@ -47,8 +50,6 @@ using server::QueryRequest;
 using server::QueryResponse;
 using server::QueryService;
 using server::QueryServiceOptions;
-using server::SharedFetchCache;
-using server::SharedFetchStore;
 
 /// The serving fixture: a 2×16 Haar cube from 600 tuples and a family of
 /// small Count batches (distinct ranges per template id), SSE-ranked.
@@ -83,18 +84,134 @@ struct ServingFixture {
   }
 };
 
-/// Submits every request and drains the service on this thread. Responses
-/// land at the index of their request.
-std::vector<QueryResponse> Serve(QueryService& service,
-                                 const std::vector<QueryRequest>& requests) {
-  std::vector<QueryResponse> responses(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    Status admitted = service.Submit(
-        requests[i],
-        [&responses, i](QueryResponse r) { responses[i] = std::move(r); });
-    EXPECT_TRUE(admitted.ok()) << admitted;
+/// The same coefficients in a sharded S=4 plane (uniform key ranges).
+std::shared_ptr<const CoefficientStore> ShardedS4Copy(
+    const CoefficientStore& source) {
+  uint64_t max_key = 0;
+  source.ForEachNonZero(
+      [&](uint64_t key, double) { max_key = std::max(max_key, key); });
+  const KeyRouter router = KeyRouter::Uniform(max_key + 1, 4);
+  std::vector<std::unique_ptr<CoefficientStore>> shards;
+  for (size_t s = 0; s < router.num_shards(); ++s) {
+    shards.push_back(std::make_unique<HashStore>());
   }
-  service.RunUntilIdle();
+  source.ForEachNonZero([&](uint64_t key, double value) {
+    shards[router.ShardOf(key)]->Add(key, value);
+  });
+  return std::make_shared<ShardedStore>(std::move(shards), router);
+}
+
+/// A versioned plane advanced past its base epoch, so sessions genuinely
+/// pin a snapshot.
+std::shared_ptr<const CoefficientStore> VersionedAtEpoch1(
+    const ServingFixture& f) {
+  auto versioned = std::make_shared<VersionedStore>(
+      f.strategy.BuildStore(f.rel.FrequencyDistribution()));
+  Relation stream = MakeUniformRelation(f.schema, 40, 91);
+  for (const Tuple& t : stream.tuples()) {
+    versioned->Ingest(f.strategy.TransformUpdate(t, 1.0).value());
+  }
+  EXPECT_EQ(versioned->Publish(), 1u);
+  return versioned;
+}
+
+/// Forwards to an inner store and counts its full scans — SumAbs() and
+/// ForEachNonZero(), which is how a Theorem-1 K read shows up — and the
+/// keys its counted read path serves.
+class CountingStore : public CoefficientStore {
+ public:
+  explicit CountingStore(std::unique_ptr<CoefficientStore> inner)
+      : inner_(std::move(inner)) {}
+
+  double Peek(uint64_t key) const override { return inner_->Peek(key); }
+  void Add(uint64_t key, double delta) override { inner_->Add(key, delta); }
+  uint64_t NumNonZero() const override { return inner_->NumNonZero(); }
+  double SumAbs() const override {
+    ++scans_;
+    return inner_->SumAbs();
+  }
+  void ForEachNonZero(
+      const std::function<void(uint64_t, double)>& fn) const override {
+    ++scans_;
+    inner_->ForEachNonZero(fn);
+  }
+  std::string name() const override { return inner_->name(); }
+
+  uint64_t scans() const { return scans_.load(); }
+  uint64_t keys() const { return keys_.load(); }
+
+ protected:
+  Result<double> DoFetch(uint64_t key, IoStats* io) const override {
+    ++keys_;
+    return DelegateFetch(*inner_, key, io);
+  }
+  Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
+                      IoStats* io) const override {
+    keys_ += keys.size();
+    return DelegateFetchBatch(*inner_, keys, out, io);
+  }
+
+ private:
+  std::unique_ptr<CoefficientStore> inner_;
+  mutable std::atomic<uint64_t> scans_{0};
+  mutable std::atomic<uint64_t> keys_{0};
+};
+
+std::unique_ptr<HashStore> HashCopy(const CoefficientStore& source) {
+  auto copy = std::make_unique<HashStore>();
+  source.ForEachNonZero(
+      [&copy](uint64_t key, double value) { copy->Add(key, value); });
+  return copy;
+}
+
+/// The same coefficients in a FileStore (dense 16×16 key space) at `path`.
+std::unique_ptr<FileStore> FileCopy(const CoefficientStore& source,
+                                    const std::string& path) {
+  std::vector<double> values(16 * 16, 0.0);
+  source.ForEachNonZero(
+      [&](uint64_t key, double value) { values[key] = value; });
+  return FileStore::Create(path, values).value();
+}
+
+/// Submits every request, then serves them: on this thread through
+/// RunUntilIdle() when `workers` is 0, else on that many worker threads.
+/// Responses land at the index of their request. Workers that do not answer
+/// every request within 30 s fail the test and abort it: a hung service
+/// cannot be torn down, since its destructor joins the workers.
+std::vector<QueryResponse> Serve(QueryService& service,
+                                 const std::vector<QueryRequest>& requests,
+                                 size_t workers = 0) {
+  std::vector<QueryResponse> responses(requests.size());
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t admitted = 0;
+  size_t answered = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Status status = service.Submit(requests[i], [&, i](QueryResponse r) {
+      std::lock_guard<std::mutex> lock(mu);
+      responses[i] = std::move(r);
+      ++answered;
+      cv.notify_all();
+    });
+    EXPECT_TRUE(status.ok()) << status;
+    if (status.ok()) ++admitted;
+  }
+  if (workers == 0) {
+    service.RunUntilIdle();
+    return responses;
+  }
+  service.Start(workers);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(30),
+                     [&] { return answered == admitted; })) {
+      ADD_FAILURE() << workers << " workers answered " << answered << " of "
+                    << admitted << " requests within 30 s";
+      std::fflush(stdout);
+      std::abort();
+    }
+  }
+  service.Stop();
   return responses;
 }
 
@@ -133,15 +250,15 @@ void ExpectBitIdentical(const QueryResponse& served,
   EXPECT_EQ(served.steps_taken, isolated.steps_taken);
   EXPECT_EQ(served.total_steps, isolated.total_steps);
   EXPECT_EQ(served.skipped_coefficients, isolated.skipped_coefficients);
-  EXPECT_EQ(served.io, isolated.io)
-      << "per-session accounting must not see the shared cache";
+  EXPECT_EQ(served.io, isolated.io);
 }
 
 /// N clients × both fault policies over one healthy store: bit-identical to
-/// isolated evaluation, including io() (sharing changes backend traffic,
-/// never the paper's per-session cost model).
+/// isolated evaluation, including io(), whether RunUntilIdle() (`workers`
+/// 0) or that many worker threads serve them.
 void GoldenAgainstIsolated(std::shared_ptr<const CoefficientStore> store,
-                           const ServingFixture& f, const char* label) {
+                           const ServingFixture& f, const char* label,
+                           size_t workers) {
   SCOPED_TRACE(label);
   constexpr size_t kQuantum = 16;
   QueryServiceOptions options;
@@ -158,7 +275,7 @@ void GoldenAgainstIsolated(std::shared_ptr<const CoefficientStore> store,
       requests.push_back(std::move(request));
     }
   }
-  std::vector<QueryResponse> responses = Serve(service, requests);
+  std::vector<QueryResponse> responses = Serve(service, requests, workers);
 
   for (size_t i = 0; i < requests.size(); ++i) {
     EXPECT_TRUE(responses[i].status.ok()) << responses[i].status;
@@ -168,45 +285,75 @@ void GoldenAgainstIsolated(std::shared_ptr<const CoefficientStore> store,
     ExpectBitIdentical(responses[i], reference,
                        ("request " + std::to_string(i)).c_str());
   }
-  // The whole point: six sessions over three templates share one cache, so
-  // somebody's fetches were warm.
-  EXPECT_GT(service.shared_hits(), 0u);
 }
 
 TEST(QueryServiceGolden, MatchesIsolatedSessionsUnsharded) {
   ServingFixture f;
-  GoldenAgainstIsolated(f.BuildView(), f, "unsharded hash view");
+  GoldenAgainstIsolated(f.BuildView(), f, "unsharded hash view", 0);
 }
 
 TEST(QueryServiceGolden, MatchesIsolatedSessionsShardedS4) {
   ServingFixture f;
-  auto source = f.BuildView();
-  uint64_t max_key = 0;
-  source->ForEachNonZero(
-      [&](uint64_t key, double) { max_key = std::max(max_key, key); });
-  const KeyRouter router = KeyRouter::Uniform(max_key + 1, 4);
-  std::vector<std::unique_ptr<CoefficientStore>> shards;
-  for (size_t s = 0; s < router.num_shards(); ++s) {
-    shards.push_back(std::make_unique<HashStore>());
-  }
-  source->ForEachNonZero([&](uint64_t key, double value) {
-    shards[router.ShardOf(key)]->Add(key, value);
-  });
-  auto sharded = std::make_shared<ShardedStore>(std::move(shards), router);
-  GoldenAgainstIsolated(sharded, f, "sharded S=4 plane");
+  GoldenAgainstIsolated(ShardedS4Copy(*f.BuildView()), f, "sharded S=4 plane",
+                        0);
 }
 
 TEST(QueryServiceGolden, MatchesIsolatedSessionsVersioned) {
   ServingFixture f;
-  auto versioned = std::make_shared<VersionedStore>(
-      f.strategy.BuildStore(f.rel.FrequencyDistribution()));
-  // Advance past the base epoch so sessions genuinely pin a snapshot.
-  Relation stream = MakeUniformRelation(f.schema, 40, 91);
-  for (const Tuple& t : stream.tuples()) {
-    versioned->Ingest(f.strategy.TransformUpdate(t, 1.0).value());
+  GoldenAgainstIsolated(VersionedAtEpoch1(f), f, "versioned plane at epoch 1",
+                        0);
+}
+
+TEST(QueryServiceGolden, MatchesIsolatedSessionsUnshardedUnderWorkers) {
+  ServingFixture f;
+  GoldenAgainstIsolated(f.BuildView(), f, "unsharded hash view, 2 workers",
+                        2);
+}
+
+TEST(QueryServiceGolden, MatchesIsolatedSessionsShardedS4UnderWorkers) {
+  ServingFixture f;
+  GoldenAgainstIsolated(ShardedS4Copy(*f.BuildView()), f,
+                        "sharded S=4 plane, 2 workers", 2);
+}
+
+TEST(QueryServiceGolden, MatchesIsolatedSessionsVersionedUnderWorkers) {
+  ServingFixture f;
+  GoldenAgainstIsolated(VersionedAtEpoch1(f), f,
+                        "versioned plane at epoch 1, 2 workers", 2);
+}
+
+/// No hidden cache: 8 identical clients over one FileStore are each
+/// bit-identical to an isolated session, and the backend serves exactly
+/// the keys the sessions retrieve — no request's fetch serves another.
+TEST(QueryServiceGolden, MatchesIsolatedSessionsOnFileStore) {
+  ServingFixture f;
+  auto file = std::make_shared<CountingStore>(
+      FileCopy(*f.BuildView(),
+               ::testing::TempDir() + "/wavebatch_query_service_store.bin"));
+  constexpr size_t kClients = 8;
+  constexpr size_t kQuantum = 16;
+  QueryRequest request(f.MakeBatch(7));
+  request.penalty = f.sse;
+  const QueryResponse reference =
+      Isolated(request, file, f.strategy, kQuantum);
+  ASSERT_GT(reference.io.retrievals, 0u);
+  const uint64_t isolated_keys = file->keys();
+
+  QueryServiceOptions options;
+  options.max_live_sessions = kClients;
+  options.default_quantum = kQuantum;
+  QueryService service(file, f.shared_strategy, options);
+  std::vector<QueryResponse> responses =
+      Serve(service, std::vector<QueryRequest>(kClients, request));
+  uint64_t retrievals = 0;
+  for (size_t i = 0; i < kClients; ++i) {
+    EXPECT_TRUE(responses[i].status.ok()) << responses[i].status;
+    ExpectBitIdentical(responses[i], reference,
+                       ("client " + std::to_string(i)).c_str());
+    retrievals += responses[i].io.retrievals;
   }
-  ASSERT_EQ(versioned->Publish(), 1u);
-  GoldenAgainstIsolated(versioned, f, "versioned plane at epoch 1");
+  EXPECT_EQ(file->keys() - isolated_keys, retrievals)
+      << "the backend must serve exactly the keys the sessions retrieve";
 }
 
 /// A plan depends only on the batch, strategy and penalty, so the one plan
@@ -253,87 +400,43 @@ TEST(QueryServiceEpochs, OneCachedPlanServesEveryEpoch) {
   }
 }
 
-/// Forwards to an inner store and counts its full scans — SumAbs() and
-/// ForEachNonZero() — which is how a Theorem-1 K read shows up.
-class ScanCountingStore : public CoefficientStore {
- public:
-  explicit ScanCountingStore(std::unique_ptr<CoefficientStore> inner)
-      : inner_(std::move(inner)) {}
-
-  double Peek(uint64_t key) const override { return inner_->Peek(key); }
-  void Add(uint64_t key, double delta) override { inner_->Add(key, delta); }
-  uint64_t NumNonZero() const override { return inner_->NumNonZero(); }
-  double SumAbs() const override {
-    ++scans_;
-    return inner_->SumAbs();
-  }
-  void ForEachNonZero(
-      const std::function<void(uint64_t, double)>& fn) const override {
-    ++scans_;
-    inner_->ForEachNonZero(fn);
-  }
-  std::string name() const override { return inner_->name(); }
-
-  uint64_t scans() const { return scans_.load(); }
-
- protected:
-  Result<double> DoFetch(uint64_t key, IoStats* io) const override {
-    return DelegateFetch(*inner_, key, io);
-  }
-  Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
-                      IoStats* io) const override {
-    return DelegateFetchBatch(*inner_, keys, out, io);
-  }
-
- private:
-  std::unique_ptr<CoefficientStore> inner_;
-  mutable std::atomic<uint64_t> scans_{0};
-};
-
-std::unique_ptr<HashStore> HashCopy(const CoefficientStore& source) {
-  auto copy = std::make_unique<HashStore>();
-  source.ForEachNonZero(
-      [&copy](uint64_t key, double value) { copy->Add(key, value); });
-  return copy;
-}
-
-/// K belongs to a pin generation, not to a session group: the first group
-/// of a generation scans the static store once, later groups of that
-/// generation (each admitted after the previous one retired) reuse the
-/// value, and a re-pin only drops it, so a generation that admits nothing
-/// never scans.
+/// K belongs to a pin generation: the generation's first admission scans
+/// the static store once, later admissions of that generation (each after
+/// the previous request completed) reuse the value, and a re-pin only drops
+/// it, so a generation that admits nothing never scans.
 TEST(QueryServiceEpochs, KIsReadOncePerPinGeneration) {
   ServingFixture f;
-  auto store = std::make_shared<ScanCountingStore>(HashCopy(*f.BuildView()));
+  auto store = std::make_shared<CountingStore>(HashCopy(*f.BuildView()));
   QueryService service(store, f.shared_strategy);
   EXPECT_EQ(store->scans(), 0u) << "construction must not scan";
 
-  auto serve_groups = [&](uint64_t groups) {
-    for (uint64_t t = 0; t < groups; ++t) {
+  auto serve_requests = [&](uint64_t requests) {
+    for (uint64_t t = 0; t < requests; ++t) {
       QueryRequest request(f.MakeBatch(t));
       request.penalty = f.sse;
       const QueryResponse response = Serve(service, {request})[0];
       ASSERT_TRUE(response.status.ok()) << response.status;
-      EXPECT_TRUE(service.GroupStatuses().empty()) << "the group retired";
+      EXPECT_EQ(service.live_sessions(), 0u) << "the request completed";
     }
   };
-  serve_groups(3);
-  EXPECT_EQ(store->scans(), 1u) << "a new group must not rescan the store";
+  serve_requests(3);
+  EXPECT_EQ(store->scans(), 1u)
+      << "a later admission must not rescan the store";
 
   service.RefreshEpoch();
   service.RefreshEpoch();
   EXPECT_EQ(store->scans(), 1u) << "a re-pin must not scan";
-  serve_groups(2);
+  serve_requests(2);
   EXPECT_EQ(store->scans(), 2u);
 }
 
 /// Over a versioned plane wired on_publish -> RefreshEpoch, publishing
 /// never scans (the publisher's thread only re-pins), and an epoch that
-/// serves several groups scans its snapshot once.
+/// serves several requests scans its snapshot once.
 TEST(QueryServiceEpochs, PublishesDoNotScanAndEachServedEpochScansOnce) {
   ServingFixture f;
-  auto counting = std::make_unique<ScanCountingStore>(HashCopy(*f.BuildView()));
-  const ScanCountingStore* base = counting.get();
+  auto counting = std::make_unique<CountingStore>(HashCopy(*f.BuildView()));
+  const CountingStore* base = counting.get();
   QueryService* service_ptr = nullptr;
   VersionedStoreOptions store_options;
   store_options.on_publish = [&service_ptr](uint64_t) {
@@ -421,53 +524,6 @@ TEST(QueryServiceEpochs, RefreshAfterAddServesTheMutatedStoresBound) {
     sse += e * e;
   }
   EXPECT_LE(sse, response.worst_case_bound);
-}
-
-/// The acceptance criterion: K=8 concurrent sessions over one FileStore.
-/// Every session's own io() stays the isolated cost, but the backend sees
-/// each coefficient once — per-session backend traffic drops by ~K (>= 2x
-/// required).
-TEST(QueryServiceSharing, BackendIoDropsAtLeastTwofoldOnFileStore) {
-  ServingFixture f;
-  auto view = f.BuildView();
-  std::vector<double> values(16 * 16, 0.0);
-  view->ForEachNonZero(
-      [&](uint64_t key, double value) { values[key] = value; });
-  const std::string path =
-      ::testing::TempDir() + "/wavebatch_query_service_store.bin";
-  auto file_store = FileStore::Create(path, values);
-  ASSERT_TRUE(file_store.ok()) << file_store.status();
-  std::shared_ptr<const CoefficientStore> store = std::move(file_store).value();
-
-  constexpr size_t kClients = 8;
-  constexpr size_t kQuantum = 16;
-  QueryServiceOptions options;
-  options.max_live_sessions = kClients;
-  options.default_quantum = kQuantum;
-  QueryService service(store, f.shared_strategy, options);
-
-  QueryRequest request(f.MakeBatch(7));
-  request.penalty = f.sse;
-  std::vector<QueryRequest> requests(kClients, request);
-  std::vector<QueryResponse> responses = Serve(service, requests);
-
-  QueryResponse reference = Isolated(request, store, f.strategy, kQuantum);
-  const uint64_t isolated_cost = reference.io.retrievals;
-  ASSERT_GT(isolated_cost, 0u);
-  for (size_t i = 0; i < kClients; ++i) {
-    EXPECT_TRUE(responses[i].status.ok()) << responses[i].status;
-    ExpectBitIdentical(responses[i], reference,
-                       ("client " + std::to_string(i)).c_str());
-  }
-  // Backend keys fetched = shared-cache misses (each cold key reaches the
-  // file exactly once). Per-session backend cost must be at most half the
-  // isolated cost; with K identical batches it is ~isolated/K.
-  const uint64_t backend_keys = service.shared_misses();
-  EXPECT_LE(backend_keys, isolated_cost + kQuantum)
-      << "the union batch should cover every session's needs once";
-  EXPECT_LE(2 * (backend_keys / kClients), isolated_cost)
-      << "per-session backend I/O must drop >= 2x vs isolated";
-  EXPECT_GT(service.shared_hits(), 0u);
 }
 
 TEST(QueryServiceFaults, SkipPolicyMatchesIsolatedOverFaultyStore) {
@@ -609,31 +665,6 @@ TEST(QueryServiceLifecycle, DestructorFailsOutstandingRequests) {
   EXPECT_EQ(last.status.code(), StatusCode::kUnavailable);
 }
 
-TEST(QueryServicePeek, UpcomingKeysMatchConsumptionOrder) {
-  ServingFixture f;
-  auto store = f.BuildView();
-  auto plan = EvalPlan::Build(f.MakeBatch(5), f.strategy, f.sse).value();
-  EvalSession session(plan, store);
-
-  std::vector<uint64_t> peeked;
-  const size_t n = std::min<size_t>(10, session.TotalSteps());
-  ASSERT_EQ(session.PeekUpcomingKeys(n, &peeked), n);
-  ASSERT_EQ(session.io().retrievals, 0u) << "peeking is uncounted";
-
-  for (size_t i = 0; i < n; ++i) {
-    Result<size_t> entry = session.Step();
-    ASSERT_TRUE(entry.ok());
-    EXPECT_EQ(plan->list().keys()[entry.value()], peeked[i]) << "step " << i;
-  }
-  // A later peek starts at the cursor, not the beginning.
-  std::vector<uint64_t> after;
-  if (session.PeekUpcomingKeys(1, &after) == 1) {
-    EXPECT_EQ(plan->list().keys()[plan->Permutation(
-                  ProgressionOrder::kBiggestB)[session.StepsTaken()]],
-              after[0]);
-  }
-}
-
 /// TSan stress: two workers serving, two client threads submitting, one
 /// writer ingesting and publishing epochs into the VersionedStore the
 /// service reads, with on_publish wired to RefreshEpoch — the full serving
@@ -708,13 +739,40 @@ TEST(QueryServiceConcurrency, ServesUnderEpochChurn) {
   EXPECT_GE(service.generation(), 1u);
 }
 
+/// More workers than live slots: while the one slot is held by the worker
+/// stepping it and requests are still queued, the other worker must sleep,
+/// not spin holding the service lock (which would block the stepping
+/// worker, Submit and Stop forever; Serve aborts the test after 30 s).
+TEST(QueryServiceConcurrency, MoreWorkersThanLiveSlotsDrainsTheQueue) {
+  ServingFixture f;
+  FaultInjectionOptions slow;
+  slow.latency = std::chrono::milliseconds(2);
+  auto store = std::make_shared<FaultInjectionStore>(
+      f.strategy.BuildStore(f.rel.FrequencyDistribution()), slow);
+  QueryServiceOptions options;
+  options.max_live_sessions = 1;
+  options.default_quantum = 16;
+  QueryService service(store, f.shared_strategy, options);
+
+  std::vector<QueryRequest> requests;
+  for (uint64_t t = 0; t < 4; ++t) {
+    QueryRequest request(f.MakeBatch(t));
+    request.penalty = f.sse;
+    requests.push_back(std::move(request));
+  }
+  for (const QueryResponse& r : Serve(service, requests, /*workers=*/2)) {
+    EXPECT_TRUE(r.status.ok()) << r.status;
+    EXPECT_TRUE(r.exact);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Request-scoped tracing: the propagation goldens. With tracing on, every
 // backend fetch span recorded while serving must carry the request
 // attribution of some admitted request — across every store shape the
 // serving stack composes (unsharded view, sharded scatter-gather whose
 // sub-batches hop worker pools, a versioned plane's pinned snapshot, and a
-// FileStore under cross-session sharing).
+// FileStore).
 
 /// Serves three traced requests over `store` and asserts the golden:
 /// responses carry minted ids + non-empty timelines, and every
@@ -769,20 +827,8 @@ TEST(QueryServiceTracing, FetchSpansAttributedUnsharded) {
 
 TEST(QueryServiceTracing, FetchSpansAttributedShardedS4) {
   ServingFixture f;
-  auto source = f.BuildView();
-  uint64_t max_key = 0;
-  source->ForEachNonZero(
-      [&](uint64_t key, double) { max_key = std::max(max_key, key); });
-  const KeyRouter router = KeyRouter::Uniform(max_key + 1, 4);
-  std::vector<std::unique_ptr<CoefficientStore>> shards;
-  for (size_t s = 0; s < router.num_shards(); ++s) {
-    shards.push_back(std::make_unique<HashStore>());
-  }
-  source->ForEachNonZero([&](uint64_t key, double value) {
-    shards[router.ShardOf(key)]->Add(key, value);
-  });
-  auto sharded = std::make_shared<ShardedStore>(std::move(shards), router);
-  ExpectFetchSpansAttributed(sharded, f, "sharded S=4 plane");
+  ExpectFetchSpansAttributed(ShardedS4Copy(*f.BuildView()), f,
+                             "sharded S=4 plane");
 
   // The scatter-gather legs crossed pool threads under the installed
   // context: shard sub-batch spans attribute too, with their shard ids.
@@ -800,28 +846,16 @@ TEST(QueryServiceTracing, FetchSpansAttributedShardedS4) {
 
 TEST(QueryServiceTracing, FetchSpansAttributedVersioned) {
   ServingFixture f;
-  auto versioned = std::make_shared<VersionedStore>(
-      f.strategy.BuildStore(f.rel.FrequencyDistribution()));
-  Relation stream = MakeUniformRelation(f.schema, 40, 91);
-  for (const Tuple& t : stream.tuples()) {
-    versioned->Ingest(f.strategy.TransformUpdate(t, 1.0).value());
-  }
-  ASSERT_EQ(versioned->Publish(), 1u);
-  ExpectFetchSpansAttributed(versioned, f, "versioned plane at epoch 1");
+  ExpectFetchSpansAttributed(VersionedAtEpoch1(f), f,
+                             "versioned plane at epoch 1");
 }
 
 TEST(QueryServiceTracing, FetchSpansAttributedFileStoreSharing) {
   ServingFixture f;
-  auto view = f.BuildView();
-  std::vector<double> values(16 * 16, 0.0);
-  view->ForEachNonZero(
-      [&](uint64_t key, double value) { values[key] = value; });
-  const std::string path =
-      ::testing::TempDir() + "/wavebatch_tracing_store.bin";
-  auto file_store = FileStore::Create(path, values);
-  ASSERT_TRUE(file_store.ok()) << file_store.status();
-  ExpectFetchSpansAttributed(std::move(file_store).value(), f,
-                             "file store under cross-session sharing");
+  ExpectFetchSpansAttributed(
+      FileCopy(*f.BuildView(),
+               ::testing::TempDir() + "/wavebatch_tracing_store.bin"),
+      f, "file store");
 }
 
 TEST(QueryServiceTracing, ConvergenceTimelineIsMonotoneAndFinal) {
@@ -883,9 +917,8 @@ TEST(QueryServiceTracing, DisabledTelemetryMintsNoIdsAndNoTimeline) {
 }
 
 /// TSan stress: the epoch-churn serving test with tracing active — workers
-/// installing trace contexts, sibling attribution markers, timeline
-/// sampling, and /statusz-style introspection reads, all racing a writer
-/// publishing epochs.
+/// installing trace contexts, timeline sampling, and /statusz renders, all
+/// racing a writer publishing epochs.
 TEST(QueryServiceConcurrency, TracedServingUnderEpochChurn) {
   ServingFixture f;
   telemetry::MetricsRegistry::Enable();
@@ -934,7 +967,7 @@ TEST(QueryServiceConcurrency, TracedServingUnderEpochChurn) {
   std::atomic<bool> stop_reader{false};
   std::thread reader([&] {
     while (!stop_reader.load(std::memory_order_relaxed)) {
-      (void)service.GroupStatuses();
+      (void)server::StatuszJson(service);
       (void)service.RecentTimelines();
       (void)service.epoch();
       std::this_thread::yield();
@@ -962,36 +995,46 @@ TEST(QueryServiceConcurrency, TracedServingUnderEpochChurn) {
       << "every traced request completes with ids and a timeline";
 }
 
-TEST(SharedFetchStoreTest, ChargesFullCostWhileHittingCache) {
+/// The raw text of field `key` in a JSON rendering (up to the next ',' or
+/// '}'), from its first occurrence; empty when absent.
+std::string JsonField(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = json.find(needle);
+  if (at == std::string::npos) return "";
+  const size_t begin = at + needle.size();
+  return json.substr(begin, json.find_first_of(",}", begin) - begin);
+}
+
+/// /statusz reports Theorem 1's K of the current generation: null until the
+/// generation's first admission reads it, the store's SumAbs() once a
+/// request was served, and null again after a re-pin, which bumps the
+/// generation.
+TEST(QueryServiceIntrospection, StatuszReportsKOfTheCurrentGeneration) {
   ServingFixture f;
-  auto view = f.BuildView();
-  auto cache = std::make_shared<SharedFetchCache>();
-  SharedFetchStore shared(view, cache);
+  auto store = f.BuildView();
+  QueryService service(store, f.shared_strategy);
+  const uint64_t generation = service.generation();
+  std::string json = server::StatuszJson(service);
+  EXPECT_EQ(JsonField(json, "k_sum_abs"), "null") << json;
+  EXPECT_FALSE(service.k_sum_abs().has_value());
 
-  std::vector<uint64_t> keys;
-  view->ForEachNonZero([&](uint64_t key, double) {
-    if (keys.size() < 32) keys.push_back(key);
-  });
-  ASSERT_FALSE(keys.empty());
+  QueryRequest request(f.MakeBatch(0));
+  request.penalty = f.sse;
+  ASSERT_TRUE(Serve(service, {request})[0].status.ok());
+  json = server::StatuszJson(service);
+  char k[32];
+  std::snprintf(k, sizeof(k), "%.17g", store->SumAbs());
+  EXPECT_EQ(JsonField(json, "k_sum_abs"), k) << json;
+  EXPECT_EQ(JsonField(json, "completed"), "1") << json;
+  EXPECT_EQ(service.k_sum_abs(), store->SumAbs());
 
-  // Prefetch warms the cache without touching any session's accounting.
-  ASSERT_TRUE(shared.Prefetch(keys).ok());
-  EXPECT_EQ(cache->size(), keys.size());
-
-  IoStats io;
-  std::vector<double> out(keys.size());
-  ASSERT_TRUE(shared.FetchBatch(keys, out, &io).ok());
-  EXPECT_EQ(io.retrievals, keys.size())
-      << "cache hits still cost one retrieval in the per-session model";
-  for (size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(out[i], view->Peek(keys[i]));
-  }
-  EXPECT_EQ(cache->hits(), keys.size());
-
-  // A second prefetch of the same keys is free (all warm).
-  const uint64_t misses_before = cache->misses();
-  ASSERT_TRUE(shared.Prefetch(keys).ok());
-  EXPECT_EQ(cache->misses(), misses_before);
+  service.RefreshEpoch();
+  json = server::StatuszJson(service);
+  EXPECT_EQ(JsonField(json, "k_sum_abs"), "null") << json;
+  EXPECT_EQ(JsonField(json, "generation"), std::to_string(generation + 1))
+      << json;
+  EXPECT_EQ(json.find("\"groups\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"shared_fetch\""), std::string::npos) << json;
 }
 
 }  // namespace
