@@ -80,7 +80,11 @@ int Main(int argc, char** argv) {
         EvalSession::Options opts;
         opts.order = order;
         EvalSession ev(plan, UnownedStore(store), opts);
-        ev.StepMany(budget);
+        // One Step() per coefficient: a StepBatch would read each distinct
+        // block once per batch and change the block counts measured here.
+        for (size_t i = 0; i < budget && !ev.Done(); ++i) {
+          WB_CHECK_OK(ev.Step());
+        }
         const IoStats& stats = ev.io();
         const double accesses =
             static_cast<double>(stats.block_hits + stats.block_reads);

@@ -89,7 +89,7 @@ int Main(int argc, char** argv) {
     const uint64_t budget = std::max<uint64_t>(
         1, static_cast<uint64_t>(frac * static_cast<double>(exp.list->size())));
     // 1. Progressive query approximation.
-    WB_CHECK_OK(progressive.StepMany(budget - progressive.StepsTaken()));
+    WB_CHECK_OK(progressive.StepBatch(budget - progressive.StepsTaken()));
     const double mre_progressive = Mre(progressive.Estimates(), exp.exact);
     // 2. Data approximation: a fresh C-coefficient synopsis of Δ̂.
     auto synopsis = CompressTopCoefficients(*exp.store, budget);

@@ -102,8 +102,8 @@ int main() {
               "on-screen", "off-screen", "on-screen", "off-screen");
   for (size_t budget : {64, 256, 1024, 4096, 16384}) {
     if (budget > list->size()) break;
-    ev_cursored.StepMany(budget - ev_cursored.StepsTaken());
-    ev_plain.StepMany(budget - ev_plain.StepsTaken());
+    ev_cursored.StepBatch(budget - ev_cursored.StepsTaken());
+    ev_plain.StepBatch(budget - ev_plain.StepsTaken());
     SplitMre c = Measure(ev_cursored, exact, on_screen);
     SplitMre p = Measure(ev_plain, exact, on_screen);
     std::printf("%-10zu | %-11.4g %-11.4g | %-11.4g %-11.4g\n", budget,

@@ -69,7 +69,7 @@ int main() {
   EvalSession progressive(plan, store);
   std::printf("\nprogressive estimates (SSE-optimal order):\n");
   for (size_t budget : {8, 32, 128}) {
-    progressive.StepMany(budget - progressive.StepsTaken());
+    progressive.StepBatch(budget - progressive.StepsTaken());
     std::printf("  after %3llu retrievals:",
                 static_cast<unsigned long long>(progressive.StepsTaken()));
     for (double e : progressive.Estimates()) std::printf(" %10.1f", e);

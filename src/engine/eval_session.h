@@ -4,13 +4,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "engine/apply_kernel.h"
 #include "engine/eval_plan.h"
 #include "storage/coefficient_store.h"
-#include "util/cpu_features.h"
 #include "util/status.h"
 
 namespace wavebatch {
@@ -64,16 +62,8 @@ struct EvalSessionOptions {
   /// members', and each StepBlock fetches one whole block. `order` is
   /// ignored (blocks always go by decreasing total importance).
   std::function<uint64_t(uint64_t)> block_of;
-  /// FetchBatch chunk used by RunToExact.
-  size_t run_chunk = 4096;
   /// Fetch-failure handling; see FaultPolicy.
   FaultPolicy fault_policy = FaultPolicy::kFail;
-  /// Execution tier for the batched apply kernel. Unset = the best tier the
-  /// build and CPU support (BestKernelTier()). An explicit tier must be
-  /// usable on this host (WB_CHECK at construction). Every tier produces
-  /// bit-identical estimates — this knob exists for tests and A/B
-  /// benchmarking, not correctness.
-  std::optional<KernelTier> kernel_tier;
 };
 
 class EvalSession {
@@ -108,18 +98,13 @@ class EvalSession {
   /// leaves the session unchanged — call Step() again to retry.
   Result<size_t> Step();
 
-  /// Up to `n` further retrievals, one storage round-trip each. Under
-  /// kFail, stops at the first failing fetch (steps before it are kept —
-  /// they were individually complete) and returns its Status.
-  Status StepMany(size_t n);
-
   /// Up to `n` further retrievals issued as ONE FetchBatch; estimates,
   /// trackers, and counts identical to `n` scalar Step() calls. Returns
   /// the number of steps taken. A non-OK Status (under kFail) leaves the
   /// session unchanged — the whole batch is retryable.
   Result<size_t> StepBatch(size_t n);
 
-  /// Runs to completion (chunked by Options::run_chunk at coefficient
+  /// Runs to completion (in bounded StepBatch chunks at coefficient
   /// granularity; block by block at block granularity). Estimates are
   /// exact afterwards (under kSkip: exact up to skipped coefficients).
   /// On a non-OK Status the session stays resumable — a later
@@ -160,9 +145,6 @@ class EvalSession {
   uint64_t SkippedCoefficients() const { return skipped_coefficients_; }
   /// Σ ι_p over skipped coefficients (0 unless kSkip absorbed a fault).
   double SkippedImportance() const { return skipped_importance_; }
-
-  /// The apply-kernel tier this session runs (resolved at construction).
-  KernelTier kernel_tier() const { return tier_; }
 
   /// Accumulated quantization-error mass Σ ε_ξ · ι_p(ξ)^(1/α) over the
   /// coefficients retrieved so far from a lossy store (0 on exact stores).
@@ -243,8 +225,6 @@ class EvalSession {
   uint64_t skipped_coefficients_ = 0;
   double skipped_importance_ = 0.0;
 
-  /// Resolved apply-kernel tier (see EvalSessionOptions::kernel_tier).
-  KernelTier tier_ = KernelTier::kScalar;
   /// True when the (pinned) store's read path can return quantized values;
   /// gates the per-key error lookups so exact stores pay nothing.
   bool lossy_ = false;

@@ -14,6 +14,10 @@ namespace wavebatch::server {
 namespace {
 
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
+/// Convergence-timeline points kept per request after stride decimation.
+constexpr size_t kTimelineCapacity = 256;
+/// Completed-request timelines retained for /tracez (FIFO).
+constexpr size_t kRecentTimelines = 64;
 
 }  // namespace
 
@@ -30,7 +34,7 @@ QueryService::QueryService(std::shared_ptr<const CoefficientStore> store,
   WB_CHECK_GT(options_.default_quantum, 0u);
   plan_cache_ = options_.plan_cache != nullptr
                     ? options_.plan_cache
-                    : std::make_shared<PlanCache>(options_.plan_cache_capacity);
+                    : std::make_shared<PlanCache>();
   auto& registry = telemetry::MetricsRegistry::Default();
   queue_depth_gauge_ =
       registry.GetGauge("wavebatch_server_admission_queue_depth", {},
@@ -164,19 +168,6 @@ Status QueryService::Submit(QueryRequest request, ResponseCallback done) {
       ++local_sheds_;
       return Status::Unavailable("admission queue full");
     }
-    if (options_.pool_queue_shed_threshold > 0.0) {
-      // Cross-subsystem backpressure: the process thread pools (merges,
-      // parallel plan builds) report queued work through this gauge; a
-      // saturated pool means new sessions would only add to the backlog.
-      telemetry::Gauge* pool_depth =
-          telemetry::MetricsRegistry::Default().GetGauge(
-              "wavebatch_thread_pool_queue_depth");
-      if (pool_depth->Value() > options_.pool_queue_shed_threshold) {
-        sheds_->Add();
-        ++local_sheds_;
-        return Status::Unavailable("thread pools saturated");
-      }
-    }
     pending_.push_back(Pending{std::move(request), std::move(done),
                                std::chrono::steady_clock::now(), trace});
     depth_after = pending_.size();
@@ -215,8 +206,7 @@ void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
                                                   : options_.default_quantum;
     active->generation = generation_;
     active->trace = pending.trace;
-    active->timeline =
-        telemetry::ConvergenceTimeline(options_.timeline_capacity);
+    active->timeline = telemetry::ConvergenceTimeline(kTimelineCapacity);
 
     // Plans are store-free (a transform of the queries alone), so one
     // cached plan serves every generation. The lookup (and any build it
@@ -393,7 +383,7 @@ std::function<void()> QueryService::FinalizeLocked(
     record.points = active->timeline.TakePoints();
     response.timeline = record.points;
     recent_timelines_.push_back(std::move(record));
-    while (recent_timelines_.size() > options_.recent_timelines) {
+    while (recent_timelines_.size() > kRecentTimelines) {
       recent_timelines_.pop_front();
     }
   }

@@ -87,20 +87,8 @@ struct QueryServiceOptions {
   size_t max_live_sessions = 32;
   /// Default per-quantum coefficient count for requests with quantum == 0.
   size_t default_quantum = 256;
-  /// Shed admissions while the process-wide thread-pool queue gauge
-  /// (wavebatch_thread_pool_queue_depth) exceeds this. 0 = disabled. This
-  /// is the cross-subsystem backpressure signal: merges and parallel plan
-  /// builds share those pools, and a serving layer must not pile new work
-  /// onto a machine that is already behind.
-  double pool_queue_shed_threshold = 0.0;
-  /// Plan cache to use; null = a private cache of this capacity.
+  /// Plan cache to use; null = a private PlanCache of default capacity.
   std::shared_ptr<PlanCache> plan_cache;
-  size_t plan_cache_capacity = 64;
-  /// Per-request convergence-timeline ring capacity (points retained after
-  /// stride decimation).
-  size_t timeline_capacity = 256;
-  /// Completed-request timelines retained for /tracez (FIFO, bounded).
-  size_t recent_timelines = 64;
 };
 
 /// The serving front end: accepts query batches from many clients into an
@@ -117,8 +105,7 @@ struct QueryServiceOptions {
 /// when their deadline expires (returning the current progressive estimates
 /// and bound — the paper's contract is that partial answers are usable).
 ///
-/// Backpressure: Submit sheds when the admission queue is full or the
-/// process thread-pool queue gauge crosses the configured threshold.
+/// Backpressure: Submit sheds when the admission queue is full.
 ///
 /// Execution: either call RunUntilIdle() on your own thread (deterministic;
 /// tests and single-tenant tools), or Start()/Stop() worker threads. Both
@@ -148,8 +135,8 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   /// Admission: enqueues the request, or sheds it (kUnavailable, callback
-  /// never invoked) under backpressure. `done` runs exactly once for every
-  /// admitted request.
+  /// never invoked) when the admission queue is full. `done` runs exactly
+  /// once for every admitted request.
   Status Submit(QueryRequest request, ResponseCallback done);
 
   /// Drains the queue on the calling thread until no runnable work is left.
@@ -201,8 +188,8 @@ class QueryService {
     bool deadline_expired = false;
     std::vector<telemetry::TimelinePoint> points;
   };
-  /// The most recent completed-request timelines (FIFO, bounded by
-  /// QueryServiceOptions::recent_timelines), oldest first.
+  /// The most recent completed-request timelines (FIFO, the last 64),
+  /// oldest first.
   std::vector<TimelineRecord> RecentTimelines() const;
 
  private:

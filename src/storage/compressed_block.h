@@ -39,7 +39,7 @@ struct CompressedPageOptions {
 ///
 /// Determinism contract: Decode(i) is a pure function of the encoded bits
 /// (offset + level * scale, one multiply + one add), so every read of a key
-/// returns the identical double on every host and every tier.
+/// returns the identical double on every host.
 class CompressedPage {
  public:
   CompressedPage() = default;

@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "util/check.h"
-#include "util/cpu_features.h"
-#include "util/simd_gather.h"
 
 namespace wavebatch {
 
@@ -34,15 +32,6 @@ Result<double> DenseStore::DoFetch(uint64_t key, IoStats*) const {
 Status DenseStore::DoFetchBatch(std::span<const uint64_t> keys,
                                 std::span<double> out, IoStats*) const {
   const size_t capacity = values_.size();
-  // Vector gather when the host supports it: hardware vgatherdpd over the
-  // dense array, with every lane bounds-checked up front. The helper bails
-  // out (returns false) the moment any key is out of range, and the scalar
-  // loop below then reproduces the exact historical error — OutOfRange at
-  // the FIRST offending index — while also covering scalar-only hosts.
-  if (simd::GatherDoubles(BestKernelTier(), values_.data(), capacity,
-                          keys.data(), keys.size(), out.data())) {
-    return Status::OK();
-  }
   // Permuted gathers (biggest-B order) defeat the hardware stride
   // prefetcher, so the loop prefetches a few keys ahead. The lookahead key
   // is bounds-checked before its address is formed — an out-of-range key

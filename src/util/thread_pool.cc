@@ -84,10 +84,10 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    // The gauge/counter accounting pairs with Submit()'s increment and must
-    // balance exactly once per dequeued task, whether the task returns or
-    // throws — otherwise the queue-depth gauge drifts and anything reading
-    // it for load decisions (server backpressure) sees phantom load.
+    // The gauge/counter accounting pairs with Submit()'s increment, once per
+    // dequeued task whether the task returns or throws. The gauge is for
+    // export only: each side checks Enabled() on its own, so a task that
+    // crosses a Disable/Enable toggle leaves it off by one.
     QueueDepth().Add(-1.0);
     TasksExecuted().Add();
     // A throwing task must not take the worker thread down with it (an

@@ -156,7 +156,7 @@ TEST_P(EngineOrderTest, SkipModeBatchAndScalarPathsAgree) {
        golden::Recorded(GetParam(), FaultPolicy::kSkip)) {
     const size_t n = golden::kBatchSizes[bi++ % std::size(golden::kBatchSizes)];
     const size_t taken = batched.StepBatch(n).value();
-    ASSERT_TRUE(scalar.StepMany(taken).ok());
+    for (size_t i = 0; i < taken; ++i) ASSERT_TRUE(scalar.Step().ok());
     golden::ExpectStep(row, batched, k, f.schema.cell_count(),
                        /*block_backend=*/true);
     golden::ExpectStep(row, scalar, k, f.schema.cell_count(),
@@ -382,7 +382,7 @@ TEST(EngineSessionTest, ConcurrentSessionsShareOnePlan) {
   Fixture f;
   EvalSession a(f.plan, UnownedStore(*f.store));
   EvalSession b(f.plan, UnownedStore(*f.store));
-  ASSERT_TRUE(a.StepMany(5).ok());
+  ASSERT_TRUE(a.StepBatch(5).ok());
   EXPECT_EQ(a.StepsTaken(), 5u);
   EXPECT_EQ(b.StepsTaken(), 0u);
   ASSERT_TRUE(b.RunToExact().ok());

@@ -120,9 +120,9 @@ TEST_F(IntegrationTest, ProgressiveMreDecaysByOrdersOfMagnitude) {
     }
     return counted ? sum_rel / counted : 0.0;
   };
-  ASSERT_TRUE(ev.StepMany(16).ok());
+  ASSERT_TRUE(ev.StepBatch(16).ok());
   const double early = mre();
-  ASSERT_TRUE(ev.StepMany(list_->size() / 2 - ev.StepsTaken()).ok());
+  ASSERT_TRUE(ev.StepBatch(list_->size() / 2 - ev.StepsTaken()).ok());
   const double mid = mre();
   ASSERT_TRUE(ev.RunToExact().ok());
   const double final = mre();

@@ -81,25 +81,6 @@ TEST(ProgressiveTest, StepReturnsConsumedEntry) {
   EXPECT_DOUBLE_EQ(f.plan->importance(idx), top);
 }
 
-TEST(ProgressiveTest, StepManyStopsAtCompletion) {
-  Fixture f;
-  EvalSession ev = MakeSession(f, ProgressionOrder::kBiggestB);
-  ASSERT_TRUE(ev.StepMany(f.list->size() * 10).ok());
-  EXPECT_TRUE(ev.Done());
-}
-
-TEST_P(ProgressiveOrderTest, StepManyOvershootMidRunStopsAtCompletion) {
-  // n > TotalSteps() - StepsTaken() must finish cleanly, not over-step.
-  Fixture f;
-  EvalSession ev = MakeSession(f, GetParam());
-  ASSERT_TRUE(ev.StepMany(f.list->size() / 2).ok());
-  const uint64_t taken = ev.StepsTaken();
-  ASSERT_TRUE(ev.StepMany((f.list->size() - taken) + 1000).ok());
-  EXPECT_TRUE(ev.Done());
-  EXPECT_EQ(ev.StepsTaken(), f.list->size());
-  EXPECT_EQ(ev.io().retrievals, f.list->size());
-}
-
 TEST_P(ProgressiveOrderTest, StepBatchOvershootStopsAtCompletion) {
   Fixture f;
   EvalSession ev = MakeSession(f, GetParam());
@@ -120,7 +101,7 @@ TEST_P(ProgressiveOrderTest, StepBatchGoldenMatchesScalarSteps) {
   while (!batched.Done()) {
     const size_t n = golden::kBatchSizes[bi++ % std::size(golden::kBatchSizes)];
     const size_t taken = batched.StepBatch(n).value();
-    ASSERT_TRUE(scalar.StepMany(taken).ok());
+    for (size_t i = 0; i < taken; ++i) ASSERT_TRUE(scalar.Step().ok());
     ASSERT_EQ(batched.StepsTaken(), scalar.StepsTaken());
     for (size_t q = 0; q < f.batch.size(); ++q) {
       EXPECT_EQ(batched.Estimates()[q], scalar.Estimates()[q])
@@ -168,7 +149,7 @@ TEST(ProgressiveTest, WorstCaseBoundDominatesActualPenalty) {
     }
     // Allow for the tiny coefficients the rewrite thresholds away.
     EXPECT_LE(f.sse->Apply(err), ev.WorstCaseBound(k) + 1e-5 * (1.0 + k * k));
-    ASSERT_TRUE(ev.StepMany(7).ok());
+    ASSERT_TRUE(ev.StepBatch(7).ok());
   }
 }
 

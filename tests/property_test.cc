@@ -184,7 +184,7 @@ TEST_P(PipelinePropertyTest, LinfWorstCaseBoundAlsoHolds) {
       err[i] = ev.Estimates()[i] - exact[i];
     }
     EXPECT_LE(linf->Apply(err), ev.WorstCaseBound(k) * (1.0 + 1e-6) + 1e-6);
-    ASSERT_TRUE(ev.StepMany(ev.TotalSteps() / 5 + 1).ok());
+    ASSERT_TRUE(ev.StepBatch(ev.TotalSteps() / 5 + 1).ok());
   }
 }
 

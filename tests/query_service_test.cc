@@ -626,25 +626,6 @@ TEST(QueryServiceBackpressure, AdmissionQueueShedsBeyondDepth) {
   EXPECT_EQ(service.completed(), 2u);
 }
 
-TEST(QueryServiceBackpressure, ThreadPoolGaugeShedsAdmissions) {
-  ServingFixture f;
-  QueryServiceOptions options;
-  options.pool_queue_shed_threshold = 0.5;
-  QueryService service(f.BuildView(), f.shared_strategy, options);
-
-  telemetry::Gauge* pool_depth =
-      telemetry::MetricsRegistry::Default().GetGauge(
-          "wavebatch_thread_pool_queue_depth");
-  pool_depth->Add(10.0);  // push over threshold
-  QueryRequest request(f.MakeBatch(0));
-  request.penalty = f.sse;
-  Status shed = service.Submit(request, [](QueryResponse) {});
-  pool_depth->Add(-10.0);  // restore
-
-  EXPECT_EQ(shed.code(), StatusCode::kUnavailable);
-  EXPECT_GE(service.sheds(), 1u);
-}
-
 TEST(QueryServiceLifecycle, DestructorFailsOutstandingRequests) {
   ServingFixture f;
   QueryResponse last;

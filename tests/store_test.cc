@@ -1,4 +1,5 @@
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -7,6 +8,7 @@
 #include "storage/dense_store.h"
 #include "storage/memory_store.h"
 #include "telemetry/metrics.h"
+#include "util/random.h"
 
 namespace wavebatch {
 namespace {
@@ -346,6 +348,47 @@ TEST(FetchBatchTest, DuplicateKeysEachCountAsRetrieval) {
   store.FetchBatch(keys, out, &io);
   EXPECT_EQ(io.retrievals, 3u);
   for (double v : out) EXPECT_DOUBLE_EQ(v, 1.5);
+}
+
+// ---------------------------------------------------------------------------
+// DenseStore's gather loop, which prefetches 8 keys ahead: same values as
+// the scalar Fetch loop, and OutOfRange at the FIRST offending index even
+// when the bad key sits mid-batch. The suite keeps the name it had when the
+// gather also had vectorized tiers.
+
+TEST(KernelTierTest, DenseGatherMatchesScalarFetchBatch) {
+  std::vector<double> values(1024);
+  Rng rng(41);
+  for (double& v : values) v = rng.UniformDouble() * 2.0 - 1.0;
+  DenseStore batch_store(values), scalar_store(values);
+
+  std::vector<uint64_t> keys;
+  Rng key_rng(42);
+  for (size_t i = 0; i < 501; ++i) {  // long and permuted: prefetch runs
+    keys.push_back(static_cast<uint64_t>(key_rng.UniformInt(1024)));
+  }
+  ExpectBatchMatchesScalar(batch_store, scalar_store, keys);
+}
+
+TEST(KernelTierTest, DenseGatherReportsFirstOutOfRangeKey) {
+  std::vector<double> values(64, 1.5);
+  DenseStore store(values);
+  // Two bad keys in each batch; the error must name the first one. In the
+  // second batch the first bad key (index 9) is past the 8-key lookahead,
+  // so the lookahead sees it before the loop does.
+  const std::vector<std::vector<uint64_t>> batches = {
+      {3, 9, 27, 64, 5, 1 << 20, 2},
+      {2, 0, 1, 3, 4, 5, 6, 7, 2, 64, 5, 1 << 20, 2}};
+  for (const std::vector<uint64_t>& keys : batches) {
+    IoStats io;
+    std::vector<double> out(keys.size());
+    Status status = store.FetchBatch(keys, out, &io);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+    EXPECT_NE(status.message().find("key 64"), std::string::npos)
+        << status.message();
+    EXPECT_EQ(io.retrievals, 0u);  // all-or-nothing
+  }
 }
 
 }  // namespace

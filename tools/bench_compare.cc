@@ -19,10 +19,6 @@
 // / debug-built input (reports whose context says the project was compiled
 // in debug are rejected on either side — their numbers gate nothing
 // meaningfully).
-// Reports also carry a "wavebatch_kernel_tier" context stamp; when the two
-// sides ran different SIMD tiers, --enforce-time is refused (exit 2) and
-// only counters gate — cpu times measured on different kernels are not
-// comparable, exactly like debug vs release.
 
 #include <cctype>
 #include <cstdio>
@@ -264,27 +260,7 @@ std::string EffectiveBuildType(const JsonValue& root) {
   return value;
 }
 
-/// A project-stamped context string ("wavebatch_kernel_tier",
-/// "wavebatch_cpu_features"), or "" when the report predates the stamp.
-std::string ContextString(const JsonValue& root, const std::string& key) {
-  const JsonValue* context = root.Find("context");
-  if (context == nullptr || context->kind != JsonValue::Kind::kObject) {
-    return "";
-  }
-  const JsonValue* value = context->Find(key);
-  if (value == nullptr || value->kind != JsonValue::Kind::kString) return "";
-  return value->string;
-}
-
-/// Report-level metadata the gate's comparability checks read.
-struct ReportMeta {
-  /// "scalar" / "avx2" / "avx512", or "" on pre-stamp reports.
-  std::string kernel_tier;
-  std::string cpu_features;
-};
-
-bool LoadReport(const std::string& path, std::map<std::string, BenchRun>* out,
-                ReportMeta* meta) {
+bool LoadReport(const std::string& path, std::map<std::string, BenchRun>* out) {
   FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_compare: cannot open %s\n", path.c_str());
@@ -319,8 +295,6 @@ bool LoadReport(const std::string& path, std::map<std::string, BenchRun>* out,
                  path.c_str(), build_type.c_str());
     return false;
   }
-  meta->kernel_tier = ContextString(root, "wavebatch_kernel_tier");
-  meta->cpu_features = ContextString(root, "wavebatch_cpu_features");
   const JsonValue* benchmarks = root.Find("benchmarks");
   if (benchmarks == nullptr || benchmarks->kind != JsonValue::Kind::kArray) {
     std::fprintf(stderr, "bench_compare: %s: no \"benchmarks\" array\n",
@@ -405,39 +379,8 @@ int main(int argc, char** argv) {
 
   std::map<std::string, BenchRun> baseline;
   std::map<std::string, BenchRun> current;
-  ReportMeta baseline_meta;
-  ReportMeta current_meta;
-  if (!LoadReport(paths[0], &baseline, &baseline_meta) ||
-      !LoadReport(paths[1], &current, &current_meta)) {
+  if (!LoadReport(paths[0], &baseline) || !LoadReport(paths[1], &current)) {
     return 2;
-  }
-
-  // Kernel-tier comparability: timings taken on different SIMD tiers (or on
-  // a pre-stamp report vs a stamped one when the current tier isn't scalar)
-  // measure different code, so gating cpu_time across them is meaningless —
-  // refuse it, mirroring the debug-build rejection. Counters stay gated:
-  // they count work (retrievals, blocks, bytes, plan sizes), which every
-  // tier performs identically by the bit-identity contract.
-  const bool tier_mismatch =
-      baseline_meta.kernel_tier != current_meta.kernel_tier;
-  if (tier_mismatch) {
-    std::fprintf(stderr,
-                 "bench_compare: kernel tier mismatch: baseline \"%s\" "
-                 "(cpu: %s) vs current \"%s\" (cpu: %s); cpu times are not "
-                 "comparable across tiers.\n",
-                 baseline_meta.kernel_tier.c_str(),
-                 baseline_meta.cpu_features.c_str(),
-                 current_meta.kernel_tier.c_str(),
-                 current_meta.cpu_features.c_str());
-    if (enforce_time) {
-      std::fprintf(stderr,
-                   "bench_compare: --enforce-time refused across mismatched "
-                   "kernel tiers. Re-record the baseline on this tier, or "
-                   "pin both runs with WAVEBATCH_FORCE_SCALAR=1.\n");
-      return 2;
-    }
-    std::fprintf(stderr,
-                 "bench_compare: continuing with counter gating only.\n");
   }
 
   int regressions = 0;
