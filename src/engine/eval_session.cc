@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -105,28 +107,44 @@ EvalSession::EvalSession(std::shared_ptr<const EvalPlan> plan,
         << "block granularity needs a penalty to rank blocks";
     const MasterList& list = plan_->list();
     std::unordered_map<uint64_t, size_t> block_index;
+    std::vector<size_t> block_of_entry(list.size());
+    std::vector<double> importance;  // per block, first-appearance order
+    std::vector<size_t> starts;      // per block: its size, then its start
     for (size_t i = 0; i < list.size(); ++i) {
-      const uint64_t block_id = options_.block_of(list.keys()[i]);
-      auto [it, inserted] = block_index.try_emplace(block_id, blocks_.size());
-      if (inserted) blocks_.push_back({block_id, 0.0, {}});
-      Block& block = blocks_[it->second];
-      block.importance += plan_->importance(i);
-      block.entries.push_back(i);
+      auto [it, inserted] = block_index.try_emplace(
+          options_.block_of(list.keys()[i]), importance.size());
+      if (inserted) {
+        importance.push_back(0.0);
+        starts.push_back(0);
+      }
+      block_of_entry[i] = it->second;
+      importance[it->second] += plan_->importance(i);
+      ++starts[it->second];
     }
     // A max-heap of (importance, index) pops in descending pair order;
     // sorting the distinct pairs descending reproduces that sequence.
-    block_order_.resize(blocks_.size());
-    for (size_t b = 0; b < blocks_.size(); ++b) block_order_[b] = b;
-    std::sort(block_order_.begin(), block_order_.end(),
-              [this](size_t a, size_t b) {
-                return std::make_pair(blocks_[a].importance, a) >
-                       std::make_pair(blocks_[b].importance, b);
-              });
-    UpdateTelemetry();
-    return;
-  }
-
-  if (options_.order == ProgressionOrder::kRandom) {
+    std::vector<size_t> order(importance.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&importance](size_t a, size_t b) {
+      return std::make_pair(importance[a], a) >
+             std::make_pair(importance[b], b);
+    });
+    // Lay the blocks out in that order, each block's entries contiguous and
+    // ascending (a counting sort by block rank).
+    size_t end = 0;
+    for (size_t b : order) {
+      const size_t size = starts[b];
+      starts[b] = end;
+      end += size;
+      block_ends_.push_back(end);
+      block_importance_.push_back(importance[b]);
+    }
+    owned_permutation_.resize(list.size());
+    for (size_t i = 0; i < list.size(); ++i) {
+      owned_permutation_[starts[block_of_entry[i]]++] = i;
+    }
+    permutation_ = owned_permutation_;
+  } else if (options_.order == ProgressionOrder::kRandom) {
     owned_permutation_ = plan_->RandomPermutation(options_.seed);
     permutation_ = owned_permutation_;
   } else {
@@ -146,28 +164,7 @@ void EvalSession::UpdateTelemetry() {
   telemetry_->skipped_importance->Set(skipped_importance_);
 }
 
-bool EvalSession::Done() const {
-  if (options_.block_of) return blocks_fetched_ == blocks_.size();
-  return steps_taken_ == TotalSteps();
-}
-
-void EvalSession::ApplyEntry(size_t entry_idx, double data) {
-  kernel_.ApplyOne(entry_idx, data, estimates_.data());
-}
-
-void EvalSession::ConsumeImportance(size_t entry_idx) {
-  kernel_.ConsumeImportance(entry_idx, &remaining_importance_);
-}
-
-void EvalSession::SkipEntry(size_t entry_idx) {
-  ++skipped_coefficients_;
-  if (plan_->HasImportance()) {
-    // The skipped mass stays in remaining_importance_ (it is still an
-    // unused coefficient for Theorem 2) and additionally accumulates here
-    // so Theorem 1's bound can be widened by it.
-    skipped_importance_ += plan_->importance(entry_idx);
-  }
-}
+bool EvalSession::Done() const { return steps_taken_ == TotalSteps(); }
 
 void EvalSession::AccumulateQuantError(const size_t* order, size_t n) {
   if (!lossy_ || !plan_->HasImportance()) return;
@@ -189,74 +186,76 @@ Result<size_t> EvalSession::Step() {
   WB_CHECK(!options_.block_of) << "Step() on a block-granularity session";
   WB_CHECK(!Done()) << "Step() after completion";
   const size_t entry_idx = permutation_[steps_taken_];
-  // Fetch BEFORE any bookkeeping: a failed fetch must leave the session
-  // exactly as it was (resumable), so the cursor and trackers only move
-  // once the data is in hand (or the fault is absorbed under kSkip).
-  Result<double> data = store_->Fetch(kernel_.keys[entry_idx], &io_);
-  if (!data.ok()) {
-    if (options_.fault_policy == FaultPolicy::kFail) return data.status();
-    ++steps_taken_;
-    SkipEntry(entry_idx);
-    UpdateTelemetry();
-    return entry_idx;
-  }
-  ++steps_taken_;
-  ConsumeImportance(entry_idx);
-  ApplyEntry(entry_idx, *data);
-  AccumulateQuantError(&entry_idx, 1);
-  UpdateTelemetry();
+  Status status = StepEntries(1);
+  if (!status.ok()) return status;
   return entry_idx;
-}
-
-Status EvalSession::BatchFetch(const size_t* order, size_t n) {
-  batch_keys_.resize(n);
-  kernel_.GatherKeys(order, n, batch_keys_.data());
-  batch_values_.resize(n);
-  if (entry_shards_.empty()) {
-    return store_->FetchBatch(batch_keys_, batch_values_, &io_);
-  }
-  batch_shards_.resize(n);
-  kernel_.GatherShards(order, n, entry_shards_.data(), batch_shards_.data());
-  return store_->FetchBatchRouted(batch_keys_, batch_shards_, batch_values_,
-                                  &io_);
 }
 
 Result<size_t> EvalSession::StepBatch(size_t n) {
   WB_CHECK(!options_.block_of) << "StepBatch() on a block-granularity session";
   n = std::min<size_t>(n, TotalSteps() - StepsTaken());
-  if (n == 0) return static_cast<size_t>(0);
-  telemetry::ScopedSpan span("session_step");
+  Status status = StepEntries(n);
+  if (!status.ok()) return status;
+  return n;
+}
+
+Status EvalSession::StepEntries(size_t n) {
+  if (n == 0) return Status::OK();
+  // A one-entry step is not timed, by the same rule as a one-key read
+  // (CoefficientStore::CountedBatch): Step() stays clock-free.
+  std::optional<telemetry::ScopedSpan> span;
+  if (n != 1) span.emplace("session_step");
   const size_t* order = permutation_.data() + steps_taken_;
-  Status status = BatchFetch(order, n);
+  batch_keys_.resize(n);
+  kernel_.GatherKeys(order, n, batch_keys_.data());
+  batch_values_.resize(n);
+  if (!entry_shards_.empty()) {
+    batch_shards_.resize(n);
+    kernel_.GatherShards(order, n, entry_shards_.data(), batch_shards_.data());
+  }
+  // Fetch BEFORE any bookkeeping: a failed fetch must leave the session
+  // exactly as it was (resumable), so the cursor and trackers only move
+  // once the data is in hand (or the fault is absorbed under kSkip).
+  Status status =
+      entry_shards_.empty()
+          ? store_->FetchBatch(batch_keys_, batch_values_, &io_)
+          : store_->FetchBatchRouted(batch_keys_, batch_shards_,
+                                     batch_values_, &io_);
   if (!status.ok()) {
     if (options_.fault_policy == FaultPolicy::kFail) return status;
     // Degraded fallback: the all-or-nothing batch failed, so refetch key by
     // key and skip only the ones that are genuinely unavailable. Retrieval
-    // accounting matches: the failed batch charged nothing, each scalar
+    // accounting matches: the failed batch charged nothing, each one-key
     // success charges one.
     for (size_t i = 0; i < n; ++i) {
       const size_t entry_idx = order[i];
       Result<double> value = store_->Fetch(batch_keys_[i], &io_);
       ++steps_taken_;
       if (!value.ok()) {
-        SkipEntry(entry_idx);
+        // Consumed without data: the skipped mass stays in
+        // remaining_importance_ (still an unused coefficient for Theorem
+        // 2) and also accumulates here, widening Theorem 1's bound.
+        ++skipped_coefficients_;
+        if (plan_->HasImportance()) {
+          skipped_importance_ += plan_->importance(entry_idx);
+        }
         continue;
       }
-      ConsumeImportance(entry_idx);
-      ApplyEntry(entry_idx, *value);
+      kernel_.ApplyOrderedSlice(&entry_idx, 1, &*value, estimates_.data(),
+                                &remaining_importance_);
       AccumulateQuantError(&entry_idx, 1);
     }
     UpdateTelemetry();
-    return n;
+    return Status::OK();
   }
   steps_taken_ += n;
   // Fused apply in consumption order: the identical floating-point
-  // accumulation sequence a scalar Step() loop would produce.
+  // accumulation sequence n one-entry steps would produce.
   kernel_.ApplyOrderedSlice(order, n, batch_values_.data(), estimates_.data(),
                             &remaining_importance_);
   AccumulateQuantError(order, n);
   UpdateTelemetry();
-  return n;
+  return Status::OK();
 }
 
 Status EvalSession::RunToExact() {
@@ -279,42 +278,13 @@ Status EvalSession::RunToExact() {
 Result<size_t> EvalSession::StepBlock() {
   WB_CHECK(options_.block_of) << "StepBlock() on a coefficient session";
   WB_CHECK(!Done()) << "StepBlock() after completion";
-  telemetry::ScopedSpan span("session_step");
-  const Block& block = blocks_[block_order_[blocks_fetched_]];
-  const size_t count = block.entries.size();
   // One batched fetch per block — on a BlockStore backend this touches the
   // underlying block exactly once, matching the simulated cost model.
-  Status status = BatchFetch(block.entries.data(), count);
-  if (!status.ok()) {
-    if (options_.fault_policy == FaultPolicy::kFail) return status;
-    // Degraded fallback, per key (see StepBatch). The block is consumed
-    // either way; only the unavailable members are skipped.
-    ++blocks_fetched_;
-    for (size_t i = 0; i < count; ++i) {
-      const size_t entry_idx = block.entries[i];
-      Result<double> value = store_->Fetch(batch_keys_[i], &io_);
-      ++steps_taken_;
-      if (!value.ok()) {
-        SkipEntry(entry_idx);
-        continue;
-      }
-      ++coefficients_fetched_;
-      ConsumeImportance(entry_idx);
-      ApplyEntry(entry_idx, *value);
-      AccumulateQuantError(&entry_idx, 1);
-    }
-    UpdateTelemetry();
-    return count;
-  }
+  const size_t n = block_ends_[blocks_fetched_] - steps_taken_;
+  Status status = StepEntries(n);
+  if (!status.ok()) return status;
   ++blocks_fetched_;
-  coefficients_fetched_ += count;
-  steps_taken_ += count;
-  kernel_.ApplyOrderedSlice(block.entries.data(), count,
-                            batch_values_.data(), estimates_.data(),
-                            &remaining_importance_);
-  AccumulateQuantError(block.entries.data(), count);
-  UpdateTelemetry();
-  return count;
+  return n;
 }
 
 Status EvalSession::StepToBlocks(uint64_t n) {
@@ -326,8 +296,7 @@ Status EvalSession::StepToBlocks(uint64_t n) {
 }
 
 double EvalSession::NextBlockImportance() const {
-  if (Done()) return 0.0;
-  return blocks_[block_order_[blocks_fetched_]].importance;
+  return Done() ? 0.0 : block_importance_[blocks_fetched_];
 }
 
 double EvalSession::NextImportance() const {

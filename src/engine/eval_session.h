@@ -33,8 +33,9 @@ enum class FaultPolicy {
   /// WorstCaseBound() additively (the skipped coefficient could still be
   /// anything, so Theorem 1's K^α·ι_p cap applies to it forever) and stays
   /// in ExpectedPenalty()'s remaining mass (it is an unused coefficient in
-  /// Theorem 2's sense). Batched calls fall back to per-key scalar fetches
-  /// when the batch fails, so only genuinely unavailable keys are skipped.
+  /// Theorem 2's sense). A failed fetch falls back to refetching its keys
+  /// one by one — for Step() too, which refetches its one key once — so
+  /// only genuinely unavailable keys are skipped.
   kSkip,
 };
 
@@ -59,8 +60,8 @@ struct EvalSessionOptions {
   uint64_t seed = 0;
   /// When set, the session progresses at block granularity: entries are
   /// grouped by block_of(key), a block's importance is the sum of its
-  /// members', and each StepBlock fetches one whole block. `order` is
-  /// ignored (blocks always go by decreasing total importance).
+  /// members', and each StepBlock steps one whole block as one fetch.
+  /// `order` is ignored (blocks always go by decreasing total importance).
   std::function<uint64_t(uint64_t)> block_of;
   /// Fetch-failure handling; see FaultPolicy.
   FaultPolicy fault_policy = FaultPolicy::kFail;
@@ -93,15 +94,16 @@ class EvalSession {
   uint64_t StepsTaken() const { return steps_taken_; }
   bool Done() const;
 
-  /// One retrieval; requires !Done() and coefficient granularity. Returns
-  /// the master-list entry index consumed. A non-OK Status (under kFail)
-  /// leaves the session unchanged — call Step() again to retry.
+  /// One retrieval — the one-entry StepBatch, untimed like every one-key
+  /// read; requires !Done() and coefficient granularity. Returns the
+  /// master-list entry index consumed. A non-OK Status (under kFail) leaves
+  /// the session unchanged — call Step() again to retry.
   Result<size_t> Step();
 
   /// Up to `n` further retrievals issued as ONE FetchBatch; estimates,
-  /// trackers, and counts identical to `n` scalar Step() calls. Returns
-  /// the number of steps taken. A non-OK Status (under kFail) leaves the
-  /// session unchanged — the whole batch is retryable.
+  /// trackers, and counts identical to `n` Step() calls under either fault
+  /// policy. Returns the number of steps taken. A non-OK Status (under
+  /// kFail) leaves the session unchanged — the whole batch is retryable.
   Result<size_t> StepBatch(size_t n);
 
   /// Runs to completion (in bounded StepBatch chunks at coefficient
@@ -111,15 +113,19 @@ class EvalSession {
   /// RunToExact() picks up where this one stopped.
   Status RunToExact();
 
-  /// Block granularity only: fetches the most important unfetched block,
-  /// returns the number of coefficients it contributed. Requires !Done().
-  /// A non-OK Status (under kFail) leaves the session unchanged.
+  /// Block granularity only: steps the most important unfetched block as
+  /// one FetchBatch, returns the number of steps it took (its entry count).
+  /// Requires !Done(). A non-OK Status (under kFail) leaves the session
+  /// unchanged.
   Result<size_t> StepBlock();
   /// Fetches blocks until `n` blocks have been consumed in total.
   Status StepToBlocks(uint64_t n);
-  size_t TotalBlocks() const { return blocks_.size(); }
+  size_t TotalBlocks() const { return block_ends_.size(); }
   uint64_t BlocksFetched() const { return blocks_fetched_; }
-  uint64_t CoefficientsFetched() const { return coefficients_fetched_; }
+  /// StepsTaken() − SkippedCoefficients(): steps that retrieved data.
+  uint64_t CoefficientsFetched() const {
+    return steps_taken_ - skipped_coefficients_;
+  }
   /// Total importance of the next block (0 when done).
   double NextBlockImportance() const;
 
@@ -164,17 +170,10 @@ class EvalSession {
   /// export. Incomplete here so the header stays free of telemetry types.
   struct Telemetry;
 
-  /// Gathers keys (and, on a sharded plane, routing hints) for
-  /// `order[0..n)` into the batch scratch and issues the one batched fetch
-  /// of a StepBatch/StepBlock. Leaves batch_keys_/batch_values_ holding the
-  /// fetched batch.
-  Status BatchFetch(const size_t* order, size_t n);
+  /// The one step body behind Step, StepBatch and StepBlock: steps the
+  /// next `n` entries of permutation_ as one FetchBatch (see StepBatch).
+  Status StepEntries(size_t n);
 
-  void ApplyEntry(size_t entry_idx, double data);
-  /// Moves entry_idx's importance out of the remaining (unfetched) mass.
-  void ConsumeImportance(size_t entry_idx);
-  /// Records entry_idx as consumed-without-data (degraded mode).
-  void SkipEntry(size_t entry_idx);
   /// Lossy stores only: folds the decode-error bounds of the just-applied
   /// entries `order[0..n)` into quant_error_l1_ (see WorstCaseBound).
   void AccumulateQuantError(const size_t* order, size_t n);
@@ -188,8 +187,8 @@ class EvalSession {
 
   // Fused gather-apply kernel over the plan's CSR image (raw pointers into
   // plan-owned arrays, valid while plan_ is held) plus reusable fetch
-  // scratch: StepBatch/StepBlock/RunToExact allocate only up to the
-  // high-water batch size, then recycle.
+  // scratch: steps allocate only up to the high-water batch size, then
+  // recycle.
   ApplyKernel kernel_;
   std::vector<uint64_t> batch_keys_;
   std::vector<double> batch_values_;
@@ -203,21 +202,18 @@ class EvalSession {
   std::vector<uint32_t> entry_shards_;
   std::vector<uint32_t> batch_shards_;  // per-batch gather scratch
 
-  // Coefficient granularity: consumption order (either a view into the
-  // plan's precomputed permutation or this session's seeded random one).
-  std::vector<size_t> owned_permutation_;   // kRandom only
+  // Consumption order: a view into the plan's precomputed permutation, or
+  // one this session owns — the seeded kRandom order, or at block
+  // granularity the block-major order (blocks by descending importance,
+  // each block's entries contiguous and ascending).
+  std::vector<size_t> owned_permutation_;
   std::span<const size_t> permutation_;
 
-  // Block granularity.
-  struct Block {
-    uint64_t id;
-    double importance = 0.0;
-    std::vector<size_t> entries;  // master-list entry indices
-  };
-  std::vector<Block> blocks_;       // heap-ordered consumption via block_order_
-  std::vector<size_t> block_order_;  // block indices, descending importance
+  // Block granularity: block b of the consumption order ends at
+  // permutation_ offset block_ends_[b] and weighs block_importance_[b].
+  std::vector<size_t> block_ends_;
+  std::vector<double> block_importance_;
   uint64_t blocks_fetched_ = 0;
-  uint64_t coefficients_fetched_ = 0;
 
   std::vector<double> estimates_;
   uint64_t steps_taken_ = 0;

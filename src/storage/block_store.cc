@@ -165,18 +165,9 @@ bool BlockStore::TouchLocked(uint64_t block) const {
   return false;
 }
 
-Result<double> BlockStore::DoFetch(uint64_t key, IoStats* io) const {
-  double result;
-  if (compress_) {
-    result = PageValue(key);
-  } else {
-    Result<double> value = DelegateFetch(*inner_, key, io);
-    if (!value.ok()) return value;
-    result = value.value();
-  }
-  {
-    std::lock_guard<std::mutex> lock(pool_->mu);
-    const uint64_t block = key / block_size_;
+void BlockStore::TouchBatch(std::span<const uint64_t> keys,
+                            IoStats* io) const {
+  const auto touch = [&](uint64_t block) {
     if (TouchLocked(block)) {
       if (io != nullptr) ++io->block_hits;
       block_hits_metric_->Add();
@@ -187,32 +178,22 @@ Result<double> BlockStore::DoFetch(uint64_t key, IoStats* io) const {
       }
       block_reads_metric_->Add();
     }
+  };
+  if (keys.size() == 1) {  // no distinct-block set to build and destroy
+    std::lock_guard<std::mutex> lock(pool_->mu);
+    touch(keys[0] / block_size_);
     lru_occupancy_gauge_->Set(static_cast<double>(pool_->lru.size()));
+    return;
   }
-  return result;
-}
-
-void BlockStore::TouchBatch(std::span<const uint64_t> keys,
-                            IoStats* io) const {
   // Touch each distinct block once, in first-appearance order (so the LRU
-  // state after the call matches a scalar loop's up to refresh order). One
+  // state after the call matches a one-key loop's up to refresh order). One
   // lock acquisition per batch, not per key.
   std::unordered_set<uint64_t> seen;
   seen.reserve(keys.size());
   std::lock_guard<std::mutex> lock(pool_->mu);
   for (uint64_t key : keys) {
     const uint64_t block = key / block_size_;
-    if (!seen.insert(block).second) continue;
-    if (TouchLocked(block)) {
-      if (io != nullptr) ++io->block_hits;
-      block_hits_metric_->Add();
-    } else {
-      if (io != nullptr) {
-        ++io->block_reads;
-        io->bytes_fetched += BytesOfBlock(block);
-      }
-      block_reads_metric_->Add();
-    }
+    if (seen.insert(block).second) touch(block);
   }
   lru_occupancy_gauge_->Set(static_cast<double>(pool_->lru.size()));
 }
@@ -225,7 +206,7 @@ Status BlockStore::DoFetchBatch(std::span<const uint64_t> keys,
     return Status::OK();
   }
   // Read through the inner backend first: a failed batch must leave both
-  // counters and the LRU untouched (all-or-nothing, like the scalar path).
+  // counters and the LRU untouched (all-or-nothing).
   Status status = DelegateFetchBatch(*inner_, keys, out, io);
   if (!status.ok()) return status;
   TouchBatch(keys, io);

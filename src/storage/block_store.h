@@ -31,7 +31,7 @@ struct BlockStoreOptions {
   /// is lossy: reads return decoded values, PeekErrorBound(key) reports the
   /// owning page's exact max decode error, and Lossy() is true so the
   /// engine widens Theorem-1 bounds accordingly.
-  CompressedPageOptions page;
+  CompressedPageOptions page = {};
 };
 
 /// Block-granularity I/O simulation on top of any coefficient store — the
@@ -45,12 +45,14 @@ struct BlockStoreOptions {
 /// Per-call IoStats sinks receive the coefficient retrievals, the
 /// block-level counters (block_reads / block_hits), and the simulated bytes
 /// (bytes_fetched), which bench_ablation_blocks sweeps against block size
-/// and key layout and tools/bench_compare gates. The LRU buffer is shared
-/// store state (like a real buffer pool) guarded by a mutex, so concurrent
-/// readers are safe; with multiple concurrent sessions the hit/miss split
-/// of an individual session depends on interleaving — run with
-/// cache_blocks = 0 (unbuffered) when per-session block counts must be
-/// deterministic.
+/// and key layout and tools/bench_compare gates. This is a cost-model
+/// simulator, not a cache: the LRU holds block ids, never values, and in
+/// plain mode every key is read through the inner store, so a counted block
+/// hit saves no inner read (a value cache is ROADMAP item 8). The LRU is
+/// shared store state guarded by a mutex, so concurrent readers are safe;
+/// with multiple concurrent sessions the hit/miss split of an individual
+/// session depends on interleaving — run with cache_blocks = 0
+/// (unbuffered) when per-session block counts must be deterministic.
 ///
 /// Compressed-page mode (BlockStoreOptions::compress_pages) seals the inner
 /// store's contents at construction: pages serve every read, keys absent
@@ -63,8 +65,9 @@ struct BlockStoreOptions {
 ///
 /// PinVersion() forwards: over a versioned inner store it returns a new
 /// BlockStore wrapping the pinned inner snapshot, *sharing this store's
-/// buffer pool* — a real buffer pool caches blocks of the medium, not of
-/// one epoch view, so reads through any pinned view warm the same LRU.
+/// simulated buffer pool* — the simulated blocks belong to the medium, not
+/// to one epoch view, so reads through any pinned view count against the
+/// same LRU.
 /// Pinned views are read-only: Add() on one aborts. A compressed store is
 /// its own snapshot (contents sealed at construction) and returns null.
 class BlockStore : public CoefficientStore {
@@ -110,16 +113,14 @@ class BlockStore : public CoefficientStore {
 
  protected:
   /// Reads through the inner backend first and touches the LRU only on
-  /// success, so a failed fetch neither warms the buffer nor counts a
+  /// success, so a failed batch neither warms the buffer nor counts a
   /// block read — errors (e.g. from a file-backed inner store) propagate.
-  /// Compressed mode serves the page directly and cannot fail.
-  Result<double> DoFetch(uint64_t key, IoStats* io) const override;
-
-  /// Groups the batch by block id and touches each distinct block exactly
-  /// once (in first-appearance order): one batched call reads a block at
-  /// most once no matter how many of its coefficients the batch wants —
-  /// the whole point of block-granularity batching. Values are identical
-  /// to a scalar Fetch loop; block_reads can only be lower.
+  /// Compressed mode serves the pages directly and cannot fail. Touches
+  /// each distinct block of the batch exactly once (in first-appearance
+  /// order): one batched call reads a block at most once no matter how many
+  /// of its coefficients the batch wants — the whole point of
+  /// block-granularity batching. Values are identical to one-key reads;
+  /// block_reads can only be lower.
   Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
                       IoStats* io) const override;
 
@@ -132,9 +133,9 @@ class BlockStore : public CoefficientStore {
 
  private:
   /// The simulated buffer pool, shared between a store and every pinned
-  /// view it hands out (one medium, one pool). The LRU is logically cache
-  /// state, not data: reads mutate it under `mu` so the counted read path
-  /// stays const and thread-safe.
+  /// view it hands out (one medium, one pool). The LRU holds block ids, not
+  /// data: reads mutate it under `mu` so the counted read path stays const
+  /// and thread-safe.
   struct BufferPool {
     mutable std::mutex mu;
     // LRU: most recent at front.
@@ -162,7 +163,8 @@ class BlockStore : public CoefficientStore {
   uint64_t BytesOfBlock(uint64_t block) const;
 
   /// Post-success block accounting shared by both batch hooks: touches each
-  /// distinct block of `keys` once, in first-appearance order.
+  /// distinct block of `keys` once, in first-appearance order. A one-key
+  /// batch skips the distinct-block set.
   void TouchBatch(std::span<const uint64_t> keys, IoStats* io) const;
 
   /// Compressed-mode value lookup (uncounted).

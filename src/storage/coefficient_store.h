@@ -100,15 +100,15 @@ struct StoreFetchMetrics {
 /// its own IoStats sink). Writes (Add) are not synchronized with reads —
 /// load or maintain the view first, then share it read-only.
 ///
-/// Fetch/FetchBatch are non-virtual on purpose: they do the cost-model
-/// accounting here, once, and delegate to the protected DoFetch/DoFetchBatch
-/// hooks — so a backend override can never silently skip the retrieval
-/// count. FetchBatch is the hot path: backends coalesce, group, or
-/// parallelize the batch (FileStore sorts keys into contiguous reads;
-/// BlockStore touches each distinct block once), but every backend returns
-/// exactly the values a scalar Fetch loop would, and retrievals are counted
-/// per coefficient either way — batching changes the speed, never the cost
-/// model.
+/// One read path: a backend implements one counted-read hook,
+/// DoFetchBatch. Fetch and FetchBatch are non-virtual and both run it
+/// through one accounting wrapper (Fetch is a one-key batch), so a backend
+/// can never silently skip the retrieval count, and a decorator forwards
+/// one hook. Backends coalesce, group, or parallelize a batch (FileStore
+/// sorts keys into contiguous reads; BlockStore touches each distinct block
+/// once), but every backend returns exactly the values one-key reads would,
+/// and retrievals are counted per coefficient either way — batching changes
+/// the speed, never the cost model.
 ///
 /// Fetches are fallible: a backend reports short reads, I/O errors, and
 /// out-of-capacity keys as a non-OK Status instead of aborting the process
@@ -127,23 +127,14 @@ class CoefficientStore {
   /// Counted retrieval: one unit of I/O in the paper's cost model, added to
   /// `io` (pass nullptr to read without accounting — e.g. internal
   /// plumbing that the caller already charges elsewhere). On error nothing
-  /// is charged and the Status explains the failure.
-  /// Telemetry: the scalar path records counters only (keys/bytes fetched,
-  /// errors by code) — never a clock read, so an instrumented per-key loop
-  /// stays within the nanoseconds-per-step budget. Latency is measured on
-  /// FetchBatch, where two clock reads amortize over the whole batch.
+  /// is charged and the Status explains the failure. A one-key FetchBatch:
+  /// same hook, same accounting, and — like every one-key read — counted
+  /// but not timed (see CountedBatch).
   Result<double> Fetch(uint64_t key, IoStats* io = nullptr) const {
-    Result<double> value = DoFetch(key, io);
-    if (value.ok()) {
-      if (io != nullptr) ++io->retrievals;
-      if (telemetry::Enabled()) {
-        const StoreFetchMetrics& m = FetchTelemetry();
-        m.keys_fetched->Add(1);
-        m.bytes_fetched->Add(sizeof(double));
-      }
-    } else if (telemetry::Enabled()) {
-      FetchTelemetry().CountError(value.status().code());
-    }
+    double value = 0.0;
+    Status status = FetchBatch(std::span<const uint64_t>(&key, 1),
+                               std::span<double>(&value, 1), io);
+    if (!status.ok()) return status;
     return value;
   }
 
@@ -240,29 +231,27 @@ class CoefficientStore {
   }
 
  protected:
-  /// Backend hook for one counted retrieval. Retrieval accounting is done
-  /// by the Fetch wrapper (on success only); backends with sub-coefficient
+  /// The one backend read hook, behind both Fetch and FetchBatch: fill
+  /// out[i] with the value at keys[i] for every i. Retrieval accounting is
+  /// done by the wrapper (on success only); backends with sub-coefficient
   /// cost models (BlockStore) add their own counters to `io` when it is
   /// non-null. Must be safe to call from multiple threads at once, and must
-  /// report failures as a Status rather than aborting.
-  virtual Result<double> DoFetch(uint64_t key, IoStats* io) const {
-    (void)io;
-    return Peek(key);
-  }
-
-  /// Backend hook for a counted batch. Accounting is done by the wrapper;
-  /// must fill out[i] with the value at keys[i] — same values as a DoFetch
-  /// loop — and must be safe to call from multiple threads at once. On the
-  /// first failing key the hook returns its Status; `out` is then
-  /// unspecified.
+  /// report failures as a Status rather than aborting: on the first failing
+  /// key the hook returns its Status and `out` is unspecified. Every scalar
+  /// Fetch arrives here as a one-key batch, so a backend with per-batch
+  /// setup (sorting, run lists, distinct-block sets) skips it for one key.
   virtual Status DoFetchBatch(std::span<const uint64_t> keys,
-                              std::span<double> out, IoStats* io) const {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      Result<double> value = DoFetch(keys[i], io);
-      if (!value.ok()) return value.status();
-      out[i] = value.value();
-    }
-    return Status::OK();
+                              std::span<double> out, IoStats* io) const = 0;
+
+  /// A one-key DoFetchBatch, kept (with DelegateFetch) only because
+  /// perfbench/probes.h's ProbeStore overrides and calls it: nothing in the
+  /// library calls either, and Fetch never reaches them (ROADMAP item 1).
+  virtual Result<double> DoFetch(uint64_t key, IoStats* io) const {
+    double value = 0.0;
+    Status status = DoFetchBatch(std::span<const uint64_t>(&key, 1),
+                                 std::span<double>(&value, 1), io);
+    if (!status.ok()) return status;
+    return value;
   }
 
   /// Backend hook for a routed batch. The default discards the hints and
@@ -298,10 +287,12 @@ class CoefficientStore {
   }
 
  private:
-  /// Shared accounting/telemetry wrapper for both batch entry points:
-  /// `hook` runs the backend, the wrapper charges `n` retrievals on
-  /// success only and records batch latency + error counters exactly as
-  /// the historical FetchBatch did.
+  /// The wrapper every counted read goes through: `hook` runs the backend;
+  /// the wrapper charges `n` retrievals on success only and records keys,
+  /// bytes and errors by code. The one telemetry rule: a one-key read is
+  /// counted but not timed — no clock read, span or latency observation —
+  /// so a Fetch or Step() loop with telemetry on stays within its
+  /// nanoseconds-per-key budget; larger batches amortize the clocks.
   template <typename Hook>
   Status CountedBatch(size_t n, IoStats* io, Hook&& hook) const {
     if (!telemetry::Enabled()) {
@@ -309,19 +300,23 @@ class CoefficientStore {
       if (status.ok() && io != nullptr) io->retrievals += n;
       return status;
     }
-    const auto begin = std::chrono::steady_clock::now();
+    const bool timed = n != 1;
+    std::chrono::steady_clock::time_point begin;
+    if (timed) begin = std::chrono::steady_clock::now();
     Status status = hook();
-    const auto end = std::chrono::steady_clock::now();
+    if (timed) {
+      const auto end = std::chrono::steady_clock::now();
+      FetchTelemetry().batch_latency_ns->Observe(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
+              .count()));
+      // The span inherits the thread's installed TraceContext, so a fetch
+      // issued while serving a request quantum is attributable to that
+      // request without any plumbing through the store API.
+      telemetry::MetricsRegistry::Default().RecordSpan(
+          "store_fetch_batch", begin, end,
+          {telemetry::SpanAttr{"keys", static_cast<double>(n)}});
+    }
     const StoreFetchMetrics& m = FetchTelemetry();
-    m.batch_latency_ns->Observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-            .count()));
-    // The span inherits the thread's installed TraceContext, so a fetch
-    // issued while serving a request quantum is attributable to that
-    // request without any plumbing through the store API.
-    telemetry::MetricsRegistry::Default().RecordSpan(
-        "store_fetch_batch", begin, end,
-        {telemetry::SpanAttr{"keys", static_cast<double>(n)}});
     if (status.ok()) {
       if (io != nullptr) io->retrievals += n;
       m.keys_fetched->Add(n);

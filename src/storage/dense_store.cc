@@ -24,11 +24,6 @@ Status KeyOutOfRange(uint64_t key, size_t capacity) {
 }
 }  // namespace
 
-Result<double> DenseStore::DoFetch(uint64_t key, IoStats*) const {
-  if (key >= values_.size()) return KeyOutOfRange(key, values_.size());
-  return values_[key];
-}
-
 Status DenseStore::DoFetchBatch(std::span<const uint64_t> keys,
                                 std::span<double> out, IoStats*) const {
   const size_t capacity = values_.size();

@@ -31,11 +31,9 @@ class DenseStore : public CoefficientStore {
   uint64_t capacity() const { return values_.size(); }
 
  protected:
-  /// Out-of-capacity keys are a retrieval error, not an abort (Peek keeps
-  /// the hard check — it is the trusted uncounted path).
-  Result<double> DoFetch(uint64_t key, IoStats* io) const override;
-
-  /// Single-probe gather over the backing array.
+  /// Single-probe gather over the backing array. Out-of-capacity keys are
+  /// a retrieval error, not an abort (Peek keeps the hard check — it is the
+  /// trusted uncounted path).
   Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
                       IoStats* io) const override;
 

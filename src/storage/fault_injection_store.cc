@@ -126,16 +126,6 @@ void FaultInjectionStore::InjectLatency() const {
   }
 }
 
-Result<double> FaultInjectionStore::DoFetch(uint64_t key, IoStats* io) const {
-  InjectLatency();
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    Status status = CheckOneLocked(key);
-    if (!status.ok()) return status;
-  }
-  return DelegateFetch(*inner_, key, io);
-}
-
 Status FaultInjectionStore::DoFetchBatch(std::span<const uint64_t> keys,
                                          std::span<double> out,
                                          IoStats* io) const {

@@ -12,8 +12,8 @@
 namespace wavebatch {
 
 /// Deterministic fault schedule for a FaultInjectionStore. All counts are
-/// 1-based over *counted* fetches (Fetch and each key of FetchBatch, in
-/// batch order); 0 disables a rule.
+/// 1-based over *counted* fetches (each key of a batch, in batch order; a
+/// Fetch is a one-key batch); 0 disables a rule.
 struct FaultInjectionOptions {
   /// Fail every Nth counted fetch. The counter keeps advancing when a fault
   /// fires, so an immediate retry of the same key succeeds — this models a
@@ -22,7 +22,7 @@ struct FaultInjectionOptions {
   /// Fail exactly the Nth counted fetch, then self-heal. Models a one-shot
   /// transient fault at a known point in a progression.
   uint64_t fail_at_fetch = 0;
-  /// Injected latency per counted call (scalar fetch or batch), applied on
+  /// Injected latency per counted call (one-key or larger batch), applied on
   /// the calling thread before the read. Models slow media; useful for
   /// exercising timeout/retry behavior in benchmarks.
   std::chrono::microseconds latency{0};
@@ -106,8 +106,6 @@ class FaultInjectionStore : public CoefficientStore {
   std::shared_ptr<const CoefficientStore> PinVersion() const override;
 
  protected:
-  Result<double> DoFetch(uint64_t key, IoStats* io) const override;
-
   /// Evaluates the fault schedule per key in batch order; the first faulted
   /// key fails the whole batch (all-or-nothing, `out` unspecified) but the
   /// ordinals of the keys up to and including it are consumed — so a

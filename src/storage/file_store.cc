@@ -20,6 +20,17 @@ namespace wavebatch {
 
 namespace {
 
+/// Total attempts per positioned read before a read error is reported.
+constexpr int kMaxReadAttempts = 3;
+/// Sleep between attempts, multiplied by the attempt number.
+constexpr std::chrono::microseconds kRetryBackoff{100};
+
+Status KeyOutOfRange(uint64_t key, uint64_t capacity) {
+  return Status::OutOfRange("key " + std::to_string(key) +
+                            " outside file store capacity " +
+                            std::to_string(capacity));
+}
+
 /// Backoff retries after a real read error (EINTR and short reads are not
 /// retries — they are normal pread behavior and cost nothing).
 telemetry::Counter& ReadRetries() {
@@ -125,31 +136,16 @@ Status FileStore::PreadFully(void* buf, size_t len, uint64_t offset) const {
     }
     const int err = errno;
     if (err == EINTR) continue;  // interrupted before any bytes: free retry
-    if (++attempts >= options_.max_read_attempts) {
+    if (++attempts >= kMaxReadAttempts) {
       return Status::Unavailable("read error in " + path_ + " at offset " +
                                  std::to_string(offset + filled) + ": " +
                                  std::strerror(err) + " (after " +
                                  std::to_string(attempts) + " attempts)");
     }
     ReadRetries().Add();
-    if (options_.retry_backoff.count() > 0) {
-      std::this_thread::sleep_for(options_.retry_backoff * attempts);
-    }
+    std::this_thread::sleep_for(kRetryBackoff * attempts);
   }
   return Status::OK();
-}
-
-Result<double> FileStore::DoFetch(uint64_t key, IoStats*) const {
-  if (key >= capacity_) {
-    return Status::OutOfRange("key " + std::to_string(key) +
-                              " outside file store capacity " +
-                              std::to_string(capacity_));
-  }
-  SimulateSeek();
-  double value = 0.0;
-  Status status = PreadFully(&value, sizeof(value), key * sizeof(double));
-  if (!status.ok()) return status;
-  return value;
 }
 
 namespace {
@@ -177,13 +173,12 @@ Status FileStore::ReadRun(const Run& run, std::span<const uint64_t> keys,
 }
 
 Status FileStore::DoFetchBatch(std::span<const uint64_t> keys,
-                               std::span<double> out, IoStats* io) const {
+                               std::span<double> out, IoStats*) const {
   if (keys.empty()) return Status::OK();
   if (keys.size() == 1) {
-    Result<double> value = DoFetch(keys[0], io);
-    if (!value.ok()) return value.status();
-    out[0] = *value;
-    return Status::OK();
+    if (keys[0] >= capacity_) return KeyOutOfRange(keys[0], capacity_);
+    SimulateSeek();
+    return PreadFully(&out[0], sizeof(double), keys[0] * sizeof(double));
   }
   // Key-sorted order turns scattered point reads into forward-moving,
   // mostly-contiguous reads that the page cache and readahead like.
@@ -193,9 +188,7 @@ Status FileStore::DoFetchBatch(std::span<const uint64_t> keys,
     return keys[a] < keys[b];
   });
   if (keys[order.back()] >= capacity_) {
-    return Status::OutOfRange("key " + std::to_string(keys[order.back()]) +
-                              " outside file store capacity " +
-                              std::to_string(capacity_));
+    return KeyOutOfRange(keys[order.back()], capacity_);
   }
 
   std::vector<Run> runs;

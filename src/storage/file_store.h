@@ -11,17 +11,10 @@
 
 namespace wavebatch {
 
-/// Knobs for the counted read path. Transient failures (EINTR, EAGAIN, and
-/// flaky-media errno like EIO) are retried with linear backoff before the
-/// fetch gives up and reports a Status; short reads are not failures at all
-/// (the read simply continues where it stopped).
+/// Knobs for the counted read path.
 struct FileStoreOptions {
-  /// Total attempts per positioned read before the error is reported.
-  int max_read_attempts = 3;
-  /// Sleep between attempts, multiplied by the attempt number.
-  std::chrono::microseconds retry_backoff{100};
   /// Latency injected before every positioned read on the *counted* path
-  /// (one per scalar fetch, one per coalesced run of a batch), modeling the
+  /// (one per one-key read, one per coalesced run of a batch), modeling the
   /// seek/queue delay of the device behind this store. 0 (the default)
   /// injects nothing. The sharded bench uses this to model one independent
   /// device per shard: concurrent shards overlap their seeks, which is
@@ -32,8 +25,9 @@ struct FileStoreOptions {
 
 /// A coefficient store backed by a binary file on disk — the paper's
 /// "stored with reasonable random-access cost" made literal. The file is a
-/// flat array of little-endian doubles indexed by key; Peek/Fetch issue a
-/// positioned read (pread) per coefficient, Add a read-modify-write.
+/// flat array of little-endian doubles indexed by key; Peek and a one-key
+/// read issue a positioned read (pread) per coefficient, Add a
+/// read-modify-write.
 ///
 /// FetchBatch is where this backend earns its keep: keys are sorted, runs
 /// of nearby keys are coalesced into single positioned reads, and large
@@ -41,10 +35,13 @@ struct FileStoreOptions {
 /// thread-safe on one descriptor). Retrievals are still counted per
 /// coefficient — coalescing changes syscalls, not the paper's cost model.
 ///
-/// The counted path (Fetch/FetchBatch) is fault-tolerant: unexpected EOF,
-/// exhausted retries, and out-of-capacity keys come back as a non-OK
-/// Status. Peek remains the trusted uncounted path and aborts on
-/// corruption.
+/// The counted path (Fetch/FetchBatch) is fault-tolerant: read errors
+/// (EAGAIN, and flaky-media errno like EIO) are retried with linear backoff
+/// (kMaxReadAttempts in file_store.cc) before the fetch gives up; EINTR and
+/// short reads are not failures at all (the read simply continues where it
+/// stopped). Unexpected EOF, exhausted retries, and out-of-capacity keys
+/// come back as a non-OK Status. Peek remains the trusted uncounted path
+/// and aborts on corruption.
 ///
 /// This is the reference implementation for measuring real random-access
 /// behavior; production deployments would add a buffer pool (compose with
@@ -76,10 +73,10 @@ class FileStore : public CoefficientStore {
 
   uint64_t capacity() const { return capacity_; }
   const std::string& path() const { return path_; }
-  const FileStoreOptions& options() const { return options_; }
 
  protected:
-  Result<double> DoFetch(uint64_t key, IoStats* io) const override;
+  /// A one-key batch (every scalar Fetch) reads in place: no sort, run
+  /// list or buffer.
   Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
                       IoStats* io) const override;
 
@@ -94,8 +91,9 @@ class FileStore : public CoefficientStore {
   };
 
   /// Reads exactly `len` bytes at `offset`, looping on short reads and
-  /// retrying transient errors per `options_`. Distinguishes unexpected
-  /// EOF (pread returning 0) from read errors in the Status message.
+  /// retrying transient errors up to kMaxReadAttempts times. Distinguishes
+  /// unexpected EOF (pread returning 0) from read errors in the Status
+  /// message.
   Status PreadFully(void* buf, size_t len, uint64_t offset) const;
 
   /// Sleeps options_.simulated_seek_latency (no-op at the 0 default).

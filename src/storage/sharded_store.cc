@@ -94,19 +94,13 @@ uint64_t ShardedStore::shard_keys_fetched(size_t s) const {
   return shard_counters_[s].keys_fetched.load(std::memory_order_relaxed);
 }
 
-Result<double> ShardedStore::DoFetch(uint64_t key, IoStats* io) const {
-  const uint32_t s = router_.ShardOf(key);
-  Result<double> value = DelegateFetch(*shards_[s], key, io);
-  if (value.ok()) {
-    shard_counters_[s].keys_fetched.fetch_add(1, std::memory_order_relaxed);
-    shard_keys_metric_[s]->Add(1);
-  }
-  return value;
-}
-
 Status ShardedStore::DoFetchBatch(std::span<const uint64_t> keys,
                                   std::span<double> out, IoStats* io) const {
   // No hints from the caller: one routing pass here, then the shared core.
+  if (keys.size() == 1) {
+    const uint32_t s = router_.ShardOf(keys[0]);
+    return FetchScatterGather(keys, std::span<const uint32_t>(&s, 1), out, io);
+  }
   std::vector<uint32_t> shards_of(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     shards_of[i] = router_.ShardOf(keys[i]);
@@ -129,13 +123,17 @@ Status ShardedStore::FetchScatterGather(std::span<const uint64_t> keys,
   if (n == 0) return Status::OK();
   const size_t num_shards = shards_.size();
 
-  // Fast path: one shard — forward the span untouched. This is the S=1
-  // plane, bit-identical to the backend by construction.
-  if (num_shards == 1) {
-    Status status = DelegateFetchBatch(*shards_[0], keys, out, io);
+  // Fast path: one shard or one key — forward the span untouched to the
+  // owning shard, with no partition, fan-out or per-leg span. The S=1
+  // plane is bit-identical to its backend by construction, and a one-key
+  // read (every scalar Fetch) stays untimed and allocation-free.
+  if (num_shards == 1 || n == 1) {
+    const uint32_t s = shards_of[0];
+    WB_CHECK(s < num_shards);
+    Status status = DelegateFetchBatch(*shards_[s], keys, out, io);
     if (status.ok()) {
-      shard_counters_[0].keys_fetched.fetch_add(n, std::memory_order_relaxed);
-      shard_keys_metric_[0]->Add(n);
+      shard_counters_[s].keys_fetched.fetch_add(n, std::memory_order_relaxed);
+      shard_keys_metric_[s]->Add(n);
       subbatches_.fetch_add(1, std::memory_order_relaxed);
       subbatches_metric_->Add(1);
     }

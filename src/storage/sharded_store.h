@@ -81,15 +81,15 @@ class ShardedStore : public CoefficientStore {
 
   /// Counted keys served by shard s's backend.
   uint64_t shard_keys_fetched(size_t s) const;
-  /// Per-shard sub-batches issued by batch scatter-gather. Deterministic
-  /// for a fixed workload and shard count — the machine-independent
-  /// routing counter the bench baseline gates on.
+  /// Per-shard sub-batches issued by batch scatter-gather; a one-key read
+  /// (every scalar Fetch) is one. Deterministic for a fixed workload and
+  /// shard count — the machine-independent routing counter the bench
+  /// baseline gates on.
   uint64_t subbatches_issued() const {
     return subbatches_.load(std::memory_order_relaxed);
   }
 
  protected:
-  Result<double> DoFetch(uint64_t key, IoStats* io) const override;
   Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
                       IoStats* io) const override;
   Status DoFetchBatchRouted(std::span<const uint64_t> keys,

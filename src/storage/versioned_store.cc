@@ -40,14 +40,6 @@ void SnapshotStore::Add(uint64_t key, double delta) {
                      "through the owning VersionedStore";
 }
 
-Result<double> SnapshotStore::DoFetch(uint64_t key, IoStats* io) const {
-  Result<double> value = DelegateFetch(*base_, key, io);
-  if (!value.ok() || overlay_ == nullptr) return value;
-  const auto it = overlay_->adds.find(key);
-  if (it == overlay_->adds.end()) return value;
-  return *value + it->second;
-}
-
 Status SnapshotStore::DoFetchBatch(std::span<const uint64_t> keys,
                                    std::span<double> out, IoStats* io) const {
   Status status = DelegateFetchBatch(*base_, keys, out, io);
@@ -333,11 +325,6 @@ double VersionedStore::SumAbs() const { return Snapshot()->SumAbs(); }
 void VersionedStore::ForEachNonZero(
     const std::function<void(uint64_t, double)>& fn) const {
   Snapshot()->ForEachNonZero(fn);
-}
-
-Result<double> VersionedStore::DoFetch(uint64_t key, IoStats* io) const {
-  const std::shared_ptr<const SnapshotStore> snap = snapshot_.Pin();
-  return DelegateFetch(*snap, key, io);
 }
 
 Status VersionedStore::DoFetchBatch(std::span<const uint64_t> keys,

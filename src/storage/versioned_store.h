@@ -67,7 +67,6 @@ class SnapshotStore : public CoefficientStore {
   const DeltaOverlay* overlay() const { return overlay_.get(); }
 
  protected:
-  Result<double> DoFetch(uint64_t key, IoStats* io) const override;
   Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
                       IoStats* io) const override;
   Status DoFetchBatchRouted(std::span<const uint64_t> keys,
@@ -226,7 +225,6 @@ class VersionedStore : public CoefficientStore {
   /// charged the retrievals). Routed hints are NOT forwarded — router() is
   /// null, so hints cannot have been computed against this store; the
   /// inherited DoFetchBatchRouted discards them into DoFetchBatch.
-  Result<double> DoFetch(uint64_t key, IoStats* io) const override;
   Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
                       IoStats* io) const override;
 

@@ -19,9 +19,10 @@ namespace wavebatch::telemetry {
 /// The canonical instrumentation points use fixed names:
 ///   plan_build         — EvalPlan::Build (rewrite + importances + orders)
 ///   plan_cache_lookup  — PlanCache::GetOrBuild (contains plan_build on miss)
-///   session_step       — EvalSession::StepBatch / StepBlock
-///   store_fetch_batch  — CoefficientStore::FetchBatch (emitted by the
-///                        wrapper together with the latency histogram)
+///   session_step       — EvalSession step of two or more entries
+///   store_fetch_batch  — counted read of two or more keys (emitted by
+///                        CoefficientStore's wrapper with the latency
+///                        histogram; one-key reads are not timed)
 ///   shard_subbatch     — ShardedStore per-shard scatter-gather leg
 ///   request_quantum    — QueryService scheduler quantum (prefetch + step)
 ///

@@ -138,13 +138,18 @@ TEST_P(EngineOrderTest, ScalarStepsMatchLegacyEntryForEntry) {
 
 TEST_P(EngineOrderTest, SkipModeBatchAndScalarPathsAgree) {
   // Under FaultPolicy::kSkip a failed FetchBatch falls back to per-key
-  // scalar fetches. That fallback and a pure scalar Step() loop must both
-  // reproduce the recorded kSkip run: same estimates, same bound trackers,
-  // same skipped mass, at every batch boundary.
+  // fetches. That fallback and a pure Step() loop must both reproduce the
+  // recorded kSkip run: same estimates, same bound trackers, same skipped
+  // mass, at every batch boundary. The Step() loop's store also fails its
+  // 8th fetch once: Step() refetches a failed key like StepBatch(1) does,
+  // so a transient fault is never skipped. (Fetch 8 reads a healthy key in
+  // every order; a one-shot due on a failed key's fetch never fires.)
   Fixture f;
   std::unique_ptr<BlockStore> block = f.MakeBlockBackend();
   FaultInjectionStore batch_store(block.get());
-  FaultInjectionStore scalar_store(f.store.get());
+  FaultInjectionOptions one_shot;
+  one_shot.fail_at_fetch = 8;
+  FaultInjectionStore scalar_store(f.store.get(), one_shot);
   FailRecordedKeys(f, batch_store);
   FailRecordedKeys(f, scalar_store);
   EvalSession::Options opts = RecordedOptions(GetParam(), FaultPolicy::kSkip);
@@ -166,6 +171,10 @@ TEST_P(EngineOrderTest, SkipModeBatchAndScalarPathsAgree) {
   EXPECT_TRUE(scalar.Done());
   EXPECT_GT(batched.SkippedCoefficients(), 0u);
   EXPECT_EQ(batched.SkippedCoefficients(), scalar.SkippedCoefficients());
+  // Each skipped key failed twice (its fetch and the refetch); the
+  // one-shot fault fired once and was absorbed by its refetch.
+  EXPECT_EQ(scalar_store.injected_failures(),
+            2 * scalar.SkippedCoefficients() + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOrders, EngineOrderTest,

@@ -141,10 +141,6 @@ class CountingStore : public CoefficientStore {
   uint64_t keys() const { return keys_.load(); }
 
  protected:
-  Result<double> DoFetch(uint64_t key, IoStats* io) const override {
-    ++keys_;
-    return DelegateFetch(*inner_, key, io);
-  }
   Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
                       IoStats* io) const override {
     keys_ += keys.size();

@@ -592,6 +592,45 @@ TEST_F(TelemetryTest, StoreAndPlanCacheAndSpanSeriesFlow) {
   EXPECT_GE(steps, 1);
 }
 
+TEST_F(TelemetryTest, OneKeyReadsAreCountedButNotTimed) {
+  // A one-key read — Fetch(), and the one-entry Step() — adds to the store
+  // counters but takes no clock read: no store_fetch_batch or session_step
+  // span and no latency observation. A 2-key batch is timed once.
+  EngineFixture f;
+  auto& registry = MetricsRegistry::Default();
+  const Labels labels = {{"store", f.store->name()}};
+  Counter* keys =
+      registry.GetCounter("wavebatch_store_keys_fetched_total", labels);
+  Histogram* latency =
+      registry.GetHistogram("wavebatch_store_fetch_batch_latency_ns", labels);
+  const size_t spans_before = registry.Spans().size();
+  const auto spans_named = [&](std::string_view name) {
+    const std::vector<telemetry::SpanEvent> spans = registry.Spans();
+    int n = 0;
+    for (size_t i = spans_before; i < spans.size(); ++i) {
+      n += std::string_view(spans[i].name) == name;
+    }
+    return n;
+  };
+
+  const uint64_t key = f.plan->list().keys()[0];
+  ASSERT_TRUE(f.store->Fetch(key).ok());
+  EvalSession session(f.plan, UnownedStore(*f.store));
+  ASSERT_TRUE(session.Step().ok());
+  EXPECT_EQ(keys->Value(), 2u);
+  EXPECT_EQ(latency->Count(), 0u);
+  EXPECT_EQ(spans_named("store_fetch_batch"), 0);
+  EXPECT_EQ(spans_named("session_step"), 0);
+
+  const std::vector<uint64_t> two = {key, key};
+  std::vector<double> out(two.size());
+  ASSERT_TRUE(f.store->FetchBatch(two, out).ok());
+  EXPECT_EQ(keys->Value(), 4u);
+  EXPECT_EQ(latency->Count(), 1u);
+  EXPECT_EQ(spans_named("store_fetch_batch"), 1);
+  EXPECT_EQ(spans_named("session_step"), 0);
+}
+
 TEST_F(TelemetryTest, ThreadPoolMetricsCountTasks) {
   auto& registry = MetricsRegistry::Default();
   Counter* tasks = registry.GetCounter("wavebatch_thread_pool_tasks_total");
