@@ -1,7 +1,9 @@
 // Ablation: how much does the biggest-B *ordering* matter, holding I/O
 // sharing fixed? Theorems 1–2 say biggest-B minimizes worst-case and
 // expected penalty; this harness measures the realized normalized SSE of
-// four progression orders over the same master list on one dataset:
+// four progression orders over the same master list on one dataset, and
+// next to it each order's Theorem-1 bound K²·max ι over the unread entries,
+// normalized the same way (it must stay at or above the realized SSE):
 //   biggest-B   — the paper's algorithm
 //   round-robin — per-query biggest-first, queries advanced in turn
 //                 (the "s single-query ProPolyne instances" order)
@@ -34,6 +36,7 @@ int Main(int argc, char** argv) {
       EvalPlan::FromMasterList(exp.list, sse);
   double norm = 0.0;
   for (double e : exp.exact) norm += e * e;
+  const double k = exp.store->SumAbs();
 
   struct OrderSpec {
     const char* name;
@@ -56,12 +59,13 @@ int Main(int argc, char** argv) {
     traces.push_back(ProgressionTrace::Run(ev, exp.exact,
                                            {{"nsse", sse.get(), norm}},
                                            /*dense_until=*/16,
-                                           /*growth=*/1.6)
+                                           /*growth=*/1.6, k)
                          .value());
   }
 
   Table table({"retrieved", "nsse[biggest-B]", "nsse[round-robin]",
-               "nsse[random]", "nsse[key-order]"});
+               "nsse[random]", "nsse[key-order]", "bound[biggest-B]",
+               "bound[round-robin]", "bound[random]", "bound[key-order]"});
   size_t rows = traces[0].points().size();
   for (const auto& t : traces) rows = std::min(rows, t.points().size());
   for (size_t i = 0; i < rows; ++i) {
@@ -70,13 +74,18 @@ int Main(int argc, char** argv) {
     for (const auto& t : traces) {
       row.push_back(FormatDouble(t.points()[i].penalties[0]));
     }
+    for (const auto& t : traces) {
+      row.push_back(FormatDouble(t.points()[i].worst_case_bound / norm));
+    }
     table.AddRow(std::move(row));
   }
-  std::cout << "\nNormalized SSE by progression order (same master list, "
-               "same total I/O):\n";
+  std::cout << "\nNormalized SSE and Theorem-1 bound by progression order "
+               "(same master list, same total I/O):\n";
   table.Print(std::cout);
   std::cout << "expected shape: biggest-B dominates at small budgets; all "
-               "orders converge to exact at the full master list.\n";
+               "orders converge to exact at the full master list. Each "
+               "bound[] column stays at or above its nsse[] column, and "
+               "biggest-B's bound is the lowest at every budget.\n";
   std::cout << "elapsed: " << FormatDouble(total.ElapsedSeconds(), 3)
             << "s\n";
 

@@ -1,9 +1,12 @@
 // The query-serving front end in one page. Several "dashboard clients"
 // submit overlapping range-sum batches to a QueryService; the service runs
-// each as a progressive session over one pinned snapshot of the cube,
-// scheduling the session whose next quantum buys the most bound reduction
-// first. Each response reports the paper's per-session I/O (coefficient
-// retrievals) and the Theorem-1 progressive bound it completed with.
+// each as a session over one pinned snapshot of the cube. A request that
+// may stop early (here client 2, with a target bound) is progressive: it
+// walks Batch-Biggest-B and is scheduled first, by the bound reduction its
+// next quantum buys. Requests that must run to exact are served after it,
+// oldest first, each in key order like the paper's exact batch evaluation.
+// Each response reports the paper's per-session I/O (coefficient
+// retrievals) and the Theorem-1 bound it completed with.
 //
 //   ./build/examples/serving_quickstart
 

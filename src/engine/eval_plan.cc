@@ -171,6 +171,33 @@ std::span<const size_t> EvalPlan::Permutation(ProgressionOrder order) const {
   return {};
 }
 
+std::vector<double> EvalPlan::SuffixMaxImportance(
+    std::span<const size_t> permutation) const {
+  WB_CHECK(penalty_ != nullptr);
+  std::vector<double> suffix_max(permutation.size());
+  double max = 0.0;
+  for (size_t j = permutation.size(); j-- > 0;) {
+    max = std::max(max, importance_[permutation[j]]);
+    suffix_max[j] = max;
+  }
+  return suffix_max;
+}
+
+std::span<const double> EvalPlan::UnreadMaxImportance(
+    ProgressionOrder order) const {
+  WB_CHECK(order == ProgressionOrder::kKeyOrder ||
+           order == ProgressionOrder::kRoundRobin)
+      << "kBiggestB's next entry is its unread max; kRandom sessions own "
+         "theirs";
+  UnreadMaxMemo& memo = order == ProgressionOrder::kKeyOrder
+                            ? key_order_max_
+                            : round_robin_max_;
+  std::call_once(memo.once, [&] {
+    memo.values = SuffixMaxImportance(Permutation(order));
+  });
+  return memo.values;
+}
+
 std::vector<size_t> EvalPlan::RandomPermutation(uint64_t seed) const {
   std::lock_guard<std::mutex> lock(random_mu_);
   if (!random_cached_ || random_seed_ != seed) {

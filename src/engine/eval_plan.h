@@ -36,10 +36,12 @@ enum class ProgressionOrder {
 /// The immutable, shareable half of a progressive batch evaluation: master
 /// list, per-entry importances ι_p(ξ), and the consumption permutation of
 /// every deterministic ProgressionOrder, each computed once (round-robin on
-/// first use). Plans carry no cursor and touch no store, so one plan can
-/// back any number of EvalSessions — sequentially (a dashboard re-running
-/// the same batch) or concurrently (sessions on different threads over one
-/// shared store) — and can be cached across identical batches (PlanCache).
+/// first use), plus the unread-importance maxima Theorem 1's bound reads
+/// outside biggest-B (on first use). Plans carry no cursor and touch no
+/// store, so one plan can back any number of EvalSessions — sequentially (a
+/// dashboard re-running the same batch) or concurrently (sessions on
+/// different threads over one shared store) — and can be cached across
+/// identical batches (PlanCache).
 ///
 /// Plans own their inputs via shared_ptr: a session holding the plan keeps
 /// the master list and penalty alive.
@@ -103,6 +105,18 @@ class EvalPlan {
   /// session. Thread-safe.
   std::vector<size_t> RandomPermutation(uint64_t seed) const;
 
+  /// Entry j is max_{i ≥ j} ι_p(permutation[i]): the largest importance a
+  /// session walking `permutation` has not read after j steps — Theorem 1's
+  /// max over the unused coefficients. Requires HasImportance().
+  std::vector<double> SuffixMaxImportance(
+      std::span<const size_t> permutation) const;
+
+  /// SuffixMaxImportance(Permutation(order)) for kKeyOrder and kRoundRobin,
+  /// built on its first request, once per (plan, order) (thread-safe), like
+  /// round-robin itself. kBiggestB needs none (its next entry is the max)
+  /// and kRandom sessions own theirs.
+  std::span<const double> UnreadMaxImportance(ProgressionOrder order) const;
+
  private:
   EvalPlan(std::shared_ptr<const MasterList> list,
            std::shared_ptr<const PenaltyFunction> penalty,
@@ -110,6 +124,12 @@ class EvalPlan {
 
   /// Fills round_robin_. Runs once, under round_robin_once_.
   void BuildRoundRobin() const;
+
+  /// A suffix-max array built on first use (see UnreadMaxImportance).
+  struct UnreadMaxMemo {
+    std::once_flag once;
+    std::vector<double> values;
+  };
 
   std::shared_ptr<const MasterList> list_;
   std::shared_ptr<const PenaltyFunction> penalty_;
@@ -129,6 +149,10 @@ class EvalPlan {
   // pure function of the immutable plan) built on the first request.
   mutable std::once_flag round_robin_once_;
   mutable std::vector<size_t> round_robin_;
+  // Theorem 1's unread max along key order and round-robin: memos of the
+  // same kind, built by the first bound a session of that order reports.
+  mutable UnreadMaxMemo key_order_max_;
+  mutable UnreadMaxMemo round_robin_max_;
 
   // RandomPermutation memo (logical const: a cache of a pure function of
   // the immutable plan).

@@ -147,6 +147,9 @@ EvalSession::EvalSession(std::shared_ptr<const EvalPlan> plan,
   } else if (options_.order == ProgressionOrder::kRandom) {
     owned_permutation_ = plan_->RandomPermutation(options_.seed);
     permutation_ = owned_permutation_;
+    if (plan_->HasImportance()) {
+      owned_unread_max_ = plan_->SuffixMaxImportance(permutation_);
+    }
   } else {
     permutation_ = plan_->Permutation(options_.order);
   }
@@ -306,14 +309,32 @@ double EvalSession::NextImportance() const {
   return plan_->importance(permutation_[steps_taken_]);
 }
 
+double EvalSession::UnreadMaxImportance() const {
+  if (Done()) return 0.0;
+  // Biggest-B reads in descending ι_p, and blocks go by descending total ι_p
+  // (a block's total bounds each member's), so there the next unit is the
+  // unread max. Other orders read it from a suffix max along their
+  // permutation.
+  if (options_.block_of || options_.order == ProgressionOrder::kBiggestB) {
+    return NextImportance();
+  }
+  if (options_.order == ProgressionOrder::kRandom) {
+    return owned_unread_max_[steps_taken_];
+  }
+  return plan_->UnreadMaxImportance(options_.order)[steps_taken_];
+}
+
 double EvalSession::WorstCaseBound(double k_sum_abs) const {
   WB_CHECK(plan_->HasImportance());
-  // Degraded runs widen the bound by the skipped mass: a coefficient we
-  // could not read is bounded by K in magnitude exactly like one we have
-  // not read yet, but it never leaves the unknown set.
+  // Theorem 1: the error is a combination of the unread coefficients' query
+  // columns with total weight at most K = Σ|Δ̂|, so its penalty is at most
+  // K^α times the largest unread ι_p. Degraded runs widen the bound by the
+  // skipped mass: a coefficient we could not read is bounded by K in
+  // magnitude exactly like one we have not read yet, but it never leaves
+  // the unknown set.
   const double alpha = plan_->penalty()->HomogeneityDegree();
-  double bound =
-      std::pow(k_sum_abs, alpha) * (NextImportance() + skipped_importance_);
+  double bound = std::pow(k_sum_abs, alpha) *
+                 (UnreadMaxImportance() + skipped_importance_);
   if (quant_error_l1_ > 0.0) {
     // Lossy reads: the already-applied coefficients carry decode error too.
     // Combine in the penalty's α-norm geometry — the 1/α-th roots of the

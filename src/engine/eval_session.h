@@ -136,11 +136,16 @@ class EvalSession {
   /// Requires a plan with importances.
   double NextImportance() const;
 
-  /// Theorem 1's worst-case penalty bound K^α·ι_p(ξ′) for the current
-  /// approximation; `k_sum_abs` is the store's SumAbs. Sharp under
-  /// kBiggestB. Under kSkip the bound widens by K^α·Σ ι_p over skipped
-  /// coefficients: each one is still worth at most K in absolute value, and
-  /// unlike the not-yet-fetched tail it never stops being unknown.
+  /// Theorem 1's worst-case penalty bound K^α·max ι_p(ξ′) over the unread
+  /// coefficients ξ′, for the current approximation; `k_sum_abs` is the
+  /// store's SumAbs. Sound in every order and sharp under kBiggestB, where
+  /// the max is the next entry's ι_p (NextImportance); other orders read it
+  /// from a suffix max along their permutation (EvalPlan::
+  /// UnreadMaxImportance), and block granularity uses the next block's
+  /// total, which bounds every unread member. Under kSkip the bound widens
+  /// by K^α·Σ ι_p over skipped coefficients: each one is still worth at most
+  /// K in absolute value, and unlike the not-yet-fetched tail it never stops
+  /// being unknown.
   double WorstCaseBound(double k_sum_abs) const;
 
   /// Theorem 2's expected penalty Σ_{unused ξ} ι_p(ξ) / `domain_cells`.
@@ -173,6 +178,10 @@ class EvalSession {
   /// The one step body behind Step, StepBatch and StepBlock: steps the
   /// next `n` entries of permutation_ as one FetchBatch (see StepBatch).
   Status StepEntries(size_t n);
+
+  /// Theorem 1's max ι_p over the entries not yet consumed (0 when done);
+  /// see WorstCaseBound.
+  double UnreadMaxImportance() const;
 
   /// Lossy stores only: folds the decode-error bounds of the just-applied
   /// entries `order[0..n)` into quant_error_l1_ (see WorstCaseBound).
@@ -208,6 +217,9 @@ class EvalSession {
   // each block's entries contiguous and ascending).
   std::vector<size_t> owned_permutation_;
   std::span<const size_t> permutation_;
+  // kRandom with importances: the suffix max of ι_p along the session's own
+  // permutation, built with it (EvalPlan::SuffixMaxImportance).
+  std::vector<double> owned_unread_max_;
 
   // Block granularity: block b of the consumption order ends at
   // permutation_ offset block_ends_[b] and weighs block_importance_[b].

@@ -238,10 +238,16 @@ void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
     if (!pinned_k_.has_value()) pinned_k_ = pinned_->SumAbs();
     active->k_sum_abs = *pinned_k_;
     active->epoch = pinned_epoch_;
+    // Only a request that can stop early (a target or a deadline) gains
+    // from biggest-B; an exact request reads its master list in key order,
+    // the paper's exact batch evaluation, which walks the plan's CSR image
+    // and the store sequentially.
+    active->progressive = active->request.penalty != nullptr &&
+                          (active->request.target_bound > 0.0 ||
+                           active->request.deadline.count() > 0);
     EvalSession::Options session_options;
-    session_options.order = active->request.penalty != nullptr
-                                ? ProgressionOrder::kBiggestB
-                                : ProgressionOrder::kKeyOrder;
+    session_options.order = active->progressive ? ProgressionOrder::kBiggestB
+                                                : ProgressionOrder::kKeyOrder;
     session_options.fault_policy = active->request.fault_policy;
     active->session = std::make_unique<EvalSession>(plan.value(), pinned_,
                                                     session_options);
@@ -268,7 +274,10 @@ QueryService::Active* QueryService::PickLocked(
   // Least deadline slack first; among equals, the session whose next
   // quantum buys the most Theorem-1 bound reduction per retrieval (its next
   // coefficient's importance — the progression is importance-sorted, so
-  // the head is the quantum's densest unit of progress).
+  // the head is the quantum's densest unit of progress). An exact request
+  // answers only when it is done, so its marginal is 0: it ranks below
+  // every progressive one, and exact requests run in admission order (ties
+  // keep the first live session).
   Active* best = nullptr;
   double best_slack = 0.0;
   double best_marginal = 0.0;
@@ -280,9 +289,8 @@ QueryService::Active* QueryService::PickLocked(
             : std::chrono::duration_cast<std::chrono::duration<double>>(
                   active->deadline_at - now)
                   .count();
-    const double marginal = active->session->plan().HasImportance()
-                                ? active->session->NextImportance()
-                                : 0.0;
+    const double marginal =
+        active->progressive ? active->session->NextImportance() : 0.0;
     if (best == nullptr || slack < best_slack ||
         (slack == best_slack && marginal > best_marginal)) {
       best = active.get();

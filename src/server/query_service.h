@@ -27,12 +27,23 @@ namespace wavebatch::server {
 /// One client request: a query batch plus how much progress it needs and by
 /// when. Every budget is optional — with none set the request runs to
 /// exactness.
+///
+/// A request with a penalty and a target_bound or a deadline is
+/// *progressive*: it walks Batch-Biggest-B, so whenever it stops its answer
+/// has the best Theorem-1 bound for the retrievals spent. Any other request
+/// is *exact*: it can only finish exact, so it is served as the paper's
+/// exact batch evaluation, in ascending key order. Progressive quality is
+/// promised only to requests that ask for it: an exact request stopped by a
+/// kFail fault returns key-order partial estimates, with a bound that is
+/// sound but looser than biggest-B's would be.
 struct QueryRequest {
   explicit QueryRequest(QueryBatch batch_in) : batch(std::move(batch_in)) {}
 
   QueryBatch batch;
-  /// Drives the progression order and the Theorem-1 bound. Null = exact
-  /// only (key order, no early stop on target_bound).
+  /// Ranks coefficients for progressive requests and defines the reported
+  /// Theorem-1 bound. Null = no bound (and no early stop on target_bound);
+  /// with a penalty but neither target nor deadline the request is exact
+  /// and reads in key order all the same.
   std::shared_ptr<const PenaltyFunction> penalty;
   FaultPolicy fault_policy = FaultPolicy::kFail;
   /// Complete early once WorstCaseBound() <= target_bound (requires a
@@ -101,6 +112,10 @@ struct QueryServiceOptions {
 /// Scheduling is progress-aware: the runnable session with the least
 /// deadline slack goes first; among equals, the one whose next quantum buys
 /// the largest Theorem-1 bound reduction per retrieval (NextImportance).
+/// Exact requests (see QueryRequest) answer only once every retrieval is
+/// in, so they rank below every progressive request and run first-in
+/// first-out (a worker steps the oldest one not already being stepped),
+/// each in key order.
 /// Requests complete when exact, when their target bound is reached, or
 /// when their deadline expires (returning the current progressive estimates
 /// and bound — the paper's contract is that partial answers are usable).
@@ -209,6 +224,11 @@ class QueryService {
     std::chrono::steady_clock::time_point admitted_at;
     std::chrono::steady_clock::time_point deadline_at;  // max() = none
     std::unique_ptr<EvalSession> session;
+    /// Has a penalty and a target or a deadline, so it may stop early: it
+    /// walks biggest-B and is scheduled by its next importance. Otherwise
+    /// it is an exact request, served in key order behind every progressive
+    /// one.
+    bool progressive = false;
     /// Theorem 1's K of the snapshot the session reads.
     double k_sum_abs = 0.0;
     uint64_t generation = 0;
@@ -236,7 +256,8 @@ class QueryService {
   /// deadlines, failed plan builds) are finalized into *finished.
   void AdmitLocked(std::vector<std::function<void()>>* finished);
   /// Picks the runnable live session with (least deadline slack, highest
-  /// marginal bound reduction). Null when none is runnable. Must hold mu_.
+  /// marginal bound reduction — 0 for an exact request), the earliest
+  /// admitted among equals. Null when none is runnable. Must hold mu_.
   Active* PickLocked(std::chrono::steady_clock::time_point now);
   /// Runs one quantum for `active` WITHOUT the lock: one StepBatch. When
   /// the request is traced, the quantum runs under its TraceContext (so

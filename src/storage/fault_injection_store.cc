@@ -96,14 +96,6 @@ Status FaultInjectionStore::CheckOneLocked(uint64_t key) const {
     return Status::Unavailable("injected fault: key " + std::to_string(key) +
                                " is failed until Heal()");
   }
-  if (state_->options.fail_at_fetch != 0 &&
-      ordinal == state_->options.fail_at_fetch) {
-    state_->options.fail_at_fetch = 0;  // one-shot: self-heals after firing
-    ++state_->injected_failures;
-    injected_faults_metric_->Add();
-    return Status::Unavailable("injected fault: one-shot fault at fetch " +
-                               std::to_string(ordinal));
-  }
   if (state_->options.fail_every_n != 0 &&
       ordinal % state_->options.fail_every_n == 0) {
     ++state_->injected_failures;
@@ -111,6 +103,16 @@ Status FaultInjectionStore::CheckOneLocked(uint64_t key) const {
     return Status::Unavailable(
         "injected fault: fetch " + std::to_string(ordinal) + " (every " +
         std::to_string(state_->options.fail_every_n) + "th)");
+  }
+  // Tested last, so a fetch another rule already fails never absorbs the
+  // one-shot: it stays armed for the next fetch that would succeed.
+  if (state_->options.fail_at_fetch != 0 &&
+      ordinal >= state_->options.fail_at_fetch) {
+    state_->options.fail_at_fetch = 0;  // one-shot: self-heals after firing
+    ++state_->injected_failures;
+    injected_faults_metric_->Add();
+    return Status::Unavailable("injected fault: one-shot fault at fetch " +
+                               std::to_string(ordinal));
   }
   return Status::OK();
 }

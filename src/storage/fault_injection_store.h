@@ -19,8 +19,10 @@ struct FaultInjectionOptions {
   /// fires, so an immediate retry of the same key succeeds — this models a
   /// transient (retryable) fault.
   uint64_t fail_every_n = 0;
-  /// Fail exactly the Nth counted fetch, then self-heal. Models a one-shot
-  /// transient fault at a known point in a progression.
+  /// Fail the first counted fetch at or after the Nth that no other rule
+  /// fails (a failed key, fail_every_n), then self-heal — so the one-shot
+  /// always injects exactly one transient failure of its own. Models a
+  /// one-shot transient fault at a known point in a progression.
   uint64_t fail_at_fetch = 0;
   /// Injected latency per counted call (one-key or larger batch), applied on
   /// the calling thread before the read. Models slow media; useful for

@@ -308,6 +308,50 @@ TEST(EngineConcurrencyTest, RoundRobinBuiltOnceUnderConcurrentFirstUse) {
   }
 }
 
+TEST(EngineConcurrencyTest, KeyOrderUnreadMaxBuiltOnceUnderConcurrentFirstUse) {
+  // A plan builds the key-order suffix max Theorem 1's bound reads on the
+  // first bound a key-order session reports. Eight threads step kKeyOrder
+  // sessions part-way on one freshly built shared plan, each to its own
+  // point, and ask for the bound at the same moment: every bound must be
+  // bit-identical to the one a serially built plan gives at that point.
+  Fixture f;
+  WaveletStrategy strategy(f.schema, WaveletKind::kHaar);
+  EvalSession::Options options;
+  options.order = ProgressionOrder::kKeyOrder;
+  auto steps_for = [&](size_t t) {
+    return (t + 1) * f.plan->size() / (kNumThreads + 1);
+  };
+  auto serial_plan =
+      EvalPlan::Build(f.batch, strategy, f.sse, BuildParallelism::kSerial)
+          .value();
+  std::vector<double> serial_bounds(kNumThreads);
+  for (size_t t = 0; t < kNumThreads; ++t) {
+    EvalSession session(serial_plan, UnownedStore(*f.store), options);
+    ASSERT_TRUE(session.StepBatch(steps_for(t)).ok());
+    serial_bounds[t] = session.WorstCaseBound(f.k_sum_abs);
+  }
+
+  auto shared_plan = EvalPlan::Build(f.batch, strategy, f.sse).value();
+  std::atomic<size_t> arrived{0};
+  std::vector<double> bounds(kNumThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kNumThreads; ++t) {
+    threads.emplace_back([&, t] {
+      EvalSession session(shared_plan, UnownedStore(*f.store), options);
+      session.StepBatch(steps_for(t));
+      arrived.fetch_add(1);
+      while (arrived.load() < kNumThreads) std::this_thread::yield();
+      bounds[t] = session.WorstCaseBound(f.k_sum_abs);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kNumThreads; ++t) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(bounds[t]),
+              std::bit_cast<uint64_t>(serial_bounds[t]))
+        << "thread " << t;
+  }
+}
+
 TEST(EngineConcurrencyTest, PlanCacheSharedAcrossThreads) {
   Fixture f;
   WaveletStrategy strategy(f.schema, WaveletKind::kHaar);

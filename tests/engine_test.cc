@@ -87,7 +87,6 @@ TEST_P(EngineOrderTest, GoldenAgainstLegacyEvaluatorOnEveryBackend) {
   // mass, steps, and I/O.
   Fixture f;
   Backends backends(f);
-  const double k = f.store->SumAbs();
   for (FaultPolicy policy : {FaultPolicy::kFail, FaultPolicy::kSkip}) {
     for (auto& [name, store] : backends.stores) {
       SCOPED_TRACE(name + (policy == FaultPolicy::kSkip ? " kSkip" : ""));
@@ -98,7 +97,7 @@ TEST_P(EngineOrderTest, GoldenAgainstLegacyEvaluatorOnEveryBackend) {
           UnownedStore(policy == FaultPolicy::kSkip ? faulty : *store),
           RecordedOptions(GetParam(), policy));
       golden::ExpectBatchedRun(golden::Recorded(GetParam(), policy), session,
-                               k, f.schema.cell_count(), name == "block");
+                               f, name == "block");
       if (policy == FaultPolicy::kFail) {
         EXPECT_EQ(session.io().retrievals, f.list->size());
         for (size_t i = 0; i < f.exact.size(); ++i) {
@@ -123,15 +122,13 @@ TEST_P(EngineOrderTest, ScalarStepsMatchLegacyEntryForEntry) {
           ? f.plan->RandomPermutation(golden::kRandomSeed)
           : std::vector<size_t>(f.plan->Permutation(GetParam()).begin(),
                                 f.plan->Permutation(GetParam()).end());
-  const double k = f.store->SumAbs();
   for (const golden::Step& row :
        golden::Recorded(GetParam(), FaultPolicy::kFail)) {
     while (session.StepsTaken() < row.steps) {
       const uint64_t i = session.StepsTaken();
       EXPECT_EQ(session.Step().value(), order[i]);
     }
-    golden::ExpectStep(row, session, k, f.schema.cell_count(),
-                       /*block_backend=*/false);
+    golden::ExpectStep(row, session, f, /*block_backend=*/false);
   }
   EXPECT_TRUE(session.Done());
 }
@@ -143,7 +140,8 @@ TEST_P(EngineOrderTest, SkipModeBatchAndScalarPathsAgree) {
   // mass, at every batch boundary. The Step() loop's store also fails its
   // 8th fetch once: Step() refetches a failed key like StepBatch(1) does,
   // so a transient fault is never skipped. (Fetch 8 reads a healthy key in
-  // every order; a one-shot due on a failed key's fetch never fires.)
+  // every order; a one-shot due on a failed key's fetch would fire on the
+  // next healthy fetch instead.)
   Fixture f;
   std::unique_ptr<BlockStore> block = f.MakeBlockBackend();
   FaultInjectionStore batch_store(block.get());
@@ -155,17 +153,14 @@ TEST_P(EngineOrderTest, SkipModeBatchAndScalarPathsAgree) {
   EvalSession::Options opts = RecordedOptions(GetParam(), FaultPolicy::kSkip);
   EvalSession batched(f.plan, UnownedStore(batch_store), opts);
   EvalSession scalar(f.plan, UnownedStore(scalar_store), opts);
-  const double k = f.store->SumAbs();
   size_t bi = 0;
   for (const golden::Step& row :
        golden::Recorded(GetParam(), FaultPolicy::kSkip)) {
     const size_t n = golden::kBatchSizes[bi++ % std::size(golden::kBatchSizes)];
     const size_t taken = batched.StepBatch(n).value();
     for (size_t i = 0; i < taken; ++i) ASSERT_TRUE(scalar.Step().ok());
-    golden::ExpectStep(row, batched, k, f.schema.cell_count(),
-                       /*block_backend=*/true);
-    golden::ExpectStep(row, scalar, k, f.schema.cell_count(),
-                       /*block_backend=*/false);
+    golden::ExpectStep(row, batched, f, /*block_backend=*/true);
+    golden::ExpectStep(row, scalar, f, /*block_backend=*/false);
   }
   EXPECT_TRUE(batched.Done());
   EXPECT_TRUE(scalar.Done());

@@ -94,6 +94,25 @@ TEST(FaultInjectionStoreTest, FailAtFetchIsOneShot) {
   EXPECT_EQ(io.retrievals, 3u);
 }
 
+TEST(FaultInjectionStoreTest, OneShotDueOnAFailedKeyFiresOnTheNextFetch) {
+  // The one-shot is due on ordinal 1, a fetch of a permanently failed key.
+  // That fetch fails for its key, so the one-shot stays armed and fails the
+  // next fetch no other rule fails: it always injects a failure of its own.
+  auto inner = std::make_unique<HashStore>();
+  inner->Add(1, 2.0);
+  FaultInjectionOptions options;
+  options.fail_at_fetch = 1;
+  FaultInjectionStore store(std::move(inner), options);
+  store.FailKey(0);
+
+  IoStats io;
+  EXPECT_FALSE(store.Fetch(0, &io).ok());  // ordinal 1: the failed key
+  EXPECT_FALSE(store.Fetch(1, &io).ok());  // ordinal 2: the one-shot
+  EXPECT_DOUBLE_EQ(store.Fetch(1, &io).value(), 2.0);  // self-healed
+  EXPECT_EQ(store.injected_failures(), 2u);
+  EXPECT_EQ(io.retrievals, 1u);
+}
+
 TEST(FaultInjectionStoreTest, FailEveryNthAdvancesSoRetrySucceeds) {
   auto inner = std::make_unique<HashStore>();
   FaultInjectionOptions options;

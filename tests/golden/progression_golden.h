@@ -160,16 +160,23 @@ inline void ExpectEstimates(std::span<const double> want,
   }
 }
 
-/// Checks `session` against recorded row `want`.
+/// Checks `session`, a run over `f`'s plan and store, against recorded row
+/// `want`, and Theorem 1 against brute force: the SSE of the estimates
+/// against `f.exact` is within the reported bound (up to rounding).
 inline void ExpectStep(const Step& want, const EvalSession& session,
-                       double k, uint64_t cells, bool block_backend) {
+                       const Fixture& f, bool block_backend) {
   ASSERT_EQ(session.StepsTaken(), want.steps);
   SCOPED_TRACE("after " + std::to_string(want.steps) + " steps");
   ExpectEstimates(want.estimates, session.Estimates());
-  EXPECT_PRED_FORMAT2(SameBits, want.worst_case_bound,
-                      session.WorstCaseBound(k));
+  const double bound = session.WorstCaseBound(f.store->SumAbs());
+  EXPECT_PRED_FORMAT2(SameBits, want.worst_case_bound, bound);
+  std::vector<double> error(f.exact.size());
+  for (size_t q = 0; q < error.size(); ++q) {
+    error[q] = session.Estimates()[q] - f.exact[q];
+  }
+  EXPECT_LE(f.sse->Apply(error), bound * (1.0 + 1e-6) + 1e-4);
   EXPECT_PRED_FORMAT2(SameBits, want.expected_penalty,
-                      session.ExpectedPenalty(cells));
+                      session.ExpectedPenalty(f.schema.cell_count()));
   EXPECT_PRED_FORMAT2(SameBits, want.next_importance,
                       session.NextImportance());
   EXPECT_PRED_FORMAT2(SameBits, want.skipped_importance,
@@ -180,12 +187,12 @@ inline void ExpectStep(const Step& want, const EvalSession& session,
 /// Replays a recorded coefficient-granularity run on `session` with
 /// StepBatch, checking every boundary.
 inline void ExpectBatchedRun(std::span<const Step> want, EvalSession& session,
-                             double k, uint64_t cells, bool block_backend) {
+                             const Fixture& f, bool block_backend) {
   size_t bi = 0;
   for (const Step& row : want) {
     const size_t n = kBatchSizes[bi++ % std::size(kBatchSizes)];
     ASSERT_TRUE(session.StepBatch(n).ok());
-    ExpectStep(row, session, k, cells, block_backend);
+    ExpectStep(row, session, f, block_backend);
   }
   EXPECT_TRUE(session.Done());
 }

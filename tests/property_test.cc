@@ -2,11 +2,13 @@
 // shape, polynomial degree) combination, the wavelet strategy must answer
 // random range-sums exactly, with query-vector sparsity respecting the
 // paper's O((4δ+2)^d log^d N) bound, and progressive evaluation must obey
-// the Theorem 1 bound on arbitrary random data — also when faults force a
-// degraded (kSkip) session to consume coefficients without their data.
+// the Theorem 1 bound on arbitrary random data after every entry, in every
+// progression order — also when faults force a degraded (kSkip) session to
+// consume coefficients without their data.
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "data/generators.h"
 #include "engine/eval_plan.h"
@@ -78,20 +80,28 @@ class PipelinePropertyTest : public ::testing::TestWithParam<PipelineParam> {
     return s;
   }
 
-  /// Asserts Theorem 1 — SSE(exact − estimate) ≤ WorstCaseBound(K) — at
-  /// every StepBatch boundary of `session` until it is done.
+  static constexpr ProgressionOrder kOrders[] = {
+      ProgressionOrder::kBiggestB, ProgressionOrder::kRoundRobin,
+      ProgressionOrder::kRandom, ProgressionOrder::kKeyOrder};
+
+  /// Asserts Theorem 1 — SSE(exact − estimate) ≤ WorstCaseBound(K) — before
+  /// the first entry and after every entry `session` consumes, until it is
+  /// done.
   static void ExpectTheorem1Holds(EvalSession& session,
                                   const std::vector<double>& exact,
                                   double k) {
     const SsePenalty sse;
-    while (!session.Done()) {
-      std::vector<double> err(exact.size());
+    std::vector<double> err(exact.size());
+    while (true) {
       for (size_t i = 0; i < err.size(); ++i) {
         err[i] = session.Estimates()[i] - exact[i];
       }
-      EXPECT_LE(sse.Apply(err),
-                session.WorstCaseBound(k) * (1.0 + 1e-6) + 1e-4);
-      ASSERT_TRUE(session.StepBatch(session.TotalSteps() / 7 + 1).ok());
+      ASSERT_LE(sse.Apply(err),
+                session.WorstCaseBound(k) * (1.0 + 1e-6) + 1e-4)
+          << "after " << session.StepsTaken() << " of "
+          << session.TotalSteps() << " entries";
+      if (session.Done()) return;
+      ASSERT_TRUE(session.StepBatch(1).ok());
     }
   }
 };
@@ -138,25 +148,38 @@ TEST_P(PipelinePropertyTest, SparsityBoundWhenFilterSufficient) {
 }
 
 TEST_P(PipelinePropertyTest, Theorem1BoundHoldsOnArbitraryData) {
+  // In every progression order: the bound is Theorem 1's max over the
+  // unread entries, not the next entry's importance.
   Theorem1Setup s = MakeTheorem1Setup(GetParam());
-  EvalSession session(s.plan, UnownedStore(*s.store));
-  ExpectTheorem1Holds(session, s.exact, s.store->SumAbs());
+  for (ProgressionOrder order : kOrders) {
+    SCOPED_TRACE("order " + std::to_string(static_cast<int>(order)));
+    EvalSession::Options opts;
+    opts.order = order;
+    opts.seed = 17;
+    EvalSession session(s.plan, UnownedStore(*s.store), opts);
+    ExpectTheorem1Holds(session, s.exact, s.store->SumAbs());
+  }
 }
 
 TEST_P(PipelinePropertyTest, Theorem1BoundHoldsUnderSkippedFaults) {
   // Every fourth master-list key is unavailable: the kSkip session consumes
   // those coefficients without data, and the bound must widen by their
-  // importance enough to stay sound.
+  // importance enough to stay sound, in every progression order.
   Theorem1Setup s = MakeTheorem1Setup(GetParam());
   FaultInjectionStore faulty(s.store.get());
   for (size_t i = 0; i < s.plan->size(); i += 4) {
     faulty.FailKey(s.plan->list().keys()[i]);
   }
-  EvalSession::Options opts;
-  opts.fault_policy = FaultPolicy::kSkip;
-  EvalSession session(s.plan, UnownedStore(faulty), opts);
-  ExpectTheorem1Holds(session, s.exact, s.store->SumAbs());
-  EXPECT_GT(session.SkippedCoefficients(), 0u);
+  for (ProgressionOrder order : kOrders) {
+    SCOPED_TRACE("order " + std::to_string(static_cast<int>(order)));
+    EvalSession::Options opts;
+    opts.order = order;
+    opts.seed = 17;
+    opts.fault_policy = FaultPolicy::kSkip;
+    EvalSession session(s.plan, UnownedStore(faulty), opts);
+    ExpectTheorem1Holds(session, s.exact, s.store->SumAbs());
+    EXPECT_GT(session.SkippedCoefficients(), 0u);
+  }
 }
 
 TEST_P(PipelinePropertyTest, LinfWorstCaseBoundAlsoHolds) {

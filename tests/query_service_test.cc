@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -212,15 +213,20 @@ std::vector<QueryResponse> Serve(QueryService& service,
 }
 
 /// The reference: the same request on a private session over the same
-/// store, stepped by the same quantum, run to exactness.
+/// store, in the order the service serves it (biggest-B if and only if the
+/// request has a penalty and a target or a deadline, else key order),
+/// stepped by the same quantum, run to exactness.
 QueryResponse Isolated(const QueryRequest& request,
                        std::shared_ptr<const CoefficientStore> store,
                        const LinearStrategy& strategy, size_t quantum) {
   auto plan =
       EvalPlan::Build(request.batch, strategy, request.penalty).value();
+  const bool progressive =
+      request.penalty != nullptr &&
+      (request.target_bound > 0.0 || request.deadline.count() > 0);
   EvalSession::Options options;
-  options.order = request.penalty != nullptr ? ProgressionOrder::kBiggestB
-                                             : ProgressionOrder::kKeyOrder;
+  options.order = progressive ? ProgressionOrder::kBiggestB
+                              : ProgressionOrder::kKeyOrder;
   options.fault_policy = request.fault_policy;
   EvalSession session(plan, std::move(store), options);
   while (!session.Done()) {
@@ -554,6 +560,59 @@ TEST(QueryServiceFaults, SkipPolicyMatchesIsolatedOverFaultyStore) {
   }
 }
 
+/// An exact request stopped by a kFail fault returns its key-order partial
+/// estimates with a bound that covers their true error. The failed key is
+/// where that matters: the first entry of the first quantum whose starting
+/// state has a true SSE above K^α times the next entry's importance, so a
+/// bound read off the next entry, instead of Theorem 1's max over the
+/// unread entries, would undershoot. The data are Zipf-skewed: on the
+/// fixture's uniform relation the next entry happens to cover the error at
+/// every step of this batch.
+TEST(QueryServiceFaults, InterruptedExactRequestReportsASoundBound) {
+  ServingFixture f;
+  const Relation skewed = MakeZipfRelation(f.schema, 300, 1.1, 7);
+  constexpr size_t kQuantum = 4;
+  QueryRequest request(f.MakeBatch(32));
+  request.penalty = f.sse;
+  const std::vector<double> truth = request.batch.BruteForce(skewed);
+  auto sse_of = [&truth](const std::vector<double>& estimates) {
+    double sse = 0.0;
+    for (size_t q = 0; q < truth.size(); ++q) {
+      const double e = estimates[q] - truth[q];
+      sse += e * e;
+    }
+    return sse;
+  };
+
+  auto faulty = std::make_shared<FaultInjectionStore>(
+      f.strategy.BuildStore(skewed.FrequencyDistribution()));
+  const double k_alpha =
+      std::pow(faulty->SumAbs(), f.sse->HomogeneityDegree());
+  auto plan = EvalPlan::Build(request.batch, f.strategy, f.sse).value();
+  EvalSession::Options key_order;
+  key_order.order = ProgressionOrder::kKeyOrder;
+  EvalSession probe(plan, faulty, key_order);
+  while (!probe.Done() &&
+         sse_of(probe.Estimates()) <= k_alpha * probe.NextImportance()) {
+    ASSERT_TRUE(probe.StepBatch(kQuantum).ok());
+  }
+  ASSERT_FALSE(probe.Done())
+      << "no quantum boundary where the next entry's importance undershoots";
+  const uint64_t stopped_at = probe.StepsTaken();
+  faulty->FailKey(plan->list().keys()[stopped_at]);
+
+  QueryServiceOptions options;
+  options.default_quantum = kQuantum;
+  QueryService service(faulty, f.shared_strategy, options);
+  const QueryResponse response = Serve(service, {request})[0];
+
+  EXPECT_EQ(response.status.code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(response.exact);
+  ASSERT_EQ(response.steps_taken, stopped_at);
+  EXPECT_GT(sse_of(response.estimates), k_alpha * probe.NextImportance());
+  EXPECT_LE(sse_of(response.estimates), response.worst_case_bound);
+}
+
 TEST(QueryServiceProgress, TargetBoundCompletesEarlyWithValidBound) {
   ServingFixture f;
   auto store = f.BuildView();
@@ -598,6 +657,67 @@ TEST(QueryServiceProgress, ExpiredDeadlineReturnsProgressiveAnswer) {
   EXPECT_GT(responses[0].worst_case_bound, 0.0)
       << "an approximate answer still carries its Theorem-1 bound";
   EXPECT_EQ(responses[0].estimates.size(), 6u);
+}
+
+/// Exact requests (a penalty, no target, no deadline) rank below every
+/// progressive one and run first-in first-out: a deadline request and a
+/// target request submitted behind 8 exact ones complete first, in that
+/// order (least slack first, then the target request's positive marginal),
+/// and the exact ones follow in admission order, each bit-identical to an
+/// isolated key-order session.
+TEST(QueryServiceScheduling, ProgressiveRequestsOvertakeQueuedExactOnes) {
+  ServingFixture f;
+  auto store = f.BuildView();
+  constexpr size_t kQuantum = 8;
+  QueryServiceOptions options;
+  options.max_live_sessions = 16;
+  options.default_quantum = kQuantum;
+  QueryService service(store, f.shared_strategy, options);
+
+  std::vector<QueryRequest> requests;
+  for (uint64_t t = 0; t < 8; ++t) {
+    QueryRequest request(f.MakeBatch(t));
+    request.penalty = f.sse;
+    requests.push_back(std::move(request));
+  }
+  QueryRequest deadline(f.MakeBatch(8));
+  deadline.penalty = f.sse;
+  deadline.deadline = std::chrono::seconds(10);
+  requests.push_back(std::move(deadline));
+  QueryRequest target(f.MakeBatch(9));
+  target.penalty = f.sse;
+  auto target_plan = EvalPlan::Build(target.batch, f.strategy, f.sse).value();
+  target.target_bound =
+      EvalSession(target_plan, store).WorstCaseBound(store->SumAbs()) / 2;
+  requests.push_back(std::move(target));
+
+  std::vector<size_t> completion_order;
+  std::vector<QueryResponse> responses(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(service
+                    .Submit(requests[i],
+                            [&, i](QueryResponse r) {
+                              completion_order.push_back(i);
+                              responses[i] = std::move(r);
+                            })
+                    .ok());
+  }
+  service.RunUntilIdle();
+
+  EXPECT_EQ(completion_order,
+            (std::vector<size_t>{8, 9, 0, 1, 2, 3, 4, 5, 6, 7}));
+  for (const QueryResponse& r : responses) {
+    EXPECT_TRUE(r.status.ok()) << r.status;
+  }
+  EXPECT_TRUE(responses[8].exact) << "10 s is ample at this size";
+  EXPECT_FALSE(responses[8].deadline_expired);
+  EXPECT_LE(responses[9].worst_case_bound, requests[9].target_bound);
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_TRUE(responses[i].exact);
+    ExpectBitIdentical(responses[i],
+                       Isolated(requests[i], store, f.strategy, kQuantum),
+                       ("exact request " + std::to_string(i)).c_str());
+  }
 }
 
 TEST(QueryServiceBackpressure, AdmissionQueueShedsBeyondDepth) {
@@ -855,7 +975,8 @@ TEST(QueryServiceTracing, ConvergenceTimelineIsMonotoneAndFinal) {
     EXPECT_GE(r.timeline[i].steps, r.timeline[i - 1].steps);
     EXPECT_GE(r.timeline[i].retrievals, r.timeline[i - 1].retrievals);
     EXPECT_GE(r.timeline[i].elapsed_us, r.timeline[i - 1].elapsed_us);
-    // Importance-ordered progression: the Theorem-1 bound only tightens.
+    // An exact request walks key order, and its Theorem-1 bound (the max
+    // importance over the unread entries) still only tightens.
     EXPECT_LE(r.timeline[i].bound, r.timeline[i - 1].bound + 1e-9);
   }
   // The forced completion point is the answer actually returned.

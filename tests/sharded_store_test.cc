@@ -93,8 +93,7 @@ TEST_P(ShardedOrderTest, S1GoldenBitIdenticalToLegacyEvaluator) {
   opts.seed = golden::kRandomSeed;
   EvalSession session(f.plan, UnownedStore(sharded), opts);
   golden::ExpectBatchedRun(golden::Recorded(GetParam(), FaultPolicy::kFail),
-                           session, f.store->SumAbs(), f.schema.cell_count(),
-                           /*block_backend=*/false);
+                           session, f, /*block_backend=*/false);
   EXPECT_EQ(session.io().retrievals, f.list->size());
 }
 
@@ -111,8 +110,7 @@ TEST_P(ShardedOrderTest, S4GoldenValueIdenticalToLegacyEvaluator) {
   opts.seed = golden::kRandomSeed;
   EvalSession session(f.plan, UnownedStore(sharded), opts);
   golden::ExpectBatchedRun(golden::Recorded(GetParam(), FaultPolicy::kFail),
-                           session, f.store->SumAbs(), f.schema.cell_count(),
-                           /*block_backend=*/false);
+                           session, f, /*block_backend=*/false);
   // Every counted key was served by the shard the router assigned it.
   uint64_t shard_sum = 0;
   for (size_t s = 0; s < sharded.num_shards(); ++s) {
