@@ -43,7 +43,7 @@ class Flags {
       }
       const size_t eq = arg.find('=');
       if (eq == std::string::npos) {
-        values_[arg.substr(2)] = "1";  // bare flag = true
+        values_[arg.substr(2)] = std::string(1, '1');  // bare flag = true
       } else {
         values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
       }

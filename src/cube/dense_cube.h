@@ -2,6 +2,7 @@
 #define WAVEBATCH_CUBE_DENSE_CUBE_H_
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cube/schema.h"
@@ -41,6 +42,10 @@ class DenseCube {
 
   std::span<double> values() { return values_; }
   std::span<const double> values() const { return values_; }
+
+  /// Hands the backing values over without copying them and leaves the
+  /// cube empty (size() == 0): a transformed cube becomes a store's array.
+  std::vector<double> TakeValues() && { return std::move(values_); }
 
   /// Sum of all cell values.
   double Total() const;

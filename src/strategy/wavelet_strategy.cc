@@ -134,9 +134,7 @@ std::unique_ptr<CoefficientStore> WaveletStrategy::BuildStore(
   WB_CHECK(delta.schema() == schema_);
   DenseCube transformed = delta;
   ForwardDwtNd(transformed, filter_);
-  std::vector<double> values(transformed.values().begin(),
-                             transformed.values().end());
-  return std::make_unique<DenseStore>(std::move(values));
+  return std::make_unique<DenseStore>(std::move(transformed).TakeValues());
 }
 
 Result<SparseVec> WaveletStrategy::TransformUpdate(const Tuple& tuple,

@@ -23,8 +23,10 @@ class WaveletStrategy : public LinearStrategy {
 
   Result<SparseVec> TransformQuery(const RangeSumQuery& query) const override;
 
-  /// Dense build: transforms a copy of Δ and stores it as a DenseStore
-  /// (array-based storage; exact, memory ∝ domain cells).
+  /// Dense build: copies Δ, transforms the copy in place with the tiled,
+  /// parallel ForwardDwtNd and moves its values into a DenseStore
+  /// (array-based storage; exact, memory ∝ domain cells). Two copies of the
+  /// view are live at the peak: the caller's Δ and the store's array.
   std::unique_ptr<CoefficientStore> BuildStore(
       const DenseCube& delta) const override;
 

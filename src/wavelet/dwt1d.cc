@@ -10,47 +10,15 @@ namespace wavebatch {
 void ForwardDwt1D(std::span<double> data, const WaveletFilter& filter) {
   const size_t n = data.size();
   WB_CHECK(IsPowerOfTwo(n)) << "DWT length must be a power of two, got " << n;
-  if (n == 1) return;
-  const std::span<const double> h = filter.lowpass();
-  const std::span<const double> g = filter.highpass();
-  const uint32_t len = filter.length();
   std::vector<double> scratch(n);
-  for (size_t m = n; m >= 2; m >>= 1) {
-    const size_t half = m / 2;
-    for (size_t k = 0; k < half; ++k) {
-      double s = 0.0, d = 0.0;
-      for (uint32_t t = 0; t < len; ++t) {
-        const double a = data[(2 * k + t) & (m - 1)];
-        s += h[t] * a;
-        d += g[t] * a;
-      }
-      scratch[k] = s;
-      scratch[half + k] = d;
-    }
-    for (size_t i = 0; i < m; ++i) data[i] = scratch[i];
-  }
+  ForwardDwtLanes<1>(data.data(), scratch.data(), n, filter);
 }
 
 void InverseDwt1D(std::span<double> data, const WaveletFilter& filter) {
   const size_t n = data.size();
   WB_CHECK(IsPowerOfTwo(n)) << "DWT length must be a power of two, got " << n;
-  if (n == 1) return;
-  const std::span<const double> h = filter.lowpass();
-  const std::span<const double> g = filter.highpass();
-  const uint32_t len = filter.length();
   std::vector<double> scratch(n);
-  for (size_t m = 2; m <= n; m <<= 1) {
-    const size_t half = m / 2;
-    for (size_t i = 0; i < m; ++i) scratch[i] = 0.0;
-    for (size_t k = 0; k < half; ++k) {
-      const double s = data[k];
-      const double d = data[half + k];
-      for (uint32_t t = 0; t < len; ++t) {
-        scratch[(2 * k + t) & (m - 1)] += h[t] * s + g[t] * d;
-      }
-    }
-    for (size_t i = 0; i < m; ++i) data[i] = scratch[i];
-  }
+  InverseDwtLanes<1>(data.data(), scratch.data(), n, filter);
 }
 
 WaveletIndex1D DecodeWaveletIndex(uint64_t flat) {

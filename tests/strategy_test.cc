@@ -2,6 +2,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "strategy/prefix_sum_strategy.h"
 #include "strategy/wavelet_strategy.h"
 #include "util/random.h"
+#include "wavelet/dwt_nd.h"
 #include "wavelet/impulse.h"
 #include "wavelet/lazy_query_transform.h"
 #include "wavelet/query_transform.h"
@@ -127,6 +129,44 @@ TEST_P(WaveletStrategyTest, RejectsOutOfDomainTuple) {
   WaveletStrategy strategy(schema, GetParam());
   auto store = strategy.BuildStore(DenseCube(schema));
   EXPECT_FALSE(strategy.InsertTuple(*store, {8, 0}, 1.0).ok());
+}
+
+TEST_P(WaveletStrategyTest, BuildStoreIsForwardDwtNdOfACopyBitForBit) {
+  // 2^17 cells: big enough that ForwardDwtNd runs on the shared pool.
+  Result<Schema> schema = Schema::Create({{"a", 64}, {"b", 32}, {"c", 64}});
+  ASSERT_TRUE(schema.ok());
+  const DenseCube delta =
+      MakeUniformRelation(*schema, 5000, 17).FrequencyDistribution();
+  const DenseCube before = delta;
+  WaveletStrategy strategy(*schema, GetParam());
+  auto store = strategy.BuildStore(delta);
+  // The caller's cube is read, never written.
+  EXPECT_EQ(std::memcmp(delta.values().data(), before.values().data(),
+                        delta.size() * sizeof(double)),
+            0);
+  DenseCube expected = delta;
+  ForwardDwtNd(expected, strategy.filter());
+  uint64_t differing = 0;
+  for (uint64_t key = 0; key < expected.size(); ++key) {
+    const double stored = store->Peek(key);
+    if (std::memcmp(&stored, &expected[key], sizeof(double)) != 0) {
+      ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0u);
+}
+
+TEST(DenseCubeTakeValues, HandsOverTheBufferItself) {
+  // No third copy of the view: the transformed cube's buffer becomes the
+  // store's, and the cube is left empty.
+  DenseCube cube(Schema::Uniform(2, 16));
+  cube[3] = 1.5;
+  const double* data = cube.values().data();
+  std::vector<double> values = std::move(cube).TakeValues();
+  EXPECT_EQ(values.data(), data);
+  EXPECT_EQ(values.size(), 256u);
+  EXPECT_EQ(values[3], 1.5);
+  EXPECT_EQ(cube.size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFilters, WaveletStrategyTest,
