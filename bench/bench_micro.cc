@@ -25,9 +25,7 @@
 #include "storage/block_store.h"
 #include "storage/dense_store.h"
 #include "storage/file_store.h"
-#include "storage/key_router.h"
 #include "storage/memory_store.h"
-#include "storage/sharded_store.h"
 #include "storage/versioned_store.h"
 #include "strategy/prefix_sum_strategy.h"
 #include "strategy/wavelet_strategy.h"
@@ -505,7 +503,6 @@ BENCHMARK(BM_BlockStoreFetch)
 
 // Zipf(s=1.1) ranks scrambled with a Knuth-style multiplier so the popular
 // head spreads across the key range instead of piling onto one corner.
-// Shared by the compressed-page and sharded scatter-gather benchmarks.
 std::vector<uint64_t> MakeZipfKeys(size_t batch_size) {
   Rng rng(53);
   std::vector<uint64_t> keys(batch_size);
@@ -517,27 +514,15 @@ std::vector<uint64_t> MakeZipfKeys(size_t batch_size) {
 }
 
 void BM_BlockStoreFetchZipf(benchmark::State& state) {
-  // Backend bytes per fetch under a skewed (Zipf) key workload — the
-  // compressed-page payoff. mode 0: plain blocks (a read transfers the
-  // full-width block, block_size × 8 bytes); mode 1: lossless compressed
-  // pages (delta+bit-packed keys, raw IEEE values); mode 2: 16-bit
-  // quantized pages (lossy — PeekErrorBound/Lossy report the decode error
-  // the engine folds into its bounds). block_reads is identical across
-  // modes (the block model does not change); bytes_fetched is what shrinks,
-  // and bench_compare gates it.
-  const int64_t mode = state.range(0);
+  // Block reads and backend bytes per fetch under a skewed (Zipf) key
+  // workload through a 32-block LRU: a read transfers the full-width block,
+  // block_size × 8 bytes. bench_compare gates both counters.
   Rng rng(43);
   auto dense = std::make_unique<DenseStore>(kFetchBenchCapacity);
   for (uint64_t k = 0; k < kFetchBenchCapacity; ++k) {
     dense->Add(k, rng.Gaussian());
   }
-  BlockStoreOptions options;
-  options.block_size = 64;
-  options.cache_blocks = 32;
-  options.compress_pages = mode != 0;
-  options.page.quantize = mode == 2;
-  options.page.quant_bits = 16;
-  BlockStore store(std::move(dense), options);
+  BlockStore store(std::move(dense), /*block_size=*/64, /*cache_blocks=*/32);
   const std::vector<uint64_t> keys = MakeZipfKeys(256);
   std::vector<double> out(keys.size());
   IoStats io;
@@ -553,66 +538,7 @@ void BM_BlockStoreFetchZipf(benchmark::State& state) {
   state.counters["block_reads"] = static_cast<double>(io.block_reads);
   state.counters["bytes_fetched"] = static_cast<double>(io.bytes_fetched);
 }
-BENCHMARK(BM_BlockStoreFetchZipf)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->ArgNames({"mode"})
-    ->Unit(benchmark::kMicrosecond);
-
-// ---------------------------------------------------------------------------
-// Sharded scatter-gather over FileStore-backed shards under a Zipf key
-// workload. Each shard is a FileStore with a simulated per-seek device
-// latency (one independent "disk" per shard) and its own single-thread
-// pool, so the S>1 payoff is overlapped seek latency across devices — the
-// effect sharding buys on real hardware — rather than extra CPU cores.
-// Zipf ranks are scrambled (see MakeZipfKeys above) so the popular head
-// spreads across the range-partitioned shards instead of piling onto
-// shard 0. Batch size stays below the FileStore parallel-fetch threshold
-// so the unsharded baseline is not quietly parallelized from inside.
-
-void BM_ShardedFetchBatch(benchmark::State& state) {
-  const size_t num_shards = static_cast<size_t>(state.range(0));
-  constexpr size_t kBatch = 224;  // < FileStore's parallel threshold (256)
-  Rng rng(47);
-  std::vector<double> values(kFetchBenchCapacity);
-  for (double& v : values) v = rng.Gaussian();
-
-  FileStoreOptions file_options;
-  file_options.simulated_seek_latency = std::chrono::microseconds(20);
-  std::vector<std::unique_ptr<CoefficientStore>> backends;
-  std::vector<std::string> paths;
-  for (size_t s = 0; s < num_shards; ++s) {
-    std::string path =
-        "/tmp/wavebatch_bench_shard" + std::to_string(s) + ".bin";
-    Result<std::unique_ptr<FileStore>> shard =
-        FileStore::Create(path, values, file_options);
-    if (!shard.ok()) {
-      state.SkipWithError(shard.status().ToString().c_str());
-      return;
-    }
-    backends.push_back(std::move(*shard));
-    paths.push_back(std::move(path));
-  }
-  ShardedStore store(std::move(backends),
-                     KeyRouter::Uniform(kFetchBenchCapacity, num_shards));
-
-  const std::vector<uint64_t> keys = MakeZipfKeys(kBatch);
-  std::vector<double> out(kBatch);
-  for (auto _ : state) {
-    WB_CHECK_OK(store.FetchBatch(keys, out));
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch);
-  // Deterministic function of the key set and the router: non-empty shard
-  // sub-batches per iteration. bench_compare gates on it.
-  state.counters["shard_subbatches"] =
-      static_cast<double>(store.subbatches_issued());
-  for (const std::string& path : paths) std::remove(path.c_str());
-}
-BENCHMARK(BM_ShardedFetchBatch)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->ArgNames({"shards"})
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BlockStoreFetchZipf)->Unit(benchmark::kMicrosecond);
 
 void BM_IngestThroughput(benchmark::State& state) {
   // The full streaming write path: tuple -> TransformUpdate delta ->

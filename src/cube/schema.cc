@@ -44,7 +44,9 @@ Schema Schema::Uniform(size_t num_dims, uint32_t size) {
   std::vector<Dimension> dims;
   dims.reserve(num_dims);
   for (size_t i = 0; i < num_dims; ++i) {
-    dims.push_back({"d" + std::to_string(i), size});
+    std::string name = "d";
+    name += std::to_string(i);
+    dims.push_back({std::move(name), size});
   }
   Result<Schema> r = Create(std::move(dims));
   WB_CHECK(r.ok()) << r.status();

@@ -74,20 +74,6 @@ struct ApplyKernel {
     }
   }
 
-  /// Gathers precomputed per-entry shard ids of `order[0..n)` into `out` —
-  /// the routing hints accompanying one StepBatch/StepBlock fetch list on a
-  /// sharded plane. Same permuted-gather shape (and prefetch distance) as
-  /// GatherKeys; `shard_of_entry` is session-owned, computed once per plan
-  /// since a key's shard never changes under a live router.
-  void GatherShards(const size_t* order, size_t n,
-                    const uint32_t* shard_of_entry, uint32_t* out) const {
-    constexpr size_t kAhead = 16;
-    for (size_t i = 0; i < n; ++i) {
-      if (i + kAhead < n) WB_PREFETCH(&shard_of_entry[order[i + kAhead]]);
-      out[i] = shard_of_entry[order[i]];
-    }
-  }
-
   /// The fused batch apply: for i in [0, n), consume entry order[i]'s
   /// importance into *remaining and apply values[i] to the estimates —
   /// the identical per-entry sequence (and therefore identical

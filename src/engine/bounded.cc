@@ -15,14 +15,9 @@ Result<BoundedRunResult> RunWithBoundedWorkspace(
   WB_CHECK_GT(max_workspace_coefficients, 0u);
   BoundedRunResult out;
   out.results.resize(batch.size(), 0.0);
-  out.error_bounds.resize(batch.size(), 0.0);
 
   const std::shared_ptr<const CoefficientStore> shared_store =
       UnownedStore(store);
-  // Lossy stores (quantized compressed pages) can't deliver bit-exact
-  // results; per-query enclosures below keep the run honest. The gate keeps
-  // exact stores free of per-key error lookups.
-  const bool lossy = store.Lossy();
 
   std::vector<SparseVec> group;       // materialized coefficient lists
   std::vector<size_t> group_members;  // their batch indices
@@ -42,16 +37,6 @@ Result<BoundedRunResult> RunWithBoundedWorkspace(
     const std::vector<double>& estimates = session.Estimates();
     for (size_t g = 0; g < group_members.size(); ++g) {
       out.results[group_members[g]] = estimates[g];
-      if (lossy) {
-        // Each coefficient the query uses may be off by up to the store's
-        // decode bound; the result being linear in the coefficients, the
-        // query's error is at most Σ |weight| · ε(key).
-        double err = 0.0;
-        for (const SparseEntry& entry : group[g].entries()) {
-          err += std::abs(entry.value) * store.PeekErrorBound(entry.key);
-        }
-        out.error_bounds[group_members[g]] = err;
-      }
     }
     out.io += session.io();
     out.peak_workspace = std::max(out.peak_workspace, group_coefficients);

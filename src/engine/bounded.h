@@ -20,12 +20,6 @@ struct BoundedRunResult {
   uint64_t peak_workspace = 0;
   /// Number of query groups the batch was split into.
   size_t num_groups = 0;
-  /// Per-query error enclosure, parallel to `results`: |reported − exact|
-  /// ≤ error_bounds[q]. All zeros over an exact store ("exact" run in the
-  /// usual sense); over a lossy store (quantized compressed pages) each
-  /// query accumulates Σ_ξ |c_q(ξ)| · ε(ξ) over its own coefficients, so a
-  /// "bounded-workspace exact" run stays honest about what it computed.
-  std::vector<double> error_bounds;
 };
 
 /// Exact batch evaluation under a workspace budget, expressed in engine

@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "storage/key_router.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 #include "util/check.h"
@@ -76,19 +75,6 @@ EvalSession::EvalSession(std::shared_ptr<const EvalPlan> plan,
     store_ = std::move(pinned);
   }
   kernel_ = plan_->kernel();
-  // Lossy-store gate: checked on the PINNED store (the view this session
-  // actually reads). Exact stores keep the zero-overhead path.
-  lossy_ = store_->Lossy();
-  if (plan_->HasImportance()) {
-    inv_alpha_ = 1.0 / plan_->penalty()->HomogeneityDegree();
-  }
-  if (const KeyRouter* router = store_->router();
-      router != nullptr && router->num_shards() > 1) {
-    entry_shards_.resize(plan_->size());
-    for (size_t i = 0; i < entry_shards_.size(); ++i) {
-      entry_shards_[i] = router->ShardOf(kernel_.keys[i]);
-    }
-  }
   if (telemetry::Enabled()) {
     static std::atomic<uint64_t> next_session_id{1};
     telemetry_ = std::make_unique<Telemetry>(
@@ -169,22 +155,6 @@ void EvalSession::UpdateTelemetry() {
 
 bool EvalSession::Done() const { return steps_taken_ == TotalSteps(); }
 
-void EvalSession::AccumulateQuantError(const size_t* order, size_t n) {
-  if (!lossy_ || !plan_->HasImportance()) return;
-  // Each retrieved coefficient may be off by up to the store's per-key
-  // decode bound ε_ξ; in the penalty's α-norm geometry that adds
-  // ε_ξ · ι_p(ξ)^(1/α) to the error mass (see WorstCaseBound). Skipped
-  // entries are excluded — their widening goes through skipped_importance_.
-  for (size_t i = 0; i < n; ++i) {
-    const size_t entry_idx = order[i];
-    const double err = store_->PeekErrorBound(kernel_.keys[entry_idx]);
-    if (err > 0.0) {
-      quant_error_l1_ +=
-          err * std::pow(plan_->importance(entry_idx), inv_alpha_);
-    }
-  }
-}
-
 Result<size_t> EvalSession::Step() {
   WB_CHECK(!options_.block_of) << "Step() on a block-granularity session";
   WB_CHECK(!Done()) << "Step() after completion";
@@ -212,18 +182,10 @@ Status EvalSession::StepEntries(size_t n) {
   batch_keys_.resize(n);
   kernel_.GatherKeys(order, n, batch_keys_.data());
   batch_values_.resize(n);
-  if (!entry_shards_.empty()) {
-    batch_shards_.resize(n);
-    kernel_.GatherShards(order, n, entry_shards_.data(), batch_shards_.data());
-  }
   // Fetch BEFORE any bookkeeping: a failed fetch must leave the session
   // exactly as it was (resumable), so the cursor and trackers only move
   // once the data is in hand (or the fault is absorbed under kSkip).
-  Status status =
-      entry_shards_.empty()
-          ? store_->FetchBatch(batch_keys_, batch_values_, &io_)
-          : store_->FetchBatchRouted(batch_keys_, batch_shards_,
-                                     batch_values_, &io_);
+  Status status = store_->FetchBatch(batch_keys_, batch_values_, &io_);
   if (!status.ok()) {
     if (options_.fault_policy == FaultPolicy::kFail) return status;
     // Degraded fallback: the all-or-nothing batch failed, so refetch key by
@@ -246,7 +208,6 @@ Status EvalSession::StepEntries(size_t n) {
       }
       kernel_.ApplyOrderedSlice(&entry_idx, 1, &*value, estimates_.data(),
                                 &remaining_importance_);
-      AccumulateQuantError(&entry_idx, 1);
     }
     UpdateTelemetry();
     return Status::OK();
@@ -256,7 +217,6 @@ Status EvalSession::StepEntries(size_t n) {
   // accumulation sequence n one-entry steps would produce.
   kernel_.ApplyOrderedSlice(order, n, batch_values_.data(), estimates_.data(),
                             &remaining_importance_);
-  AccumulateQuantError(order, n);
   UpdateTelemetry();
   return Status::OK();
 }
@@ -333,17 +293,8 @@ double EvalSession::WorstCaseBound(double k_sum_abs) const {
   // magnitude exactly like one we have not read yet, but it never leaves
   // the unknown set.
   const double alpha = plan_->penalty()->HomogeneityDegree();
-  double bound = std::pow(k_sum_abs, alpha) *
-                 (UnreadMaxImportance() + skipped_importance_);
-  if (quant_error_l1_ > 0.0) {
-    // Lossy reads: the already-applied coefficients carry decode error too.
-    // Combine in the penalty's α-norm geometry — the 1/α-th roots of the
-    // per-source worst cases add (triangle inequality), then raise back:
-    //   bound = (tail^(1/α) + Σ ε_ξ·ι_p(ξ)^(1/α))^α.
-    // For α = 1 this is exactly tail + Σ ε·ι. Guarded so exact stores
-    // return the plain Theorem-1 expression bit for bit.
-    bound = std::pow(std::pow(bound, inv_alpha_) + quant_error_l1_, alpha);
-  }
+  const double bound = std::pow(k_sum_abs, alpha) *
+                       (UnreadMaxImportance() + skipped_importance_);
   if (telemetry_ != nullptr && telemetry::Enabled()) {
     telemetry_->worst_case_bound->Set(bound);
   }

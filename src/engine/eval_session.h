@@ -157,12 +157,6 @@ class EvalSession {
   /// Σ ι_p over skipped coefficients (0 unless kSkip absorbed a fault).
   double SkippedImportance() const { return skipped_importance_; }
 
-  /// Accumulated quantization-error mass Σ ε_ξ · ι_p(ξ)^(1/α) over the
-  /// coefficients retrieved so far from a lossy store (0 on exact stores).
-  /// This is the widening term WorstCaseBound() folds in; exposed for
-  /// tests and diagnostics.
-  double QuantizationErrorMass() const { return quant_error_l1_; }
-
   /// I/O charged by this session's fetches alone — per-session accounting;
   /// the shared store keeps no counters. Failed fetches charge nothing.
   const IoStats& io() const { return io_; }
@@ -183,9 +177,6 @@ class EvalSession {
   /// see WorstCaseBound.
   double UnreadMaxImportance() const;
 
-  /// Lossy stores only: folds the decode-error bounds of the just-applied
-  /// entries `order[0..n)` into quant_error_l1_ (see WorstCaseBound).
-  void AccumulateQuantError(const size_t* order, size_t n);
   /// Pushes the session's progress counters into its gauges (no-op when the
   /// session was created with telemetry disabled).
   void UpdateTelemetry();
@@ -201,15 +192,6 @@ class EvalSession {
   ApplyKernel kernel_;
   std::vector<uint64_t> batch_keys_;
   std::vector<double> batch_values_;
-
-  // Shard-aware batching over a sharded plane: when the store exposes a
-  // router with more than one shard, the shard of every master-list entry
-  // is resolved once here (routing is immutable for a live router) and
-  // each StepBatch/StepBlock hands the gathered hints to FetchBatchRouted
-  // — one scatter-gather per batch instead of a per-key routing pass.
-  // Empty on unsharded stores, which keep the exact historical call path.
-  std::vector<uint32_t> entry_shards_;
-  std::vector<uint32_t> batch_shards_;  // per-batch gather scratch
 
   // Consumption order: a view into the plan's precomputed permutation, or
   // one this session owns — the seeded kRandom order, or at block
@@ -233,13 +215,6 @@ class EvalSession {
   uint64_t skipped_coefficients_ = 0;
   double skipped_importance_ = 0.0;
 
-  /// True when the (pinned) store's read path can return quantized values;
-  /// gates the per-key error lookups so exact stores pay nothing.
-  bool lossy_ = false;
-  /// 1/α for the penalty's homogeneity degree (0 when no importance).
-  double inv_alpha_ = 0.0;
-  /// Σ ε_ξ · ι_p(ξ)^(1/α) over retrieved coefficients (lossy stores only).
-  double quant_error_l1_ = 0.0;
   IoStats io_;
   std::unique_ptr<Telemetry> telemetry_;
 };

@@ -38,7 +38,9 @@ double LpPenalty::Apply(std::span<const double> e) const {
 
 std::string LpPenalty::name() const {
   if (is_infinity_) return "linf";
-  return "l" + FormatDouble(p_, 3);
+  std::string name = "l";
+  name += FormatDouble(p_, 3);
+  return name;
 }
 
 std::string LpPenalty::Fingerprint() const {

@@ -111,8 +111,12 @@ std::string Polynomial::ToString() const {
     for (size_t i = 0; i < num_dims_; ++i) {
       if (m.exponents[i] == 0) continue;
       if (has_var) vars += "*";
-      vars += "x" + std::to_string(i);
-      if (m.exponents[i] > 1) vars += "^" + std::to_string(m.exponents[i]);
+      vars += "x";
+      vars += std::to_string(i);
+      if (m.exponents[i] > 1) {
+        vars += "^";
+        vars += std::to_string(m.exponents[i]);
+      }
       has_var = true;
     }
     if (!has_var) {

@@ -64,8 +64,11 @@ std::string Range::ToString() const {
   std::string out;
   for (size_t i = 0; i < intervals_.size(); ++i) {
     if (i) out += "x";
-    out += "[" + std::to_string(intervals_[i].lo) + "," +
-           std::to_string(intervals_[i].hi) + "]";
+    out += "[";
+    out += std::to_string(intervals_[i].lo);
+    out += ",";
+    out += std::to_string(intervals_[i].hi);
+    out += "]";
   }
   return out;
 }

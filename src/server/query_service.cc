@@ -324,8 +324,7 @@ void QueryService::SampleTimeline(Active& active, bool force) const {
 
 void QueryService::StepQuantum(Active& active) {
   // The whole quantum runs under the request's TraceContext, so every
-  // backend span it causes (store_fetch_batch, shard_subbatch) attributes
-  // to this request.
+  // backend span it causes (store_fetch_batch) attributes to this request.
   const bool traced = active.trace.active() && telemetry::Enabled();
   std::optional<telemetry::ScopedTraceContext> trace_guard;
   std::optional<telemetry::ScopedSpan> quantum_span;

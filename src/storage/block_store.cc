@@ -1,62 +1,22 @@
 #include "storage/block_store.h"
 
-#include <algorithm>
 #include <unordered_set>
 #include <utility>
-#include <vector>
 
 #include "util/check.h"
 
 namespace wavebatch {
 
 BlockStore::BlockStore(std::unique_ptr<CoefficientStore> inner,
-                       BlockStoreOptions options)
+                       uint64_t block_size, uint64_t cache_blocks)
     : owned_(std::move(inner)),
       inner_(owned_.get()),
       mutable_inner_(owned_.get()),
-      block_size_(options.block_size),
-      cache_blocks_(options.cache_blocks),
-      compress_(options.compress_pages),
-      page_options_(options.page),
+      block_size_(block_size),
+      cache_blocks_(cache_blocks),
       pool_(std::make_shared<BufferPool>()) {
   WB_CHECK(inner_ != nullptr);
   WB_CHECK_GT(block_size_, 0u);
-  if (compress_) {
-    // Seal the contents. Over a versioned inner store, pin the current epoch
-    // so later ingests cannot drift away from the encoded pages; either way
-    // the store becomes read-only from here on.
-    mutable_inner_ = nullptr;
-    pinned_inner_ = owned_->PinVersion();
-    if (pinned_inner_ != nullptr) inner_ = pinned_inner_.get();
-    BuildPages();
-  }
-  BindMetrics();
-}
-
-BlockStore::BlockStore(std::unique_ptr<CoefficientStore> inner,
-                       uint64_t block_size, uint64_t cache_blocks)
-    : BlockStore(std::move(inner),
-                 BlockStoreOptions{.block_size = block_size,
-                                   .cache_blocks = cache_blocks}) {}
-
-BlockStore::BlockStore(std::shared_ptr<const CoefficientStore> pinned,
-                       const BlockStore& parent)
-    : pinned_inner_(std::move(pinned)),
-      inner_(pinned_inner_.get()),
-      block_size_(parent.block_size_),
-      cache_blocks_(parent.cache_blocks_),
-      pool_(parent.pool_),
-      block_reads_metric_(parent.block_reads_metric_),
-      block_hits_metric_(parent.block_hits_metric_),
-      lru_occupancy_gauge_(parent.lru_occupancy_gauge_),
-      lru_capacity_gauge_(parent.lru_capacity_gauge_) {
-  // Only plain-mode stores hand out pinned views (a compressed store is its
-  // own snapshot), so pages never need copying here.
-  WB_CHECK(inner_ != nullptr);
-  WB_CHECK(!parent.compress_);
-}
-
-void BlockStore::BindMetrics() {
   auto& registry = telemetry::MetricsRegistry::Default();
   block_reads_metric_ = registry.GetCounter(
       "wavebatch_block_store_block_reads_total", {{"store", name()}},
@@ -73,80 +33,28 @@ void BlockStore::BindMetrics() {
   lru_capacity_gauge_->Set(static_cast<double>(cache_blocks_));
 }
 
-void BlockStore::BuildPages() {
-  std::vector<std::pair<uint64_t, double>> entries;
-  entries.reserve(inner_->NumNonZero());
-  inner_->ForEachNonZero([&entries](uint64_t key, double value) {
-    entries.emplace_back(key, value);
-  });
-  std::sort(entries.begin(), entries.end());
-  std::vector<uint64_t> keys;
-  std::vector<double> values;
-  size_t i = 0;
-  while (i < entries.size()) {
-    const uint64_t block = entries[i].first / block_size_;
-    keys.clear();
-    values.clear();
-    while (i < entries.size() && entries[i].first / block_size_ == block) {
-      keys.push_back(entries[i].first);
-      values.push_back(entries[i].second);
-      ++i;
-    }
-    CompressedPage page = CompressedPage::Encode(keys, values, page_options_);
-    max_quantization_error_ =
-        std::max(max_quantization_error_, page.max_abs_error());
-    pages_.emplace(block, std::move(page));
-  }
+BlockStore::BlockStore(std::shared_ptr<const CoefficientStore> pinned,
+                       const BlockStore& parent)
+    : pinned_inner_(std::move(pinned)),
+      inner_(pinned_inner_.get()),
+      block_size_(parent.block_size_),
+      cache_blocks_(parent.cache_blocks_),
+      pool_(parent.pool_),
+      block_reads_metric_(parent.block_reads_metric_),
+      block_hits_metric_(parent.block_hits_metric_),
+      lru_occupancy_gauge_(parent.lru_occupancy_gauge_),
+      lru_capacity_gauge_(parent.lru_capacity_gauge_) {
+  WB_CHECK(inner_ != nullptr);
 }
 
 std::shared_ptr<const CoefficientStore> BlockStore::PinVersion() const {
-  // A compressed store sealed its contents at construction: it is its own
-  // snapshot, like the base-class default.
-  if (compress_) return nullptr;
   std::shared_ptr<const CoefficientStore> pinned = inner_->PinVersion();
   if (pinned == nullptr) return nullptr;  // inner is its own snapshot
   return std::shared_ptr<const CoefficientStore>(
       new BlockStore(std::move(pinned), *this));
 }
 
-double BlockStore::PageValue(uint64_t key) const {
-  auto it = pages_.find(key / block_size_);
-  if (it == pages_.end()) return 0.0;
-  return it->second.ValueOr(key, 0.0);
-}
-
-double BlockStore::Peek(uint64_t key) const {
-  // Compressed reads always see the decoded page value — Peek and Fetch must
-  // agree, or uncounted plumbing (bounds, tests) would diverge from what
-  // sessions actually retrieve.
-  if (compress_) return PageValue(key);
-  return inner_->Peek(key);
-}
-
-double BlockStore::PeekErrorBound(uint64_t key) const {
-  if (!compress_) return inner_->PeekErrorBound(key);
-  auto it = pages_.find(key / block_size_);
-  if (it == pages_.end()) return 0.0;
-  return it->second.Contains(key) ? it->second.max_abs_error() : 0.0;
-}
-
-bool BlockStore::Lossy() const {
-  if (!compress_) return inner_->Lossy();
-  return max_quantization_error_ > 0.0;
-}
-
-uint64_t BlockStore::total_page_bytes() const {
-  uint64_t bytes = 0;
-  for (const auto& [block, page] : pages_) bytes += page.size_bytes();
-  return bytes;
-}
-
-uint64_t BlockStore::BytesOfBlock(uint64_t block) const {
-  if (!compress_) return block_size_ * sizeof(double);
-  auto it = pages_.find(block);
-  // A block with no page stores nothing: reading it transfers nothing.
-  return it == pages_.end() ? 0 : it->second.size_bytes();
-}
+double BlockStore::Peek(uint64_t key) const { return inner_->Peek(key); }
 
 bool BlockStore::TouchLocked(uint64_t block) const {
   auto it = pool_->in_cache.find(block);
@@ -174,7 +82,7 @@ void BlockStore::TouchBatch(std::span<const uint64_t> keys,
     } else {
       if (io != nullptr) {
         ++io->block_reads;
-        io->bytes_fetched += BytesOfBlock(block);
+        io->bytes_fetched += block_size_ * sizeof(double);
       }
       block_reads_metric_->Add();
     }
@@ -200,11 +108,6 @@ void BlockStore::TouchBatch(std::span<const uint64_t> keys,
 
 Status BlockStore::DoFetchBatch(std::span<const uint64_t> keys,
                                 std::span<double> out, IoStats* io) const {
-  if (compress_) {
-    for (size_t i = 0; i < keys.size(); ++i) out[i] = PageValue(keys[i]);
-    TouchBatch(keys, io);
-    return Status::OK();
-  }
   // Read through the inner backend first: a failed batch must leave both
   // counters and the LRU untouched (all-or-nothing).
   Status status = DelegateFetchBatch(*inner_, keys, out, io);
@@ -213,24 +116,9 @@ Status BlockStore::DoFetchBatch(std::span<const uint64_t> keys,
   return Status::OK();
 }
 
-Status BlockStore::DoFetchBatchRouted(std::span<const uint64_t> keys,
-                                      std::span<const uint32_t> shards,
-                                      std::span<double> out,
-                                      IoStats* io) const {
-  if (compress_) {
-    // The pages are the backend here — routing hints have nowhere to go.
-    return DoFetchBatch(keys, out, io);
-  }
-  Status status = DelegateFetchBatchRouted(*inner_, keys, shards, out, io);
-  if (!status.ok()) return status;
-  TouchBatch(keys, io);
-  return Status::OK();
-}
-
 void BlockStore::Add(uint64_t key, double delta) {
   WB_CHECK(mutable_inner_ != nullptr)
-      << "Add() on a read-only BlockStore (pinned epoch view, or compressed "
-         "pages sealed at construction)";
+      << "Add() on a read-only BlockStore (pinned epoch view)";
   mutable_inner_->Add(key, delta);
 }
 
@@ -244,8 +132,7 @@ void BlockStore::ForEachNonZero(
 }
 
 std::string BlockStore::name() const {
-  return (compress_ ? "blocked-compressed(" : "blocked(") + inner_->name() +
-         ")";
+  return "blocked(" + inner_->name() + ")";
 }
 
 }  // namespace wavebatch

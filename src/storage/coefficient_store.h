@@ -15,6 +15,8 @@
 
 namespace wavebatch {
 
+// Forward-declared only, for CoefficientStore's perfbench compatibility
+// block: no key router exists in the library.
 class KeyRouter;
 
 /// I/O accounting for the paper's cost model: every coefficient retrieved
@@ -43,10 +45,8 @@ struct IoStats {
   /// Block-cache hits (BlockStore only).
   uint64_t block_hits = 0;
   /// Backend bytes transferred by the simulated block reads (BlockStore
-  /// only; cache hits transfer nothing). A plain BlockStore charges the
-  /// full-width page (block_size × sizeof(double)) per read; in
-  /// compressed-page mode it charges the page's encoded size — the
-  /// quantity the codec exists to shrink, gated by tools/bench_compare.
+  /// only; cache hits transfer nothing): block_size × sizeof(double) per
+  /// read, gated by tools/bench_compare.
   uint64_t bytes_fetched = 0;
 
   void Reset() { *this = IoStats{}; }
@@ -151,23 +151,6 @@ class CoefficientStore {
     });
   }
 
-  /// FetchBatch with precomputed routing hints: shards[i] is the shard that
-  /// owns keys[i] under this store's router(). Identical contract and
-  /// accounting to FetchBatch — a store without a router (or one that does
-  /// not override DoFetchBatchRouted) ignores the hints entirely, so
-  /// calling this on any store is always correct, never required. The
-  /// hints exist so the engine can compute routing once per plan instead of
-  /// once per batch (the shard of a key never changes for a live router).
-  Status FetchBatchRouted(std::span<const uint64_t> keys,
-                          std::span<const uint32_t> shards,
-                          std::span<double> out, IoStats* io = nullptr) const {
-    WB_CHECK_EQ(keys.size(), out.size());
-    WB_CHECK_EQ(keys.size(), shards.size());
-    return CountedBatch(keys.size(), io, [&] {
-      return DoFetchBatchRouted(keys, shards, out, io);
-    });
-  }
-
   /// Adds `delta` to the coefficient at `key` (the tuple-insertion path).
   /// Not synchronized with concurrent reads.
   virtual void Add(uint64_t key, double delta) = 0;
@@ -185,31 +168,6 @@ class CoefficientStore {
       const std::function<void(uint64_t, double)>& fn) const = 0;
 
   virtual std::string name() const = 0;
-
-  /// The key-space partition this store serves, or nullptr for the common
-  /// single-plane case. A non-null router is a promise: FetchBatchRouted
-  /// hints computed with it stay valid for the store's lifetime (routing is
-  /// immutable; only tier placement behind a shard may change). Decorators
-  /// forward the inner store's router so hints survive wrapping.
-  virtual const KeyRouter* router() const { return nullptr; }
-
-  /// Upper bound on |Peek(key) - exact coefficient at key| — nonzero only
-  /// for lossy read paths (a BlockStore in quantized compressed-page mode).
-  /// The engine charges this per retrieved coefficient into the Theorem-1
-  /// bound so progressive guarantees stay sound over quantized storage;
-  /// bounded.cc turns it into per-query error bounds for exact runs.
-  /// Uncounted, like Peek. Decorators forward to their inner store (a
-  /// sharded plane routes to the owning shard). The default — every exact
-  /// backend — is 0.
-  virtual double PeekErrorBound(uint64_t key) const {
-    (void)key;
-    return 0.0;
-  }
-
-  /// True when PeekErrorBound can be nonzero anywhere on this read path —
-  /// the cheap gate that lets sessions skip per-key error lookups entirely
-  /// on exact stores. Decorators forward; the default is false.
-  virtual bool Lossy() const { return false; }
 
   /// Epoch-snapshot seam: a store whose *published contents advance in
   /// epochs* (VersionedStore) returns an immutable snapshot of the current
@@ -243,9 +201,33 @@ class CoefficientStore {
   virtual Status DoFetchBatch(std::span<const uint64_t> keys,
                               std::span<double> out, IoStats* io) const = 0;
 
-  /// A one-key DoFetchBatch, kept (with DelegateFetch) only because
-  /// perfbench/probes.h's ProbeStore overrides and calls it: nothing in the
-  /// library calls either, and Fetch never reaches them (ROADMAP item 1).
+  /// Delegation helper for decorator backends (BlockStore,
+  /// FaultInjectionStore, SnapshotStore, VersionedStore): invokes another
+  /// store's hook directly — an *uncounted* read that still propagates
+  /// errors and the inner backend's sub-model counters. Going through the
+  /// public Fetch/FetchBatch instead would double-charge retrievals (the
+  /// outer wrapper already counts).
+  static Status DelegateFetchBatch(const CoefficientStore& inner,
+                                   std::span<const uint64_t> keys,
+                                   std::span<double> out, IoStats* io) {
+    return inner.DoFetchBatch(keys, out, io);
+  }
+
+  // --- perfbench compatibility block -----------------------------------
+  // perfbench/probes.h's ProbeStore overrides router(), PeekErrorBound(),
+  // Lossy(), DoFetch() and DoFetchBatchRouted(), calls DelegateFetch() and
+  // DelegateFetchBatchRouted(), and names KeyRouter; perfbench changes
+  // only together with the benchmark (ROADMAP item 1). Nothing in the
+  // library calls or overrides any of them: every store is exact and
+  // unsharded, and DoFetchBatch is the only read hook. They are inert
+  // defaults — no router, no decode error, and both extra hooks run
+  // DoFetchBatch — to be deleted once ProbeStore drops its overrides.
+ public:
+  virtual const KeyRouter* router() const { return nullptr; }
+  virtual double PeekErrorBound(uint64_t /*key*/) const { return 0.0; }
+  virtual bool Lossy() const { return false; }
+
+ protected:
   virtual Result<double> DoFetch(uint64_t key, IoStats* io) const {
     double value = 0.0;
     Status status = DoFetchBatch(std::span<const uint64_t>(&key, 1),
@@ -253,31 +235,14 @@ class CoefficientStore {
     if (!status.ok()) return status;
     return value;
   }
-
-  /// Backend hook for a routed batch. The default discards the hints and
-  /// runs the plain batch hook — correct for every unsharded backend.
-  /// ShardedStore overrides this to skip its per-key routing pass;
-  /// decorators override it to forward the hints to their inner store.
   virtual Status DoFetchBatchRouted(std::span<const uint64_t> keys,
-                                    std::span<const uint32_t> shards,
+                                    std::span<const uint32_t> /*shards*/,
                                     std::span<double> out, IoStats* io) const {
-    (void)shards;
     return DoFetchBatch(keys, out, io);
   }
-
-  /// Delegation helpers for decorator backends (BlockStore,
-  /// FaultInjectionStore): invoke another store's hooks directly — an
-  /// *uncounted* read that still propagates errors and the inner backend's
-  /// sub-model counters. Going through the public Fetch/FetchBatch instead
-  /// would double-charge retrievals (the outer wrapper already counts).
   static Result<double> DelegateFetch(const CoefficientStore& inner,
                                       uint64_t key, IoStats* io) {
     return inner.DoFetch(key, io);
-  }
-  static Status DelegateFetchBatch(const CoefficientStore& inner,
-                                   std::span<const uint64_t> keys,
-                                   std::span<double> out, IoStats* io) {
-    return inner.DoFetchBatch(keys, out, io);
   }
   static Status DelegateFetchBatchRouted(const CoefficientStore& inner,
                                          std::span<const uint64_t> keys,
@@ -285,6 +250,7 @@ class CoefficientStore {
                                          std::span<double> out, IoStats* io) {
     return inner.DoFetchBatchRouted(keys, shards, out, io);
   }
+  // --- end of perfbench compatibility block ----------------------------
 
  private:
   /// The wrapper every counted read goes through: `hook` runs the backend;

@@ -142,19 +142,4 @@ Status FaultInjectionStore::DoFetchBatch(std::span<const uint64_t> keys,
   return DelegateFetchBatch(*inner_, keys, out, io);
 }
 
-Status FaultInjectionStore::DoFetchBatchRouted(std::span<const uint64_t> keys,
-                                               std::span<const uint32_t> shards,
-                                               std::span<double> out,
-                                               IoStats* io) const {
-  InjectLatency();
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    for (uint64_t key : keys) {
-      Status status = CheckOneLocked(key);
-      if (!status.ok()) return status;
-    }
-  }
-  return DelegateFetchBatchRouted(*inner_, keys, shards, out, io);
-}
-
 }  // namespace wavebatch

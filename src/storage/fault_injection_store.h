@@ -90,17 +90,6 @@ class FaultInjectionStore : public CoefficientStore {
   }
   std::string name() const override { return "faulty(" + inner_->name() + ")"; }
 
-  /// Forwards the inner store's partition: a faulty sharded plane routes
-  /// exactly like a healthy one (faults hit the counted path, not routing).
-  const KeyRouter* router() const override { return inner_->router(); }
-
-  /// Lossiness is the inner store's property; faults don't change decoded
-  /// values, only availability.
-  double PeekErrorBound(uint64_t key) const override {
-    return inner_->PeekErrorBound(key);
-  }
-  bool Lossy() const override { return inner_->Lossy(); }
-
   /// Pins the inner store's current epoch and returns a FaultInjectionStore
   /// over that snapshot, sharing this store's fault state (see class
   /// comment). Null when the inner store is its own snapshot — then this
@@ -115,11 +104,6 @@ class FaultInjectionStore : public CoefficientStore {
   /// through.
   Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
                       IoStats* io) const override;
-
-  /// Same schedule, hints forwarded to the inner backend on the clean path.
-  Status DoFetchBatchRouted(std::span<const uint64_t> keys,
-                            std::span<const uint32_t> shards,
-                            std::span<double> out, IoStats* io) const override;
 
  private:
   /// Fault schedule + ordinal counters, shared between a store and every

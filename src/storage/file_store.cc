@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <mutex>
@@ -44,8 +45,7 @@ telemetry::Counter& ReadRetries() {
 }  // namespace
 
 Result<std::unique_ptr<FileStore>> FileStore::Create(
-    const std::string& path, const std::vector<double>& values,
-    FileStoreOptions options) {
+    const std::string& path, const std::vector<double>& values) {
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return Status::Internal("cannot create " + path + ": " +
@@ -64,12 +64,10 @@ Result<std::unique_ptr<FileStore>> FileStore::Create(
     offset += static_cast<size_t>(written);
     remaining -= static_cast<size_t>(written);
   }
-  return std::unique_ptr<FileStore>(
-      new FileStore(path, fd, values.size(), options));
+  return std::unique_ptr<FileStore>(new FileStore(path, fd, values.size()));
 }
 
-Result<std::unique_ptr<FileStore>> FileStore::Open(const std::string& path,
-                                                   FileStoreOptions options) {
+Result<std::unique_ptr<FileStore>> FileStore::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDWR);
   if (fd < 0) {
     return Status::NotFound("cannot open " + path + ": " +
@@ -81,8 +79,8 @@ Result<std::unique_ptr<FileStore>> FileStore::Open(const std::string& path,
     return Status::InvalidArgument(path +
                                    " is not a multiple of sizeof(double)");
   }
-  return std::unique_ptr<FileStore>(new FileStore(
-      path, fd, static_cast<uint64_t>(size) / sizeof(double), options));
+  return std::unique_ptr<FileStore>(
+      new FileStore(path, fd, static_cast<uint64_t>(size) / sizeof(double)));
 }
 
 FileStore::~FileStore() {
@@ -103,12 +101,6 @@ void FileStore::Add(uint64_t key, double delta) {
                                static_cast<off_t>(key * sizeof(double)));
   WB_CHECK_EQ(put, static_cast<ssize_t>(sizeof(value)))
       << "short write to " << path_;
-}
-
-void FileStore::SimulateSeek() const {
-  if (options_.simulated_seek_latency.count() > 0) {
-    std::this_thread::sleep_for(options_.simulated_seek_latency);
-  }
 }
 
 Status FileStore::PreadFully(void* buf, size_t len, uint64_t offset) const {
@@ -159,7 +151,6 @@ constexpr size_t kParallelFetchThreshold = 256;
 Status FileStore::ReadRun(const Run& run, std::span<const uint64_t> keys,
                           std::span<const size_t> order,
                           std::span<double> out) const {
-  SimulateSeek();
   const size_t count = static_cast<size_t>(run.last_key - run.first_key + 1);
   std::vector<double> buffer(count);
   Status status = PreadFully(buffer.data(), count * sizeof(double),
@@ -177,7 +168,6 @@ Status FileStore::DoFetchBatch(std::span<const uint64_t> keys,
   if (keys.empty()) return Status::OK();
   if (keys.size() == 1) {
     if (keys[0] >= capacity_) return KeyOutOfRange(keys[0], capacity_);
-    SimulateSeek();
     return PreadFully(&out[0], sizeof(double), keys[0] * sizeof(double));
   }
   // Key-sorted order turns scattered point reads into forward-moving,

@@ -1,7 +1,6 @@
 #ifndef WAVEBATCH_STORAGE_FILE_STORE_H_
 #define WAVEBATCH_STORAGE_FILE_STORE_H_
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -10,18 +9,6 @@
 #include "util/status.h"
 
 namespace wavebatch {
-
-/// Knobs for the counted read path.
-struct FileStoreOptions {
-  /// Latency injected before every positioned read on the *counted* path
-  /// (one per one-key read, one per coalesced run of a batch), modeling the
-  /// seek/queue delay of the device behind this store. 0 (the default)
-  /// injects nothing. The sharded bench uses this to model one independent
-  /// device per shard: concurrent shards overlap their seeks, which is
-  /// precisely the latency sharding buys on real hardware. Peek and the
-  /// sequential scans stay latency-free (they are the uncounted paths).
-  std::chrono::microseconds simulated_seek_latency{0};
-};
 
 /// A coefficient store backed by a binary file on disk — the paper's
 /// "stored with reasonable random-access cost" made literal. The file is a
@@ -50,13 +37,11 @@ class FileStore : public CoefficientStore {
  public:
   /// Creates (truncates) `path` holding `values` and opens a store on it.
   static Result<std::unique_ptr<FileStore>> Create(
-      const std::string& path, const std::vector<double>& values,
-      FileStoreOptions options = FileStoreOptions());
+      const std::string& path, const std::vector<double>& values);
 
   /// Opens an existing store file; capacity is derived from the file size
   /// (must be a multiple of sizeof(double)).
-  static Result<std::unique_ptr<FileStore>> Open(
-      const std::string& path, FileStoreOptions options = FileStoreOptions());
+  static Result<std::unique_ptr<FileStore>> Open(const std::string& path);
 
   ~FileStore() override;
 
@@ -96,25 +81,17 @@ class FileStore : public CoefficientStore {
   /// message.
   Status PreadFully(void* buf, size_t len, uint64_t offset) const;
 
-  /// Sleeps options_.simulated_seek_latency (no-op at the 0 default).
-  void SimulateSeek() const;
-
   /// Reads `run` with one coalesced positioned read and scatters into `out`
   /// via `order` (indices into keys/out, sorted by key).
   Status ReadRun(const Run& run, std::span<const uint64_t> keys,
                  std::span<const size_t> order, std::span<double> out) const;
 
-  FileStore(std::string path, int fd, uint64_t capacity,
-            FileStoreOptions options)
-      : path_(std::move(path)),
-        fd_(fd),
-        capacity_(capacity),
-        options_(options) {}
+  FileStore(std::string path, int fd, uint64_t capacity)
+      : path_(std::move(path)), fd_(fd), capacity_(capacity) {}
 
   std::string path_;
   int fd_;
   uint64_t capacity_;
-  FileStoreOptions options_;
 };
 
 }  // namespace wavebatch

@@ -51,21 +51,6 @@ Status SnapshotStore::DoFetchBatch(std::span<const uint64_t> keys,
   return Status::OK();
 }
 
-Status SnapshotStore::DoFetchBatchRouted(std::span<const uint64_t> keys,
-                                         std::span<const uint32_t> shards,
-                                         std::span<double> out,
-                                         IoStats* io) const {
-  // Hints were computed against router(), which is the base's router, so
-  // they are valid to forward.
-  Status status = DelegateFetchBatchRouted(*base_, keys, shards, out, io);
-  if (!status.ok() || overlay_ == nullptr) return status;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const auto it = overlay_->adds.find(keys[i]);
-    if (it != overlay_->adds.end()) out[i] += it->second;
-  }
-  return Status::OK();
-}
-
 uint64_t SnapshotStore::NumNonZero() const {
   uint64_t count = 0;
   ForEachNonZero([&count](uint64_t, double) { ++count; });

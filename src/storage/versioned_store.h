@@ -19,7 +19,7 @@ namespace wavebatch {
 
 /// One published epoch of the versioned coefficient plane: an immutable
 /// `base ⊕ overlay` view. Reads delegate to the base store (preserving its
-/// batch strategy, router, and sub-model I/O counters) and then add the
+/// batch strategy and sub-model I/O counters) and then add the
 /// overlay's consolidated per-key delta — one floating-point addition per
 /// key that streaming ingestion has touched, zero work per untouched key.
 /// With a null overlay every read path is pure delegation, so the static
@@ -49,17 +49,6 @@ class SnapshotStore : public CoefficientStore {
   void ForEachNonZero(
       const std::function<void(uint64_t, double)>& fn) const override;
   std::string name() const override { return name_; }
-  /// The base store's router: valid because this snapshot keeps its exact
-  /// base alive, so hints computed against it stay correct for the
-  /// snapshot's lifetime even after the owning VersionedStore merges.
-  const KeyRouter* router() const override { return base_->router(); }
-
-  /// The overlay's per-key deltas are exact, so the base's decode error is
-  /// the snapshot's decode error.
-  double PeekErrorBound(uint64_t key) const override {
-    return base_->PeekErrorBound(key);
-  }
-  bool Lossy() const override { return base_->Lossy(); }
 
   uint64_t epoch() const { return epoch_; }
   const CoefficientStore& base() const { return *base_; }
@@ -69,9 +58,6 @@ class SnapshotStore : public CoefficientStore {
  protected:
   Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
                       IoStats* io) const override;
-  Status DoFetchBatchRouted(std::span<const uint64_t> keys,
-                            std::span<const uint32_t> shards,
-                            std::span<double> out, IoStats* io) const override;
 
  private:
   const uint64_t epoch_;
@@ -87,9 +73,6 @@ struct VersionedStoreOptions {
   /// HashStore: a copy of base with each overlay add folded in by one
   /// addition per key — the same single addition a snapshot read performs,
   /// so the merge is value-preserving bit for bit.
-  ///
-  /// Sharded planes supply their own merge_fn that rebuilds a ShardedStore
-  /// around the same KeyRouter (see versioned_store_test).
   std::function<std::unique_ptr<CoefficientStore>(const CoefficientStore& base,
                                                   const DeltaOverlay& overlay)>
       merge_fn;
@@ -206,25 +189,11 @@ class VersionedStore : public CoefficientStore {
       const std::function<void(uint64_t, double)>& fn) const override;
 
   std::string name() const override { return name_; }
-  /// Null on purpose: the base store (and with it any router) may be
-  /// replaced by a merge, so hints computed against this store could not
-  /// honor the router-stability promise. Pin a snapshot and use ITS router
-  /// for stable hints.
-  const KeyRouter* router() const override { return nullptr; }
-
-  /// Forwarded to the current published snapshot — same view counted reads
-  /// pin. Sessions that must see one epoch pin first and ask the snapshot.
-  double PeekErrorBound(uint64_t key) const override {
-    return snapshot_.Pin()->PeekErrorBound(key);
-  }
-  bool Lossy() const override { return snapshot_.Pin()->Lossy(); }
 
  protected:
   /// Counted reads pin the current published snapshot per call and
   /// delegate to it (uncounted inner read; this store's wrapper already
-  /// charged the retrievals). Routed hints are NOT forwarded — router() is
-  /// null, so hints cannot have been computed against this store; the
-  /// inherited DoFetchBatchRouted discards them into DoFetchBatch.
+  /// charged the retrievals).
   Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
                       IoStats* io) const override;
 

@@ -136,7 +136,7 @@ struct MetricSnapshot {
 };
 
 /// One structured span attribute: a static-storage key and a numeric value
-/// (key counts, shard ids, epochs, bound values — everything the span sites
+/// (key counts, generations, epochs, bound values — everything the span sites
 /// attach is a number, which keeps SpanEvent POD and the record path free
 /// of allocation).
 struct SpanAttr {

@@ -23,7 +23,6 @@ namespace wavebatch::telemetry {
 ///   store_fetch_batch  — counted read of two or more keys (emitted by
 ///                        CoefficientStore's wrapper with the latency
 ///                        histogram; one-key reads are not timed)
-///   shard_subbatch     — ShardedStore per-shard scatter-gather leg
 ///   request_quantum    — QueryService scheduler quantum (prefetch + step)
 ///
 /// When the registry is disabled the constructor reads one relaxed flag and

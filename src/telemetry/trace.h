@@ -8,8 +8,8 @@ namespace wavebatch::telemetry {
 
 /// Request-scoped trace identity, minted once per served request (at
 /// QueryService::Submit) and propagated explicitly across every asynchrony
-/// seam a request crosses: scheduler quanta, thread-pool task hand-offs,
-/// shard sub-batches. A span recorded while a context is installed carries
+/// seam a request crosses: scheduler quanta and thread-pool task hand-offs.
+/// A span recorded while a context is installed carries
 /// the context's ids, so one request renders as a connected lane across
 /// threads even though its work interleaves with every other tenant's.
 ///

@@ -1,9 +1,8 @@
 // Decorator pass-through audit: every store decorator must forward every
 // public entry point faithfully. For each decorator wrapped around a
-// sharded (S=2) plane, every read path — Peek, Fetch, FetchBatch,
-// FetchBatchRouted (with hints from the decorator's own router), and the
-// aggregate scans — must produce values identical to the naked inner
-// store, with identical IoStats (identical retrievals for all decorators;
+// HashStore, every read path — Peek, Fetch, FetchBatch, and the aggregate
+// scans — must produce values identical to the naked inner store, with
+// identical IoStats (identical retrievals for all decorators;
 // BlockStore's block counters are its own sub-model, additive on top and
 // asserted separately). This is the regression net for the classic
 // decorator bug: adding a new entry point to the base class and forgetting
@@ -18,9 +17,7 @@
 #include "gtest/gtest.h"
 #include "storage/block_store.h"
 #include "storage/fault_injection_store.h"
-#include "storage/key_router.h"
 #include "storage/memory_store.h"
-#include "storage/sharded_store.h"
 #include "storage/versioned_store.h"
 #include "strategy/wavelet_strategy.h"
 
@@ -79,26 +76,6 @@ void AuditReadPaths(const CoefficientStore& store, const Probe& probe,
     EXPECT_EQ(batch_io.block_hits, expect_io.block_hits);
   }
 
-  // Routed batched path, hints from the decorator's own router — the
-  // entry point most recently added to the seam, and the easiest to
-  // forget in a wrapper.
-  if (const KeyRouter* router = store.router(); router != nullptr) {
-    std::vector<uint32_t> shards;
-    for (uint64_t key : probe.keys) shards.push_back(router->ShardOf(key));
-    IoStats routed_io;
-    std::fill(out.begin(), out.end(), -1.0);
-    ASSERT_TRUE(store.FetchBatchRouted(probe.keys, shards, out, &routed_io)
-                    .ok());
-    for (size_t i = 0; i < probe.keys.size(); ++i) {
-      EXPECT_EQ(out[i], probe.expected[i]) << "key " << probe.keys[i];
-    }
-    EXPECT_EQ(routed_io.retrievals, expect_io.retrievals);
-    if (check_blocks) {
-      EXPECT_EQ(routed_io.block_reads, expect_io.block_reads);
-      EXPECT_EQ(routed_io.block_hits, expect_io.block_hits);
-    }
-  }
-
   // Aggregate scans.
   uint64_t nnz = 0;
   double recomputed_sum_abs = 0.0;
@@ -121,25 +98,13 @@ class DecoratorPassthroughTest : public ::testing::Test {
     probe_ = MakeProbe(*reference_);
   }
 
-  /// A two-shard plane holding the reference coefficients; the inner store
-  /// every decorator wraps, so the audit covers forwarding *through* a
-  /// router-bearing store.
-  std::unique_ptr<ShardedStore> MakeShardedInner() const {
-    std::vector<std::unique_ptr<HashStore>> hash_shards;
-    for (int s = 0; s < 2; ++s) {
-      hash_shards.push_back(std::make_unique<HashStore>());
-    }
-    uint64_t max_key = 0;
+  /// A HashStore holding the reference coefficients: the inner store every
+  /// decorator wraps.
+  std::unique_ptr<HashStore> MakeInner() const {
+    auto inner = std::make_unique<HashStore>();
     reference_->ForEachNonZero(
-        [&](uint64_t key, double) { max_key = std::max(max_key, key); });
-    KeyRouter router = KeyRouter::Uniform(max_key + 1, 2);
-    reference_->ForEachNonZero([&](uint64_t key, double value) {
-      hash_shards[router.ShardOf(key)]->Add(key, value);
-    });
-    std::vector<std::unique_ptr<CoefficientStore>> shards;
-    for (auto& shard : hash_shards) shards.push_back(std::move(shard));
-    return std::make_unique<ShardedStore>(std::move(shards), router,
-                                          ShardedStoreOptions{});
+        [&](uint64_t key, double value) { inner->Add(key, value); });
+    return inner;
   }
 
   IoStats PlainIo() const {
@@ -153,23 +118,20 @@ class DecoratorPassthroughTest : public ::testing::Test {
   Probe probe_;
 };
 
-TEST_F(DecoratorPassthroughTest, NakedShardedPlaneIsTheBaseline) {
-  auto inner = MakeShardedInner();
-  ASSERT_NE(inner->router(), nullptr);
-  AuditReadPaths(*inner, probe_, PlainIo(), /*check_blocks=*/true, "sharded");
+TEST_F(DecoratorPassthroughTest, NakedHashStoreIsTheBaseline) {
+  auto inner = MakeInner();
+  AuditReadPaths(*inner, probe_, PlainIo(), /*check_blocks=*/true, "hash");
 }
 
 TEST_F(DecoratorPassthroughTest, HealthyFaultInjectionStoreIsTransparent) {
-  FaultInjectionStore store(MakeShardedInner());
-  ASSERT_NE(store.router(), nullptr) << "router must survive the wrapper";
+  FaultInjectionStore store(MakeInner());
   AuditReadPaths(store, probe_, PlainIo(), /*check_blocks=*/true, "faulty");
   EXPECT_EQ(store.injected_failures(), 0u);
 }
 
 TEST_F(DecoratorPassthroughTest, BlockStoreForwardsValuesAndAddsItsSubModel) {
   constexpr uint64_t kBlockSize = 8;
-  BlockStore store(MakeShardedInner(), kBlockSize, /*cache_blocks=*/0);
-  ASSERT_NE(store.router(), nullptr);
+  BlockStore store(MakeInner(), kBlockSize, /*cache_blocks=*/0);
 
   // Values and retrievals identical to the inner plane; block counters are
   // the wrapper's own sub-model, checked for the batched paths: unbuffered
@@ -188,14 +150,13 @@ TEST_F(DecoratorPassthroughTest, BlockStoreForwardsValuesAndAddsItsSubModel) {
 }
 
 TEST_F(DecoratorPassthroughTest, SnapshotStoreWithNullOverlayIsTransparent) {
-  std::shared_ptr<const CoefficientStore> inner = MakeShardedInner();
+  std::shared_ptr<const CoefficientStore> inner = MakeInner();
   SnapshotStore store(/*epoch=*/0, inner, /*overlay=*/nullptr);
-  ASSERT_EQ(store.router(), inner->router());
   AuditReadPaths(store, probe_, PlainIo(), /*check_blocks=*/true, "snapshot");
 }
 
 TEST_F(DecoratorPassthroughTest, SnapshotStoreAppliesItsOverlayOnEveryPath) {
-  std::shared_ptr<const CoefficientStore> inner = MakeShardedInner();
+  std::shared_ptr<const CoefficientStore> inner = MakeInner();
   // Overlay: +1 on every third probed key, plus one key absent from the
   // base — every read path must see base ⊕ overlay.
   auto overlay = std::make_shared<DeltaOverlay>();
@@ -211,10 +172,10 @@ TEST_F(DecoratorPassthroughTest, SnapshotStoreAppliesItsOverlayOnEveryPath) {
 
 TEST_F(DecoratorPassthroughTest, StackedDecoratorsComposeWithoutDoubleCount) {
   // The full stack the streaming fault tests use: fault injection over a
-  // block simulation over a published snapshot over the sharded plane.
+  // block simulation over a published snapshot over a HashStore.
   // One retrieval per key, charged once, values intact end to end.
   auto snapshot = std::make_shared<SnapshotStore>(
-      /*epoch=*/0, std::shared_ptr<const CoefficientStore>(MakeShardedInner()),
+      /*epoch=*/0, std::shared_ptr<const CoefficientStore>(MakeInner()),
       nullptr);
   auto blocked = std::make_unique<BlockStore>(
       std::make_unique<FaultInjectionStore>(
@@ -229,11 +190,11 @@ TEST_F(DecoratorPassthroughTest, DecoratorsOverStableInnerAreTheirOwnSnapshot) {
   // Over an inner store that is its own snapshot (stable contents), the
   // decorator is stable too, so PinVersion stays null and callers use the
   // decorator directly.
-  FaultInjectionStore faulty(MakeShardedInner());
+  FaultInjectionStore faulty(MakeInner());
   EXPECT_EQ(faulty.PinVersion(), nullptr);
-  BlockStore blocked(MakeShardedInner(), 8, 0);
+  BlockStore blocked(MakeInner(), 8, 0);
   EXPECT_EQ(blocked.PinVersion(), nullptr);
-  std::shared_ptr<const CoefficientStore> inner = MakeShardedInner();
+  std::shared_ptr<const CoefficientStore> inner = MakeInner();
   SnapshotStore snapshot(0, inner, nullptr);
   EXPECT_EQ(snapshot.PinVersion(), nullptr)
       << "a snapshot is its own snapshot";

@@ -23,9 +23,7 @@
 #include "storage/block_store.h"
 #include "storage/dense_store.h"
 #include "storage/file_store.h"
-#include "storage/key_router.h"
 #include "storage/memory_store.h"
-#include "storage/sharded_store.h"
 #include "telemetry/metrics.h"
 
 namespace wavebatch {
@@ -475,155 +473,6 @@ TEST(FaultMatrixTest, DegradedModeBatchFallsBackToScalar) {
     EXPECT_EQ(session.io().retrievals, f.list->size() - 1);
   }
 }
-
-// ---------------------------------------------------------------------------
-// The sharded axis of the matrix: S ∈ {1, 4} with exactly one faulty shard.
-// Faults compose per shard — a dead shard fails exactly the fetches of the
-// keys it owns, which kFail turns into resumable sessions and kSkip into
-// degradation by exactly that shard's importance mass.
-
-/// A sharded plane over `source` with shard `faulty_shard` wrapped in a
-/// FaultInjectionStore (kept accessible for FailKey/Heal).
-struct ShardedFaultyPlane {
-  KeyRouter router;
-  std::unique_ptr<ShardedStore> store;
-  FaultInjectionStore* faulty = nullptr;
-
-  ShardedFaultyPlane(const CoefficientStore& source, size_t num_shards,
-                     size_t faulty_shard) {
-    uint64_t max_key = 0;
-    source.ForEachNonZero(
-        [&](uint64_t key, double) { max_key = std::max(max_key, key); });
-    router = KeyRouter::Uniform(max_key + 1, num_shards);
-    std::vector<std::unique_ptr<HashStore>> backends;
-    for (size_t s = 0; s < num_shards; ++s) {
-      backends.push_back(std::make_unique<HashStore>());
-    }
-    source.ForEachNonZero([&](uint64_t key, double value) {
-      backends[router.ShardOf(key)]->Add(key, value);
-    });
-    std::vector<std::unique_ptr<CoefficientStore>> shards;
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (s == faulty_shard) {
-        auto wrapped =
-            std::make_unique<FaultInjectionStore>(std::move(backends[s]));
-        faulty = wrapped.get();
-        shards.push_back(std::move(wrapped));
-      } else {
-        shards.push_back(std::move(backends[s]));
-      }
-    }
-    store = std::make_unique<ShardedStore>(std::move(shards), router);
-  }
-
-  /// Master-list entry indices whose keys the faulty shard owns.
-  std::vector<size_t> OwnedEntries(const MasterList& list,
-                                   size_t faulty_shard) const {
-    std::vector<size_t> owned;
-    for (size_t i = 0; i < list.size(); ++i) {
-      if (router.ShardOf(list.keys()[i]) == faulty_shard) owned.push_back(i);
-    }
-    return owned;
-  }
-};
-
-class ShardedFaultMatrixTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(ShardedFaultMatrixTest, KFailSessionResumesAfterHeal) {
-  const size_t num_shards = GetParam();
-  const size_t faulty_shard = num_shards - 1;
-  Fixture f;
-  ShardedFaultyPlane plane(*f.store, num_shards, faulty_shard);
-  const std::vector<size_t> owned =
-      plane.OwnedEntries(*f.list, faulty_shard);
-  ASSERT_FALSE(owned.empty()) << "pick a shard that owns plan keys";
-  const std::vector<double> clean = CleanFinals(
-      f.plan, UnownedStore(*f.store), EvalSession::Options());
-
-  // Kill the shard: every key it owns fails until Heal().
-  for (size_t entry : owned) plane.faulty->FailKey(f.list->keys()[entry]);
-
-  EvalSession session(f.plan, UnownedStore(*plane.store),
-                      EvalSession::Options());
-  Status run = session.RunToExact();
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.code(), StatusCode::kUnavailable);
-  EXPECT_FALSE(session.Done());
-  // All-or-nothing batches: whatever completed before the failing batch is
-  // kept, the failing batch left no trace, and every charged retrieval is
-  // a real one.
-  EXPECT_EQ(session.io().retrievals, session.StepsTaken());
-
-  // The degraded plane keeps serving the healthy shards' keys.
-  IoStats probe_io;
-  for (size_t i = 0; i < f.list->size(); ++i) {
-    if (plane.router.ShardOf(f.list->keys()[i]) != faulty_shard) {
-      EXPECT_TRUE(plane.store->Fetch(f.list->keys()[i], &probe_io).ok());
-      break;
-    }
-  }
-
-  plane.faulty->Heal();
-  ASSERT_TRUE(session.RunToExact().ok());
-  EXPECT_TRUE(session.Done());
-  EXPECT_EQ(session.io().retrievals, f.list->size());
-  EXPECT_EQ(session.Estimates(), clean);
-}
-
-TEST_P(ShardedFaultMatrixTest, KSkipDegradesOnlyTheFaultyShardsMass) {
-  const size_t num_shards = GetParam();
-  const size_t faulty_shard = num_shards - 1;
-  Fixture f;
-  ShardedFaultyPlane plane(*f.store, num_shards, faulty_shard);
-  const std::vector<size_t> owned =
-      plane.OwnedEntries(*f.list, faulty_shard);
-  ASSERT_FALSE(owned.empty());
-  const double k = f.store->SumAbs();
-
-  for (size_t entry : owned) plane.faulty->FailKey(f.list->keys()[entry]);
-
-  // Reference: a clean run over the plane with the faulty shard's
-  // coefficients zeroed — exactly what degradation should compute.
-  auto zeroed = std::make_unique<HashStore>();
-  f.store->ForEachNonZero([&](uint64_t key, double value) {
-    if (plane.router.ShardOf(key) != faulty_shard) zeroed->Add(key, value);
-  });
-  const std::vector<double> reference = CleanFinals(
-      f.plan, UnownedStore(*zeroed), EvalSession::Options());
-  // Fault-free witness for the bound trajectory.
-  EvalSession witness(f.plan, UnownedStore(*f.store), EvalSession::Options());
-  ASSERT_TRUE(witness.RunToExact().ok());
-
-  EvalSession::Options opts;
-  opts.fault_policy = FaultPolicy::kSkip;
-  EvalSession session(f.plan, UnownedStore(*plane.store), opts);
-  ASSERT_TRUE(session.RunToExact().ok());
-  EXPECT_TRUE(session.Done());
-
-  // Degradation is exactly the faulty shard's entries — no more, no less.
-  EXPECT_EQ(session.SkippedCoefficients(), owned.size());
-  double skipped = 0.0;
-  for (size_t entry : owned) skipped += f.plan->importance(entry);
-  EXPECT_DOUBLE_EQ(session.SkippedImportance(), skipped);
-  EXPECT_EQ(session.io().retrievals, f.list->size() - owned.size());
-  // Theorem 1 widens by exactly the skipped mass (times K^α).
-  const double alpha = f.plan->penalty()->HomogeneityDegree();
-  EXPECT_DOUBLE_EQ(session.WorstCaseBound(k),
-                   witness.WorstCaseBound(k) + std::pow(k, alpha) * skipped);
-  EXPECT_EQ(session.Estimates(), reference);
-
-  // Per-shard accounting: healthy shards served all their keys, the faulty
-  // shard served none.
-  EXPECT_EQ(plane.store->shard_keys_fetched(faulty_shard), 0u);
-  uint64_t healthy = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (s != faulty_shard) healthy += plane.store->shard_keys_fetched(s);
-  }
-  EXPECT_EQ(healthy, f.list->size() - owned.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ShardedFaultMatrixTest,
-                         ::testing::Values(size_t{1}, size_t{4}));
 
 // ---------------------------------------------------------------------------
 // Telemetry: injected faults and latency are visible end to end.

@@ -2,8 +2,8 @@
 // admission queue, progress-aware scheduling, on the caller's thread or on
 // worker threads — produces results bit-identical to an isolated
 // EvalSession over the same plan and store, with identical per-session I/O
-// accounting, across fault policies and store shapes (unsharded, sharded
-// S=4, versioned). There is no hidden cache: over a FileStore the backend
+// accounting, across fault policies and store shapes (hash view, versioned
+// plane, file store). There is no hidden cache: over a FileStore the backend
 // serves exactly the keys the sessions retrieve. Plus the serving-specific
 // surface: deadline and target-bound completion, admission backpressure
 // (queue depth and the thread-pool gauge), a writer publishing epochs under
@@ -36,9 +36,7 @@
 #include "server/introspection.h"
 #include "storage/fault_injection_store.h"
 #include "storage/file_store.h"
-#include "storage/key_router.h"
 #include "storage/memory_store.h"
-#include "storage/sharded_store.h"
 #include "storage/versioned_store.h"
 #include "strategy/wavelet_strategy.h"
 #include "telemetry/metrics.h"
@@ -84,23 +82,6 @@ struct ServingFixture {
     return batch;
   }
 };
-
-/// The same coefficients in a sharded S=4 plane (uniform key ranges).
-std::shared_ptr<const CoefficientStore> ShardedS4Copy(
-    const CoefficientStore& source) {
-  uint64_t max_key = 0;
-  source.ForEachNonZero(
-      [&](uint64_t key, double) { max_key = std::max(max_key, key); });
-  const KeyRouter router = KeyRouter::Uniform(max_key + 1, 4);
-  std::vector<std::unique_ptr<CoefficientStore>> shards;
-  for (size_t s = 0; s < router.num_shards(); ++s) {
-    shards.push_back(std::make_unique<HashStore>());
-  }
-  source.ForEachNonZero([&](uint64_t key, double value) {
-    shards[router.ShardOf(key)]->Add(key, value);
-  });
-  return std::make_shared<ShardedStore>(std::move(shards), router);
-}
 
 /// A versioned plane advanced past its base epoch, so sessions genuinely
 /// pin a snapshot.
@@ -294,12 +275,6 @@ TEST(QueryServiceGolden, MatchesIsolatedSessionsUnsharded) {
   GoldenAgainstIsolated(f.BuildView(), f, "unsharded hash view", 0);
 }
 
-TEST(QueryServiceGolden, MatchesIsolatedSessionsShardedS4) {
-  ServingFixture f;
-  GoldenAgainstIsolated(ShardedS4Copy(*f.BuildView()), f, "sharded S=4 plane",
-                        0);
-}
-
 TEST(QueryServiceGolden, MatchesIsolatedSessionsVersioned) {
   ServingFixture f;
   GoldenAgainstIsolated(VersionedAtEpoch1(f), f, "versioned plane at epoch 1",
@@ -310,12 +285,6 @@ TEST(QueryServiceGolden, MatchesIsolatedSessionsUnshardedUnderWorkers) {
   ServingFixture f;
   GoldenAgainstIsolated(f.BuildView(), f, "unsharded hash view, 2 workers",
                         2);
-}
-
-TEST(QueryServiceGolden, MatchesIsolatedSessionsShardedS4UnderWorkers) {
-  ServingFixture f;
-  GoldenAgainstIsolated(ShardedS4Copy(*f.BuildView()), f,
-                        "sharded S=4 plane, 2 workers", 2);
 }
 
 TEST(QueryServiceGolden, MatchesIsolatedSessionsVersionedUnderWorkers) {
@@ -867,9 +836,8 @@ TEST(QueryServiceConcurrency, MoreWorkersThanLiveSlotsDrainsTheQueue) {
 // Request-scoped tracing: the propagation goldens. With tracing on, every
 // backend fetch span recorded while serving must carry the request
 // attribution of some admitted request — across every store shape the
-// serving stack composes (unsharded view, sharded scatter-gather whose
-// sub-batches hop worker pools, a versioned plane's pinned snapshot, and a
-// FileStore).
+// serving stack composes (a hash view, a versioned plane's pinned snapshot,
+// and a FileStore).
 
 /// Serves three traced requests over `store` and asserts the golden:
 /// responses carry minted ids + non-empty timelines, and every
@@ -920,25 +888,6 @@ void ExpectFetchSpansAttributed(std::shared_ptr<const CoefficientStore> store,
 TEST(QueryServiceTracing, FetchSpansAttributedUnsharded) {
   ServingFixture f;
   ExpectFetchSpansAttributed(f.BuildView(), f, "unsharded hash view");
-}
-
-TEST(QueryServiceTracing, FetchSpansAttributedShardedS4) {
-  ServingFixture f;
-  ExpectFetchSpansAttributed(ShardedS4Copy(*f.BuildView()), f,
-                             "sharded S=4 plane");
-
-  // The scatter-gather legs crossed pool threads under the installed
-  // context: shard sub-batch spans attribute too, with their shard ids.
-  size_t subbatches = 0;
-  for (const telemetry::SpanEvent& span :
-       telemetry::MetricsRegistry::Default().Spans()) {
-    if (std::string_view(span.name) != "shard_subbatch") continue;
-    ++subbatches;
-    EXPECT_NE(span.request_id, 0u);
-    ASSERT_GE(span.num_attrs, 1u);
-    EXPECT_EQ(std::string_view(span.attrs[0].key), "shard");
-  }
-  EXPECT_GT(subbatches, 0u);
 }
 
 TEST(QueryServiceTracing, FetchSpansAttributedVersioned) {

@@ -41,7 +41,9 @@ TEST(SchemaTest, RejectsOversizedDomain) {
   // 8 dims of 2^8 = 64 bits > 62.
   std::vector<Dimension> dims;
   for (int i = 0; i < 8; ++i) {
-    dims.push_back({"d" + std::to_string(i), 256});
+    std::string name = "d";
+    name += std::to_string(i);
+    dims.push_back({std::move(name), 256});
   }
   EXPECT_FALSE(Schema::Create(dims).ok());
 }

@@ -317,7 +317,9 @@ Schema RandomSchema(size_t d, Rng& rng) {
   for (size_t i = 0; i < d; ++i) {
     const uint32_t bits =
         1 + static_cast<uint32_t>(rng.UniformInt(kMaxBits[d - 1]));
-    dims.push_back({"x" + std::to_string(i), 1u << bits});
+    std::string name = "x";
+    name += std::to_string(i);
+    dims.push_back({std::move(name), 1u << bits});
   }
   return Schema::Create(std::move(dims)).value();
 }

@@ -4,7 +4,7 @@
 // readers and never blocks them, and an interleaved insert/query schedule
 // is bit-identical — estimates, bounds, I/O, and skip accounting — to a
 // plane rebuilt by replaying the same event log to the pinned epoch, across
-// all progression orders, both fault policies, and sharded bases.
+// all progression orders and both fault policies.
 
 #include "storage/versioned_store.h"
 
@@ -25,9 +25,7 @@
 #include "server/query_service.h"
 #include "storage/delta_store.h"
 #include "storage/fault_injection_store.h"
-#include "storage/key_router.h"
 #include "storage/memory_store.h"
-#include "storage/sharded_store.h"
 #include "strategy/wavelet_strategy.h"
 #include "util/random.h"
 
@@ -97,10 +95,9 @@ TEST(DeltaStoreTest, CancelledKeysStaySealedAsExplicitZeros) {
   EXPECT_EQ(sealed->ValueAt(5), 0.0);
 }
 
-/// The shared evaluation fixture (same shape as sharded_store_test): a
-/// 2×16 Haar cube loaded from 500 tuples, 12 Count queries, an SSE-ranked
-/// plan — plus a 120-tuple ingest stream with its per-tuple sparse deltas
-/// precomputed through the strategy.
+/// The shared evaluation fixture: a 2×16 Haar cube loaded from 500 tuples,
+/// 12 Count queries, an SSE-ranked plan — plus a 120-tuple ingest stream
+/// with its per-tuple sparse deltas precomputed through the strategy.
 struct StreamFixture {
   Schema schema = Schema::Uniform(2, 16);
   WaveletStrategy strategy{schema, WaveletKind::kHaar};
@@ -136,57 +133,7 @@ struct StreamFixture {
   std::unique_ptr<CoefficientStore> BuildBase() const {
     return strategy.BuildStore(rel.FrequencyDistribution());
   }
-
-  uint64_t MaxKey() const {
-    auto base = BuildBase();
-    uint64_t max_key = 0;
-    base->ForEachNonZero(
-        [&](uint64_t key, double) { max_key = std::max(max_key, key); });
-    return max_key;
-  }
 };
-
-/// Splits `source` into hash shards owned per `router` (copied from
-/// sharded_store_test's idiom).
-std::vector<std::unique_ptr<CoefficientStore>> MakeHashShards(
-    const CoefficientStore& source, const KeyRouter& router) {
-  std::vector<std::unique_ptr<HashStore>> shards;
-  for (size_t s = 0; s < router.num_shards(); ++s) {
-    shards.push_back(std::make_unique<HashStore>());
-  }
-  source.ForEachNonZero([&](uint64_t key, double value) {
-    shards[router.ShardOf(key)]->Add(key, value);
-  });
-  std::vector<std::unique_ptr<CoefficientStore>> out;
-  for (auto& shard : shards) out.push_back(std::move(shard));
-  return out;
-}
-
-/// A merge_fn that rebuilds a ShardedStore around the same router — the
-/// sharded plane's way of keeping FetchBatchRouted hints valid across
-/// merges (each snapshot keeps its own base alive, so hints pin per
-/// snapshot; the router itself is shared and immutable).
-VersionedStoreOptions ShardedMergeOptions(const KeyRouter& router) {
-  VersionedStoreOptions options;
-  options.merge_fn = [router](const CoefficientStore& base,
-                              const DeltaOverlay& overlay) {
-    std::vector<std::unique_ptr<HashStore>> shards;
-    for (size_t s = 0; s < router.num_shards(); ++s) {
-      shards.push_back(std::make_unique<HashStore>());
-    }
-    base.ForEachNonZero([&](uint64_t key, double value) {
-      shards[router.ShardOf(key)]->Add(key, value);
-    });
-    for (const auto& [key, value] : overlay.adds) {
-      shards[router.ShardOf(key)]->Add(key, value);
-    }
-    std::vector<std::unique_ptr<CoefficientStore>> out;
-    for (auto& shard : shards) out.push_back(std::move(shard));
-    return std::make_unique<ShardedStore>(std::move(out), router,
-                                          ShardedStoreOptions{});
-  };
-  return options;
-}
 
 TEST(VersionedStoreTest, IngestsAreInvisibleUntilPublished) {
   StreamFixture f;
@@ -524,20 +471,14 @@ void ApplyEvent(VersionedStore& store, const StreamFixture& f,
 
 class GoldenScheduleTest
     : public ::testing::TestWithParam<
-          std::tuple<ProgressionOrder, FaultPolicy, bool>> {};
+          std::tuple<ProgressionOrder, FaultPolicy>> {};
 
 TEST_P(GoldenScheduleTest, PinnedSessionsMatchEventLogReplay) {
-  const auto [order, policy, sharded] = GetParam();
+  const auto [order, policy] = GetParam();
   StreamFixture f;
 
-  KeyRouter router = KeyRouter::Uniform(f.MaxKey() + 1, sharded ? 4 : 1);
-  auto make_plane = [&]() -> std::unique_ptr<VersionedStore> {
-    if (!sharded) return std::make_unique<VersionedStore>(f.BuildBase());
-    auto base = f.BuildBase();
-    return std::make_unique<VersionedStore>(
-        std::make_unique<ShardedStore>(MakeHashShards(*base, router), router,
-                                       ShardedStoreOptions{}),
-        ShardedMergeOptions(router));
+  auto make_plane = [&] {
+    return std::make_unique<VersionedStore>(f.BuildBase());
   };
 
   const std::vector<Event> log = MakeEventLog(f.deltas.size());
@@ -632,6 +573,8 @@ TEST_P(GoldenScheduleTest, PinnedSessionsMatchEventLogReplay) {
   }
 }
 
+// The instantiation keeps its earlier name so the test ids stay stable;
+// every plane here is unsharded.
 INSTANTIATE_TEST_SUITE_P(
     OrdersPoliciesSharding, GoldenScheduleTest,
     ::testing::Combine(::testing::Values(ProgressionOrder::kBiggestB,
@@ -639,8 +582,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          ProgressionOrder::kKeyOrder,
                                          ProgressionOrder::kRandom),
                        ::testing::Values(FaultPolicy::kFail,
-                                         FaultPolicy::kSkip),
-                       ::testing::Values(false, true)));
+                                         FaultPolicy::kSkip)));
 
 // ---------------------------------------------------------------------------
 // Concurrency

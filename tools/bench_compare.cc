@@ -6,20 +6,23 @@
 //
 // Prints a per-benchmark delta table (cpu time plus every shared counter)
 // and exits nonzero iff a *named* counter regressed by more than the
-// threshold or a baseline benchmark is missing from the current report (a
-// gated counter cannot pass by disappearing). Counters like block_reads
-// count work (I/O round-trips), so "regressed" means "grew"; they are
-// machine-independent, which is what makes them enforceable against a
-// snapshot committed from a different machine. Wall/CPU times are reported
-// for eyeballs only unless --enforce-time is passed (useful when baseline
-// and candidate ran on the same box), in which case cpu_time joins the
-// gated set with the same threshold.
+// threshold, a baseline benchmark is missing from the current report, or a
+// named counter of a baseline benchmark is missing from the same current
+// benchmark (a gated counter cannot pass by disappearing; ungated counters
+// may come and go). Counters like block_reads count work (I/O
+// round-trips), so "regressed" means "grew"; they are machine-independent,
+// which is what makes them enforceable against a snapshot committed from a
+// different machine. Wall/CPU times are reported for eyeballs only unless
+// --enforce-time is passed (useful when baseline and candidate ran on the
+// same box), in which case cpu_time joins the gated set with the same
+// threshold.
 //
-// Exit codes: 0 ok, 1 regression or missing benchmark, 2 usage / malformed
-// / debug-built input (reports whose context says the project was compiled
-// in debug are rejected on either side — their numbers gate nothing
-// meaningfully).
+// Exit codes: 0 ok, 1 regression, missing benchmark or missing gated
+// counter, 2 usage / malformed / debug-built input (reports whose context
+// says the project was compiled in debug are rejected on either side —
+// their numbers gate nothing meaningfully).
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -386,6 +389,7 @@ int main(int argc, char** argv) {
 
   int regressions = 0;
   int missing = 0;
+  int missing_counters = 0;
   size_t compared = 0;
   std::printf("%-55s %12s %12s\n", "benchmark", "cpu Δ%", "counters");
   for (const auto& [name, base] : baseline) {
@@ -401,22 +405,31 @@ int main(int argc, char** argv) {
     const double cpu_delta = DeltaPct(base.cpu_time, cur.cpu_time);
     std::string counter_report;
     for (const auto& [counter, base_value] : base.counters) {
+      const bool gated = std::find(enforced.begin(), enforced.end(),
+                                   counter) != enforced.end();
       auto cit = cur.counters.find(counter);
-      if (cit == cur.counters.end()) continue;
+      if (cit == cur.counters.end()) {
+        if (gated) {
+          std::fprintf(stderr,
+                       "MISSING %s: gated counter %s is absent from the "
+                       "current report\n",
+                       name.c_str(), counter.c_str());
+          ++missing_counters;
+        }
+        continue;
+      }
       const double delta = DeltaPct(base_value, cit->second);
       char buf[128];
       std::snprintf(buf, sizeof(buf), " %s%+.1f%%(%s)",
                     counter_report.empty() ? "" : ",", delta, counter.c_str());
       counter_report += buf;
-      for (const std::string& gated : enforced) {
-        if (counter == gated && delta > threshold * 100.0) {
-          std::fprintf(stderr,
-                       "REGRESSION %s: counter %s %.6g -> %.6g (%+.1f%% > "
-                       "%.0f%%)\n",
-                       name.c_str(), counter.c_str(), base_value, cit->second,
-                       delta, threshold * 100.0);
-          ++regressions;
-        }
+      if (gated && delta > threshold * 100.0) {
+        std::fprintf(stderr,
+                     "REGRESSION %s: counter %s %.6g -> %.6g (%+.1f%% > "
+                     "%.0f%%)\n",
+                     name.c_str(), counter.c_str(), base_value, cit->second,
+                     delta, threshold * 100.0);
+        ++regressions;
       }
     }
     if (enforce_time && cpu_delta > threshold * 100.0) {
@@ -443,11 +456,17 @@ int main(int argc, char** argv) {
                  "current report\n",
                  missing);
   }
+  if (missing_counters > 0) {
+    std::fprintf(stderr,
+                 "bench_compare: %d gated counter(s) missing from the current "
+                 "report\n",
+                 missing_counters);
+  }
   if (regressions > 0) {
     std::fprintf(stderr, "bench_compare: %d regression(s) beyond %.0f%%\n",
                  regressions, threshold * 100.0);
   }
-  if (missing > 0 || regressions > 0) return 1;
+  if (missing > 0 || missing_counters > 0 || regressions > 0) return 1;
   std::printf("OK: %zu benchmark(s) compared, no enforced regressions\n",
               compared);
   return 0;
