@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "telemetry/export.h"
@@ -140,12 +139,7 @@ std::string StatuszJson(const QueryService& service) {
   out += ",\"completed\":";
   AppendU64(out, service.completed());
   out += ",\"k_sum_abs\":";
-  const std::optional<double> k = service.k_sum_abs();
-  if (k.has_value()) {
-    AppendNumber(out, *k);
-  } else {
-    out += "null";
-  }
+  AppendNumber(out, service.k_sum_abs());
   out += ",\"plan_cache\":{\"size\":";
   const PlanCache& cache = service.plan_cache();
   AppendU64(out, cache.size());

@@ -98,9 +98,6 @@ void QueryService::RepinLocked() {
   // trace shows which data version served each request.
   const auto* snapshot = dynamic_cast<const SnapshotStore*>(pinned_.get());
   pinned_epoch_ = snapshot != nullptr ? snapshot->epoch() : 0;
-  // K of the new version is read by its first admission (AdmitLocked), so
-  // a re-pin costs nothing on the publisher's thread.
-  pinned_k_.reset();
 }
 
 uint64_t QueryService::epoch() const {
@@ -108,9 +105,9 @@ uint64_t QueryService::epoch() const {
   return pinned_epoch_;
 }
 
-std::optional<double> QueryService::k_sum_abs() const {
+double QueryService::k_sum_abs() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return pinned_k_;
+  return pinned_->SumAbs();
 }
 
 std::vector<QueryService::TimelineRecord> QueryService::RecentTimelines()
@@ -233,10 +230,7 @@ void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
       continue;
     }
 
-    // One full scan per pin generation, paid by its first admission; later
-    // admissions of the generation reuse it.
-    if (!pinned_k_.has_value()) pinned_k_ = pinned_->SumAbs();
-    active->k_sum_abs = *pinned_k_;
+    active->k_sum_abs = pinned_->SumAbs();
     active->epoch = pinned_epoch_;
     // Only a request that can stop early (a target or a deadline) gains
     // from biggest-B; an exact request reads its master list in key order,

@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -130,13 +129,10 @@ struct QueryServiceOptions {
 /// new admissions serve fresh data while in-flight sessions finish on the
 /// epoch they pinned.
 ///
-/// Theorem 1's K is read once per pin generation: the generation's first
-/// admission scans the pinned store's SumAbs(), and every later admission
-/// of that generation reuses the value. A generation that admits nothing
-/// never scans. Contract: a store that is not versioned and is mutated
-/// through Add() after the service read its K needs RefreshEpoch() before
-/// new admissions; until then the cached K may be stale and the reported
-/// bounds unsound.
+/// Theorem 1's K is read from the pinned store at every admission. The
+/// store keeps K current as it is written (CoefficientStore::SumAbs), so
+/// the read is O(1) and a plain store mutated through Add() reports sound
+/// bounds from its next admission on.
 class QueryService {
  public:
   QueryService(std::shared_ptr<const CoefficientStore> store,
@@ -165,10 +161,8 @@ class QueryService {
   /// drained by RunUntilIdle() or a later Start().
   void Stop();
 
-  /// Re-pins the store's current version and drops the cached K (the next
-  /// admission re-reads it); later admissions read the fresh snapshot. Wire
-  /// to VersionedStoreOptions::on_publish, and call it after mutating a
-  /// plain store through Add().
+  /// Re-pins the store's current version; later admissions read the fresh
+  /// snapshot. Wire to VersionedStoreOptions::on_publish.
   void RefreshEpoch();
 
   // Introspection (tests, ops).
@@ -188,9 +182,8 @@ class QueryService {
   /// Pinned epoch of the current snapshot (SnapshotStore::epoch(); 0 when
   /// the store is not versioned).
   uint64_t epoch() const;
-  /// Theorem 1's K of the current snapshot; empty until the generation's
-  /// first admission reads it.
-  std::optional<double> k_sum_abs() const;
+  /// Theorem 1's K of the current snapshot (its SumAbs()).
+  double k_sum_abs() const;
   const PlanCache& plan_cache() const { return *plan_cache_; }
 
   /// A completed request's bound-convergence record, for /tracez.
@@ -278,8 +271,7 @@ class QueryService {
   std::function<void()> FinalizeLocked(
       size_t live_index, Status status, bool deadline_expired,
       std::chrono::steady_clock::time_point now);
-  /// Pins the store's current version and drops the cached K. Must hold
-  /// mu_.
+  /// Pins the store's current version. Must hold mu_.
   void RepinLocked();
 
   const std::shared_ptr<const CoefficientStore> root_store_;
@@ -296,8 +288,6 @@ class QueryService {
   std::shared_ptr<const CoefficientStore> pinned_;  // current epoch snapshot
   uint64_t generation_ = 1;
   uint64_t pinned_epoch_ = 0;  // SnapshotStore::epoch() of pinned_, else 0
-  // Theorem 1's K of pinned_; empty until the generation's first admission.
-  std::optional<double> pinned_k_;
   std::deque<TimelineRecord> recent_timelines_;
   uint64_t local_sheds_ = 0;
   uint64_t local_completed_ = 0;

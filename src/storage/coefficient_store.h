@@ -159,7 +159,9 @@ class CoefficientStore {
   virtual uint64_t NumNonZero() const = 0;
 
   /// Σ|v| over stored coefficients — Theorem 1's constant K when the store
-  /// holds Δ̂.
+  /// holds Δ̂. O(1): every backend keeps K current as it is built and
+  /// written (storage/sum_abs.h), a snapshot derives its K from its
+  /// overlay, and decorators forward it, so reading K never scans.
   virtual double SumAbs() const = 0;
 
   /// Invokes `fn(key, value)` for every stored nonzero coefficient

@@ -1,10 +1,11 @@
 #include "storage/dense_store.h"
 
-#include <cmath>
-
 #include "util/check.h"
 
 namespace wavebatch {
+
+DenseStore::DenseStore(std::vector<double> values)
+    : values_(std::move(values)), sum_abs_(ChunkedSumAbs(values_)) {}
 
 double DenseStore::Peek(uint64_t key) const {
   WB_CHECK_LT(key, values_.size()) << "key outside dense store capacity";
@@ -13,7 +14,9 @@ double DenseStore::Peek(uint64_t key) const {
 
 void DenseStore::Add(uint64_t key, double delta) {
   WB_CHECK_LT(key, values_.size()) << "key outside dense store capacity";
+  const double before = values_[key];
   values_[key] += delta;
+  sum_abs_.Update(before, values_[key]);
 }
 
 namespace {
@@ -59,12 +62,6 @@ void DenseStore::ForEachNonZero(
   for (uint64_t key = 0; key < values_.size(); ++key) {
     if (values_[key] != 0.0) fn(key, values_[key]);
   }
-}
-
-double DenseStore::SumAbs() const {
-  double acc = 0.0;
-  for (double v : values_) acc += std::abs(v);
-  return acc;
 }
 
 }  // namespace wavebatch

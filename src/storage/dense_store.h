@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "storage/coefficient_store.h"
+#include "storage/sum_abs.h"
 
 namespace wavebatch {
 
@@ -12,18 +13,18 @@ namespace wavebatch {
 /// where the transformed view is mostly nonzero anyway (e.g. prefix sums).
 class DenseStore : public CoefficientStore {
  public:
-  /// Zero-initialized store for keys in [0, capacity).
+  /// Zero-initialized store for keys in [0, capacity); K starts at 0.
   explicit DenseStore(uint64_t capacity) : values_(capacity, 0.0) {}
 
   /// Bulk-loads from a dense value array (e.g. a transformed DenseCube's
-  /// backing values, whose packed cell id equals the linear index).
-  explicit DenseStore(std::vector<double> values)
-      : values_(std::move(values)) {}
+  /// backing values, whose packed cell id equals the linear index). K is
+  /// summed in one ChunkedSumAbs pass on the shared pool.
+  explicit DenseStore(std::vector<double> values);
 
   double Peek(uint64_t key) const override;
   void Add(uint64_t key, double delta) override;
   uint64_t NumNonZero() const override;
-  double SumAbs() const override;
+  double SumAbs() const override { return sum_abs_.value(); }
   void ForEachNonZero(
       const std::function<void(uint64_t, double)>& fn) const override;
   std::string name() const override { return "dense"; }
@@ -39,6 +40,7 @@ class DenseStore : public CoefficientStore {
 
  private:
   std::vector<double> values_;
+  RunningSumAbs sum_abs_;
 };
 
 }  // namespace wavebatch

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <mutex>
 #include <numeric>
@@ -64,7 +63,8 @@ Result<std::unique_ptr<FileStore>> FileStore::Create(
     offset += static_cast<size_t>(written);
     remaining -= static_cast<size_t>(written);
   }
-  return std::unique_ptr<FileStore>(new FileStore(path, fd, values.size()));
+  return std::unique_ptr<FileStore>(
+      new FileStore(path, fd, values.size(), ChunkedSumAbs(values)));
 }
 
 Result<std::unique_ptr<FileStore>> FileStore::Open(const std::string& path) {
@@ -79,8 +79,22 @@ Result<std::unique_ptr<FileStore>> FileStore::Open(const std::string& path) {
     return Status::InvalidArgument(path +
                                    " is not a multiple of sizeof(double)");
   }
-  return std::unique_ptr<FileStore>(
-      new FileStore(path, fd, static_cast<uint64_t>(size) / sizeof(double)));
+  const uint64_t capacity = static_cast<uint64_t>(size) / sizeof(double);
+  std::unique_ptr<FileStore> store(new FileStore(path, fd, capacity, 0.0));
+  // ChunkedSumAbs's order: each chunk left to right, chunk sums in order.
+  std::vector<double> chunk(
+      static_cast<size_t>(std::min<uint64_t>(kSumAbsChunkCells, capacity)));
+  double sum_abs = 0.0;
+  for (uint64_t key = 0; key < capacity; key += chunk.size()) {
+    const size_t want = static_cast<size_t>(
+        std::min<uint64_t>(chunk.size(), capacity - key));
+    Status status = store->PreadFully(chunk.data(), want * sizeof(double),
+                                      key * sizeof(double));
+    if (!status.ok()) return status;
+    sum_abs += SumAbsOfChunk(std::span<const double>(chunk.data(), want));
+  }
+  store->sum_abs_ = RunningSumAbs(sum_abs);
+  return store;
 }
 
 FileStore::~FileStore() {
@@ -96,11 +110,13 @@ double FileStore::Peek(uint64_t key) const {
 
 void FileStore::Add(uint64_t key, double delta) {
   WB_CHECK_LT(key, capacity_) << "key outside file store capacity";
-  const double value = Peek(key) + delta;
+  const double before = Peek(key);
+  const double value = before + delta;
   const ssize_t put = ::pwrite(fd_, &value, sizeof(value),
                                static_cast<off_t>(key * sizeof(double)));
   WB_CHECK_EQ(put, static_cast<ssize_t>(sizeof(value)))
       << "short write to " << path_;
+  sum_abs_.Update(before, value);
 }
 
 Status FileStore::PreadFully(void* buf, size_t len, uint64_t offset) const {
@@ -225,12 +241,6 @@ uint64_t FileStore::NumNonZero() const {
   uint64_t count = 0;
   ForEachNonZero([&count](uint64_t, double) { ++count; });
   return count;
-}
-
-double FileStore::SumAbs() const {
-  double acc = 0.0;
-  ForEachNonZero([&acc](uint64_t, double v) { acc += std::abs(v); });
-  return acc;
 }
 
 void FileStore::ForEachNonZero(

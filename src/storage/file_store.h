@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "storage/coefficient_store.h"
+#include "storage/sum_abs.h"
 #include "util/status.h"
 
 namespace wavebatch {
@@ -36,11 +37,14 @@ namespace wavebatch {
 class FileStore : public CoefficientStore {
  public:
   /// Creates (truncates) `path` holding `values` and opens a store on it.
+  /// K is ChunkedSumAbs(values), the bits a DenseStore of `values` reports.
   static Result<std::unique_ptr<FileStore>> Create(
       const std::string& path, const std::vector<double>& values);
 
   /// Opens an existing store file; capacity is derived from the file size
-  /// (must be a multiple of sizeof(double)).
+  /// (must be a multiple of sizeof(double)). K is derived in one sequential
+  /// read with ChunkedSumAbs's chunk boundaries, so it reproduces the bits
+  /// Create computed; a read error comes back as the Status.
   static Result<std::unique_ptr<FileStore>> Open(const std::string& path);
 
   ~FileStore() override;
@@ -51,7 +55,7 @@ class FileStore : public CoefficientStore {
   double Peek(uint64_t key) const override;
   void Add(uint64_t key, double delta) override;
   uint64_t NumNonZero() const override;
-  double SumAbs() const override;
+  double SumAbs() const override { return sum_abs_.value(); }
   void ForEachNonZero(
       const std::function<void(uint64_t, double)>& fn) const override;
   std::string name() const override { return "file"; }
@@ -86,12 +90,16 @@ class FileStore : public CoefficientStore {
   Status ReadRun(const Run& run, std::span<const uint64_t> keys,
                  std::span<const size_t> order, std::span<double> out) const;
 
-  FileStore(std::string path, int fd, uint64_t capacity)
-      : path_(std::move(path)), fd_(fd), capacity_(capacity) {}
+  FileStore(std::string path, int fd, uint64_t capacity, double sum_abs)
+      : path_(std::move(path)),
+        fd_(fd),
+        capacity_(capacity),
+        sum_abs_(sum_abs) {}
 
   std::string path_;
   int fd_;
   uint64_t capacity_;
+  RunningSumAbs sum_abs_;
 };
 
 }  // namespace wavebatch

@@ -1,10 +1,9 @@
 #include "storage/memory_store.h"
 
-#include <cmath>
-
 namespace wavebatch {
 
-HashStore::HashStore(const SparseVec& coefficients) {
+HashStore::HashStore(const SparseVec& coefficients)
+    : sum_abs_(coefficients.SumAbs()) {
   map_.reserve(coefficients.size());
   for (const SparseEntry& e : coefficients) map_.emplace(e.key, e.value);
 }
@@ -16,11 +15,12 @@ double HashStore::Peek(uint64_t key) const {
 
 void HashStore::Add(uint64_t key, double delta) {
   if (delta == 0.0) return;
-  auto [it, inserted] = map_.try_emplace(key, delta);
-  if (!inserted) {
-    it->second += delta;
-    if (it->second == 0.0) map_.erase(it);
-  }
+  // A new key starts at 0.0, and 0.0 + delta is delta exactly.
+  const auto it = map_.try_emplace(key, 0.0).first;
+  const double before = it->second;
+  it->second += delta;
+  sum_abs_.Update(before, it->second);
+  if (it->second == 0.0) map_.erase(it);
 }
 
 Status HashStore::DoFetchBatch(std::span<const uint64_t> keys,
@@ -37,12 +37,6 @@ uint64_t HashStore::NumNonZero() const { return map_.size(); }
 void HashStore::ForEachNonZero(
     const std::function<void(uint64_t, double)>& fn) const {
   for (const auto& [key, value] : map_) fn(key, value);
-}
-
-double HashStore::SumAbs() const {
-  double acc = 0.0;
-  for (const auto& [key, value] : map_) acc += std::abs(value);
-  return acc;
 }
 
 }  // namespace wavebatch

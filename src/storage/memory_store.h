@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "storage/coefficient_store.h"
+#include "storage/sum_abs.h"
 #include "wavelet/sparse_vec.h"
 
 namespace wavebatch {
@@ -16,13 +17,14 @@ class HashStore : public CoefficientStore {
  public:
   HashStore() = default;
 
-  /// Bulk-loads from a sparse vector.
+  /// Bulk-loads from a sparse vector; K is the entries' Σ|v| in entry
+  /// order.
   explicit HashStore(const SparseVec& coefficients);
 
   double Peek(uint64_t key) const override;
   void Add(uint64_t key, double delta) override;
   uint64_t NumNonZero() const override;
-  double SumAbs() const override;
+  double SumAbs() const override { return sum_abs_.value(); }
   void ForEachNonZero(
       const std::function<void(uint64_t, double)>& fn) const override;
   std::string name() const override { return "hash"; }
@@ -38,6 +40,7 @@ class HashStore : public CoefficientStore {
 
  private:
   std::unordered_map<uint64_t, double> map_;
+  RunningSumAbs sum_abs_;
 };
 
 }  // namespace wavebatch

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "storage/memory_store.h"
+#include "storage/sum_abs.h"
 #include "telemetry/span.h"
 #include "util/check.h"
 
@@ -11,13 +12,31 @@ namespace wavebatch {
 // ---------------------------------------------------------------------------
 // SnapshotStore
 
+namespace {
+
+/// K of base ⊕ overlay in O(overlay): see SnapshotStore.
+double SnapshotSumAbs(const CoefficientStore& base,
+                      const DeltaOverlay* overlay) {
+  RunningSumAbs sum_abs(base.SumAbs());
+  if (overlay != nullptr) {
+    for (const auto& [key, delta] : overlay->adds) {
+      const double before = base.Peek(key);
+      sum_abs.Update(before, before + delta);
+    }
+  }
+  return sum_abs.value();
+}
+
+}  // namespace
+
 SnapshotStore::SnapshotStore(uint64_t epoch,
                              std::shared_ptr<const CoefficientStore> base,
                              std::shared_ptr<const DeltaOverlay> overlay)
     : epoch_(epoch),
       base_(std::move(base)),
       overlay_(std::move(overlay)),
-      name_("snapshot(" + base_->name() + ")") {
+      name_("snapshot(" + base_->name() + ")"),
+      sum_abs_(SnapshotSumAbs(*base_, overlay_.get())) {
   WB_CHECK(base_ != nullptr);
 }
 
@@ -55,12 +74,6 @@ uint64_t SnapshotStore::NumNonZero() const {
   uint64_t count = 0;
   ForEachNonZero([&count](uint64_t, double) { ++count; });
   return count;
-}
-
-double SnapshotStore::SumAbs() const {
-  double sum = 0.0;
-  ForEachNonZero([&sum](uint64_t, double v) { sum += v < 0 ? -v : v; });
-  return sum;
 }
 
 void SnapshotStore::ForEachNonZero(

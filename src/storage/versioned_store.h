@@ -29,6 +29,11 @@ namespace wavebatch {
 /// concurrent readers may fetch from it while the owning VersionedStore
 /// ingests and merges. It is the object PinVersion() hands to sessions.
 ///
+/// Its K is derived once, in O(overlay): the base's K plus, per overlay
+/// key, |b + δ| − |b|, where b is the base's Peek and b + δ the same single
+/// addition the read path performs. With a null overlay it is the base's
+/// K bit for bit.
+///
 /// Decorated epoch views come from pinning *through* the decorator:
 /// FaultInjectionStore/BlockStore forward PinVersion by re-wrapping the
 /// pinned SnapshotStore, so sessions over a decorated versioned plane stay
@@ -37,6 +42,7 @@ namespace wavebatch {
 class SnapshotStore : public CoefficientStore {
  public:
   /// `base` must be non-null; `overlay` may be null (pure delegation).
+  /// Peeks the base once per overlay key to derive K.
   SnapshotStore(uint64_t epoch, std::shared_ptr<const CoefficientStore> base,
                 std::shared_ptr<const DeltaOverlay> overlay);
 
@@ -45,7 +51,7 @@ class SnapshotStore : public CoefficientStore {
   /// VersionedStore instead.
   void Add(uint64_t key, double delta) override;
   uint64_t NumNonZero() const override;
-  double SumAbs() const override;
+  double SumAbs() const override { return sum_abs_; }
   void ForEachNonZero(
       const std::function<void(uint64_t, double)>& fn) const override;
   std::string name() const override { return name_; }
@@ -64,6 +70,7 @@ class SnapshotStore : public CoefficientStore {
   const std::shared_ptr<const CoefficientStore> base_;
   const std::shared_ptr<const DeltaOverlay> overlay_;
   const std::string name_;
+  const double sum_abs_;
 };
 
 struct VersionedStoreOptions {
@@ -139,7 +146,8 @@ class VersionedStore : public CoefficientStore {
   void Add(uint64_t key, double delta) override;
 
   /// Seals all unmerged deltas into a new published epoch and returns its
-  /// number. Cheap: proportional to the number of distinct unmerged keys.
+  /// number. Cheap: proportional to the number of distinct unmerged keys,
+  /// which is also what deriving the snapshot's K costs (no scan).
   uint64_t Publish();
 
   /// Synchronous merge: seals all unmerged deltas, folds them into a new
@@ -182,7 +190,8 @@ class VersionedStore : public CoefficientStore {
   double Peek(uint64_t key) const override;
 
   /// Aggregates of the current PUBLISHED epoch (unpublished ingests are
-  /// not visible here, matching what readers can observe).
+  /// not visible here, matching what readers can observe). SumAbs() reads
+  /// the published snapshot's K.
   uint64_t NumNonZero() const override;
   double SumAbs() const override;
   void ForEachNonZero(

@@ -25,6 +25,7 @@
 #include "storage/file_store.h"
 #include "storage/memory_store.h"
 #include "strategy/wavelet_strategy.h"
+#include "temp_path.h"
 
 namespace wavebatch {
 namespace {
@@ -47,8 +48,7 @@ struct Backends {
       values[key] = value;
     });
 
-    file_path = ::testing::TempDir() + "/wavebatch_engine_test_" +
-                std::to_string(reinterpret_cast<uintptr_t>(this)) + ".bin";
+    file_path = UniqueTempPath("wavebatch_engine_test", this);
     auto file = FileStore::Create(file_path, values);
     EXPECT_TRUE(file.ok()) << file.status();
 

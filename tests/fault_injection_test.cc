@@ -25,6 +25,7 @@
 #include "storage/file_store.h"
 #include "storage/memory_store.h"
 #include "telemetry/metrics.h"
+#include "temp_path.h"
 
 namespace wavebatch {
 namespace {
@@ -209,8 +210,7 @@ struct FaultyBackends {
     source.ForEachNonZero(
         [&](uint64_t key, double value) { values[key] = value; });
 
-    file_path = ::testing::TempDir() + "/wavebatch_fault_matrix_" +
-                std::to_string(reinterpret_cast<uintptr_t>(this)) + ".bin";
+    file_path = UniqueTempPath("wavebatch_fault_matrix", this);
     auto file = FileStore::Create(file_path, values);
     EXPECT_TRUE(file.ok()) << file.status();
 

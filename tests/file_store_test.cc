@@ -11,6 +11,7 @@
 #include "engine/bounded.h"
 #include "gtest/gtest.h"
 #include "strategy/wavelet_strategy.h"
+#include "temp_path.h"
 #include "wavelet/dwt_nd.h"
 
 namespace wavebatch {
@@ -19,8 +20,7 @@ namespace {
 class FileStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/wavebatch_file_store_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".bin";
+    path_ = UniqueTempPath("wavebatch_file_store", this);
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

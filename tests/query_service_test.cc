@@ -97,8 +97,8 @@ std::shared_ptr<const CoefficientStore> VersionedAtEpoch1(
   return versioned;
 }
 
-/// Forwards to an inner store and counts its full scans — SumAbs() and
-/// ForEachNonZero(), which is how a Theorem-1 K read shows up — and the
+/// Forwards to an inner store and counts its full scans (ForEachNonZero
+/// calls; SumAbs() is the inner store's O(1) read and is not one) and the
 /// keys its counted read path serves.
 class CountingStore : public CoefficientStore {
  public:
@@ -108,10 +108,7 @@ class CountingStore : public CoefficientStore {
   double Peek(uint64_t key) const override { return inner_->Peek(key); }
   void Add(uint64_t key, double delta) override { inner_->Add(key, delta); }
   uint64_t NumNonZero() const override { return inner_->NumNonZero(); }
-  double SumAbs() const override {
-    ++scans_;
-    return inner_->SumAbs();
-  }
+  double SumAbs() const override { return inner_->SumAbs(); }
   void ForEachNonZero(
       const std::function<void(uint64_t, double)>& fn) const override {
     ++scans_;
@@ -371,10 +368,9 @@ TEST(QueryServiceEpochs, OneCachedPlanServesEveryEpoch) {
   }
 }
 
-/// K belongs to a pin generation: the generation's first admission scans
-/// the static store once, later admissions of that generation (each after
-/// the previous request completed) reuse the value, and a re-pin only drops
-/// it, so a generation that admits nothing never scans.
+/// K is the store's own O(1) read: constructing the service, serving
+/// requests and re-pinning perform no full scan of the store, and every
+/// admission reads the store's K.
 TEST(QueryServiceEpochs, KIsReadOncePerPinGeneration) {
   ServingFixture f;
   auto store = std::make_shared<CountingStore>(HashCopy(*f.BuildView()));
@@ -391,19 +387,18 @@ TEST(QueryServiceEpochs, KIsReadOncePerPinGeneration) {
     }
   };
   serve_requests(3);
-  EXPECT_EQ(store->scans(), 1u)
-      << "a later admission must not rescan the store";
+  EXPECT_EQ(store->scans(), 0u) << "serving must not scan";
 
   service.RefreshEpoch();
   service.RefreshEpoch();
-  EXPECT_EQ(store->scans(), 1u) << "a re-pin must not scan";
   serve_requests(2);
-  EXPECT_EQ(store->scans(), 2u);
+  EXPECT_EQ(store->scans(), 0u) << "re-pinning and serving must not scan";
+  EXPECT_EQ(service.k_sum_abs(), store->SumAbs());
 }
 
-/// Over a versioned plane wired on_publish -> RefreshEpoch, publishing
-/// never scans (the publisher's thread only re-pins), and an epoch that
-/// serves several requests scans its snapshot once.
+/// Over a versioned plane wired on_publish -> RefreshEpoch, neither
+/// publishing nor serving scans the base: each published snapshot derives
+/// its K from its overlay, and admissions read it.
 TEST(QueryServiceEpochs, PublishesDoNotScanAndEachServedEpochScansOnce) {
   ServingFixture f;
   auto counting = std::make_unique<CountingStore>(HashCopy(*f.BuildView()));
@@ -438,14 +433,14 @@ TEST(QueryServiceEpochs, PublishesDoNotScanAndEachServedEpochScansOnce) {
       ASSERT_TRUE(response.status.ok()) << response.status;
       EXPECT_EQ(service.epoch(), 3 + round);
     }
-    EXPECT_EQ(base->scans(), round + 1)
-        << "one snapshot scan per served epoch";
+    EXPECT_EQ(base->scans(), 0u) << "serving must not scan";
+    EXPECT_EQ(service.k_sum_abs(), versioned->Snapshot()->SumAbs());
     if (round == 0) ingest_and_publish(3);
   }
 }
 
-/// The plain-store contract: a store mutated through Add() after the
-/// service pinned it needs RefreshEpoch(). After the refresh, a
+/// A plain store mutated through Add() needs no RefreshEpoch(): it keeps
+/// its K current, and the next admission reads it. After the mutation, a
 /// target-bound request reports the bound of the mutated store's K — the
 /// one an isolated session computes at the same step — and its brute-force
 /// SSE stays within it.
@@ -456,11 +451,12 @@ TEST(QueryServiceEpochs, RefreshAfterAddServesTheMutatedStoresBound) {
   options.default_quantum = 4;
   QueryService service(store, f.shared_strategy, options);
   {
-    // Cache the unmutated store's K in this generation.
+    // Serve once over the unmutated store.
     QueryRequest request(f.MakeBatch(1));
     request.penalty = f.sse;
     ASSERT_TRUE(Serve(service, {request})[0].status.ok());
   }
+  const double k_before = store->SumAbs();
 
   Relation seen = f.rel;
   const Relation extra = MakeUniformRelation(f.schema, 200, 93);
@@ -469,9 +465,9 @@ TEST(QueryServiceEpochs, RefreshAfterAddServesTheMutatedStoresBound) {
     for (const SparseEntry& e : delta) store->Add(e.key, e.value);
     seen.Add(t);
   }
-  service.RefreshEpoch();
 
   const double k = store->SumAbs();
+  ASSERT_NE(k, k_before) << "the mutation must change K";
   auto plan = EvalPlan::Build(f.MakeBatch(2), f.strategy, f.sse).value();
   EvalSession probe(plan, store);
   QueryRequest request(f.MakeBatch(2));
@@ -1052,32 +1048,40 @@ std::string JsonField(const std::string& json, const std::string& key) {
   return json.substr(begin, json.find_first_of(",}", begin) - begin);
 }
 
-/// /statusz reports Theorem 1's K of the current generation: null until the
-/// generation's first admission reads it, the store's SumAbs() once a
-/// request was served, and null again after a re-pin, which bumps the
-/// generation.
+/// /statusz reports Theorem 1's K of the current generation from
+/// construction on: the store's SumAbs() before the first request, the
+/// mutated store's SumAbs() after an Add(), and still present after a
+/// re-pin, which bumps the generation.
 TEST(QueryServiceIntrospection, StatuszReportsKOfTheCurrentGeneration) {
   ServingFixture f;
-  auto store = f.BuildView();
+  std::shared_ptr<HashStore> store = HashCopy(*f.BuildView());
   QueryService service(store, f.shared_strategy);
   const uint64_t generation = service.generation();
-  std::string json = server::StatuszJson(service);
-  EXPECT_EQ(JsonField(json, "k_sum_abs"), "null") << json;
-  EXPECT_FALSE(service.k_sum_abs().has_value());
+  auto expect_k = [&](const char* when) {
+    SCOPED_TRACE(when);
+    const std::string json = server::StatuszJson(service);
+    char k[32];
+    std::snprintf(k, sizeof(k), "%.17g", store->SumAbs());
+    EXPECT_EQ(JsonField(json, "k_sum_abs"), k) << json;
+    EXPECT_EQ(service.k_sum_abs(), store->SumAbs());
+  };
+  expect_k("before the first request");
+  ASSERT_GT(service.k_sum_abs(), 0.0);
 
   QueryRequest request(f.MakeBatch(0));
   request.penalty = f.sse;
   ASSERT_TRUE(Serve(service, {request})[0].status.ok());
-  json = server::StatuszJson(service);
-  char k[32];
-  std::snprintf(k, sizeof(k), "%.17g", store->SumAbs());
-  EXPECT_EQ(JsonField(json, "k_sum_abs"), k) << json;
-  EXPECT_EQ(JsonField(json, "completed"), "1") << json;
-  EXPECT_EQ(service.k_sum_abs(), store->SumAbs());
+  EXPECT_EQ(JsonField(server::StatuszJson(service), "completed"), "1");
+  expect_k("after a request");
+
+  const double k_before = store->SumAbs();
+  store->Add(3, 1000.0);
+  ASSERT_NE(store->SumAbs(), k_before);
+  expect_k("after the store changed");
 
   service.RefreshEpoch();
-  json = server::StatuszJson(service);
-  EXPECT_EQ(JsonField(json, "k_sum_abs"), "null") << json;
+  expect_k("after a re-pin");
+  const std::string json = server::StatuszJson(service);
   EXPECT_EQ(JsonField(json, "generation"), std::to_string(generation + 1))
       << json;
   EXPECT_EQ(json.find("\"groups\""), std::string::npos) << json;

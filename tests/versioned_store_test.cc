@@ -9,6 +9,7 @@
 #include "storage/versioned_store.h"
 
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,6 +25,7 @@
 #include "penalty/sse.h"
 #include "server/query_service.h"
 #include "storage/delta_store.h"
+#include "storage/dense_store.h"
 #include "storage/fault_injection_store.h"
 #include "storage/memory_store.h"
 #include "strategy/wavelet_strategy.h"
@@ -252,8 +254,8 @@ TEST(VersionedStoreTest, MergeIsBitwiseInvisibleToQuiescentReaders) {
     EXPECT_EQ(before[i], after[i]) << "key " << keys[i];
   }
   EXPECT_EQ(store.NumNonZero(), nnz_before);
-  // SumAbs re-accumulates in the *new* base's iteration order, so only the
-  // per-key reads above are bitwise-stable across a merge; the aggregate is
+  // The new base keeps its own K, accumulated as the merge writes it, so
+  // only the per-key reads above are bitwise-stable across a merge; K is
   // equal up to summation-order rounding.
   EXPECT_NEAR(store.SumAbs(), sum_abs_before, 1e-9 * (1.0 + sum_abs_before));
 }
@@ -289,118 +291,143 @@ TEST(VersionedStoreTest, SnapshotAnswersMatchBruteForceOverAllIngested) {
   }
 }
 
-// Theorem 1's K per published epoch, as the service reads it (once per pin
-// generation, from the pinned snapshot). Over a seeded log of ingests,
-// publishes, synchronous merges and background merges (quiet, or racing
-// ingests), a target-bound request served through QueryService
-// (on_publish -> RefreshEpoch) at every epoch must report the bound an
-// isolated session over that snapshot computes with its exact Σ|v| at the
-// same step, and its brute-force SSE must stay within that bound.
+/// The fixture's cube (16×16 cells) in a DenseStore, with the overlay
+/// folded in by one addition per key: a merge whose new base takes its K
+/// from the bulk pass instead of from Add.
+std::unique_ptr<CoefficientStore> DenseMerge(const CoefficientStore& base,
+                                             const DeltaOverlay& overlay) {
+  std::vector<double> values(16 * 16, 0.0);
+  base.ForEachNonZero([&values](uint64_t key, double v) { values[key] = v; });
+  for (const auto& [key, delta] : overlay.adds) values[key] += delta;
+  return std::make_unique<DenseStore>(std::move(values));
+}
+
+// Theorem 1's K per published epoch, as the service reads it (the pinned
+// snapshot's SumAbs(), derived from its overlay). Over a seeded log of
+// ingests, publishes, synchronous merges and background merges (quiet, or
+// racing ingests), on a hash base merged by the default HashMerge and on a
+// dense base merged into a new DenseStore, a target-bound request served
+// through QueryService (on_publish -> RefreshEpoch) at every epoch must
+// report the bound an isolated session over that snapshot computes with
+// its K at the same step; that K must match a fresh scan of the snapshot,
+// and the request's brute-force SSE must stay within the bound.
 TEST(VersionedStoreTest, ServedBoundIsSoundAtEveryPublishedEpoch) {
-  StreamFixture f;
-  auto base = std::make_unique<HashStore>();
-  f.BuildBase()->ForEachNonZero(
-      [&base](uint64_t key, double value) { base->Add(key, value); });
-  server::QueryService* service_ptr = nullptr;
-  VersionedStoreOptions options;
-  options.on_publish = [&service_ptr](uint64_t) {
-    if (service_ptr != nullptr) service_ptr->RefreshEpoch();
-  };
-  auto plane = std::make_shared<VersionedStore>(std::move(base), options);
-  server::QueryServiceOptions service_options;
-  service_options.default_quantum = 4;
-  server::QueryService service(
-      plane, std::make_shared<WaveletStrategy>(f.schema, WaveletKind::kHaar),
-      service_options);
-  service_ptr = &service;
+  for (const bool dense : {false, true}) {
+    SCOPED_TRACE(dense ? "dense base, dense merge" : "hash base, HashMerge");
+    StreamFixture f;
+    std::unique_ptr<CoefficientStore> base = f.BuildBase();
+    if (!dense) {
+      auto hash = std::make_unique<HashStore>();
+      base->ForEachNonZero(
+          [&hash](uint64_t key, double value) { hash->Add(key, value); });
+      base = std::move(hash);
+    }
+    server::QueryService* service_ptr = nullptr;
+    VersionedStoreOptions options;
+    if (dense) options.merge_fn = DenseMerge;
+    options.on_publish = [&service_ptr](uint64_t) {
+      if (service_ptr != nullptr) service_ptr->RefreshEpoch();
+    };
+    auto plane = std::make_shared<VersionedStore>(std::move(base), options);
+    server::QueryServiceOptions service_options;
+    service_options.default_quantum = 4;
+    server::QueryService service(
+        plane, std::make_shared<WaveletStrategy>(f.schema, WaveletKind::kHaar),
+        service_options);
+    service_ptr = &service;
 
-  const std::shared_ptr<const SnapshotStore> first = plane->Snapshot();
-  const double target_bound =
-      EvalSession(f.plan, first).WorstCaseBound(first->SumAbs()) / 2;
-  Relation seen = f.rel;
-  size_t ingested = 0;
-  auto ingest = [&](uint64_t count) {
-    for (; count > 0 && ingested < f.deltas.size(); --count, ++ingested) {
-      plane->Ingest(f.deltas[ingested]);
-      seen.Add(f.stream_rel.tuples()[ingested]);
-    }
-  };
-  // Called only when every ingested tuple is published.
-  auto check_epoch = [&](const char* event) {
-    const std::shared_ptr<const SnapshotStore> snapshot = plane->Snapshot();
-    SCOPED_TRACE(std::string(event) + " at epoch " +
-                 std::to_string(snapshot->epoch()));
-    EXPECT_EQ(service.epoch(), snapshot->epoch());
+    const std::shared_ptr<const SnapshotStore> first = plane->Snapshot();
+    const double target_bound =
+        EvalSession(f.plan, first).WorstCaseBound(first->SumAbs()) / 2;
+    Relation seen = f.rel;
+    size_t ingested = 0;
+    auto ingest = [&](uint64_t count) {
+      for (; count > 0 && ingested < f.deltas.size(); --count, ++ingested) {
+        plane->Ingest(f.deltas[ingested]);
+        seen.Add(f.stream_rel.tuples()[ingested]);
+      }
+    };
+    // Called only when every ingested tuple is published.
+    auto check_epoch = [&](const char* event) {
+      const std::shared_ptr<const SnapshotStore> snapshot = plane->Snapshot();
+      SCOPED_TRACE(std::string(event) + " at epoch " +
+                   std::to_string(snapshot->epoch()));
+      EXPECT_EQ(service.epoch(), snapshot->epoch());
+      double fresh = 0.0;
+      snapshot->ForEachNonZero(
+          [&fresh](uint64_t, double v) { fresh += std::abs(v); });
+      EXPECT_NEAR(snapshot->SumAbs(), fresh, 1e-12 * (1.0 + fresh));
 
-    server::QueryRequest request(f.batch);
-    request.penalty = f.sse;
-    request.target_bound = target_bound;
-    server::QueryResponse response;
-    ASSERT_TRUE(service
-                    .Submit(request,
-                            [&response](server::QueryResponse r) {
-                              response = std::move(r);
-                            })
-                    .ok());
-    service.RunUntilIdle();
-    ASSERT_TRUE(response.status.ok()) << response.status;
-    EXPECT_LT(response.steps_taken, response.total_steps)
-        << "the target should stop the request before exactness";
-    EvalSession probe(f.plan, snapshot);
-    while (probe.StepsTaken() < response.steps_taken) {
-      ASSERT_TRUE(probe.StepBatch(service_options.default_quantum).ok());
-    }
-    ASSERT_EQ(probe.StepsTaken(), response.steps_taken);
-    EXPECT_EQ(response.worst_case_bound,
-              probe.WorstCaseBound(snapshot->SumAbs()));
-    const std::vector<double> truth = f.batch.BruteForce(seen);
-    ASSERT_EQ(response.estimates.size(), truth.size());
-    double sse = 0.0;
-    for (size_t q = 0; q < truth.size(); ++q) {
-      const double e = response.estimates[q] - truth[q];
-      sse += e * e;
-    }
-    EXPECT_LE(sse, response.worst_case_bound);
-  };
+      server::QueryRequest request(f.batch);
+      request.penalty = f.sse;
+      request.target_bound = target_bound;
+      server::QueryResponse response;
+      ASSERT_TRUE(service
+                      .Submit(request,
+                              [&response](server::QueryResponse r) {
+                                response = std::move(r);
+                              })
+                      .ok());
+      service.RunUntilIdle();
+      ASSERT_TRUE(response.status.ok()) << response.status;
+      EXPECT_LT(response.steps_taken, response.total_steps)
+          << "the target should stop the request before exactness";
+      EvalSession probe(f.plan, snapshot);
+      while (probe.StepsTaken() < response.steps_taken) {
+        ASSERT_TRUE(probe.StepBatch(service_options.default_quantum).ok());
+      }
+      ASSERT_EQ(probe.StepsTaken(), response.steps_taken);
+      EXPECT_EQ(response.worst_case_bound,
+                probe.WorstCaseBound(snapshot->SumAbs()));
+      const std::vector<double> truth = f.batch.BruteForce(seen);
+      ASSERT_EQ(response.estimates.size(), truth.size());
+      double sse = 0.0;
+      for (size_t q = 0; q < truth.size(); ++q) {
+        const double e = response.estimates[q] - truth[q];
+        sse += e * e;
+      }
+      EXPECT_LE(sse, response.worst_case_bound);
+    };
 
-  check_epoch("construction");
-  Rng rng(41);
-  std::vector<size_t> events(6, 0);
-  while (ingested < f.deltas.size()) {
-    const uint64_t event = rng.UniformInt(events.size());
-    ++events[event];
-    switch (event) {
-      case 0:
-      case 1:
-        ingest(1 + rng.UniformInt(6));
-        break;
-      case 2:
-        ingest(1 + rng.UniformInt(6));
-        plane->Publish();
-        check_epoch("publish");
-        break;
-      case 3:
-        plane->Merge();
-        check_epoch("merge");
-        break;
-      case 4:
-        plane->StartBackgroundMerge();
-        plane->WaitForMerge();
-        check_epoch("quiet background merge");
-        break;
-      case 5:
-        plane->StartBackgroundMerge();
-        ingest(1 + rng.UniformInt(4));  // races the fold
-        plane->WaitForMerge();
-        plane->Publish();
-        check_epoch("background merge racing ingests");
-        break;
+    check_epoch("construction");
+    Rng rng(41);
+    std::vector<size_t> events(6, 0);
+    while (ingested < f.deltas.size()) {
+      const uint64_t event = rng.UniformInt(events.size());
+      ++events[event];
+      switch (event) {
+        case 0:
+        case 1:
+          ingest(1 + rng.UniformInt(6));
+          break;
+        case 2:
+          ingest(1 + rng.UniformInt(6));
+          plane->Publish();
+          check_epoch("publish");
+          break;
+        case 3:
+          plane->Merge();
+          check_epoch("merge");
+          break;
+        case 4:
+          plane->StartBackgroundMerge();
+          plane->WaitForMerge();
+          check_epoch("quiet background merge");
+          break;
+        case 5:
+          plane->StartBackgroundMerge();
+          ingest(1 + rng.UniformInt(4));  // races the fold
+          plane->WaitForMerge();
+          plane->Publish();
+          check_epoch("background merge racing ingests");
+          break;
+      }
     }
+    for (size_t e = 0; e < events.size(); ++e) {
+      EXPECT_GT(events[e], 0u) << "the log never drew event kind " << e;
+    }
+    service_ptr = nullptr;
   }
-  for (size_t e = 0; e < events.size(); ++e) {
-    EXPECT_GT(events[e], 0u) << "the log never drew event kind " << e;
-  }
-  service_ptr = nullptr;
 }
 
 TEST(VersionedStoreTest, SessionPinsItsEpochAtConstruction) {
