@@ -145,7 +145,7 @@ int Main(int argc, char** argv) {
       QueryService::TimelineRecord record;
       record.request_id = response.request_id;
       record.trace_id = response.trace_id;
-      record.generation = response.generation;
+      record.epoch = response.epoch;
       record.ok = response.status.ok();
       record.exact = response.exact;
       record.deadline_expired = response.deadline_expired;

@@ -1,6 +1,6 @@
 // The query-serving front end in one page. Several "dashboard clients"
 // submit overlapping range-sum batches to a QueryService; the service runs
-// each as a session over one pinned snapshot of the cube. A request that
+// each as a session over the cube's coefficient store. A request that
 // may stop early (here client 2, with a target bound) is progressive: it
 // walks Batch-Biggest-B and is scheduled first, by the bound reduction its
 // next quantum buys. Requests that must run to exact are served after it,

@@ -7,9 +7,8 @@
 //   # metrics.prom   -> any Prometheus scraper / promtool check metrics
 //   # trace.json     -> chrome://tracing "Load" or https://ui.perfetto.dev
 //
-// Recording is on by default; MetricsRegistry::Disable() is the runtime
-// null path (every event collapses to one relaxed atomic load), and
-// compiling with -DWAVEBATCH_TELEMETRY_DISABLED removes even that.
+// Recording is on by default; MetricsRegistry::Disable() is the null path
+// (every event collapses to one relaxed atomic load).
 
 #include <cstdio>
 #include <memory>

@@ -12,22 +12,6 @@
 
 namespace wavebatch {
 
-namespace {
-
-/// Runs fn over [0, n): chunked across `pool` when non-null, inline
-/// otherwise. Fixed chunk boundaries; every index visited exactly once.
-void ForRange(ThreadPool* pool, size_t n, size_t grain,
-              const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) return;
-  if (pool != nullptr) {
-    pool->ParallelFor(n, grain, fn);
-  } else {
-    fn(0, n);
-  }
-}
-
-}  // namespace
-
 Result<std::shared_ptr<const EvalPlan>> EvalPlan::Build(
     const QueryBatch& batch, const LinearStrategy& strategy,
     std::shared_ptr<const PenaltyFunction> penalty,

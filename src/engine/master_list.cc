@@ -29,19 +29,6 @@ struct UseRow {
   double value;
 };
 
-/// Runs fn over [0, n): chunked across `pool` when non-null, inline
-/// otherwise. Either way every index is visited exactly once and each
-/// output slot is written by exactly one chunk.
-void ForRange(ThreadPool* pool, size_t n, size_t grain,
-              const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) return;
-  if (pool != nullptr) {
-    pool->ParallelFor(n, grain, fn);
-  } else {
-    fn(0, n);
-  }
-}
-
 }  // namespace
 
 Result<MasterList> MasterList::Build(const QueryBatch& batch,

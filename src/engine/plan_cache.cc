@@ -11,9 +11,9 @@ namespace wavebatch {
 
 namespace {
 
-/// Cache traffic is aggregated across all PlanCache instances (there is
-/// normally exactly one, PlanCache::Shared()); per-instance numbers stay
-/// available via hits()/misses()/evictions().
+/// Cache traffic is aggregated across all PlanCache instances (a service
+/// owns one, or shares one through QueryServiceOptions::plan_cache);
+/// per-instance numbers stay available via hits()/misses()/evictions().
 struct PlanCacheMetrics {
   telemetry::Counter* hits;
   telemetry::Counter* misses;
@@ -181,11 +181,6 @@ void PlanCache::Clear() {
   hits_ = 0;
   misses_ = 0;
   evictions_ = 0;
-}
-
-PlanCache& PlanCache::Shared() {
-  static PlanCache* cache = new PlanCache(64);
-  return *cache;
 }
 
 }  // namespace wavebatch

@@ -61,9 +61,6 @@ class PlanCache {
   /// Snapshot of the cached entries, most recently used first.
   std::vector<EntryInfo> Entries() const;
 
-  /// Process-wide cache for callers without their own.
-  static PlanCache& Shared();
-
   /// The cache key: a byte-exact fingerprint of the batch's schema, every
   /// query's intervals and monomials, the strategy name, and the penalty's
   /// content fingerprint. Exposed for tests.

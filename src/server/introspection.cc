@@ -92,8 +92,8 @@ void AppendTimelineRecord(std::string& out,
   AppendU64(out, record.request_id);
   out += ",\"trace_id\":";
   AppendU64(out, record.trace_id);
-  out += ",\"generation\":";
-  AppendU64(out, record.generation);
+  out += ",\"epoch\":";
+  AppendU64(out, record.epoch);
   out += ",\"ok\":";
   AppendBool(out, record.ok);
   out += ",\"exact\":";
@@ -130,8 +130,6 @@ std::string StatuszJson(const QueryService& service) {
   AppendU64(out, service.queue_depth());
   out += ",\"live_sessions\":";
   AppendU64(out, service.live_sessions());
-  out += ",\"generation\":";
-  AppendU64(out, service.generation());
   out += ",\"epoch\":";
   AppendU64(out, service.epoch());
   out += ",\"sheds\":";

@@ -19,9 +19,9 @@ namespace wavebatch::server {
 /// `introspect_dump` tool, so environments that cannot open a listener get
 /// identical text from a one-shot dump.
 
-/// /statusz: admission queue depth, live sessions, epoch/generation, shed
-/// and completion counts, Theorem 1's K of the current snapshot (the pinned
-/// store's SumAbs()), and the plan cache's contents.
+/// /statusz: admission queue depth, live sessions, the epoch the next
+/// admission pins, shed and completion counts, Theorem 1's K of the store's
+/// current version (its SumAbs()), and the plan cache's contents.
 std::string StatuszJson(const QueryService& service);
 
 /// The convergence timelines of recently completed requests — each record

@@ -19,6 +19,22 @@ constexpr size_t kTimelineCapacity = 256;
 /// Completed-request timelines retained for /tracez (FIFO).
 constexpr size_t kRecentTimelines = 64;
 
+/// The published epoch a pinned version carries: a versioned plane pins
+/// SnapshotStores; any other store reads as epoch 0. Spans and /statusz
+/// report it so a trace shows which data version served each request.
+uint64_t EpochOf(const CoefficientStore& version) {
+  const auto* snapshot = dynamic_cast<const SnapshotStore*>(&version);
+  return snapshot != nullptr ? snapshot->epoch() : 0;
+}
+
+/// The store's current version: its PinVersion(), or the store itself when
+/// it is its own snapshot.
+std::shared_ptr<const CoefficientStore> CurrentVersion(
+    const std::shared_ptr<const CoefficientStore>& store) {
+  std::shared_ptr<const CoefficientStore> pinned = store->PinVersion();
+  return pinned != nullptr ? pinned : store;
+}
+
 }  // namespace
 
 QueryService::QueryService(std::shared_ptr<const CoefficientStore> store,
@@ -57,8 +73,6 @@ QueryService::QueryService(std::shared_ptr<const CoefficientStore> store,
   latency_us_ =
       registry.GetHistogram("wavebatch_server_request_latency_us", {},
                             "Admission-to-completion latency, microseconds.");
-  std::lock_guard<std::mutex> lock(mu_);
-  RepinLocked();
 }
 
 QueryService::~QueryService() {
@@ -90,41 +104,18 @@ QueryService::~QueryService() {
   for (auto& cb : callbacks) cb();
 }
 
-void QueryService::RepinLocked() {
-  std::shared_ptr<const CoefficientStore> pinned = root_store_->PinVersion();
-  pinned_ = pinned != nullptr ? std::move(pinned) : root_store_;
-  // Versioned planes pin SnapshotStores, which carry their published epoch;
-  // static stores read as epoch 0. Spans and /statusz report this so a
-  // trace shows which data version served each request.
-  const auto* snapshot = dynamic_cast<const SnapshotStore*>(pinned_.get());
-  pinned_epoch_ = snapshot != nullptr ? snapshot->epoch() : 0;
-}
-
 uint64_t QueryService::epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pinned_epoch_;
+  return EpochOf(*CurrentVersion(root_store_));
 }
 
 double QueryService::k_sum_abs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pinned_->SumAbs();
+  return CurrentVersion(root_store_)->SumAbs();
 }
 
 std::vector<QueryService::TimelineRecord> QueryService::RecentTimelines()
     const {
   std::lock_guard<std::mutex> lock(mu_);
   return {recent_timelines_.begin(), recent_timelines_.end()};
-}
-
-void QueryService::RefreshEpoch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  RepinLocked();
-  ++generation_;
-}
-
-uint64_t QueryService::generation() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return generation_;
 }
 
 uint64_t QueryService::sheds() const {
@@ -201,12 +192,11 @@ void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
             : kNoDeadline;
     active->quantum = active->request.quantum > 0 ? active->request.quantum
                                                   : options_.default_quantum;
-    active->generation = generation_;
     active->trace = pending.trace;
     active->timeline = telemetry::ConvergenceTimeline(kTimelineCapacity);
 
     // Plans are store-free (a transform of the queries alone), so one
-    // cached plan serves every generation. The lookup (and any build it
+    // cached plan serves every epoch. The lookup (and any build it
     // triggers) runs under the request's trace so plan_build /
     // plan_cache_lookup spans attribute to it.
     std::optional<telemetry::ScopedTraceContext> trace_guard;
@@ -219,7 +209,6 @@ void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
       response.status = plan.status();
       response.request_id = active->trace.request_id;
       response.trace_id = active->trace.trace_id;
-      response.generation = generation_;
       response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
           now - active->admitted_at);
       failed_->Add();
@@ -230,8 +219,6 @@ void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
       continue;
     }
 
-    active->k_sum_abs = pinned_->SumAbs();
-    active->epoch = pinned_epoch_;
     // Only a request that can stop early (a target or a deadline) gains
     // from biggest-B; an exact request reads its master list in key order,
     // the paper's exact batch evaluation, which walks the plan's CSR image
@@ -243,8 +230,12 @@ void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
     session_options.order = active->progressive ? ProgressionOrder::kBiggestB
                                                 : ProgressionOrder::kKeyOrder;
     session_options.fault_policy = active->request.fault_policy;
-    active->session = std::make_unique<EvalSession>(plan.value(), pinned_,
-                                                    session_options);
+    active->session = std::make_unique<EvalSession>(
+        plan.value(), root_store_, session_options);
+    // The session pinned the store's current version; K and the epoch are
+    // that version's.
+    active->k_sum_abs = active->session->store().SumAbs();
+    active->epoch = EpochOf(active->session->store());
     live_.push_back(std::move(active));
     live_sessions_gauge_->Set(static_cast<double>(live_.size()));
   }
@@ -325,8 +316,6 @@ void QueryService::StepQuantum(Active& active) {
   if (traced) {
     trace_guard.emplace(active.trace);
     quantum_span.emplace("request_quantum");
-    quantum_span->AddAttr("generation",
-                          static_cast<double>(active.generation));
     quantum_span->AddAttr("epoch", static_cast<double>(active.epoch));
   }
   Result<size_t> stepped = active.session->StepBatch(active.quantum);
@@ -363,7 +352,7 @@ std::function<void()> QueryService::FinalizeLocked(
   response.exact = active->session->Done() &&
                    active->session->SkippedCoefficients() == 0;
   response.deadline_expired = deadline_expired;
-  response.generation = active->generation;
+  response.epoch = active->epoch;
   if (active->session->plan().HasImportance()) {
     response.worst_case_bound =
         active->session->WorstCaseBound(active->k_sum_abs);
@@ -377,7 +366,7 @@ std::function<void()> QueryService::FinalizeLocked(
     TimelineRecord record;
     record.request_id = active->trace.request_id;
     record.trace_id = active->trace.trace_id;
-    record.generation = active->generation;
+    record.epoch = active->epoch;
     record.ok = response.status.ok();
     record.exact = response.exact;
     record.deadline_expired = deadline_expired;

@@ -69,8 +69,10 @@ struct QueryResponse {
   IoStats io;
   bool exact = false;
   bool deadline_expired = false;
-  /// Pin generation this request was served at (bumps on RefreshEpoch).
-  uint64_t generation = 0;
+  /// Published epoch this request was served at: that of the
+  /// SnapshotStore its session pinned at admission; 0 when the store is
+  /// not versioned or no session was built.
+  uint64_t epoch = 0;
   /// Admission-to-completion wall time.
   std::chrono::microseconds latency{0};
   /// Trace identity minted at Submit (0 when the request was never
@@ -103,10 +105,10 @@ struct QueryServiceOptions {
 
 /// The serving front end: accepts query batches from many clients into an
 /// admission queue and runs each as a progressive EvalSession over the
-/// current pinned snapshot. I/O is shared the paper's way, inside one batch
-/// through its master list (Observation 1); every session reads the
-/// snapshot directly, so a served request costs the backend exactly what
-/// an isolated session costs.
+/// store's current version. I/O is shared the paper's way, inside one batch
+/// through its master list (Observation 1); every session reads its
+/// pinned version directly, so a served request costs the backend exactly
+/// what an isolated session costs.
 ///
 /// Scheduling is progress-aware: the runnable session with the least
 /// deadline slack goes first; among equals, the one whose next quantum buys
@@ -124,12 +126,15 @@ struct QueryServiceOptions {
 /// Execution: either call RunUntilIdle() on your own thread (deterministic;
 /// tests and single-tenant tools), or Start()/Stop() worker threads. Both
 /// run the same scheduler loop.
-/// Epochs: the service pins its store's current version at construction;
-/// RefreshEpoch() re-pins — wire it to VersionedStoreOptions::on_publish so
-/// new admissions serve fresh data while in-flight sessions finish on the
-/// epoch they pinned.
+/// Epochs: each admitted request's EvalSession is built over the service's
+/// store and pins its current version (CoefficientStore::PinVersion) at
+/// construction, the one place an epoch is pinned. So an admission serves
+/// the latest published epoch, an in-flight session finishes on the epoch
+/// it pinned, and nothing needs wiring. To serve one frozen epoch, build
+/// the service over a snapshot (VersionedStore::Snapshot()), which is its
+/// own version.
 ///
-/// Theorem 1's K is read from the pinned store at every admission. The
+/// Theorem 1's K is read from the session's pinned store at admission. The
 /// store keeps K current as it is written (CoefficientStore::SumAbs), so
 /// the read is O(1) and a plain store mutated through Add() reports sound
 /// bounds from its next admission on.
@@ -161,14 +166,9 @@ class QueryService {
   /// drained by RunUntilIdle() or a later Start().
   void Stop();
 
-  /// Re-pins the store's current version; later admissions read the fresh
-  /// snapshot. Wire to VersionedStoreOptions::on_publish.
-  void RefreshEpoch();
-
   // Introspection (tests, ops).
   size_t queue_depth() const;
   size_t live_sessions() const;
-  uint64_t generation() const;
   /// This instance's counts (the telemetry counters aggregate across all
   /// services in the process).
   uint64_t sheds() const;
@@ -179,10 +179,12 @@ class QueryService {
   uint64_t shared_hits() const { return 0; }
   uint64_t shared_misses() const { return 0; }
 
-  /// Pinned epoch of the current snapshot (SnapshotStore::epoch(); 0 when
-  /// the store is not versioned).
+  /// The epoch the next admission would pin: that of the store's current
+  /// published SnapshotStore, 0 when the store is not versioned. Reads the
+  /// store, not the service, so it takes no service lock.
   uint64_t epoch() const;
-  /// Theorem 1's K of the current snapshot (its SumAbs()).
+  /// Theorem 1's K of the store's current version (its SumAbs()); no
+  /// service lock either.
   double k_sum_abs() const;
   const PlanCache& plan_cache() const { return *plan_cache_; }
 
@@ -190,7 +192,7 @@ class QueryService {
   struct TimelineRecord {
     uint64_t request_id = 0;
     uint64_t trace_id = 0;
-    uint64_t generation = 0;
+    uint64_t epoch = 0;
     bool ok = false;
     bool exact = false;
     bool deadline_expired = false;
@@ -222,9 +224,8 @@ class QueryService {
     /// it is an exact request, served in key order behind every progressive
     /// one.
     bool progressive = false;
-    /// Theorem 1's K of the snapshot the session reads.
+    /// Theorem 1's K of the version the session pinned.
     double k_sum_abs = 0.0;
-    uint64_t generation = 0;
     uint64_t epoch = 0;  // pinned SnapshotStore epoch, 0 if unversioned
     size_t quantum = 0;
     bool busy = false;      // a worker owns this session's next quantum
@@ -271,8 +272,6 @@ class QueryService {
   std::function<void()> FinalizeLocked(
       size_t live_index, Status status, bool deadline_expired,
       std::chrono::steady_clock::time_point now);
-  /// Pins the store's current version. Must hold mu_.
-  void RepinLocked();
 
   const std::shared_ptr<const CoefficientStore> root_store_;
   const std::shared_ptr<const LinearStrategy> strategy_;
@@ -285,9 +284,6 @@ class QueryService {
   std::vector<std::thread> workers_;
   std::vector<Pending> pending_;
   std::vector<std::unique_ptr<Active>> live_;
-  std::shared_ptr<const CoefficientStore> pinned_;  // current epoch snapshot
-  uint64_t generation_ = 1;
-  uint64_t pinned_epoch_ = 0;  // SnapshotStore::epoch() of pinned_, else 0
   std::deque<TimelineRecord> recent_timelines_;
   uint64_t local_sheds_ = 0;
   uint64_t local_completed_ = 0;

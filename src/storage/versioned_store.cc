@@ -119,7 +119,7 @@ VersionedStore::VersionedStore(std::unique_ptr<CoefficientStore> base,
       name_("versioned(" + (base != nullptr ? base->name() : "") + ")"),
       base_(std::move(base)) {
   WB_CHECK(base_ != nullptr);
-  snapshot_.Store(std::make_shared<SnapshotStore>(0, base_, nullptr));
+  snapshot_ = std::make_shared<SnapshotStore>(0, base_, nullptr);
 
   auto& registry = telemetry::MetricsRegistry::Default();
   const std::string store = name();
@@ -146,102 +146,78 @@ VersionedStore::VersionedStore(std::unique_ptr<CoefficientStore> base,
 VersionedStore::~VersionedStore() { WaitForMerge(); }
 
 void VersionedStore::Ingest(const SparseVec& delta) {
-  uint64_t published = 0;
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    active_.Apply(delta);
-    ingests_metric_->Add(1);
-    ingested_entries_metric_->Add(delta.size());
-    published = MaybeAutoPublishLocked();
-  }
-  NotifyPublished(published);
+  std::lock_guard<std::mutex> lock(write_mu_);
+  for (const SparseEntry& e : delta) active_[e.key] += e.value;
+  ingests_metric_->Add(1);
+  ingested_entries_metric_->Add(delta.size());
 }
 
 void VersionedStore::Add(uint64_t key, double delta) {
-  uint64_t published = 0;
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    active_.ApplyOne(key, delta);
-    ingests_metric_->Add(1);
-    ingested_entries_metric_->Add(1);
-    published = MaybeAutoPublishLocked();
-  }
-  NotifyPublished(published);
+  std::lock_guard<std::mutex> lock(write_mu_);
+  active_[key] += delta;
+  ingests_metric_->Add(1);
+  ingested_entries_metric_->Add(1);
 }
 
-uint64_t VersionedStore::MaybeAutoPublishLocked() {
-  ++pending_since_publish_;
-  if (options_.publish_every > 0 &&
-      pending_since_publish_ >= options_.publish_every) {
-    return PublishLocked();
-  }
-  return 0;
-}
-
-void VersionedStore::NotifyPublished(uint64_t epoch) const {
-  if (epoch != 0 && options_.on_publish != nullptr) {
-    options_.on_publish(epoch);
-  }
+std::shared_ptr<const DeltaOverlay> VersionedStore::SealLocked() const {
+  if (active_.empty() && merging_ == nullptr) return nullptr;
+  auto overlay = std::make_shared<DeltaOverlay>();
+  if (merging_ != nullptr) overlay->adds = merging_->adds;
+  for (const auto& [key, value] : active_) overlay->adds[key] += value;
+  return overlay;
 }
 
 uint64_t VersionedStore::PublishLocked() {
-  std::shared_ptr<const DeltaOverlay> overlay = active_.Seal(merging_.get());
   const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  snapshot_.Store(
-      std::make_shared<SnapshotStore>(epoch, base_, std::move(overlay)));
+  auto snapshot = std::make_shared<SnapshotStore>(epoch, base_, SealLocked());
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    snapshot_ = std::move(snapshot);
+  }
   publishes_metric_->Add(1);
   epoch_gauge_->Set(static_cast<double>(epoch));
   delta_entries_gauge_->Set(static_cast<double>(
       active_.size() + (merging_ != nullptr ? merging_->size() : 0)));
-  pending_since_publish_ = 0;
   return epoch;
 }
 
 uint64_t VersionedStore::Publish() {
-  uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    epoch = PublishLocked();
-  }
-  NotifyPublished(epoch);
-  return epoch;
+  std::lock_guard<std::mutex> lock(write_mu_);
+  return PublishLocked();
+}
+
+std::function<void()> VersionedStore::SealForMergeLocked() {
+  std::shared_ptr<const DeltaOverlay> overlay = SealLocked();
+  if (overlay == nullptr) return nullptr;
+  merging_ = overlay;
+  active_.clear();
+  merge_in_flight_ = true;
+  return [this, base = base_, delta = std::move(overlay)]() mutable {
+    FoldAndSwap(std::move(base), std::move(delta));
+  };
 }
 
 uint64_t VersionedStore::Merge() {
-  std::shared_ptr<const CoefficientStore> old_base;
-  std::shared_ptr<const DeltaOverlay> overlay;
+  std::function<void()> fold;
   {
     std::unique_lock<std::mutex> lock(write_mu_);
     merge_cv_.wait(lock, [this] { return !merge_in_flight_; });
-    overlay = active_.Seal(merging_.get());
-    if (overlay == nullptr) return epoch_.load(std::memory_order_relaxed);
-    merging_ = overlay;
-    active_.Clear();
-    merge_in_flight_ = true;
-    old_base = base_;
+    fold = SealForMergeLocked();
   }
-  FoldAndSwap(std::move(old_base), std::move(overlay));
+  if (fold != nullptr) fold();
   return epoch_.load(std::memory_order_relaxed);
 }
 
 bool VersionedStore::StartBackgroundMerge(ThreadPool* pool) {
-  std::shared_ptr<const CoefficientStore> old_base;
-  std::shared_ptr<const DeltaOverlay> overlay;
+  std::function<void()> fold;
   {
     std::lock_guard<std::mutex> lock(write_mu_);
     if (merge_in_flight_) return false;
-    overlay = active_.Seal(merging_.get());
-    if (overlay == nullptr) return false;
-    merging_ = overlay;
-    active_.Clear();
-    merge_in_flight_ = true;
-    old_base = base_;
+    fold = SealForMergeLocked();
   }
+  if (fold == nullptr) return false;
   ThreadPool& runner = pool != nullptr ? *pool : ThreadPool::Shared();
-  runner.Submit(
-      [this, base = std::move(old_base), delta = std::move(overlay)]() mutable {
-        FoldAndSwap(std::move(base), std::move(delta));
-      });
+  runner.Submit(std::move(fold));
   return true;
 }
 
@@ -256,30 +232,18 @@ void VersionedStore::FoldAndSwap(
                    : HashMerge(*old_base, *overlay);
     WB_CHECK(new_base != nullptr) << "merge_fn returned null";
   }
-  uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    base_ = std::move(new_base);
-    merging_ = nullptr;
-    // Republish on the new base: the post-merge epoch carries exactly the
-    // ingests that landed while the fold ran (they stayed in active_).
-    epoch = PublishLocked();
-    merges_metric_->Add(1);
-  }
-  // Off-lock (the callback may re-enter the store) but BEFORE the merge is
-  // marked complete: the destructor waits on merge_in_flight_, so firing
-  // after would let the store die under a background-merge callback. The
-  // one restriction this buys: on_publish must not block on Merge()/
-  // WaitForMerge() (it would self-deadlock).
-  NotifyPublished(epoch);
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    merge_in_flight_ = false;
-    // Notify under the lock: a WaitForMerge caller (the destructor) may
-    // otherwise observe the cleared flag and destroy merge_cv_ while this
-    // thread is still inside notify_all.
-    merge_cv_.notify_all();
-  }
+  std::lock_guard<std::mutex> lock(write_mu_);
+  base_ = std::move(new_base);
+  merging_ = nullptr;
+  // Republish on the new base: the post-merge epoch carries exactly the
+  // ingests that landed while the fold ran (they stayed in active_).
+  PublishLocked();
+  merges_metric_->Add(1);
+  merge_in_flight_ = false;
+  // Notify under the lock: a WaitForMerge caller (the destructor) may
+  // otherwise observe the cleared flag and destroy merge_cv_ while this
+  // thread is still inside notify_all.
+  merge_cv_.notify_all();
 }
 
 void VersionedStore::WaitForMerge() {
@@ -295,7 +259,7 @@ size_t VersionedStore::delta_entries() const {
 double VersionedStore::Peek(uint64_t key) const {
   std::lock_guard<std::mutex> lock(write_mu_);
   // Associate the overlays first — (merging + active) — then add the base,
-  // mirroring how Seal() composes overlays and SnapshotStore applies them.
+  // mirroring how SealLocked() composes overlays and SnapshotStore applies them.
   // Grouping as (base + merging) + active instead would make the
   // authoritative view drift from a just-published snapshot by a last bit.
   bool present = false;
@@ -307,8 +271,8 @@ double VersionedStore::Peek(uint64_t key) const {
       delta = it->second;
     }
   }
-  const auto it = active_.adds().find(key);
-  if (it != active_.adds().end()) {
+  const auto it = active_.find(key);
+  if (it != active_.end()) {
     present = true;
     delta += it->second;
   }
@@ -327,7 +291,7 @@ void VersionedStore::ForEachNonZero(
 
 Status VersionedStore::DoFetchBatch(std::span<const uint64_t> keys,
                                     std::span<double> out, IoStats* io) const {
-  const std::shared_ptr<const SnapshotStore> snap = snapshot_.Pin();
+  const std::shared_ptr<const SnapshotStore> snap = Snapshot();
   return DelegateFetchBatch(*snap, keys, out, io);
 }
 

@@ -3,19 +3,41 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 
 #include "storage/coefficient_store.h"
-#include "storage/delta_store.h"
-#include "util/epoch_ptr.h"
 #include "util/thread_pool.h"
 #include "wavelet/sparse_vec.h"
 
 namespace wavebatch {
+
+/// One sealed, immutable slice of the delta plane: the consolidated
+/// per-coefficient adds accumulated by streaming ingestion since the base
+/// store was last merged. `base value + adds[key]` is the versioned plane's
+/// read equation (SnapshotStore applies it on the counted fetch path).
+///
+/// Consolidation is per key: however many tuple deltas touched a key, the
+/// overlay holds ONE summed add for it, so applying the overlay costs one
+/// floating-point addition per fetched key, and folding it into the base
+/// store (the merge) is exactly that same single addition — which is why a
+/// merge is bitwise invisible to readers (versioned_store_test proves it).
+///
+/// Exact zeros are kept, not dropped: a key whose adds cancelled to 0.0
+/// still records "this key was written", and `base + 0.0` is not a bitwise
+/// no-op for a -0.0 base value. Keeping them makes the plane a
+/// deterministic function of the ingest log alone.
+struct DeltaOverlay {
+  std::unordered_map<uint64_t, double> adds;
+
+  size_t size() const { return adds.size(); }
+  bool empty() const { return adds.empty(); }
+};
 
 /// One published epoch of the versioned coefficient plane: an immutable
 /// `base ⊕ overlay` view. Reads delegate to the base store (preserving its
@@ -83,29 +105,13 @@ struct VersionedStoreOptions {
   std::function<std::unique_ptr<CoefficientStore>(const CoefficientStore& base,
                                                   const DeltaOverlay& overlay)>
       merge_fn;
-
-  /// Auto-publish a new epoch after this many ingests (Ingest/Add calls)
-  /// since the last publish. 0 = publish only when asked. Auto-publishing
-  /// bounds the staleness of PinVersion() without a maintenance thread.
-  uint64_t publish_every = 0;
-
-  /// Invoked with the new epoch number after every publish — explicit
-  /// Publish(), auto-publish (publish_every), and the republish that
-  /// completes a merge. Called OUTSIDE the writer lock (the epoch is
-  /// already visible to readers), so the callback may call back into the
-  /// store; it must be thread-safe, since background merges publish from
-  /// pool threads, and must not block on Merge()/WaitForMerge() — a
-  /// merge-completion callback fires before its merge is marked complete
-  /// (so the store cannot be destroyed mid-callback) and would
-  /// self-deadlock. Typical use: `QueryService::RefreshEpoch`, so new
-  /// admissions serve the fresh epoch.
-  std::function<void(uint64_t epoch)> on_publish;
 };
 
 /// The streaming coefficient plane: a read-optimized base store plus an
-/// in-memory DeltaStore overlay absorbing tuple-insertion deltas
+/// in-memory per-key overlay absorbing tuple-insertion deltas
 /// (LinearStrategy::TransformUpdate output), published to readers as
-/// immutable epoch snapshots.
+/// immutable epoch snapshots. It publishes only when asked and calls
+/// nothing back: a reader sees a new epoch at its next pin.
 ///
 /// Concurrency contract — the one departure from the base class's
 /// "load first, then share read-only" rule:
@@ -118,7 +124,7 @@ struct VersionedStoreOptions {
 ///     call; a session that must see ONE epoch across many calls pins once
 ///     via PinVersion() (EvalSession does this at construction).
 ///
-/// Epoch lifecycle: ingests accumulate invisibly in the active DeltaStore;
+/// Epoch lifecycle: ingests accumulate invisibly in the active overlay;
 /// Publish() seals `merging ⊕ active` into a fresh SnapshotStore and swaps
 /// it in (readers advance at the next pin); Merge() additionally folds the
 /// sealed overlay into a NEW base store — built off-lock so readers are
@@ -170,11 +176,12 @@ class VersionedStore : public CoefficientStore {
 
   /// The current published epoch's immutable snapshot.
   std::shared_ptr<const SnapshotStore> Snapshot() const {
-    return snapshot_.Pin();
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    return snapshot_;
   }
 
   std::shared_ptr<const CoefficientStore> PinVersion() const override {
-    return snapshot_.Pin();
+    return Snapshot();
   }
 
   /// Published epoch number (0 = the pristine base, before any publish).
@@ -207,19 +214,22 @@ class VersionedStore : public CoefficientStore {
                       IoStats* io) const override;
 
  private:
-  /// Seals merging ⊕ active, bumps the epoch, swaps in the new snapshot,
-  /// and resets the auto-publish countdown. Caller holds write_mu_.
+  /// merging ⊕ active as one immutable overlay (null when both are empty):
+  /// a copy of the merging overlay's adds with the active adds folded in,
+  /// the same per-key consolidation one uninterrupted overlay would hold.
+  /// Caller holds write_mu_.
+  std::shared_ptr<const DeltaOverlay> SealLocked() const;
+  /// Seals merging ⊕ active, bumps the epoch and swaps in the new
+  /// snapshot. Caller holds write_mu_.
   uint64_t PublishLocked();
-  /// The off-lock fold + locked swap/republish tail shared by Merge and
-  /// StartBackgroundMerge.
+  /// The sealing step of Merge and StartBackgroundMerge: seals all unmerged
+  /// deltas into merging_, drains the active overlay and marks a merge in
+  /// flight. Returns the fold to run off the lock, or null when there is
+  /// nothing to merge. Caller holds write_mu_ with no merge in flight.
+  std::function<void()> SealForMergeLocked();
+  /// The off-lock fold + locked swap/republish tail of every merge.
   void FoldAndSwap(std::shared_ptr<const CoefficientStore> old_base,
                    std::shared_ptr<const DeltaOverlay> overlay);
-  /// Returns the epoch it published, or 0 if the auto-publish threshold was
-  /// not reached (PublishLocked never returns 0, so 0 is unambiguous).
-  uint64_t MaybeAutoPublishLocked();
-  /// Fires options_.on_publish for a nonzero epoch. Must be called with
-  /// write_mu_ released — the callback may re-enter the store.
-  void NotifyPublished(uint64_t epoch) const;
 
   static std::unique_ptr<CoefficientStore> HashMerge(
       const CoefficientStore& base, const DeltaOverlay& overlay);
@@ -228,20 +238,23 @@ class VersionedStore : public CoefficientStore {
   const std::string name_;
 
   /// Serializes writers (ingest/publish/merge bookkeeping) and guards
-  /// base_, active_, merging_, merge_in_flight_, pending_since_publish_.
+  /// base_, active_, merging_ and merge_in_flight_.
   mutable std::mutex write_mu_;
   std::condition_variable merge_cv_;
   std::shared_ptr<const CoefficientStore> base_;
-  DeltaStore active_;
+  /// Per-key summed adds since the last seal for a merge: adds[key] += v
+  /// per ingested entry, in entry order.
+  std::unordered_map<uint64_t, double> active_;
   /// Sealed overlay currently being folded into the base, or null. Still
   /// part of every published view until the merge swaps the base.
   std::shared_ptr<const DeltaOverlay> merging_;
   bool merge_in_flight_ = false;
-  uint64_t pending_since_publish_ = 0;
 
-  /// The published epoch snapshot readers pin. Swapped atomically by
-  /// PublishLocked; never null.
-  EpochPtr<SnapshotStore> snapshot_;
+  /// The published epoch snapshot readers pin; never null. Written by
+  /// PublishLocked under both mutexes, copied by readers under
+  /// snapshot_mu_ alone, so a pin never waits on a writer's bookkeeping.
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const SnapshotStore> snapshot_;
   std::atomic<uint64_t> epoch_{0};
 
   telemetry::Counter* ingests_metric_;

@@ -28,14 +28,9 @@ inline std::atomic<bool> g_enabled{true};
 /// True when the process records telemetry. This is THE hot-path guard:
 /// every instrumentation site checks it before touching a clock, a handle,
 /// or the span buffer, so a disabled registry costs one relaxed load per
-/// event. Defining WAVEBATCH_TELEMETRY_DISABLED turns it into a constant
-/// false and lets the compiler delete the instrumentation outright.
+/// event.
 inline bool Enabled() {
-#ifdef WAVEBATCH_TELEMETRY_DISABLED
-  return false;
-#else
   return internal::g_enabled.load(std::memory_order_relaxed);
-#endif
 }
 
 /// Monotone event count. One relaxed atomic add per event; reads are
@@ -136,7 +131,7 @@ struct MetricSnapshot {
 };
 
 /// One structured span attribute: a static-storage key and a numeric value
-/// (key counts, generations, epochs, bound values — everything the span sites
+/// (key counts, epochs, bound values — everything the span sites
 /// attach is a number, which keeps SpanEvent POD and the record path free
 /// of allocation).
 struct SpanAttr {
@@ -172,7 +167,6 @@ struct SpanEvent {
 ///
 /// Overhead contract (per event):
 ///   - registry disabled (`MetricsRegistry::Disable()`): one relaxed load;
-///   - compiled out (WAVEBATCH_TELEMETRY_DISABLED): zero;
 ///   - counter/gauge enabled: one relaxed atomic add/store;
 ///   - histogram enabled: three relaxed adds;
 ///   - span enabled: two steady_clock reads + one mutex push (bounded

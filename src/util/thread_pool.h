@@ -105,6 +105,20 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// Runs fn over [0, n): ParallelFor's fixed chunks across `pool` when it is
+/// non-null, one inline fn(0, n) otherwise. Either way every index is
+/// visited exactly once and each output slot is written by exactly one
+/// chunk.
+inline void ForRange(ThreadPool* pool, size_t n, size_t grain,
+                     const std::function<void(size_t, size_t)>& fn) {
+  if (n == 0) return;
+  if (pool != nullptr) {
+    pool->ParallelFor(n, grain, fn);
+  } else {
+    fn(0, n);
+  }
+}
+
 }  // namespace wavebatch
 
 #endif  // WAVEBATCH_UTIL_THREAD_POOL_H_

@@ -477,8 +477,9 @@ TEST(EnginePlanCacheTest, EvictsLeastRecentlyUsed) {
 TEST(EngineSessionTest, CachedPlanAnswersSameAsFreshPlan) {
   Fixture f;
   WaveletStrategy strategy(f.schema, WaveletKind::kHaar);
+  PlanCache cache;
   Result<std::shared_ptr<const EvalPlan>> cached =
-      PlanCache::Shared().GetOrBuild(f.batch, strategy, f.sse);
+      cache.GetOrBuild(f.batch, strategy, f.sse);
   ASSERT_TRUE(cached.ok());
   EvalSession from_cache(*cached, UnownedStore(*f.store));
   EvalSession fresh(f.plan, UnownedStore(*f.store));

@@ -11,6 +11,7 @@
 
 #include "server/query_service.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -325,20 +326,13 @@ TEST(QueryServiceGolden, MatchesIsolatedSessionsOnFileStore) {
 }
 
 /// A plan depends only on the batch, strategy and penalty, so the one plan
-/// cached at the first epoch serves the next: after ingest + publish (with
-/// on_publish -> RefreshEpoch) the same batch is a cache hit, and its
-/// answer reflects the new tuples.
+/// cached at the first epoch serves the next: after ingest + publish the
+/// same batch is a cache hit, and its answer reflects the new tuples.
 TEST(QueryServiceEpochs, OneCachedPlanServesEveryEpoch) {
   ServingFixture f;
-  QueryService* service_ptr = nullptr;
-  VersionedStoreOptions store_options;
-  store_options.on_publish = [&service_ptr](uint64_t) {
-    if (service_ptr != nullptr) service_ptr->RefreshEpoch();
-  };
   auto versioned = std::make_shared<VersionedStore>(
-      f.strategy.BuildStore(f.rel.FrequencyDistribution()), store_options);
+      f.strategy.BuildStore(f.rel.FrequencyDistribution()));
   QueryService service(versioned, f.shared_strategy);
-  service_ptr = &service;
 
   QueryRequest request(f.MakeBatch(0));
   request.penalty = f.sse;
@@ -357,7 +351,8 @@ TEST(QueryServiceEpochs, OneCachedPlanServesEveryEpoch) {
 
   EXPECT_EQ(service.plan_cache().misses(), 1u);
   EXPECT_EQ(service.plan_cache().hits(), 1u);
-  EXPECT_GT(after.generation, before.generation);
+  EXPECT_EQ(before.epoch, 0u);
+  EXPECT_EQ(after.epoch, 1u);
   ASSERT_TRUE(after.exact);
   const std::vector<double> old_truth = request.batch.BruteForce(f.rel);
   const std::vector<double> truth = request.batch.BruteForce(seen);
@@ -368,9 +363,69 @@ TEST(QueryServiceEpochs, OneCachedPlanServesEveryEpoch) {
   }
 }
 
+/// The service keeps no pin of its own: each admission's session pins the
+/// store's current version. So a service over a VersionedStore with
+/// default options and nothing wired serves an epoch from the first
+/// admission after its Publish(), while a service built over a snapshot
+/// keeps serving that snapshot's epoch through later publishes.
+TEST(QueryServiceEpochs, AdmissionsServeTheLatestPublishedEpoch) {
+  ServingFixture f;
+  auto versioned = std::make_shared<VersionedStore>(
+      f.strategy.BuildStore(f.rel.FrequencyDistribution()));
+  QueryService service(versioned, f.shared_strategy);
+  QueryRequest request(f.MakeBatch(2));
+  request.penalty = f.sse;
+  auto expect_answers = [&request](const QueryResponse& response,
+                                   const Relation& seen) {
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    ASSERT_TRUE(response.exact);
+    const std::vector<double> truth = request.batch.BruteForce(seen);
+    ASSERT_EQ(response.estimates.size(), truth.size());
+    for (size_t q = 0; q < truth.size(); ++q) {
+      EXPECT_NEAR(response.estimates[q], truth[q], 1e-6) << "query " << q;
+    }
+  };
+  const QueryResponse first = Serve(service, {request})[0];
+  EXPECT_EQ(first.epoch, 0u);
+  expect_answers(first, f.rel);
+
+  Relation seen = f.rel;
+  const Relation stream = MakeUniformRelation(f.schema, 80, 95);
+  auto ingest = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const Tuple& t = stream.tuples()[i];
+      versioned->Ingest(f.strategy.TransformUpdate(t, 1.0).value());
+      seen.Add(t);
+    }
+  };
+  ingest(0, 40);
+  ASSERT_NE(request.batch.BruteForce(seen), request.batch.BruteForce(f.rel))
+      << "the ingest must change some answer";
+  ASSERT_EQ(versioned->Publish(), 1u);
+  const QueryResponse second = Serve(service, {request})[0];
+  EXPECT_EQ(second.epoch, 1u);
+  EXPECT_EQ(service.epoch(), 1u);
+  expect_answers(second, seen);
+
+  // A service over the epoch-1 snapshot: that snapshot is its own version.
+  QueryService frozen(versioned->Snapshot(), f.shared_strategy);
+  const Relation at_epoch1 = seen;
+  ingest(40, 80);
+  ASSERT_NE(request.batch.BruteForce(seen),
+            request.batch.BruteForce(at_epoch1));
+  ASSERT_EQ(versioned->Publish(), 2u);
+  const QueryResponse pinned = Serve(frozen, {request})[0];
+  EXPECT_EQ(pinned.epoch, 1u);
+  EXPECT_EQ(frozen.epoch(), 1u);
+  expect_answers(pinned, at_epoch1);
+  const QueryResponse latest = Serve(service, {request})[0];
+  EXPECT_EQ(latest.epoch, 2u);
+  expect_answers(latest, seen);
+}
+
 /// K is the store's own O(1) read: constructing the service, serving
-/// requests and re-pinning perform no full scan of the store, and every
-/// admission reads the store's K.
+/// requests and reading the current version's K and epoch perform no full
+/// scan of the store, and every admission reads the store's K.
 TEST(QueryServiceEpochs, KIsReadOncePerPinGeneration) {
   ServingFixture f;
   auto store = std::make_shared<CountingStore>(HashCopy(*f.BuildView()));
@@ -389,29 +444,22 @@ TEST(QueryServiceEpochs, KIsReadOncePerPinGeneration) {
   serve_requests(3);
   EXPECT_EQ(store->scans(), 0u) << "serving must not scan";
 
-  service.RefreshEpoch();
-  service.RefreshEpoch();
+  EXPECT_EQ(service.epoch(), 0u);
+  EXPECT_EQ(service.k_sum_abs(), store->SumAbs());
   serve_requests(2);
-  EXPECT_EQ(store->scans(), 0u) << "re-pinning and serving must not scan";
+  EXPECT_EQ(store->scans(), 0u) << "reading K and serving must not scan";
   EXPECT_EQ(service.k_sum_abs(), store->SumAbs());
 }
 
-/// Over a versioned plane wired on_publish -> RefreshEpoch, neither
-/// publishing nor serving scans the base: each published snapshot derives
-/// its K from its overlay, and admissions read it.
+/// Over a versioned plane, neither publishing nor serving scans the base:
+/// each published snapshot derives its K from its overlay, and admissions
+/// read it.
 TEST(QueryServiceEpochs, PublishesDoNotScanAndEachServedEpochScansOnce) {
   ServingFixture f;
   auto counting = std::make_unique<CountingStore>(HashCopy(*f.BuildView()));
   const CountingStore* base = counting.get();
-  QueryService* service_ptr = nullptr;
-  VersionedStoreOptions store_options;
-  store_options.on_publish = [&service_ptr](uint64_t) {
-    if (service_ptr != nullptr) service_ptr->RefreshEpoch();
-  };
-  auto versioned =
-      std::make_shared<VersionedStore>(std::move(counting), store_options);
+  auto versioned = std::make_shared<VersionedStore>(std::move(counting));
   QueryService service(versioned, f.shared_strategy);
-  service_ptr = &service;
   EXPECT_EQ(base->scans(), 0u);
 
   const Relation stream = MakeUniformRelation(f.schema, 40, 91);
@@ -439,11 +487,10 @@ TEST(QueryServiceEpochs, PublishesDoNotScanAndEachServedEpochScansOnce) {
   }
 }
 
-/// A plain store mutated through Add() needs no RefreshEpoch(): it keeps
-/// its K current, and the next admission reads it. After the mutation, a
-/// target-bound request reports the bound of the mutated store's K — the
-/// one an isolated session computes at the same step — and its brute-force
-/// SSE stays within it.
+/// A plain store mutated through Add() keeps its K current, and the next
+/// admission reads it. After the mutation, a target-bound request reports
+/// the bound of the mutated store's K — the one an isolated session
+/// computes at the same step — and its brute-force SSE stays within it.
 TEST(QueryServiceEpochs, RefreshAfterAddServesTheMutatedStoresBound) {
   ServingFixture f;
   std::shared_ptr<HashStore> store = HashCopy(*f.BuildView());
@@ -729,23 +776,17 @@ TEST(QueryServiceLifecycle, DestructorFailsOutstandingRequests) {
 
 /// TSan stress: two workers serving, two client threads submitting, one
 /// writer ingesting and publishing epochs into the VersionedStore the
-/// service reads, with on_publish wired to RefreshEpoch — the full serving
-/// read-write surface under the race detector.
+/// service reads — the full serving read-write surface under the race
+/// detector. Each admission pins the epoch current at that moment.
 TEST(QueryServiceConcurrency, ServesUnderEpochChurn) {
   ServingFixture f;
-  QueryService* service_ptr = nullptr;
-  VersionedStoreOptions store_options;
-  store_options.on_publish = [&service_ptr](uint64_t) {
-    if (service_ptr != nullptr) service_ptr->RefreshEpoch();
-  };
   auto versioned = std::make_shared<VersionedStore>(
-      f.strategy.BuildStore(f.rel.FrequencyDistribution()), store_options);
+      f.strategy.BuildStore(f.rel.FrequencyDistribution()));
 
   QueryServiceOptions options;
   options.default_quantum = 8;
   options.max_live_sessions = 8;
   QueryService service(versioned, f.shared_strategy, options);
-  service_ptr = &service;
   service.Start(2);
 
   constexpr int kRequestsPerClient = 10;
@@ -753,10 +794,12 @@ TEST(QueryServiceConcurrency, ServesUnderEpochChurn) {
   std::condition_variable cv;
   int completed = 0;
   int ok = 0;
+  uint64_t max_epoch = 0;
   auto on_done = [&](QueryResponse r) {
     std::lock_guard<std::mutex> lock(mu);
     ++completed;
     if (r.status.ok()) ++ok;
+    max_epoch = std::max(max_epoch, r.epoch);
     cv.notify_all();
   };
 
@@ -798,7 +841,8 @@ TEST(QueryServiceConcurrency, ServesUnderEpochChurn) {
   service.Stop();
 
   EXPECT_EQ(ok, admitted) << "every admitted request completes cleanly";
-  EXPECT_GE(service.generation(), 1u);
+  EXPECT_LE(max_epoch, versioned->epoch()) << "served only published epochs";
+  EXPECT_EQ(service.epoch(), versioned->epoch());
 }
 
 /// More workers than live slots: while the one slot is held by the worker
@@ -967,19 +1011,13 @@ TEST(QueryServiceConcurrency, TracedServingUnderEpochChurn) {
   telemetry::MetricsRegistry::Enable();
   telemetry::MetricsRegistry::Default().ResetValues();
 
-  QueryService* service_ptr = nullptr;
-  VersionedStoreOptions store_options;
-  store_options.on_publish = [&service_ptr](uint64_t) {
-    if (service_ptr != nullptr) service_ptr->RefreshEpoch();
-  };
   auto versioned = std::make_shared<VersionedStore>(
-      f.strategy.BuildStore(f.rel.FrequencyDistribution()), store_options);
+      f.strategy.BuildStore(f.rel.FrequencyDistribution()));
 
   QueryServiceOptions options;
   options.default_quantum = 8;
   options.max_live_sessions = 8;
   QueryService service(versioned, f.shared_strategy, options);
-  service_ptr = &service;
   service.Start(2);
 
   constexpr int kRequests = 12;
@@ -1048,15 +1086,14 @@ std::string JsonField(const std::string& json, const std::string& key) {
   return json.substr(begin, json.find_first_of(",}", begin) - begin);
 }
 
-/// /statusz reports Theorem 1's K of the current generation from
-/// construction on: the store's SumAbs() before the first request, the
-/// mutated store's SumAbs() after an Add(), and still present after a
-/// re-pin, which bumps the generation.
+/// /statusz reports Theorem 1's K of the store's current version from
+/// construction on: the store's SumAbs() before the first request, and the
+/// mutated store's SumAbs() after an Add() and after a later request. It
+/// reports the epoch (0 for an unversioned store) and no pin generation.
 TEST(QueryServiceIntrospection, StatuszReportsKOfTheCurrentGeneration) {
   ServingFixture f;
   std::shared_ptr<HashStore> store = HashCopy(*f.BuildView());
   QueryService service(store, f.shared_strategy);
-  const uint64_t generation = service.generation();
   auto expect_k = [&](const char* when) {
     SCOPED_TRACE(when);
     const std::string json = server::StatuszJson(service);
@@ -1079,11 +1116,11 @@ TEST(QueryServiceIntrospection, StatuszReportsKOfTheCurrentGeneration) {
   ASSERT_NE(store->SumAbs(), k_before);
   expect_k("after the store changed");
 
-  service.RefreshEpoch();
-  expect_k("after a re-pin");
+  ASSERT_TRUE(Serve(service, {request})[0].status.ok());
+  expect_k("after a request over the changed store");
   const std::string json = server::StatuszJson(service);
-  EXPECT_EQ(JsonField(json, "generation"), std::to_string(generation + 1))
-      << json;
+  EXPECT_EQ(JsonField(json, "epoch"), "0") << json;
+  EXPECT_EQ(json.find("\"generation\""), std::string::npos) << json;
   EXPECT_EQ(json.find("\"groups\""), std::string::npos) << json;
   EXPECT_EQ(json.find("\"shared_fetch\""), std::string::npos) << json;
 }

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,7 +25,6 @@
 #include "gtest/gtest.h"
 #include "penalty/sse.h"
 #include "server/query_service.h"
-#include "storage/delta_store.h"
 #include "storage/dense_store.h"
 #include "storage/fault_injection_store.h"
 #include "storage/memory_store.h"
@@ -34,67 +34,102 @@
 namespace wavebatch {
 namespace {
 
-TEST(DeltaStoreTest, ConsolidatesPerKeyAndSealsImmutably) {
-  DeltaStore store;
-  EXPECT_TRUE(store.empty());
-  EXPECT_EQ(store.Seal(), nullptr);
+/// Ingests consolidate per key into the active overlay, and a publish seals
+/// an immutable copy of it: later writes do not leak into the seal, and a
+/// merge drains the active overlay.
+TEST(VersionedStoreTest, ConsolidatesPerKeyAndSealsImmutably) {
+  VersionedStore store(std::make_unique<HashStore>());
+  EXPECT_EQ(store.delta_entries(), 0u);
+  EXPECT_EQ(store.Publish(), 1u);
+  EXPECT_EQ(store.Snapshot()->overlay(), nullptr) << "nothing to seal";
 
-  store.Apply(SparseVec::FromSorted({{1, 0.5}, {2, 1.0}}));
-  store.Apply(SparseVec::FromSorted({{2, 0.25}, {7, -3.0}}));
-  EXPECT_EQ(store.size(), 3u);
-  EXPECT_EQ(store.ingests(), 2u);
-  EXPECT_EQ(store.entries_applied(), 4u);
+  store.Ingest(SparseVec::FromSorted({{1, 0.5}, {2, 1.0}}));
+  store.Ingest(SparseVec::FromSorted({{2, 0.25}, {7, -3.0}}));
+  EXPECT_EQ(store.delta_entries(), 3u);
 
-  auto sealed = store.Seal();
-  ASSERT_NE(sealed, nullptr);
-  EXPECT_EQ(sealed->size(), 3u);
-  EXPECT_EQ(sealed->ValueAt(1), 0.5);
-  EXPECT_EQ(sealed->ValueAt(2), 1.25);
-  EXPECT_EQ(sealed->ValueAt(7), -3.0);
-  EXPECT_EQ(sealed->ValueAt(99), 0.0);
+  EXPECT_EQ(store.Publish(), 2u);
+  const std::shared_ptr<const SnapshotStore> sealed = store.Snapshot();
+  ASSERT_NE(sealed->overlay(), nullptr);
+  const DeltaOverlay& overlay = *sealed->overlay();
+  EXPECT_EQ(overlay.size(), 3u);
+  EXPECT_EQ(overlay.adds.at(1), 0.5);
+  EXPECT_EQ(overlay.adds.at(2), 1.25);
+  EXPECT_EQ(overlay.adds.at(7), -3.0);
+  EXPECT_EQ(overlay.adds.count(99), 0u);
 
   // The seal is a snapshot: later writes don't leak into it.
-  store.ApplyOne(1, 10.0);
-  EXPECT_EQ(sealed->ValueAt(1), 0.5);
+  store.Add(1, 10.0);
+  EXPECT_EQ(overlay.adds.at(1), 0.5);
+  EXPECT_EQ(sealed->Peek(1), 0.5);
 
-  store.Clear();
-  EXPECT_TRUE(store.empty());
-  EXPECT_EQ(store.Seal(), nullptr);
-  EXPECT_EQ(store.ingests(), 3u) << "counters survive Clear()";
+  store.Merge();
+  EXPECT_EQ(store.delta_entries(), 0u);
+  store.Publish();
+  EXPECT_EQ(store.Snapshot()->overlay(), nullptr)
+      << "the merge drained the active overlay";
 }
 
-TEST(DeltaStoreTest, SealComposesOnTopOfAMergingOverlay) {
-  DeltaStore first;
-  first.Apply(SparseVec::FromSorted({{1, 1.0}, {2, 2.0}}));
-  auto under = first.Seal();
-  ASSERT_NE(under, nullptr);
+/// A publish while a merge folds seals merging ⊕ active: per key, the
+/// merging overlay's summed add first, then the active one's. It seals
+/// even with an empty active overlay, since the merging overlay is part of
+/// every published view until the merge swaps the base.
+TEST(VersionedStoreTest, SealComposesOnTopOfAMergingOverlay) {
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool release = false;
+  VersionedStoreOptions options;
+  options.merge_fn = [&](const CoefficientStore& base,
+                         const DeltaOverlay& overlay) {
+    {
+      std::unique_lock<std::mutex> lock(gate_mu);
+      gate_cv.wait(lock, [&] { return release; });
+    }
+    auto merged = std::make_unique<HashStore>();
+    base.ForEachNonZero(
+        [&](uint64_t key, double value) { merged->Add(key, value); });
+    for (const auto& [key, value] : overlay.adds) merged->Add(key, value);
+    return merged;
+  };
+  VersionedStore store(std::make_unique<HashStore>(), options);
+  store.Ingest(SparseVec::FromSorted({{1, 1.0}, {2, 2.0}}));
+  ThreadPool pool(1);
+  ASSERT_TRUE(store.StartBackgroundMerge(&pool));
 
-  DeltaStore second;
-  second.Apply(SparseVec::FromSorted({{2, 0.5}, {3, 3.0}}));
-  auto composed = second.Seal(under.get());
-  ASSERT_NE(composed, nullptr);
-  EXPECT_EQ(composed->ValueAt(1), 1.0);
-  EXPECT_EQ(composed->ValueAt(2), 2.5);
-  EXPECT_EQ(composed->ValueAt(3), 3.0);
-  EXPECT_EQ(composed->ingests, 2u);
+  // Both mid-merge snapshots are taken before the fold is released; the
+  // checks run after it, so a failed check cannot leave the fold blocked.
+  store.Publish();
+  const std::shared_ptr<const SnapshotStore> carried = store.Snapshot();
+  store.Ingest(SparseVec::FromSorted({{2, 0.5}, {3, 3.0}}));
+  store.Publish();
+  const std::shared_ptr<const SnapshotStore> composed = store.Snapshot();
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    release = true;
+  }
+  gate_cv.notify_all();
+  store.WaitForMerge();
 
-  // An empty store over a non-empty `under` still seals (the merging
-  // overlay is part of every published view until the base swap).
-  DeltaStore empty;
-  auto carried = empty.Seal(under.get());
-  ASSERT_NE(carried, nullptr);
-  EXPECT_EQ(carried->ValueAt(2), 2.0);
+  ASSERT_NE(carried->overlay(), nullptr) << "an empty active still seals";
+  EXPECT_EQ(carried->overlay()->adds.at(2), 2.0);
+  ASSERT_NE(composed->overlay(), nullptr);
+  EXPECT_EQ(composed->overlay()->adds.at(1), 1.0);
+  EXPECT_EQ(composed->overlay()->adds.at(2), 2.5);
+  EXPECT_EQ(composed->overlay()->adds.at(3), 3.0);
+  // The post-merge epoch carries the ingest that landed during the fold.
+  EXPECT_EQ(store.Snapshot()->Peek(2), 2.5);
 }
 
-TEST(DeltaStoreTest, CancelledKeysStaySealedAsExplicitZeros) {
-  DeltaStore store;
-  store.ApplyOne(5, 1.5);
-  store.ApplyOne(5, -1.5);
-  EXPECT_EQ(store.size(), 1u);
-  auto sealed = store.Seal();
-  ASSERT_NE(sealed, nullptr);
-  EXPECT_EQ(sealed->size(), 1u);
-  EXPECT_EQ(sealed->ValueAt(5), 0.0);
+/// A key whose adds cancel stays in the seal as an explicit zero.
+TEST(VersionedStoreTest, CancelledKeysStaySealedAsExplicitZeros) {
+  VersionedStore store(std::make_unique<HashStore>());
+  store.Add(5, 1.5);
+  store.Add(5, -1.5);
+  EXPECT_EQ(store.delta_entries(), 1u);
+  store.Publish();
+  const std::shared_ptr<const SnapshotStore> sealed = store.Snapshot();
+  ASSERT_NE(sealed->overlay(), nullptr);
+  EXPECT_EQ(sealed->overlay()->size(), 1u);
+  EXPECT_EQ(sealed->overlay()->adds.at(5), 0.0);
 }
 
 /// The shared evaluation fixture: a 2×16 Haar cube loaded from 500 tuples,
@@ -166,34 +201,6 @@ TEST(VersionedStoreTest, IngestsAreInvisibleUntilPublished) {
   EXPECT_EQ(pristine->Peek(key), base_value);
 }
 
-TEST(VersionedStoreTest, OnPublishFiresOnEveryPublishPath) {
-  // Every way an epoch can be published — explicit Publish(), the
-  // publish_every auto-publish, a synchronous Merge(), and a background
-  // merge — must fire the on_publish callback exactly once, in epoch
-  // order, off the writer lock.
-  StreamFixture f;
-  std::vector<uint64_t> published;
-  std::mutex mu;
-  VersionedStoreOptions options;
-  options.publish_every = 3;
-  options.on_publish = [&](uint64_t epoch) {
-    std::lock_guard<std::mutex> lock(mu);
-    published.push_back(epoch);
-  };
-  VersionedStore store(f.BuildBase(), options);
-
-  EXPECT_EQ(store.Publish(), 1u);                          // explicit
-  for (int i = 0; i < 3; ++i) store.Ingest(f.deltas[i]);   // auto at the 3rd
-  store.Ingest(f.deltas[3]);
-  EXPECT_EQ(store.Merge(), 3u);                            // merge republish
-  store.Ingest(f.deltas[4]);
-  ASSERT_TRUE(store.StartBackgroundMerge());               // background merge
-  store.WaitForMerge();
-
-  std::lock_guard<std::mutex> lock(mu);
-  EXPECT_EQ(published, (std::vector<uint64_t>{1, 2, 3, 4}));
-}
-
 TEST(VersionedStoreTest, PinnedEpochIsImmuneToLaterIngestsAndMerges) {
   StreamFixture f;
   VersionedStore store(f.BuildBase());
@@ -260,17 +267,6 @@ TEST(VersionedStoreTest, MergeIsBitwiseInvisibleToQuiescentReaders) {
   EXPECT_NEAR(store.SumAbs(), sum_abs_before, 1e-9 * (1.0 + sum_abs_before));
 }
 
-TEST(VersionedStoreTest, AutoPublishBoundsSnapshotStaleness) {
-  StreamFixture f;
-  VersionedStoreOptions options;
-  options.publish_every = 4;
-  VersionedStore store(f.BuildBase(), options);
-  for (size_t i = 0; i < 8; ++i) store.Ingest(f.deltas[i]);
-  EXPECT_EQ(store.epoch(), 2u);
-  store.Ingest(f.deltas[8]);
-  EXPECT_EQ(store.epoch(), 2u) << "partial window stays unpublished";
-}
-
 TEST(VersionedStoreTest, SnapshotAnswersMatchBruteForceOverAllIngested) {
   StreamFixture f;
   VersionedStore store(f.BuildBase());
@@ -307,10 +303,11 @@ std::unique_ptr<CoefficientStore> DenseMerge(const CoefficientStore& base,
 // ingests, publishes, synchronous merges and background merges (quiet, or
 // racing ingests), on a hash base merged by the default HashMerge and on a
 // dense base merged into a new DenseStore, a target-bound request served
-// through QueryService (on_publish -> RefreshEpoch) at every epoch must
-// report the bound an isolated session over that snapshot computes with
-// its K at the same step; that K must match a fresh scan of the snapshot,
-// and the request's brute-force SSE must stay within the bound.
+// through QueryService at every epoch (its admission pins the epoch just
+// published) must report the bound an isolated session over that snapshot
+// computes with its K at the same step; that K must match a fresh scan of
+// the snapshot, and the request's brute-force SSE must stay within the
+// bound.
 TEST(VersionedStoreTest, ServedBoundIsSoundAtEveryPublishedEpoch) {
   for (const bool dense : {false, true}) {
     SCOPED_TRACE(dense ? "dense base, dense merge" : "hash base, HashMerge");
@@ -322,19 +319,14 @@ TEST(VersionedStoreTest, ServedBoundIsSoundAtEveryPublishedEpoch) {
           [&hash](uint64_t key, double value) { hash->Add(key, value); });
       base = std::move(hash);
     }
-    server::QueryService* service_ptr = nullptr;
     VersionedStoreOptions options;
     if (dense) options.merge_fn = DenseMerge;
-    options.on_publish = [&service_ptr](uint64_t) {
-      if (service_ptr != nullptr) service_ptr->RefreshEpoch();
-    };
     auto plane = std::make_shared<VersionedStore>(std::move(base), options);
     server::QueryServiceOptions service_options;
     service_options.default_quantum = 4;
     server::QueryService service(
         plane, std::make_shared<WaveletStrategy>(f.schema, WaveletKind::kHaar),
         service_options);
-    service_ptr = &service;
 
     const std::shared_ptr<const SnapshotStore> first = plane->Snapshot();
     const double target_bound =
@@ -426,7 +418,6 @@ TEST(VersionedStoreTest, ServedBoundIsSoundAtEveryPublishedEpoch) {
     for (size_t e = 0; e < events.size(); ++e) {
       EXPECT_GT(events[e], 0u) << "the log never drew event kind " << e;
     }
-    service_ptr = nullptr;
   }
 }
 
