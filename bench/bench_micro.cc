@@ -24,7 +24,6 @@
 #include "penalty/sse.h"
 #include "storage/block_store.h"
 #include "storage/dense_store.h"
-#include "storage/file_store.h"
 #include "storage/memory_store.h"
 #include "storage/versioned_store.h"
 #include "strategy/prefix_sum_strategy.h"
@@ -411,15 +410,16 @@ BENCHMARK(BM_MasterListBuild)
 
 // ---------------------------------------------------------------------------
 // Scalar Fetch loop vs FetchBatch — the batched retrieval plane's payoff.
-// Keys are a scattered-but-clustered pattern (golden-ratio stride) so the
-// FileStore coalescer sees a realistic mix of runs and singletons.
+// Keys are a scattered-but-clustered pattern (golden-ratio stride) so a
+// batch mixes runs of nearby keys with singletons.
 
 constexpr uint64_t kFetchBenchCapacity = 1 << 16;
 
 // Clustered-run key pattern: runs of 8 near-consecutive keys scattered
-// across the file. This is the shape a master list produces — coarse-level
-// wavelet coefficients for overlapping ranges land in the same
-// neighborhood — and is what the FileStore coalescer targets.
+// across the key space. This is the shape a master list produces —
+// coarse-level wavelet coefficients for overlapping ranges land in the same
+// neighborhood — so BM_BlockStoreFetch reads most runs from one simulated
+// block.
 std::vector<uint64_t> MakeFetchKeys(size_t batch_size) {
   std::vector<uint64_t> keys(batch_size);
   for (size_t i = 0; i < batch_size; ++i) {
@@ -429,39 +429,6 @@ std::vector<uint64_t> MakeFetchKeys(size_t batch_size) {
   }
   return keys;
 }
-
-void BM_FileStoreFetch(benchmark::State& state) {
-  const size_t batch_size = static_cast<size_t>(state.range(0));
-  const bool batched = state.range(1) != 0;
-  const std::string path = "/tmp/wavebatch_bench_store.bin";
-  Rng rng(41);
-  std::vector<double> values(kFetchBenchCapacity);
-  for (double& v : values) v = rng.Gaussian();
-  Result<std::unique_ptr<FileStore>> store = FileStore::Create(path, values);
-  if (!store.ok()) {
-    state.SkipWithError(store.status().ToString().c_str());
-    return;
-  }
-  const std::vector<uint64_t> keys = MakeFetchKeys(batch_size);
-  std::vector<double> out(batch_size);
-  for (auto _ : state) {
-    if (batched) {
-      WB_CHECK_OK((*store)->FetchBatch(keys, out));
-    } else {
-      for (size_t i = 0; i < batch_size; ++i) {
-        out[i] = (*store)->Fetch(keys[i]).value();
-      }
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * batch_size);
-  (*store).reset();
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_FileStoreFetch)
-    ->ArgsProduct({{1, 16, 256, 4096}, {0, 1}})
-    ->ArgNames({"batch", "batched"})
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_BlockStoreFetch(benchmark::State& state) {
   const size_t batch_size = static_cast<size_t>(state.range(0));

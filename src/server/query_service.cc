@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "storage/versioned_store.h"
 #include "telemetry/span.h"
 #include "util/check.h"
 
@@ -18,14 +17,6 @@ constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 constexpr size_t kTimelineCapacity = 256;
 /// Completed-request timelines retained for /tracez (FIFO).
 constexpr size_t kRecentTimelines = 64;
-
-/// The published epoch a pinned version carries: a versioned plane pins
-/// SnapshotStores; any other store reads as epoch 0. Spans and /statusz
-/// report it so a trace shows which data version served each request.
-uint64_t EpochOf(const CoefficientStore& version) {
-  const auto* snapshot = dynamic_cast<const SnapshotStore*>(&version);
-  return snapshot != nullptr ? snapshot->epoch() : 0;
-}
 
 /// The store's current version: its PinVersion(), or the store itself when
 /// it is its own snapshot.
@@ -105,7 +96,7 @@ QueryService::~QueryService() {
 }
 
 uint64_t QueryService::epoch() const {
-  return EpochOf(*CurrentVersion(root_store_));
+  return CurrentVersion(root_store_)->epoch();
 }
 
 double QueryService::k_sum_abs() const {
@@ -235,7 +226,7 @@ void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
     // The session pinned the store's current version; K and the epoch are
     // that version's.
     active->k_sum_abs = active->session->store().SumAbs();
-    active->epoch = EpochOf(active->session->store());
+    active->epoch = active->session->store().epoch();
     live_.push_back(std::move(active));
     live_sessions_gauge_->Set(static_cast<double>(live_.size()));
   }

@@ -69,9 +69,9 @@ struct QueryResponse {
   IoStats io;
   bool exact = false;
   bool deadline_expired = false;
-  /// Published epoch this request was served at: that of the
-  /// SnapshotStore its session pinned at admission; 0 when the store is
-  /// not versioned or no session was built.
+  /// Published epoch this request was served at: the epoch() of the store
+  /// version its session pinned at admission, through any decorators; 0
+  /// when the store is not versioned or no session was built.
   uint64_t epoch = 0;
   /// Admission-to-completion wall time.
   std::chrono::microseconds latency{0};
@@ -179,9 +179,9 @@ class QueryService {
   uint64_t shared_hits() const { return 0; }
   uint64_t shared_misses() const { return 0; }
 
-  /// The epoch the next admission would pin: that of the store's current
-  /// published SnapshotStore, 0 when the store is not versioned. Reads the
-  /// store, not the service, so it takes no service lock.
+  /// The epoch the next admission would pin: the epoch() of the store's
+  /// current version, 0 when the store is not versioned. Reads the store,
+  /// not the service, so it takes no service lock.
   uint64_t epoch() const;
   /// Theorem 1's K of the store's current version (its SumAbs()); no
   /// service lock either.
@@ -226,7 +226,7 @@ class QueryService {
     bool progressive = false;
     /// Theorem 1's K of the version the session pinned.
     double k_sum_abs = 0.0;
-    uint64_t epoch = 0;  // pinned SnapshotStore epoch, 0 if unversioned
+    uint64_t epoch = 0;  // the pinned version's epoch(), 0 if unversioned
     size_t quantum = 0;
     bool busy = false;      // a worker owns this session's next quantum
     Status failure;         // sticky non-OK fetch status under kFail

@@ -57,13 +57,14 @@ class BlockStore : public CoefficientStore {
   /// comment). Null when the inner store is its own snapshot — then this
   /// wrapper is stable too and callers use it directly.
   std::shared_ptr<const CoefficientStore> PinVersion() const override;
+  uint64_t epoch() const override { return inner_->epoch(); }
 
   uint64_t block_size() const { return block_size_; }
 
  protected:
   /// Reads through the inner backend first and touches the LRU only on
   /// success, so a failed batch neither warms the buffer nor counts a
-  /// block read — errors (e.g. from a file-backed inner store) propagate.
+  /// block read — the inner store's errors propagate.
   /// Touches each distinct block of the batch exactly once (in
   /// first-appearance order): one batched call reads a block at most once
   /// no matter how many of its coefficients the batch wants — the whole

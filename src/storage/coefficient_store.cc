@@ -7,8 +7,8 @@ namespace wavebatch {
 
 const StoreFetchMetrics& CoefficientStore::BindFetchTelemetry() const {
   // Handles are interned per store *name*: two stores reporting the same
-  // name() share one set of time series (e.g. many FileStore instances over
-  // the same format), and the leaked table keeps every handle alive for the
+  // name() share one set of time series (e.g. the HashStores every epoch's
+  // merge builds), and the leaked table keeps every handle alive for the
   // process lifetime, so a store destroyed mid-export never dangles.
   static std::mutex mu;
   static auto* table = new std::map<std::string, StoreFetchMetrics>();

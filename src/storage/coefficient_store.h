@@ -104,13 +104,12 @@ struct StoreFetchMetrics {
 /// DoFetchBatch. Fetch and FetchBatch are non-virtual and both run it
 /// through one accounting wrapper (Fetch is a one-key batch), so a backend
 /// can never silently skip the retrieval count, and a decorator forwards
-/// one hook. Backends coalesce, group, or parallelize a batch (FileStore
-/// sorts keys into contiguous reads; BlockStore touches each distinct block
-/// once), but every backend returns exactly the values one-key reads would,
-/// and retrievals are counted per coefficient either way — batching changes
-/// the speed, never the cost model.
+/// one hook. A backend may group a batch (BlockStore touches each distinct
+/// block once), but every backend returns exactly the values one-key reads
+/// would, and retrievals are counted per coefficient either way — batching
+/// changes the speed, never the cost model.
 ///
-/// Fetches are fallible: a backend reports short reads, I/O errors, and
+/// Fetches are fallible: a backend reports media faults and
 /// out-of-capacity keys as a non-OK Status instead of aborting the process
 /// (the engine turns such faults into resumable or degraded sessions; see
 /// EvalSession). A failed fetch charges nothing to `io` — the paper's cost
@@ -189,6 +188,12 @@ class CoefficientStore {
   virtual std::shared_ptr<const CoefficientStore> PinVersion() const {
     return nullptr;
   }
+
+  /// The published epoch this store serves: a SnapshotStore's own epoch,
+  /// a VersionedStore's current one, and 0 for a store that is not
+  /// versioned. Decorators MUST forward it to their inner store, so a
+  /// pinned, decorated snapshot reports the epoch it serves.
+  virtual uint64_t epoch() const { return 0; }
 
  protected:
   /// The one backend read hook, behind both Fetch and FetchBatch: fill

@@ -95,6 +95,7 @@ class FaultInjectionStore : public CoefficientStore {
   /// comment). Null when the inner store is its own snapshot — then this
   /// wrapper is stable too and callers use it directly.
   std::shared_ptr<const CoefficientStore> PinVersion() const override;
+  uint64_t epoch() const override { return inner_->epoch(); }
 
  protected:
   /// Evaluates the fault schedule per key in batch order; the first faulted

@@ -7,11 +7,16 @@
 
 namespace wavebatch {
 
+namespace {
+
+/// Σ|v| of one chunk, left to right from 0.
 double SumAbsOfChunk(std::span<const double> chunk) {
   double sum = 0.0;
   for (double v : chunk) sum += std::abs(v);
   return sum;
 }
+
+}  // namespace
 
 double ChunkedSumAbs(std::span<const double> values) {
   // One chunk adds 0.0 + its sum, which is its sum: skip the pool.

@@ -8,15 +8,12 @@
 namespace wavebatch {
 
 // Theorem 1's K = Σ|v| as the stores keep it: computed once when a store is
-// built or opened, then kept current by every write, so
-// CoefficientStore::SumAbs() is a read, never a scan.
+// built, then kept current by every write, so CoefficientStore::SumAbs() is
+// a read, never a scan.
 
 /// Cells per chunk of a bulk K pass. Like kDwtChunkCells, the chunking
 /// depends only on the number of values, so K's bits do too.
 inline constexpr size_t kSumAbsChunkCells = size_t{1} << 16;
-
-/// Σ|v| of one chunk, left to right from 0.
-double SumAbsOfChunk(std::span<const double> chunk);
 
 /// Σ|v| of a dense value array: each kSumAbsChunkCells chunk is summed left
 /// to right (in parallel on ThreadPool::Shared()), then the chunk sums are

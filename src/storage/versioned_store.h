@@ -58,8 +58,9 @@ struct DeltaOverlay {
 ///
 /// Decorated epoch views come from pinning *through* the decorator:
 /// FaultInjectionStore/BlockStore forward PinVersion by re-wrapping the
-/// pinned SnapshotStore, so sessions over a decorated versioned plane stay
-/// both pinned and decorated. SnapshotStore itself inherits the base-class
+/// pinned SnapshotStore, and forward epoch() to it, so sessions over a
+/// decorated versioned plane stay both pinned and decorated and report the
+/// snapshot's epoch. SnapshotStore itself inherits the base-class
 /// PinVersion (null: a snapshot is its own snapshot).
 class SnapshotStore : public CoefficientStore {
  public:
@@ -78,7 +79,7 @@ class SnapshotStore : public CoefficientStore {
       const std::function<void(uint64_t, double)>& fn) const override;
   std::string name() const override { return name_; }
 
-  uint64_t epoch() const { return epoch_; }
+  uint64_t epoch() const override { return epoch_; }
   const CoefficientStore& base() const { return *base_; }
   /// Null when this epoch has no unmerged deltas.
   const DeltaOverlay* overlay() const { return overlay_.get(); }
@@ -185,7 +186,9 @@ class VersionedStore : public CoefficientStore {
   }
 
   /// Published epoch number (0 = the pristine base, before any publish).
-  uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
+  uint64_t epoch() const override {
+    return epoch_.load(std::memory_order_relaxed);
+  }
 
   /// Distinct unmerged coefficient keys overlaying the base right now
   /// (active plus merging). Takes the writer lock; observability only.

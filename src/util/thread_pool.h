@@ -13,11 +13,11 @@
 
 namespace wavebatch {
 
-/// A fixed-size worker pool with a FIFO task queue. Used for intra-batch
-/// I/O parallelism (FileStore::FetchBatch) and per-query transform
-/// parallelism (MasterList::Build). Deliberately minimal: no futures, no
-/// work stealing — callers that need completion tracking use ParallelFor,
-/// which is the only blocking primitive.
+/// A fixed-size worker pool with a FIFO task queue. Used for per-query
+/// transform parallelism (MasterList::Build), the view build's axis passes
+/// and bulk K passes. Deliberately minimal: no futures, no work stealing —
+/// callers that need completion tracking use ParallelFor, which is the only
+/// blocking primitive.
 ///
 /// All scheduling here is *deterministic in results*: ParallelFor
 /// partitions an index range into fixed chunks and each chunk writes only

@@ -7,11 +7,9 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,7 +21,6 @@
 #include "penalty/sse.h"
 #include "storage/block_store.h"
 #include "storage/dense_store.h"
-#include "storage/file_store.h"
 #include "storage/memory_store.h"
 #include "strategy/wavelet_strategy.h"
 #include "util/random.h"
@@ -142,21 +139,6 @@ TEST(EngineConcurrencyTest, DenseStoreBackend) {
       [&](uint64_t key, double value) { values[key] = value; });
   DenseStore dense(values);
   f.ExpectConcurrentMatchesSerial(dense);
-}
-
-TEST(EngineConcurrencyTest, FileStoreBackend) {
-  Fixture f;
-  uint64_t max_key = 0;
-  f.store->ForEachNonZero(
-      [&](uint64_t key, double) { max_key = std::max(max_key, key); });
-  std::vector<double> values(max_key + 1, 0.0);
-  f.store->ForEachNonZero(
-      [&](uint64_t key, double value) { values[key] = value; });
-  const std::string path = ::testing::TempDir() + "/wavebatch_engine_conc.bin";
-  Result<std::unique_ptr<FileStore>> file = FileStore::Create(path, values);
-  ASSERT_TRUE(file.ok()) << file.status();
-  f.ExpectConcurrentMatchesSerial(**file);
-  std::remove(path.c_str());
 }
 
 TEST(EngineConcurrencyTest, UnbufferedBlockStoreBackend) {

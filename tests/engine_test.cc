@@ -2,14 +2,13 @@
 // Batch-Biggest-B outputs in tests/golden/ bit for bit — estimates,
 // Theorem 1/2 bound trackers, and I/O counts — across all four progression
 // orders, both fault policies, block granularity, bounded workspace, and
-// all four store backends, while fixing the lifetime and accounting
+// all three store backends, while fixing the lifetime and accounting
 // problems (shared ownership, per-session IoStats).
 
 #include "engine/eval_plan.h"
 #include "engine/eval_session.h"
 
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,10 +21,8 @@
 #include "storage/block_store.h"
 #include "storage/dense_store.h"
 #include "storage/fault_injection_store.h"
-#include "storage/file_store.h"
 #include "storage/memory_store.h"
 #include "strategy/wavelet_strategy.h"
-#include "temp_path.h"
 
 namespace wavebatch {
 namespace {
@@ -38,7 +35,6 @@ using golden::Fixture;
 struct Backends {
   std::vector<std::pair<std::string, std::unique_ptr<CoefficientStore>>>
       stores;
-  std::string file_path;
 
   explicit Backends(const Fixture& f) {
     std::vector<double> values(f.MaxKey() + 1, 0.0);
@@ -48,17 +44,10 @@ struct Backends {
       values[key] = value;
     });
 
-    file_path = UniqueTempPath("wavebatch_engine_test", this);
-    auto file = FileStore::Create(file_path, values);
-    EXPECT_TRUE(file.ok()) << file.status();
-
     stores.emplace_back("hash", std::move(hash));
     stores.emplace_back("dense", std::make_unique<DenseStore>(values));
-    stores.emplace_back("file", std::move(file).value());
     stores.emplace_back("block", f.MakeBlockBackend());
   }
-
-  ~Backends() { std::remove(file_path.c_str()); }
 };
 
 /// Fails master-list keys 0, kSkipStride, 2·kSkipStride, … of `f` on

@@ -10,7 +10,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -22,10 +21,8 @@
 #include "gtest/gtest.h"
 #include "storage/block_store.h"
 #include "storage/dense_store.h"
-#include "storage/file_store.h"
 #include "storage/memory_store.h"
 #include "telemetry/metrics.h"
-#include "temp_path.h"
 
 namespace wavebatch {
 namespace {
@@ -195,7 +192,6 @@ struct FaultyBackends {
     std::shared_ptr<FaultInjectionStore> store;
   };
   std::vector<Entry> stores;
-  std::string file_path;
 
   explicit FaultyBackends(const CoefficientStore& source) {
     uint64_t max_key = 0;
@@ -210,10 +206,6 @@ struct FaultyBackends {
     source.ForEachNonZero(
         [&](uint64_t key, double value) { values[key] = value; });
 
-    file_path = UniqueTempPath("wavebatch_fault_matrix", this);
-    auto file = FileStore::Create(file_path, values);
-    EXPECT_TRUE(file.ok()) << file.status();
-
     auto wrap = [this](std::string name,
                        std::unique_ptr<CoefficientStore> inner) {
       stores.push_back(
@@ -222,13 +214,10 @@ struct FaultyBackends {
     };
     wrap("hash", std::move(hash));
     wrap("dense", std::make_unique<DenseStore>(values));
-    wrap("file", std::move(file).value());
     wrap("block", std::make_unique<BlockStore>(std::move(block_inner),
                                                /*block_size=*/8,
                                                /*cache_blocks=*/0));
   }
-
-  ~FaultyBackends() { std::remove(file_path.c_str()); }
 };
 
 /// A clean (fault-free) reference run: finals plus per-step history.

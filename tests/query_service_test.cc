@@ -3,11 +3,12 @@
 // worker threads — produces results bit-identical to an isolated
 // EvalSession over the same plan and store, with identical per-session I/O
 // accounting, across fault policies and store shapes (hash view, versioned
-// plane, file store). There is no hidden cache: over a FileStore the backend
-// serves exactly the keys the sessions retrieve. Plus the serving-specific
-// surface: deadline and target-bound completion, admission backpressure
-// (queue depth and the thread-pool gauge), a writer publishing epochs under
-// live traffic, more workers than live slots, and what /statusz reports.
+// plane). There is no hidden cache: the backend serves exactly the keys the
+// sessions retrieve. Plus the serving-specific surface: deadline and
+// target-bound completion, admission backpressure (queue depth and the
+// thread-pool gauge), a writer publishing epochs under live traffic, the
+// epoch a decorated versioned plane reports, more workers than live slots,
+// and what /statusz reports.
 
 #include "server/query_service.h"
 
@@ -35,8 +36,8 @@
 #include "gtest/gtest.h"
 #include "penalty/sse.h"
 #include "server/introspection.h"
+#include "storage/block_store.h"
 #include "storage/fault_injection_store.h"
-#include "storage/file_store.h"
 #include "storage/memory_store.h"
 #include "storage/versioned_store.h"
 #include "strategy/wavelet_strategy.h"
@@ -140,15 +141,6 @@ std::unique_ptr<HashStore> HashCopy(const CoefficientStore& source) {
   return copy;
 }
 
-/// The same coefficients in a FileStore (dense 16×16 key space) at `path`.
-std::unique_ptr<FileStore> FileCopy(const CoefficientStore& source,
-                                    const std::string& path) {
-  std::vector<double> values(16 * 16, 0.0);
-  source.ForEachNonZero(
-      [&](uint64_t key, double value) { values[key] = value; });
-  return FileStore::Create(path, values).value();
-}
-
 /// Submits every request, then serves them: on this thread through
 /// RunUntilIdle() when `workers` is 0, else on that many worker threads.
 /// Responses land at the index of their request. Workers that do not answer
@@ -234,6 +226,16 @@ void ExpectBitIdentical(const QueryResponse& served,
   EXPECT_EQ(served.io, isolated.io);
 }
 
+/// The raw text of field `key` in a JSON rendering (up to the next ',' or
+/// '}'), from its first occurrence; empty when absent.
+std::string JsonField(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = json.find(needle);
+  if (at == std::string::npos) return "";
+  const size_t begin = at + needle.size();
+  return json.substr(begin, json.find_first_of(",}", begin) - begin);
+}
+
 /// N clients × both fault policies over one healthy store: bit-identical to
 /// isolated evaluation, including io(), whether RunUntilIdle() (`workers`
 /// 0) or that many worker threads serve them.
@@ -291,27 +293,25 @@ TEST(QueryServiceGolden, MatchesIsolatedSessionsVersionedUnderWorkers) {
                         "versioned plane at epoch 1, 2 workers", 2);
 }
 
-/// No hidden cache: 8 identical clients over one FileStore are each
+/// No hidden cache: 8 identical clients over one store are each
 /// bit-identical to an isolated session, and the backend serves exactly
 /// the keys the sessions retrieve — no request's fetch serves another.
-TEST(QueryServiceGolden, MatchesIsolatedSessionsOnFileStore) {
+TEST(QueryServiceGolden, MatchesIsolatedSessionsWithNoHiddenCache) {
   ServingFixture f;
-  auto file = std::make_shared<CountingStore>(
-      FileCopy(*f.BuildView(),
-               ::testing::TempDir() + "/wavebatch_query_service_store.bin"));
+  auto store = std::make_shared<CountingStore>(HashCopy(*f.BuildView()));
   constexpr size_t kClients = 8;
   constexpr size_t kQuantum = 16;
   QueryRequest request(f.MakeBatch(7));
   request.penalty = f.sse;
   const QueryResponse reference =
-      Isolated(request, file, f.strategy, kQuantum);
+      Isolated(request, store, f.strategy, kQuantum);
   ASSERT_GT(reference.io.retrievals, 0u);
-  const uint64_t isolated_keys = file->keys();
+  const uint64_t isolated_keys = store->keys();
 
   QueryServiceOptions options;
   options.max_live_sessions = kClients;
   options.default_quantum = kQuantum;
-  QueryService service(file, f.shared_strategy, options);
+  QueryService service(store, f.shared_strategy, options);
   std::vector<QueryResponse> responses =
       Serve(service, std::vector<QueryRequest>(kClients, request));
   uint64_t retrievals = 0;
@@ -321,7 +321,7 @@ TEST(QueryServiceGolden, MatchesIsolatedSessionsOnFileStore) {
                        ("client " + std::to_string(i)).c_str());
     retrievals += responses[i].io.retrievals;
   }
-  EXPECT_EQ(file->keys() - isolated_keys, retrievals)
+  EXPECT_EQ(store->keys() - isolated_keys, retrievals)
       << "the backend must serve exactly the keys the sessions retrieve";
 }
 
@@ -421,6 +421,59 @@ TEST(QueryServiceEpochs, AdmissionsServeTheLatestPublishedEpoch) {
   const QueryResponse latest = Serve(service, {request})[0];
   EXPECT_EQ(latest.epoch, 2u);
   expect_answers(latest, seen);
+}
+
+/// The epoch travels with the pinned store. A FaultInjectionStore or a
+/// BlockStore over a versioned plane pins by re-wrapping the published
+/// snapshot and forwards its epoch(), so a request served through either
+/// reports the published epoch 1 in its response, in service.epoch() and
+/// on /statusz, and is answered like one served by the bare plane.
+TEST(QueryServiceEpochs, DecoratedPlaneReportsItsEpoch) {
+  ServingFixture f;
+  const Relation stream = MakeUniformRelation(f.schema, 10, 97);
+  auto publish_epoch1 = [&](VersionedStore& plane) {
+    for (const Tuple& t : stream.tuples()) {
+      plane.Ingest(f.strategy.TransformUpdate(t, 1.0).value());
+    }
+    ASSERT_EQ(plane.Publish(), 1u);
+  };
+  auto new_plane = [&f] {
+    return std::make_unique<VersionedStore>(
+        f.strategy.BuildStore(f.rel.FrequencyDistribution()));
+  };
+  QueryRequest request(f.MakeBatch(4));
+  request.penalty = f.sse;
+
+  std::shared_ptr<VersionedStore> bare = new_plane();
+  publish_epoch1(*bare);
+  QueryService bare_service(bare, f.shared_strategy);
+  const QueryResponse reference = Serve(bare_service, {request})[0];
+  ASSERT_TRUE(reference.status.ok()) << reference.status;
+  ASSERT_TRUE(reference.exact);
+  ASSERT_EQ(reference.epoch, 1u);
+
+  auto expect_epoch1 = [&](std::shared_ptr<const CoefficientStore> store) {
+    SCOPED_TRACE(store->name());
+    QueryService service(std::move(store), f.shared_strategy);
+    const QueryResponse response = Serve(service, {request})[0];
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    EXPECT_EQ(response.epoch, 1u);
+    EXPECT_EQ(service.epoch(), 1u);
+    const std::string json = server::StatuszJson(service);
+    EXPECT_EQ(JsonField(json, "epoch"), "1") << json;
+    EXPECT_EQ(response.estimates, reference.estimates);
+  };
+
+  expect_epoch1(std::make_shared<FaultInjectionStore>(bare.get()));
+
+  // The BlockStore owns its plane: publish through a pointer kept to it.
+  std::unique_ptr<VersionedStore> owned = new_plane();
+  VersionedStore* block_plane = owned.get();
+  auto block = std::make_shared<BlockStore>(std::move(owned),
+                                            /*block_size=*/8,
+                                            /*cache_blocks=*/0);
+  publish_epoch1(*block_plane);
+  expect_epoch1(block);
 }
 
 /// K is the store's own O(1) read: constructing the service, serving
@@ -875,9 +928,9 @@ TEST(QueryServiceConcurrency, MoreWorkersThanLiveSlotsDrainsTheQueue) {
 // ---------------------------------------------------------------------------
 // Request-scoped tracing: the propagation goldens. With tracing on, every
 // backend fetch span recorded while serving must carry the request
-// attribution of some admitted request — across every store shape the
-// serving stack composes (a hash view, a versioned plane's pinned snapshot,
-// and a FileStore).
+// attribution of some admitted request — across the store shapes the
+// serving stack composes (a hash view and a versioned plane's pinned
+// snapshot).
 
 /// Serves three traced requests over `store` and asserts the golden:
 /// responses carry minted ids + non-empty timelines, and every
@@ -934,14 +987,6 @@ TEST(QueryServiceTracing, FetchSpansAttributedVersioned) {
   ServingFixture f;
   ExpectFetchSpansAttributed(VersionedAtEpoch1(f), f,
                              "versioned plane at epoch 1");
-}
-
-TEST(QueryServiceTracing, FetchSpansAttributedFileStoreSharing) {
-  ServingFixture f;
-  ExpectFetchSpansAttributed(
-      FileCopy(*f.BuildView(),
-               ::testing::TempDir() + "/wavebatch_tracing_store.bin"),
-      f, "file store");
 }
 
 TEST(QueryServiceTracing, ConvergenceTimelineIsMonotoneAndFinal) {
@@ -1074,16 +1119,6 @@ TEST(QueryServiceConcurrency, TracedServingUnderEpochChurn) {
 
   EXPECT_EQ(with_ids, kRequests)
       << "every traced request completes with ids and a timeline";
-}
-
-/// The raw text of field `key` in a JSON rendering (up to the next ',' or
-/// '}'), from its first occurrence; empty when absent.
-std::string JsonField(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = json.find(needle);
-  if (at == std::string::npos) return "";
-  const size_t begin = at + needle.size();
-  return json.substr(begin, json.find_first_of(",}", begin) - begin);
 }
 
 /// /statusz reports Theorem 1's K of the store's current version from

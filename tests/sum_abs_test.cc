@@ -1,15 +1,11 @@
 // Theorem 1's K as the stores keep it. A bulk K has fixed bits: the same
-// whatever the thread count, the plain left-to-right loop for one chunk,
-// and the same for a DenseStore, a created FileStore and a reopened one.
-// A maintained K stays the Σ|v| a fresh scan computes, within rounding,
-// after every event of seeded logs: Add on the three backends, and ingest,
-// publish, merge and background merge on a versioned plane over a dense or
-// a hash base, with either merge. And reading K reads nothing from the
-// backend.
+// whatever the thread count, and the plain left-to-right loop for one
+// chunk. A maintained K stays the Σ|v| a fresh scan computes, within
+// rounding, after every event of seeded logs: Add on the dense and hash
+// backends, and ingest, publish, merge and background merge on a versioned
+// plane over a dense or a hash base, with either merge.
 
 #include "storage/sum_abs.h"
-
-#include <unistd.h>
 
 #include <cmath>
 #include <memory>
@@ -19,10 +15,8 @@
 
 #include "gtest/gtest.h"
 #include "storage/dense_store.h"
-#include "storage/file_store.h"
 #include "storage/memory_store.h"
 #include "storage/versioned_store.h"
-#include "temp_path.h"
 #include "util/random.h"
 #include "wavelet/sparse_vec.h"
 
@@ -156,51 +150,6 @@ TEST(HashStoreSumAbsTest, AddKeepsKCurrentThroughErasedEntries) {
   erased.Add(1, -2.5);
   EXPECT_EQ(erased.NumNonZero(), 0u);
   EXPECT_EQ(erased.SumAbs(), 0.0);
-}
-
-class FileStoreSumAbsTest : public ::testing::Test {
- protected:
-  void SetUp() override { path_ = UniqueTempPath("wavebatch_sum_abs", this); }
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  std::string path_;
-};
-
-TEST_F(FileStoreSumAbsTest, OpenReproducesTheKBitsCreateComputed) {
-  const std::vector<double> values = RandomValues(kMultiChunkCells, 37, 0.8);
-  const double dense_k = DenseStore(values).SumAbs();
-  Result<std::unique_ptr<FileStore>> created = FileStore::Create(path_, values);
-  ASSERT_TRUE(created.ok()) << created.status();
-  EXPECT_EQ((*created)->SumAbs(), dense_k);
-  created->reset();
-  Result<std::unique_ptr<FileStore>> opened = FileStore::Open(path_);
-  ASSERT_TRUE(opened.ok()) << opened.status();
-  EXPECT_EQ((*opened)->SumAbs(), dense_k);
-}
-
-TEST_F(FileStoreSumAbsTest, AddKeepsKCurrent) {
-  Result<std::unique_ptr<FileStore>> store =
-      FileStore::Create(path_, RandomValues(1000, 41, 0.5));
-  ASSERT_TRUE(store.ok()) << store.status();
-  RunAddLog(**store, 1000, 43, 300);
-  const double k = (*store)->SumAbs();
-  store->reset();
-  Result<std::unique_ptr<FileStore>> reopened = FileStore::Open(path_);
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_NEAR((*reopened)->SumAbs(), k, 1e-12 * (1.0 + k));
-}
-
-/// K is held, not read: with the file truncated behind the store's back,
-/// reads fail, and SumAbs() still returns the K that Open derived.
-TEST_F(FileStoreSumAbsTest, SumAbsReadsNothingFromTheFile) {
-  const std::vector<double> values = RandomValues(4096, 47);
-  ASSERT_TRUE(FileStore::Create(path_, values).ok());
-  Result<std::unique_ptr<FileStore>> opened = FileStore::Open(path_);
-  ASSERT_TRUE(opened.ok()) << opened.status();
-  const double k = DenseStore(values).SumAbs();
-  ASSERT_EQ(::truncate(path_.c_str(), 0), 0);
-  EXPECT_FALSE((*opened)->Fetch(0).ok()) << "the file is gone";
-  EXPECT_EQ((*opened)->SumAbs(), k);
 }
 
 // ---------------------------------------------------------------------------

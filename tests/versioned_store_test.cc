@@ -705,7 +705,10 @@ TEST(VersionedStoreConcurrencyTest, OneWriterManyPinnedReadersUnderTsan) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
+      // Each reader runs at least one session: on a loaded host the writer
+      // can finish before any reader is scheduled, and `runs` must not be
+      // left empty by that alone.
+      do {
         auto snap = store->Snapshot();
         EvalSession session(f.plan, snap);
         if (!session.RunToExact().ok()) continue;
@@ -713,7 +716,7 @@ TEST(VersionedStoreConcurrencyTest, OneWriterManyPinnedReadersUnderTsan) {
         if (runs.size() < 64) {
           runs.push_back({snap, session.Estimates(), session.io()});
         }
-      }
+      } while (!stop.load(std::memory_order_relaxed));
     });
   }
 
