@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "telemetry/span.h"
@@ -40,9 +41,6 @@ EvalPlan::EvalPlan(std::shared_ptr<const MasterList> list,
       penalty_(std::move(penalty)),
       parallelism_(parallelism) {
   const size_t n = list_->size();
-  ThreadPool* pool = parallelism == BuildParallelism::kParallel
-                         ? &ThreadPool::Shared()
-                         : nullptr;
   const std::vector<uint64_t>& offsets = list_->uses_offsets();
   const std::vector<uint32_t>& uses_query = list_->uses_query();
   const std::vector<double>& uses_coeff = list_->uses_coeff();
@@ -55,7 +53,7 @@ EvalPlan::EvalPlan(std::shared_ptr<const MasterList> list,
   // so it does not depend on the thread count either.
   if (penalty_ != nullptr) {
     importance_.resize(n);
-    ForRange(pool, n, /*grain=*/256, [&](size_t begin, size_t end) {
+    ForRange(pool(), n, /*grain=*/256, [&](size_t begin, size_t end) {
       std::vector<double> column(list_->num_queries(), 0.0);
       for (size_t i = begin; i < end; ++i) {
         const uint64_t lo = offsets[i];
@@ -67,25 +65,48 @@ EvalPlan::EvalPlan(std::shared_ptr<const MasterList> list,
     });
     for (size_t i = 0; i < n; ++i) total_importance_ += importance_[i];
   }
+}
 
-  // kKeyOrder: master lists are ascending by key, so identity.
-  key_order_.resize(n);
-  for (size_t i = 0; i < n; ++i) key_order_[i] = i;
+ThreadPool* EvalPlan::pool() const {
+  return parallelism_ == BuildParallelism::kParallel ? &ThreadPool::Shared()
+                                                     : nullptr;
+}
 
-  // kBiggestB: a max-heap of (importance, index) pairs pops them in
-  // descending pair order — all pairs are distinct (indices are unique), so
-  // the pop sequence IS the descending sort, ties on importance breaking
-  // toward the larger index. Distinct pairs = strict total order, which is
-  // what lets ParallelSort promise the serially-sorted result.
-  if (penalty_ != nullptr) {
-    biggest_b_ = key_order_;
-    ParallelSort(biggest_b_.begin(), n,
-                 [this](size_t a, size_t b) {
-                   return std::make_pair(importance_[a], a) >
-                          std::make_pair(importance_[b], b);
-                 },
-                 pool);
+std::span<const size_t> EvalPlan::BiggestBPrefix(size_t count) const {
+  WB_CHECK(penalty_ != nullptr)
+      << "kBiggestB needs a penalty (plan was built without one)";
+  const size_t n = size();
+  // At least one entry, so that even a no-op request allocates the order.
+  count = std::min(std::max<size_t>(count, 1), n);
+  if (biggest_b_sorted_.load(std::memory_order_acquire) >= count) {
+    return biggest_b_;
   }
+  std::lock_guard<std::mutex> lock(biggest_b_mu_);
+  const size_t sorted = biggest_b_sorted_.load(std::memory_order_relaxed);
+  if (sorted >= count) return biggest_b_;
+  telemetry::ScopedSpan span("plan_order_extend");
+  if (biggest_b_.empty()) {
+    biggest_b_.resize(n);
+    std::iota(biggest_b_.begin(), biggest_b_.end(), size_t{0});
+  }
+  // Descending (importance, index): a max-heap of these pairs pops them in
+  // this order. The pairs are distinct (indices are unique), so this is a
+  // strict total order: the sorted prefix is unique, and ParallelSort
+  // promises the serially sorted result.
+  auto before = [this](size_t a, size_t b) {
+    return std::make_pair(importance_[a], a) >
+           std::make_pair(importance_[b], b);
+  };
+  const size_t target =
+      std::min(n, std::max({count, kFirstSortedChunk, 2 * sorted}));
+  const auto first = biggest_b_.begin() + static_cast<ptrdiff_t>(sorted);
+  const auto mid = biggest_b_.begin() + static_cast<ptrdiff_t>(target);
+  // The unsorted tail holds every entry not yet in the prefix; bring its
+  // first (target - sorted) to the front, then order them.
+  if (target < n) std::nth_element(first, mid, biggest_b_.end(), before);
+  ParallelSort(first, target - sorted, before, pool());
+  biggest_b_sorted_.store(target, std::memory_order_release);
+  return biggest_b_;
 }
 
 // kRoundRobin: each query walks its own coefficients in decreasing
@@ -97,9 +118,6 @@ EvalPlan::EvalPlan(std::shared_ptr<const MasterList> list,
 // sequential and stays serial.
 void EvalPlan::BuildRoundRobin() const {
   const size_t n = list_->size();
-  ThreadPool* pool = parallelism_ == BuildParallelism::kParallel
-                         ? &ThreadPool::Shared()
-                         : nullptr;
   const std::vector<uint64_t>& offsets = list_->uses_offsets();
   const std::vector<uint32_t>& uses_query = list_->uses_query();
   const std::vector<double>& uses_coeff = list_->uses_coeff();
@@ -110,7 +128,7 @@ void EvalPlan::BuildRoundRobin() const {
       per_query[uses_query[r]].emplace_back(std::abs(uses_coeff[r]), i);
     }
   }
-  ForRange(pool, per_query.size(), /*grain=*/8,
+  ForRange(pool(), per_query.size(), /*grain=*/8,
            [&](size_t begin, size_t end) {
              for (size_t q = begin; q < end; ++q) {
                std::sort(per_query[q].begin(), per_query[q].end(),
@@ -140,13 +158,15 @@ void EvalPlan::BuildRoundRobin() const {
 std::span<const size_t> EvalPlan::Permutation(ProgressionOrder order) const {
   switch (order) {
     case ProgressionOrder::kBiggestB:
-      WB_CHECK(penalty_ != nullptr)
-          << "kBiggestB needs a penalty (plan was built without one)";
-      return biggest_b_;
+      return BiggestBPrefix(size());
     case ProgressionOrder::kRoundRobin:
       std::call_once(round_robin_once_, [this] { BuildRoundRobin(); });
       return round_robin_;
     case ProgressionOrder::kKeyOrder:
+      std::call_once(key_order_once_, [this] {
+        key_order_.resize(size());
+        std::iota(key_order_.begin(), key_order_.end(), size_t{0});
+      });
       return key_order_;
     case ProgressionOrder::kRandom:
       break;
@@ -185,7 +205,8 @@ std::span<const double> EvalPlan::UnreadMaxImportance(
 std::vector<size_t> EvalPlan::RandomPermutation(uint64_t seed) const {
   std::lock_guard<std::mutex> lock(random_mu_);
   if (!random_cached_ || random_seed_ != seed) {
-    random_perm_ = key_order_;
+    random_perm_.resize(size());
+    std::iota(random_perm_.begin(), random_perm_.end(), size_t{0});
     Rng rng(seed);
     rng.Shuffle(random_perm_);
     random_seed_ = seed;

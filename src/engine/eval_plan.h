@@ -1,6 +1,7 @@
 #ifndef WAVEBATCH_ENGINE_EVAL_PLAN_H_
 #define WAVEBATCH_ENGINE_EVAL_PLAN_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -35,19 +36,22 @@ enum class ProgressionOrder {
 
 /// The immutable, shareable half of a progressive batch evaluation: master
 /// list, per-entry importances ι_p(ξ), and the consumption permutation of
-/// every deterministic ProgressionOrder, each computed once (round-robin on
-/// first use), plus the unread-importance maxima Theorem 1's bound reads
-/// outside biggest-B (on first use). Plans carry no cursor and touch no
-/// store, so one plan can back any number of EvalSessions — sequentially (a
-/// dashboard re-running the same batch) or concurrently (sessions on
-/// different threads over one shared store) — and can be cached across
-/// identical batches (PlanCache).
+/// every deterministic ProgressionOrder, each built as far as sessions read
+/// it: biggest-B is sorted a prefix at a time as its sessions step (see
+/// BiggestBPrefix), key order and round-robin on first use, and the
+/// unread-importance maxima Theorem 1's bound reads outside biggest-B on
+/// first use. A plan that only exact requests read never sorts. Plans carry
+/// no cursor and touch no store, so one plan can back any number of
+/// EvalSessions — sequentially (a dashboard re-running the same batch) or
+/// concurrently (sessions on different threads over one shared store) —
+/// and can be cached across identical batches (PlanCache).
 ///
 /// Plans own their inputs via shared_ptr: a session holding the plan keeps
 /// the master list and penalty alive.
 ///
-/// Construction fans out over util::ThreadPool::Shared() by default
-/// (importances, permutation sorts, and the master-list merge); pass
+/// Construction fans out over util::ThreadPool::Shared() by default (the
+/// query rewrite, the master-list merge and the importances), as do
+/// biggest-B extensions past ParallelSort's grain; pass
 /// BuildParallelism::kSerial to force the single-threaded path. Both
 /// settings produce bit-identical plans — see engine/master_list.h.
 class EvalPlan {
@@ -92,10 +96,28 @@ class EvalPlan {
   }
 
   /// The order in which a session under `order` consumes master-list entry
-  /// indices. Precomputed for kBiggestB (requires HasImportance()) and
-  /// kKeyOrder; kRoundRobin is built on its first request, once per plan
-  /// (thread-safe). kRandom depends on a seed — use RandomPermutation.
+  /// indices, in full. kBiggestB (requires HasImportance()) sorts whatever
+  /// of its order no session has sorted yet; kKeyOrder and kRoundRobin are
+  /// built on their first request, once per plan. Thread-safe. kRandom
+  /// depends on a seed — use RandomPermutation.
   std::span<const size_t> Permutation(ProgressionOrder order) const;
+
+  /// The biggest-B order — descending (importance, index), the sequence a
+  /// max-heap of those pairs pops — with at least its first
+  /// min(count, size()) entries sorted. Entries past the sorted prefix are
+  /// in no particular order and must not be read. Batch-Biggest-B retrieves
+  /// in this order and needs no more of it than it retrieves, so sessions
+  /// extend the prefix as they step: the first extension sorts
+  /// kFirstSortedChunk entries, and each later one at least doubles the
+  /// prefix (nth_element on the unsorted tail, then a sort of the new
+  /// part). (importance, index) is a strict total order, so the prefix is
+  /// the same whatever the history of extensions. Thread-safe: extensions
+  /// serialize on a mutex and write only past the published prefix length,
+  /// which readers load with acquire. Requires HasImportance().
+  std::span<const size_t> BiggestBPrefix(size_t count) const;
+
+  /// Entries the first biggest-B extension sorts; later ones double.
+  static constexpr size_t kFirstSortedChunk = 1024;
 
   /// The kRandom consumption order for `seed` (the identity permutation
   /// through a seeded Fisher–Yates).
@@ -125,6 +147,9 @@ class EvalPlan {
   /// Fills round_robin_. Runs once, under round_robin_once_.
   void BuildRoundRobin() const;
 
+  /// Null for BuildParallelism::kSerial.
+  ThreadPool* pool() const;
+
   /// A suffix-max array built on first use (see UnreadMaxImportance).
   struct UnreadMaxMemo {
     std::once_flag once;
@@ -138,15 +163,19 @@ class EvalPlan {
   std::vector<double> importance_;  // empty when penalty_ is null
   double total_importance_ = 0.0;
 
-  // Entry indices in consumption order. biggest_b_ is the descending
-  // (importance, index) order a max-heap pops; round_robin_ is the
-  // per-query |coefficient|-descending round-robin with duplicate entries
-  // collapsed onto their first appearance; key_order_ is the identity
-  // (master lists are ascending by key).
-  std::vector<size_t> biggest_b_;
-  std::vector<size_t> key_order_;
-  // Only ablations walk round-robin, so it is a memo (logical const: a
-  // pure function of the immutable plan) built on the first request.
+  // Entry indices in consumption order, each a memo (logical const: a pure
+  // function of the immutable plan) built as far as sessions read it.
+  // biggest_b_ is the descending (importance, index) order, sorted through
+  // biggest_b_sorted_ (see BiggestBPrefix); it is allocated by its first
+  // extension and never resized after. round_robin_ is the per-query
+  // |coefficient|-descending round-robin with duplicate entries collapsed
+  // onto their first appearance; key_order_ is the identity (master lists
+  // are ascending by key).
+  mutable std::mutex biggest_b_mu_;
+  mutable std::atomic<size_t> biggest_b_sorted_{0};
+  mutable std::vector<size_t> biggest_b_;
+  mutable std::once_flag key_order_once_;
+  mutable std::vector<size_t> key_order_;
   mutable std::once_flag round_robin_once_;
   mutable std::vector<size_t> round_robin_;
   // Theorem 1's unread max along key order and round-robin: memos of the

@@ -136,6 +136,10 @@ EvalSession::EvalSession(std::shared_ptr<const EvalPlan> plan,
     if (plan_->HasImportance()) {
       owned_unread_max_ = plan_->SuffixMaxImportance(permutation_);
     }
+  } else if (options_.order == ProgressionOrder::kBiggestB) {
+    // Biggest-B sorts only as far as the session steps (StepEntries).
+    extends_order_ = true;
+    permutation_ = plan_->BiggestBPrefix(1);
   } else {
     permutation_ = plan_->Permutation(options_.order);
   }
@@ -178,6 +182,9 @@ Status EvalSession::StepEntries(size_t n) {
   // (CoefficientStore::CountedBatch): Step() stays clock-free.
   std::optional<telemetry::ScopedSpan> span;
   if (n != 1) span.emplace("session_step");
+  // Sort this step's entries and the next one, which NextImportance and
+  // Theorem 1's bound read after the step, before reading any of them.
+  if (extends_order_) plan_->BiggestBPrefix(steps_taken_ + n + 1);
   const size_t* order = permutation_.data() + steps_taken_;
   batch_keys_.resize(n);
   kernel_.GatherKeys(order, n, batch_keys_.data());

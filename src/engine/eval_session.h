@@ -193,12 +193,16 @@ class EvalSession {
   std::vector<uint64_t> batch_keys_;
   std::vector<double> batch_values_;
 
-  // Consumption order: a view into the plan's precomputed permutation, or
-  // one this session owns — the seeded kRandom order, or at block
-  // granularity the block-major order (blocks by descending importance,
-  // each block's entries contiguous and ascending).
+  // Consumption order: a view into the plan's permutation, or one this
+  // session owns — the seeded kRandom order, or at block granularity the
+  // block-major order (blocks by descending importance, each block's
+  // entries contiguous and ascending). Under kBiggestB the view is sorted
+  // only through the plan's prefix, which every step extends past the
+  // entries it reads (extends_order_), so that permutation_[steps_taken_]
+  // is always sorted.
   std::vector<size_t> owned_permutation_;
   std::span<const size_t> permutation_;
+  bool extends_order_ = false;
   // kRandom with importances: the suffix max of ι_p along the session's own
   // permutation, built with it (EvalPlan::SuffixMaxImportance).
   std::vector<double> owned_unread_max_;

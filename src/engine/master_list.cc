@@ -34,19 +34,13 @@ struct UseRow {
 Result<MasterList> MasterList::Build(const QueryBatch& batch,
                                      const LinearStrategy& strategy,
                                      BuildParallelism parallelism) {
-  // The per-query sparse transforms are independent and read-only on the
-  // strategy, so they fan out across the shared pool; each slot is written
-  // by exactly one chunk, keeping results identical to the serial loop.
-  std::vector<Result<SparseVec>> transformed(batch.size(),
-                                             Result<SparseVec>(SparseVec{}));
+  // The strategy rewrites the whole batch at once, so work its queries
+  // share is done once; every slot equals the serial TransformQuery.
   ThreadPool* pool = parallelism == BuildParallelism::kParallel
                          ? &ThreadPool::Shared()
                          : nullptr;
-  ForRange(pool, batch.size(), /*grain=*/8, [&](size_t begin, size_t end) {
-    for (size_t qi = begin; qi < end; ++qi) {
-      transformed[qi] = strategy.TransformQuery(batch.query(qi));
-    }
-  });
+  std::vector<Result<SparseVec>> transformed =
+      strategy.TransformQueries(batch.queries(), pool);
   std::vector<SparseVec> query_coefficients;
   query_coefficients.reserve(batch.size());
   for (Result<SparseVec>& r : transformed) {

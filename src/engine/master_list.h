@@ -11,12 +11,13 @@
 
 namespace wavebatch {
 
-/// Whether a plan-time build (master-list merge, importances, permutation
-/// sorts) may fan out across util::ThreadPool::Shared(). Both settings
-/// produce bit-identical artifacts — parallel construction uses fixed chunk
-/// boundaries, stable merges, and total-order sorts, so the only difference
-/// is wall-clock. kSerial exists for benchmarking the speedup
-/// (BM_PlanBuild) and for callers that must not touch the shared pool.
+/// Whether a plan-time build (query rewrites, master-list merge,
+/// importances, permutation sorts) may fan out across
+/// util::ThreadPool::Shared(). Both settings produce bit-identical
+/// artifacts — parallel construction uses fixed chunk boundaries, stable
+/// merges, and total-order sorts, so the only difference is wall-clock.
+/// kSerial exists for benchmarking the speedup (BM_PlanBuild) and for
+/// callers that must not touch the shared pool.
 enum class BuildParallelism {
   kSerial,
   kParallel,
@@ -40,8 +41,10 @@ class MasterList {
   /// An empty master list (no queries, no entries); assign over it.
   MasterList() = default;
 
-  /// Rewrites every query in `batch` under `strategy` and merges. Fails if
-  /// any query cannot be rewritten (e.g. unsupported monomial).
+  /// Rewrites every query in `batch` under `strategy`
+  /// (LinearStrategy::TransformQueries) and merges. Fails with the first
+  /// failing query's status, in query order, if any query cannot be
+  /// rewritten (e.g. unsupported monomial).
   static Result<MasterList> Build(
       const QueryBatch& batch, const LinearStrategy& strategy,
       BuildParallelism parallelism = BuildParallelism::kParallel);

@@ -167,12 +167,11 @@ Status QueryService::Submit(QueryRequest request, ResponseCallback done) {
   return Status::OK();
 }
 
-void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
-  const auto now = std::chrono::steady_clock::now();
+std::vector<QueryService::Active*> QueryService::AdmitLocked() {
+  std::vector<Active*> admitted;
   while (!pending_.empty() && live_.size() < options_.max_live_sessions) {
     Pending pending = std::move(pending_.front());
     pending_.erase(pending_.begin());
-    queue_depth_gauge_->Set(static_cast<double>(pending_.size()));
 
     auto active = std::make_unique<Active>(std::move(pending.request),
                                            std::move(pending.done));
@@ -183,9 +182,30 @@ void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
             : kNoDeadline;
     active->quantum = active->request.quantum > 0 ? active->request.quantum
                                                   : options_.default_quantum;
+    // Only a request that can stop early (a target or a deadline) gains
+    // from biggest-B; an exact request reads its master list in key order,
+    // the paper's exact batch evaluation, which walks the plan's CSR image
+    // and the store sequentially.
+    active->progressive = active->request.penalty != nullptr &&
+                          (active->request.target_bound > 0.0 ||
+                           active->request.deadline.count() > 0);
     active->trace = pending.trace;
     active->timeline = telemetry::ConvergenceTimeline(kTimelineCapacity);
+    // A placeholder until PrepareAdmitted gives it a session: it holds its
+    // live slot, and busy keeps every other thread off it.
+    active->busy = true;
+    admitted.push_back(active.get());
+    live_.push_back(std::move(active));
+  }
+  if (!admitted.empty()) {
+    queue_depth_gauge_->Set(static_cast<double>(pending_.size()));
+    live_sessions_gauge_->Set(static_cast<double>(live_.size()));
+  }
+  return admitted;
+}
 
+void QueryService::PrepareAdmitted(const std::vector<Active*>& admitted) {
+  for (Active* active : admitted) {
     // Plans are store-free (a transform of the queries alone), so one
     // cached plan serves every epoch. The lookup (and any build it
     // triggers) runs under the request's trace so plan_build /
@@ -194,42 +214,52 @@ void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
     if (active->trace.active()) trace_guard.emplace(active->trace);
     Result<std::shared_ptr<const EvalPlan>> plan = plan_cache_->GetOrBuild(
         active->request.batch, *strategy_, active->request.penalty);
-    trace_guard.reset();
     if (!plan.ok()) {
-      QueryResponse response;
-      response.status = plan.status();
-      response.request_id = active->trace.request_id;
-      response.trace_id = active->trace.trace_id;
-      response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
-          now - active->admitted_at);
-      failed_->Add();
-      finished->push_back(
-          [done = std::move(active->done), r = std::move(response)]() mutable {
-            done(std::move(r));
-          });
+      active->failure = plan.status();
       continue;
     }
-
-    // Only a request that can stop early (a target or a deadline) gains
-    // from biggest-B; an exact request reads its master list in key order,
-    // the paper's exact batch evaluation, which walks the plan's CSR image
-    // and the store sequentially.
-    active->progressive = active->request.penalty != nullptr &&
-                          (active->request.target_bound > 0.0 ||
-                           active->request.deadline.count() > 0);
     EvalSession::Options session_options;
     session_options.order = active->progressive ? ProgressionOrder::kBiggestB
                                                 : ProgressionOrder::kKeyOrder;
     session_options.fault_policy = active->request.fault_policy;
     active->session = std::make_unique<EvalSession>(
-        plan.value(), root_store_, session_options);
+        std::move(plan).value(), root_store_, session_options);
     // The session pinned the store's current version; K and the epoch are
     // that version's.
     active->k_sum_abs = active->session->store().SumAbs();
     active->epoch = active->session->store().epoch();
-    live_.push_back(std::move(active));
-    live_sessions_gauge_->Set(static_cast<double>(live_.size()));
   }
+}
+
+void QueryService::FinishAdmissionLocked(
+    const std::vector<Active*>& admitted,
+    std::vector<std::function<void()>>* finished) {
+  const auto now = std::chrono::steady_clock::now();
+  for (Active* active : admitted) {
+    if (active->session != nullptr) {
+      active->busy = false;
+      continue;
+    }
+    // The plan build failed: the request completes here, with its status.
+    auto it = std::find_if(live_.begin(), live_.end(), [active](const auto& a) {
+      return a.get() == active;
+    });
+    WB_CHECK(it != live_.end());  // only this thread removes a placeholder
+    std::unique_ptr<Active> failed = std::move(*it);
+    live_.erase(it);
+    QueryResponse response;
+    response.status = failed->failure;
+    response.request_id = failed->trace.request_id;
+    response.trace_id = failed->trace.trace_id;
+    response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
+        now - failed->admitted_at);
+    failed_->Add();
+    finished->push_back(
+        [done = std::move(failed->done), r = std::move(response)]() mutable {
+          done(std::move(r));
+        });
+  }
+  live_sessions_gauge_->Set(static_cast<double>(live_.size()));
 }
 
 bool QueryService::TargetMetLocked(const Active& active) const {
@@ -393,7 +423,18 @@ void QueryService::ServeLoop(bool until_idle) {
   std::unique_lock<std::mutex> lock(mu_);
   while (until_idle || !stopping_) {
     std::vector<std::function<void()>> callbacks;
-    AdmitLocked(&callbacks);
+    // Admission fills the free live slots with placeholders; their plans
+    // and sessions are built off the lock, so other workers keep stepping
+    // and Submit keeps queueing meanwhile. A failed build frees its slot
+    // for the next pending request.
+    for (std::vector<Active*> admitted = AdmitLocked(); !admitted.empty();
+         admitted = AdmitLocked()) {
+      lock.unlock();
+      PrepareAdmitted(admitted);
+      lock.lock();
+      FinishAdmissionLocked(admitted, &callbacks);
+      cv_.notify_all();
+    }
     const auto now = std::chrono::steady_clock::now();
     // Finalize everything already complete (a deadline may expire while a
     // session waits its turn; target bounds are met mid-stream).

@@ -228,27 +228,39 @@ class QueryService {
     double k_sum_abs = 0.0;
     uint64_t epoch = 0;  // the pinned version's epoch(), 0 if unversioned
     size_t quantum = 0;
-    bool busy = false;      // a worker owns this session's next quantum
-    Status failure;         // sticky non-OK fetch status under kFail
+    /// A thread owns this request: it is building its session (a
+    /// placeholder, session null) or stepping its next quantum.
+    bool busy = false;
+    /// Sticky non-OK fetch status under kFail, or the failed plan build's.
+    Status failure;
     bool failed = false;
     telemetry::TraceContext trace;
     telemetry::ConvergenceTimeline timeline;
   };
 
-  /// The scheduler, shared by RunUntilIdle() and the workers: admit,
-  /// finalize what is complete, pick one session and run its quantum
-  /// outside the lock. With `until_idle` it returns once nothing is queued
-  /// or live; otherwise it sleeps while no work can start and returns on
-  /// Stop().
+  /// The scheduler, shared by RunUntilIdle() and the workers: admit and
+  /// build the admitted sessions outside the lock, finalize what is
+  /// complete, pick one session and run its quantum outside the lock.
+  /// With `until_idle` it returns once nothing is queued or live;
+  /// otherwise it sleeps while no work can start and returns on Stop().
   void ServeLoop(bool until_idle);
   /// True when a waiting thread could start work: a queued request fits a
   /// free live slot, or some live session is not busy (it is runnable or
   /// complete). Must hold mu_.
   bool HasWorkLocked() const;
-  /// Admits pending requests into live sessions while capacity allows.
-  /// Must hold mu_. Completed-at-admission requests (empty plans, expired
-  /// deadlines, failed plan builds) are finalized into *finished.
-  void AdmitLocked(std::vector<std::function<void()>>* finished);
+  /// Admits pending requests while live slots allow, each as a busy
+  /// placeholder in live_ with no session yet, and returns them in
+  /// admission order. Must hold mu_.
+  std::vector<Active*> AdmitLocked();
+  /// Looks up or builds each admitted request's plan and constructs its
+  /// session; a failed plan build leaves the session null and its status
+  /// in `failure`. Runs WITHOUT the lock: the placeholders are busy, so no
+  /// other thread touches them.
+  void PrepareAdmitted(const std::vector<Active*>& admitted);
+  /// Makes the prepared placeholders runnable, and finalizes the ones
+  /// whose plan build failed into *finished. Must hold mu_.
+  void FinishAdmissionLocked(const std::vector<Active*>& admitted,
+                             std::vector<std::function<void()>>* finished);
   /// Picks the runnable live session with (least deadline slack, highest
   /// marginal bound reduction — 0 for an exact request), the earliest
   /// admitted among equals. Null when none is runnable. Must hold mu_.

@@ -168,12 +168,16 @@ std::shared_ptr<const DeltaOverlay> VersionedStore::SealLocked() const {
 }
 
 uint64_t VersionedStore::PublishLocked() {
-  const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Writers hold write_mu_, so the next epoch is ours. It becomes visible
+  // through epoch() only after PinVersion() serves it: a reader that sees
+  // epoch e can pin a snapshot of epoch e or later.
+  const uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
   auto snapshot = std::make_shared<SnapshotStore>(epoch, base_, SealLocked());
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_ = std::move(snapshot);
   }
+  epoch_.store(epoch, std::memory_order_release);
   publishes_metric_->Add(1);
   epoch_gauge_->Set(static_cast<double>(epoch));
   delta_entries_gauge_->Set(static_cast<double>(
@@ -205,7 +209,7 @@ uint64_t VersionedStore::Merge() {
     fold = SealForMergeLocked();
   }
   if (fold != nullptr) fold();
-  return epoch_.load(std::memory_order_relaxed);
+  return epoch_.load(std::memory_order_acquire);
 }
 
 bool VersionedStore::StartBackgroundMerge(ThreadPool* pool) {

@@ -186,8 +186,10 @@ class VersionedStore : public CoefficientStore {
   }
 
   /// Published epoch number (0 = the pristine base, before any publish).
+  /// Never ahead of PinVersion(): a publish stores it only after its
+  /// snapshot is swapped in.
   uint64_t epoch() const override {
-    return epoch_.load(std::memory_order_relaxed);
+    return epoch_.load(std::memory_order_acquire);
   }
 
   /// Distinct unmerged coefficient keys overlaying the base right now
@@ -222,8 +224,8 @@ class VersionedStore : public CoefficientStore {
   /// the same per-key consolidation one uninterrupted overlay would hold.
   /// Caller holds write_mu_.
   std::shared_ptr<const DeltaOverlay> SealLocked() const;
-  /// Seals merging ⊕ active, bumps the epoch and swaps in the new
-  /// snapshot. Caller holds write_mu_.
+  /// Seals merging ⊕ active into the next epoch's snapshot, swaps it in,
+  /// then bumps the epoch. Caller holds write_mu_.
   uint64_t PublishLocked();
   /// The sealing step of Merge and StartBackgroundMerge: seals all unmerged
   /// deltas into merging_, drains the active overlay and marks a merge in

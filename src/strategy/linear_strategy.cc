@@ -3,8 +3,21 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace wavebatch {
+
+std::vector<Result<SparseVec>> LinearStrategy::TransformQueries(
+    std::span<const RangeSumQuery> queries, ThreadPool* pool) const {
+  // Each slot is written by exactly one chunk, so the fan-out is invisible
+  // in the results.
+  std::vector<Result<SparseVec>> out(queries.size(),
+                                     Result<SparseVec>(SparseVec{}));
+  ForRange(pool, queries.size(), /*grain=*/1, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) out[i] = TransformQuery(queries[i]);
+  });
+  return out;
+}
 
 Result<double> LinearStrategy::AnswerQuery(const RangeSumQuery& query,
                                            const CoefficientStore& store,

@@ -2,7 +2,9 @@
 #define WAVEBATCH_STRATEGY_LINEAR_STRATEGY_H_
 
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "cube/dense_cube.h"
 #include "cube/relation.h"
@@ -12,6 +14,8 @@
 #include "wavelet/sparse_vec.h"
 
 namespace wavebatch {
+
+class ThreadPool;
 
 /// A linear storage/evaluation strategy (Section 1.2 of the paper): the
 /// materialized view is T·Δ for some linear transform T with a left
@@ -33,6 +37,14 @@ class LinearStrategy {
   /// exactly under this strategy.
   virtual Result<SparseVec> TransformQuery(
       const RangeSumQuery& query) const = 0;
+
+  /// Rewrites a batch: slot i is TransformQuery(queries[i]) bit for bit,
+  /// error or value, whatever `pool` is (null runs everything on the
+  /// calling thread). The default fans TransformQuery out over `pool` one
+  /// query per chunk; a strategy whose queries share per-dimension work
+  /// overrides it to do that work once per batch (WaveletStrategy).
+  virtual std::vector<Result<SparseVec>> TransformQueries(
+      std::span<const RangeSumQuery> queries, ThreadPool* pool) const;
 
   /// Materializes the view T·Δ from a dense frequency distribution.
   virtual std::unique_ptr<CoefficientStore> BuildStore(

@@ -8,6 +8,7 @@
 #include "storage/memory_store.h"
 #include "util/bits.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 #include "wavelet/dwt_nd.h"
 #include "wavelet/impulse.h"
 #include "wavelet/lazy_query_transform.h"
@@ -17,6 +18,8 @@ namespace wavebatch {
 
 namespace {
 
+using Factor = std::vector<SparseEntry>;
+
 // Appends the tensor product of per-dimension sparse 1-D coefficient lists
 // to `out`, scaling every product by `coeff`. Keys are packed with the
 // schema's per-dimension bit widths (dimension 0 most significant). Every
@@ -24,13 +27,13 @@ namespace {
 // last dimension fastest, so the products come out in strictly ascending
 // key order: `out` gains one sorted run.
 void ExpandTensorProduct(const Schema& schema,
-                         const std::vector<std::vector<SparseEntry>>& factors,
+                         const std::vector<const Factor*>& factors,
                          double coeff, std::vector<SparseEntry>& out) {
   const size_t d = factors.size();
   size_t products = 1;
-  for (const auto& f : factors) {
-    if (f.empty()) return;  // a zero factor annihilates the product
-    products *= f.size();
+  for (const Factor* f : factors) {
+    if (f->empty()) return;  // a zero factor annihilates the product
+    products *= f->size();
   }
   out.reserve(out.size() + products);
   // Iterative odometer over factor indices; running partial keys/values per
@@ -43,7 +46,7 @@ void ExpandTensorProduct(const Schema& schema,
   for (;;) {
     // Fill prefixes from `dim` to the end.
     for (size_t i = dim; i < d; ++i) {
-      const SparseEntry& e = factors[i][idx[i]];
+      const SparseEntry& e = (*factors[i])[idx[i]];
       key_prefix[i + 1] = (key_prefix[i] << schema.bits(i)) | e.key;
       val_prefix[i + 1] = val_prefix[i] * e.value;
     }
@@ -51,7 +54,7 @@ void ExpandTensorProduct(const Schema& schema,
     // Advance the odometer (last dimension fastest).
     size_t i = d;
     while (i-- > 0) {
-      if (++idx[i] < factors[i].size()) break;
+      if (++idx[i] < factors[i]->size()) break;
       idx[i] = 0;
       if (i == 0) return;
     }
@@ -94,6 +97,25 @@ void KeepAbove(std::vector<SparseEntry>& entries, double eps) {
   entries.resize(kept);
 }
 
+// One 1-D factor of a query term: x^degree·χ_[lo,hi](x) along dimension
+// `dim`. Ordered, so a batch's factors sort into a deduplicated table.
+struct FactorKey {
+  uint32_t dim;
+  uint32_t lo;
+  uint32_t hi;
+  uint32_t degree;
+  auto operator<=>(const FactorKey&) const = default;
+};
+
+// The factors `term` of `query` needs, one per dimension.
+template <typename Fn>
+void ForEachFactor(const RangeSumQuery& query, const Monomial& term, Fn&& fn) {
+  for (uint32_t i = 0; i < query.range().num_dims(); ++i) {
+    const Interval& iv = query.range().interval(i);
+    fn(FactorKey{i, iv.lo, iv.hi, term.exponents[i]});
+  }
+}
+
 }  // namespace
 
 WaveletStrategy::WaveletStrategy(Schema schema, WaveletKind kind)
@@ -101,32 +123,72 @@ WaveletStrategy::WaveletStrategy(Schema schema, WaveletKind kind)
 
 Result<SparseVec> WaveletStrategy::TransformQuery(
     const RangeSumQuery& query) const {
-  if (!(query.range().num_dims() == schema_.num_dims())) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
-  // Each monomial expands into one sorted run, merged into `sum`.
-  std::vector<SparseEntry> sum, run, scratch;
-  std::vector<std::vector<SparseEntry>> factors(schema_.num_dims());
-  for (const Monomial& term : query.poly().terms()) {
-    for (size_t i = 0; i < schema_.num_dims(); ++i) {
-      const Interval& iv = query.range().interval(i);
-      // O(L² log N) pruned cascade; falls back to the dense transform for
-      // degrees beyond the filter's vanishing moments.
-      factors[i] = LazyRangeMonomialDwt1D(schema_.dim(i).size, iv.lo, iv.hi,
-                                          term.exponents[i], filter_);
+  return std::move(TransformQueries({&query, 1}, /*pool=*/nullptr).front());
+}
+
+std::vector<Result<SparseVec>> WaveletStrategy::TransformQueries(
+    std::span<const RangeSumQuery> queries, ThreadPool* pool) const {
+  const size_t d = schema_.num_dims();
+  auto mismatched = [d](const RangeSumQuery& q) {
+    return q.range().num_dims() != d;
+  };
+  // The batch's factor table: each distinct (dimension, interval, degree)
+  // once. The queries of a drill-down share their intervals, so the table
+  // is far shorter than the batch's terms × dimensions.
+  std::vector<FactorKey> table;
+  for (const RangeSumQuery& query : queries) {
+    if (mismatched(query)) continue;
+    for (const Monomial& term : query.poly().terms()) {
+      ForEachFactor(query, term, [&](FactorKey k) { table.push_back(k); });
     }
-    run.clear();
-    ExpandTensorProduct(schema_, factors, term.coeff, run);
-    MergeSortedRun(sum, run, scratch);
   }
-  // Cross-term cancellation can produce numerically-zero entries; sweep
-  // them with the same relative threshold the 1-D transforms use.
-  double max_abs = 0.0;
-  for (const SparseEntry& e : sum) {
-    max_abs = std::max(max_abs, std::abs(e.value));
-  }
-  KeepAbove(sum, max_abs * kQueryCoefficientRelEps);
-  return SparseVec::FromSorted(std::move(sum));
+  std::sort(table.begin(), table.end());
+  table.erase(std::unique(table.begin(), table.end()), table.end());
+  // O(L² log N) pruned cascade per distinct factor; falls back to the dense
+  // transform for degrees beyond the filter's vanishing moments.
+  std::vector<Factor> cascades(table.size());
+  ForRange(pool, table.size(), /*grain=*/16, [&](size_t begin, size_t end) {
+    for (size_t f = begin; f < end; ++f) {
+      const FactorKey& k = table[f];
+      cascades[f] = LazyRangeMonomialDwt1D(schema_.dim(k.dim).size, k.lo,
+                                           k.hi, k.degree, filter_);
+    }
+  });
+
+  std::vector<Result<SparseVec>> out(queries.size(),
+                                     Result<SparseVec>(SparseVec{}));
+  ForRange(pool, queries.size(), /*grain=*/1, [&](size_t begin, size_t end) {
+    std::vector<const Factor*> factors(d);
+    std::vector<SparseEntry> run, scratch;
+    for (size_t qi = begin; qi < end; ++qi) {
+      const RangeSumQuery& query = queries[qi];
+      if (mismatched(query)) {
+        out[qi] = Status::InvalidArgument("query dimensionality mismatch");
+        continue;
+      }
+      // Each monomial expands into one sorted run, merged into `sum`.
+      std::vector<SparseEntry> sum;
+      for (const Monomial& term : query.poly().terms()) {
+        ForEachFactor(query, term, [&](FactorKey k) {
+          factors[k.dim] =
+              &cascades[std::lower_bound(table.begin(), table.end(), k) -
+                        table.begin()];
+        });
+        run.clear();
+        ExpandTensorProduct(schema_, factors, term.coeff, run);
+        MergeSortedRun(sum, run, scratch);
+      }
+      // Cross-term cancellation can produce numerically-zero entries; sweep
+      // them with the same relative threshold the 1-D transforms use.
+      double max_abs = 0.0;
+      for (const SparseEntry& e : sum) {
+        max_abs = std::max(max_abs, std::abs(e.value));
+      }
+      KeepAbove(sum, max_abs * kQueryCoefficientRelEps);
+      out[qi] = SparseVec::FromSorted(std::move(sum));
+    }
+  });
+  return out;
 }
 
 std::unique_ptr<CoefficientStore> WaveletStrategy::BuildStore(
@@ -142,11 +204,13 @@ Result<SparseVec> WaveletStrategy::TransformUpdate(const Tuple& tuple,
   if (!schema_.Contains(tuple)) {
     return Status::OutOfRange("tuple outside schema domain");
   }
-  std::vector<std::vector<SparseEntry>> factors(schema_.num_dims());
+  std::vector<Factor> impulses(schema_.num_dims());
+  std::vector<const Factor*> factors(schema_.num_dims());
   double bound = 1.0;
   for (size_t i = 0; i < schema_.num_dims(); ++i) {
     const uint64_t n = schema_.dim(i).size;
-    factors[i] = SparseImpulseDwt1D(n, tuple[i], 1.0, filter_);
+    impulses[i] = SparseImpulseDwt1D(n, tuple[i], 1.0, filter_);
+    factors[i] = &impulses[i];
     // Per-dimension sparsity of the impulse cascade: the level-ℓ scaling
     // support of a point is at most L-1 positions wide, each level emits at
     // most that many details, and one approximation coefficient survives.

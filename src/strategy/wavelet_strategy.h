@@ -21,7 +21,16 @@ class WaveletStrategy : public LinearStrategy {
 
   const WaveletFilter& filter() const { return filter_; }
 
+  /// The one-query TransformQueries.
   Result<SparseVec> TransformQuery(const RangeSumQuery& query) const override;
+
+  /// Cascades each distinct (dimension, interval, degree) factor of the
+  /// batch once, then expands, merges and sweeps every query over `pool`,
+  /// one query per chunk. A query whose dimensionality does not match the
+  /// schema fails in its own slot.
+  std::vector<Result<SparseVec>> TransformQueries(
+      std::span<const RangeSumQuery> queries,
+      ThreadPool* pool) const override;
 
   /// Dense build: copies Δ, transforms the copy in place with the tiled,
   /// parallel ForwardDwtNd and moves its values into a DenseStore

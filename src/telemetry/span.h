@@ -17,8 +17,11 @@ namespace wavebatch::telemetry {
 /// trace/request ids, so each one is attributable to the request it served.
 ///
 /// The canonical instrumentation points use fixed names:
-///   plan_build         — EvalPlan::Build (rewrite + importances + orders)
+///   plan_build         — EvalPlan::Build (rewrite + merge + importances)
 ///   plan_cache_lookup  — PlanCache::GetOrBuild (contains plan_build on miss)
+///   plan_order_extend  — EvalPlan::BiggestBPrefix sorting more of the
+///                        biggest-B order (a biggest-B session's
+///                        constructor, or a step past the sorted prefix)
 ///   session_step       — EvalSession step of two or more entries
 ///   store_fetch_batch  — counted read of two or more keys (emitted by
 ///                        CoefficientStore's wrapper with the latency

@@ -13,8 +13,9 @@
 
 namespace wavebatch {
 
-/// A fixed-size worker pool with a FIFO task queue. Used for per-query
-/// transform parallelism (MasterList::Build), the view build's axis passes
+/// A fixed-size worker pool with a FIFO task queue. Used for plan builds
+/// (a batch's query rewrites, one query per chunk, the master-list merge,
+/// importances and large biggest-B sorts), the view build's axis passes
 /// and bulk K passes. Deliberately minimal: no futures, no work stealing —
 /// callers that need completion tracking use ParallelFor, which is the only
 /// blocking primitive.

@@ -334,6 +334,75 @@ TEST(EngineConcurrencyTest, KeyOrderUnreadMaxBuiltOnceUnderConcurrentFirstUse) {
   }
 }
 
+TEST(EngineConcurrencyTest, BiggestBSessionsExtendOneFreshPlanConcurrently) {
+  // Biggest-B is sorted as sessions step, so threads stepping fresh
+  // sessions over one new plan with different quanta race to extend its
+  // sorted prefix. Each must match the same session run alone over a plan
+  // of its own, bit for bit, at every quantum.
+  Schema schema = Schema::Uniform(2, 512);
+  WaveletStrategy strategy(schema, WaveletKind::kDb4);
+  Relation rel = MakeUniformRelation(schema, 2000, 31);
+  QueryBatch batch(schema);
+  Rng rng(41);
+  for (size_t i = 0; i < 16; ++i) {
+    uint32_t lo0 = static_cast<uint32_t>(rng.UniformInt(512));
+    uint32_t hi0 = lo0 + static_cast<uint32_t>(rng.UniformInt(512 - lo0));
+    uint32_t lo1 = static_cast<uint32_t>(rng.UniformInt(512));
+    uint32_t hi1 = lo1 + static_cast<uint32_t>(rng.UniformInt(512 - lo1));
+    batch.Add(RangeSumQuery::Sum(
+        Range::Create(schema, {{lo0, hi0}, {lo1, hi1}}).value(), i % 2));
+  }
+  auto list = std::make_shared<const MasterList>(
+      MasterList::Build(batch, strategy).value());
+  auto sse = std::make_shared<SsePenalty>();
+  std::unique_ptr<CoefficientStore> store =
+      strategy.BuildStore(rel.FrequencyDistribution());
+  const double k_sum_abs = store->SumAbs();
+  ASSERT_GT(list->size(), 4 * EvalPlan::kFirstSortedChunk);
+
+  struct Run {
+    std::vector<double> estimates;
+    std::vector<double> bounds;  // after each quantum
+  };
+  auto run = [&](const std::shared_ptr<const EvalPlan>& plan, size_t t) {
+    static constexpr size_t kQuanta[] = {3, 7, 64, 300, 1000, 1500, 2048, 5000};
+    EvalSession session(plan, UnownedStore(*store));
+    Run out;
+    while (!session.Done()) {
+      EXPECT_TRUE(session.StepBatch(kQuanta[t % std::size(kQuanta)]).ok());
+      out.bounds.push_back(session.WorstCaseBound(k_sum_abs));
+    }
+    out.estimates = session.Estimates();
+    return out;
+  };
+
+  std::vector<Run> serial(kNumThreads);
+  for (size_t t = 0; t < kNumThreads; ++t) {
+    serial[t] = run(EvalPlan::FromMasterList(list, sse), t);
+  }
+  const std::shared_ptr<const EvalPlan> shared =
+      EvalPlan::FromMasterList(list, sse);
+  std::vector<Run> concurrent(kNumThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kNumThreads; ++t) {
+    threads.emplace_back([&, t] { concurrent[t] = run(shared, t); });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kNumThreads; ++t) {
+    ASSERT_EQ(concurrent[t].bounds.size(), serial[t].bounds.size()) << t;
+    for (size_t i = 0; i < serial[t].bounds.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(concurrent[t].bounds[i]),
+                std::bit_cast<uint64_t>(serial[t].bounds[i]))
+          << "thread " << t << " quantum " << i;
+    }
+    for (size_t q = 0; q < serial[t].estimates.size(); ++q) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(concurrent[t].estimates[q]),
+                std::bit_cast<uint64_t>(serial[t].estimates[q]))
+          << "thread " << t << " query " << q;
+    }
+  }
+}
+
 TEST(EngineConcurrencyTest, PlanCacheSharedAcrossThreads) {
   Fixture f;
   WaveletStrategy strategy(f.schema, WaveletKind::kHaar);

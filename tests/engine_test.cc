@@ -8,9 +8,14 @@
 #include "engine/eval_plan.h"
 #include "engine/eval_session.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "engine/bounded.h"
@@ -23,6 +28,8 @@
 #include "storage/fault_injection_store.h"
 #include "storage/memory_store.h"
 #include "strategy/wavelet_strategy.h"
+#include "telemetry/metrics.h"
+#include "util/random.h"
 
 namespace wavebatch {
 namespace {
@@ -253,6 +260,129 @@ TEST(EnginePlanTest, BiggestBPermutationIsDecreasingImportance) {
   for (size_t i = 1; i < perm.size(); ++i) {
     EXPECT_GE(f.plan->importance(perm[i - 1]), f.plan->importance(perm[i]));
   }
+}
+
+/// A master list of `n` entries over three queries whose coefficients come
+/// from a four-value set, so that most entries tie on SSE importance with
+/// some other entry.
+std::shared_ptr<const MasterList> TiedImportanceList(size_t n) {
+  static constexpr double kValues[] = {1.0, -0.5, 0.5, 2.0};
+  Rng rng(77);
+  std::vector<std::vector<SparseEntry>> per_query(3);
+  for (uint64_t key = 0; key < n; ++key) {
+    for (size_t q = 0; q < per_query.size(); ++q) {
+      if (q == 0 || rng.UniformInt(2) == 0) {
+        per_query[q].push_back({key, kValues[rng.UniformInt(4)]});
+      }
+    }
+  }
+  std::vector<SparseVec> vecs;
+  for (auto& entries : per_query) {
+    vecs.push_back(SparseVec::FromSorted(std::move(entries)));
+  }
+  return std::make_shared<const MasterList>(MasterList::FromQueryVectors(vecs));
+}
+
+/// The biggest-B order as one full sort: descending (importance, index).
+std::vector<size_t> FullySortedBiggestB(const EvalPlan& plan) {
+  std::vector<size_t> order(plan.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&plan](size_t a, size_t b) {
+    return std::make_pair(plan.importance(a), a) >
+           std::make_pair(plan.importance(b), b);
+  });
+  return order;
+}
+
+TEST(EnginePlanTest, LazyBiggestBOrderIsTheFullSort) {
+  // Biggest-B is sorted a prefix at a time: a first chunk, then at least
+  // doubling. Whatever sequence of prefixes is asked for, each must be the
+  // prefix of one full sort under (importance, index), ties included.
+  auto list = TiedImportanceList(10000);
+  auto sse = std::make_shared<SsePenalty>();
+  const size_t n = list->size();
+  const size_t chunk = EvalPlan::kFirstSortedChunk;
+  ASSERT_GT(n, 8 * chunk);
+  auto reference = EvalPlan::FromMasterList(list, sse);
+  const std::vector<size_t> want = FullySortedBiggestB(*reference);
+  size_t ties = 0;
+  for (size_t i = 1; i < n; ++i) {
+    ties +=
+        reference->importance(want[i - 1]) == reference->importance(want[i]);
+  }
+  EXPECT_GT(ties, n / 2);
+
+  const std::vector<std::vector<size_t>> requests = {
+      {1, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1,
+       4 * chunk + 1, n},
+      {chunk + 1, 3 * chunk, 5 * chunk},
+      {n - 1, n},
+      {1},
+  };
+  for (BuildParallelism parallelism :
+       {BuildParallelism::kSerial, BuildParallelism::kParallel}) {
+    for (const std::vector<size_t>& counts : requests) {
+      auto plan = EvalPlan::FromMasterList(list, sse, parallelism);
+      for (size_t count : counts) {
+        std::span<const size_t> order = plan->BiggestBPrefix(count);
+        ASSERT_EQ(order.size(), n);
+        for (size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(order[i], want[i]) << "prefix " << count << " at " << i;
+        }
+      }
+      std::span<const size_t> full =
+          plan->Permutation(ProgressionOrder::kBiggestB);
+      EXPECT_TRUE(
+          std::equal(full.begin(), full.end(), want.begin(), want.end()));
+    }
+  }
+
+  // A session whose quanta straddle the chunk and doubling boundaries
+  // consumes exactly that order.
+  auto plan = EvalPlan::FromMasterList(list, sse);
+  DenseStore store(std::vector<double>(n, 1.0));
+  EvalSession session(plan, UnownedStore(store));
+  const size_t quanta[] = {chunk - 2, 3, chunk, 2 * chunk + 5, 1, 4 * chunk};
+  for (size_t i = 0; !session.Done(); ++i) {
+    const size_t at = session.StepsTaken();
+    EXPECT_EQ(session.NextImportance(), plan->importance(want[at])) << at;
+    if (i % 2 == 0) {
+      ASSERT_TRUE(session.StepBatch(quanta[(i / 2) % std::size(quanta)]).ok());
+    } else {
+      Result<size_t> entry = session.Step();
+      ASSERT_TRUE(entry.ok());
+      EXPECT_EQ(entry.value(), want[at]) << at;
+    }
+  }
+}
+
+TEST(EnginePlanTest, PlanReadOnlyInKeyOrderNeverSortsBiggestB) {
+  // Exact requests read in key order, so a plan that only they read never
+  // orders biggest-B: no plan_order_extend span, however often it runs.
+  // The first biggest-B session then sorts its first chunk.
+  telemetry::MetricsRegistry::Enable();
+  auto& registry = telemetry::MetricsRegistry::Default();
+  registry.ResetValues();
+  auto extends = [&registry] {
+    size_t count = 0;
+    for (const telemetry::SpanEvent& span : registry.Spans()) {
+      count += std::string_view(span.name) == "plan_order_extend";
+    }
+    return count;
+  };
+  Fixture f;
+  auto plan = EvalPlan::FromMasterList(f.list, f.sse);
+  EvalSession::Options key_order;
+  key_order.order = ProgressionOrder::kKeyOrder;
+  for (int run = 0; run < 3; ++run) {
+    EvalSession session(plan, UnownedStore(*f.store), key_order);
+    ASSERT_TRUE(session.RunToExact().ok());
+    session.WorstCaseBound(f.store->SumAbs());
+  }
+  EXPECT_EQ(extends(), 0u);
+  EvalSession progressive(plan, UnownedStore(*f.store));
+  EXPECT_EQ(extends(), 1u);
+  registry.ResetValues();
 }
 
 TEST(EngineSessionTest, KeyOrderRunToExactIsTheSharedExactRun) {

@@ -925,6 +925,119 @@ TEST(QueryServiceConcurrency, MoreWorkersThanLiveSlotsDrainsTheQueue) {
   }
 }
 
+/// Forwards to an inner strategy, except that TransformQuery blocks on a
+/// query labelled "latched" until Release(). The wait times out after 3 s,
+/// so a service that builds plans under its lock (where Submit waits for
+/// the build) fails a test instead of hanging it.
+class LatchedStrategy : public LinearStrategy {
+ public:
+  explicit LatchedStrategy(std::shared_ptr<const LinearStrategy> inner)
+      : LinearStrategy(inner->schema()), inner_(std::move(inner)) {}
+
+  Result<SparseVec> TransformQuery(const RangeSumQuery& query) const override {
+    if (query.label() == "latched") {
+      std::unique_lock<std::mutex> lock(mu_);
+      waiting_ = true;
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::seconds(3), [this] { return released_; });
+      waiting_ = false;
+    }
+    return inner_->TransformQuery(query);
+  }
+  std::unique_ptr<CoefficientStore> BuildStore(
+      const DenseCube& delta) const override {
+    return inner_->BuildStore(delta);
+  }
+  Result<SparseVec> TransformUpdate(const Tuple& tuple,
+                                    double count) const override {
+    return inner_->TransformUpdate(tuple, count);
+  }
+  std::string name() const override { return inner_->name(); }
+
+  /// Blocks until a latched TransformQuery is waiting (at most 10 s).
+  bool AwaitWaiting() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return waiting_; });
+  }
+  /// True while a latched TransformQuery has neither been released nor
+  /// timed out.
+  bool Waiting() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return waiting_;
+  }
+  void Release() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ protected:
+  std::unique_ptr<CoefficientStore> MakeEmptyStore() const override {
+    return inner_->BuildStoreFromRelation(Relation(schema()));
+  }
+
+ private:
+  std::shared_ptr<const LinearStrategy> inner_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool waiting_ = false;
+  mutable bool released_ = false;
+};
+
+/// A plan build runs off the service lock: while one worker builds an
+/// uncached plan, Submit still queues and the other worker serves a request
+/// whose plan is cached, to completion.
+TEST(QueryServiceConcurrency, CachedRequestIsServedWhileAnotherPlanBuilds) {
+  ServingFixture f;
+  auto latched = std::make_shared<LatchedStrategy>(f.shared_strategy);
+  QueryService service(f.BuildView(), latched);
+  QueryRequest cached(f.MakeBatch(1));
+  cached.penalty = f.sse;
+  ASSERT_TRUE(Serve(service, {cached}).front().status.ok());  // warms the cache
+
+  QueryBatch slow_batch(f.schema);
+  slow_batch.Add(RangeSumQuery::Count(
+      Range::Create(f.schema, {{0, 15}, {0, 15}}).value(), "latched"));
+  QueryRequest slow(std::move(slow_batch));
+  slow.penalty = f.sse;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<QueryResponse> responses;  // in completion order
+  auto record = [&](QueryResponse r) {
+    std::lock_guard<std::mutex> lock(mu);
+    responses.push_back(std::move(r));
+    cv.notify_all();
+  };
+  service.Start(2);
+  ASSERT_TRUE(service.Submit(slow, record).ok());
+  ASSERT_TRUE(latched->AwaitWaiting());
+  ASSERT_TRUE(service.Submit(cached, record).ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return !responses.empty(); }));
+  }
+  EXPECT_TRUE(latched->Waiting())
+      << "the cached request was served only after the plan build stopped "
+         "waiting";
+  latched->Release();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return responses.size() == 2; }));
+  }
+  service.Stop();
+  EXPECT_EQ(service.plan_cache().hits(), 1u);
+  for (const QueryResponse& r : responses) {
+    EXPECT_TRUE(r.status.ok()) << r.status;
+    EXPECT_TRUE(r.exact);
+  }
+  EXPECT_EQ(responses.front().total_steps,
+            EvalPlan::Build(cached.batch, f.strategy, f.sse).value()->size());
+}
+
 // ---------------------------------------------------------------------------
 // Request-scoped tracing: the propagation goldens. With tracing on, every
 // backend fetch span recorded while serving must carry the request

@@ -14,6 +14,7 @@
 #include "strategy/prefix_sum_strategy.h"
 #include "strategy/wavelet_strategy.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 #include "wavelet/dwt_nd.h"
 #include "wavelet/impulse.h"
 #include "wavelet/lazy_query_transform.h"
@@ -410,6 +411,70 @@ TEST(WaveletStrategyExpansion, TransformUpdateMatchesHashAccumulatorBitForBit) {
             *got, ReferenceTransformUpdate(schema, filter, tuple, count),
             std::string(filter.name()) + " d=" + std::to_string(d) +
                 " tuple " + std::to_string(t));
+      }
+    }
+  }
+}
+
+/// The batch rewrite is the per-query rewrite, slot by slot and bit for
+/// bit, serially and on the shared pool: over d = 1..5, every degree from 0
+/// to one past the filter's max_degree() (the dense fallback), batches
+/// whose queries share their intervals (a drill-down's cut, where the
+/// factor table pays) and batches whose queries do not. A query of the
+/// wrong dimensionality in mid-batch fails in its own slot only.
+TEST_P(WaveletStrategyTest, TransformQueriesMatchesTransformQueryBitForBit) {
+  const WaveletKind kind = GetParam();
+  const WaveletFilter& filter = WaveletFilter::Get(kind);
+  for (size_t d = 1; d <= 5; ++d) {
+    Rng rng(1300 + 10 * static_cast<uint64_t>(kind) + d);
+    for (size_t round = 0; round < 3; ++round) {
+      Schema schema = RandomSchema(d, rng);
+      WaveletStrategy strategy(schema, kind);
+      std::vector<RangeSumQuery> queries;
+      // Independent queries: each draws its own range.
+      for (size_t t = 0; t < 8; ++t) {
+        queries.push_back(RandomPolyQuery(schema, filter.max_degree(), t, rng));
+      }
+      // Shared intervals: two per dimension, combined into ranges.
+      const Range cut[2] = {RandomRange(schema, rng), RandomRange(schema, rng)};
+      for (size_t t = 0; t < 8; ++t) {
+        std::vector<Interval> ivs;
+        for (size_t i = 0; i < d; ++i) {
+          ivs.push_back(cut[(t >> (i % 3)) & 1].interval(i));
+        }
+        queries.emplace_back(
+            Range::Create(schema, ivs).value(),
+            RandomPolyQuery(schema, filter.max_degree(), t, rng).poly());
+      }
+      // Every degree on one range.
+      for (uint32_t degree = 0; degree <= filter.max_degree() + 1; ++degree) {
+        queries.emplace_back(cut[0], Polynomial::AttributePower(
+                                         d, degree % d, degree));
+      }
+      const size_t bad = queries.size() / 2;
+      queries.insert(queries.begin() + static_cast<ptrdiff_t>(bad),
+                     RangeSumQuery::Count(
+                         RandomRange(Schema::Uniform(d + 1, 8), rng)));
+
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr),
+                               &ThreadPool::Shared()}) {
+        const std::vector<Result<SparseVec>> got =
+            strategy.TransformQueries(queries, pool);
+        ASSERT_EQ(got.size(), queries.size());
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const std::string label =
+              std::string(filter.name()) + " d=" + std::to_string(d) +
+              " round " + std::to_string(round) + " query " +
+              std::to_string(i) + (pool != nullptr ? " pool" : " serial");
+          const Result<SparseVec> want = strategy.TransformQuery(queries[i]);
+          ASSERT_EQ(got[i].ok(), want.ok()) << label;
+          if (!want.ok()) {
+            EXPECT_EQ(got[i].status().code(), want.status().code()) << label;
+            continue;
+          }
+          ExpectSameEntries(*got[i], *want, label);
+        }
+        EXPECT_EQ(got[bad].status().code(), StatusCode::kInvalidArgument);
       }
     }
   }

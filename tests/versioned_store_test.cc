@@ -201,6 +201,41 @@ TEST(VersionedStoreTest, IngestsAreInvisibleUntilPublished) {
   EXPECT_EQ(pristine->Peek(key), base_value);
 }
 
+/// epoch() never runs ahead of PinVersion(): a reader that sees epoch e
+/// pins a snapshot of epoch e or later. Each publish here seals a 60,000-key
+/// overlay, which keeps the snapshot build — the window in which a publish
+/// that bumps the epoch first would show an epoch no pin serves — wide.
+TEST(VersionedStoreTest, EpochNeverRunsAheadOfThePinnedSnapshot) {
+  VersionedStore store(std::make_unique<HashStore>());
+  std::vector<SparseEntry> entries;
+  for (uint64_t key = 0; key < 60000; ++key) entries.push_back({key, 1.0});
+  store.Ingest(SparseVec::FromSorted(std::move(entries)));
+
+  constexpr uint64_t kPublishes = 20;
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  uint64_t reads = 0;
+  uint64_t ahead = 0;
+  std::thread reader([&] {
+    started.store(true);
+    while (!done.load()) {
+      const uint64_t seen = store.epoch();
+      const uint64_t pinned = store.PinVersion()->epoch();
+      ++reads;
+      ahead += seen > pinned;
+    }
+  });
+  while (!started.load()) std::this_thread::yield();
+  for (uint64_t i = 0; i < kPublishes; ++i) store.Publish();
+  done.store(true);
+  reader.join();
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(ahead, 0u) << "epoch() ran ahead of PinVersion() in " << ahead
+                       << " of " << reads << " reads";
+  EXPECT_EQ(store.epoch(), kPublishes);
+  EXPECT_EQ(store.PinVersion()->epoch(), kPublishes);
+}
+
 TEST(VersionedStoreTest, PinnedEpochIsImmuneToLaterIngestsAndMerges) {
   StreamFixture f;
   VersionedStore store(f.BuildBase());
