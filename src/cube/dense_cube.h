@@ -43,10 +43,6 @@ class DenseCube {
   std::span<double> values() { return values_; }
   std::span<const double> values() const { return values_; }
 
-  /// Hands the backing values over without copying them and leaves the
-  /// cube empty (size() == 0): a transformed cube becomes a store's array.
-  std::vector<double> TakeValues() && { return std::move(values_); }
-
   /// Sum of all cell values.
   double Total() const;
 

@@ -91,7 +91,8 @@ std::unique_ptr<CoefficientStore> PrefixSumStrategy::BuildStore(
     const DenseCube& delta) const {
   WB_CHECK(delta.schema() == schema_);
   const uint64_t cells = schema_.cell_count();
-  std::vector<double> values(cells * monomials_.size(), 0.0);
+  const uint64_t size = cells * monomials_.size();
+  auto values = std::make_unique<double[]>(size);
   for (size_t t = 0; t < monomials_.size(); ++t) {
     double* view = &values[t * cells];
     // Weighted copy: m_t(x) * Δ[x].
@@ -121,7 +122,7 @@ std::unique_ptr<CoefficientStore> PrefixSumStrategy::BuildStore(
   }
   // Note: keys are slot*cells' packed layout, i.e. slot << total_bits is
   // exactly slot * cells because cells == 1 << total_bits.
-  return std::make_unique<DenseStore>(std::move(values));
+  return std::make_unique<DenseStore>(std::move(values), size);
 }
 
 Result<SparseVec> PrefixSumStrategy::TransformUpdate(const Tuple& tuple,

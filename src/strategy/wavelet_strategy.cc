@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "storage/dense_store.h"
@@ -194,9 +195,10 @@ std::vector<Result<SparseVec>> WaveletStrategy::TransformQueries(
 std::unique_ptr<CoefficientStore> WaveletStrategy::BuildStore(
     const DenseCube& delta) const {
   WB_CHECK(delta.schema() == schema_);
-  DenseCube transformed = delta;
-  ForwardDwtNd(transformed, filter_);
-  return std::make_unique<DenseStore>(std::move(transformed).TakeValues());
+  const uint64_t cells = delta.size();
+  auto values = std::make_unique_for_overwrite<double[]>(cells);
+  ForwardDwtNd(delta, {values.get(), cells}, filter_);
+  return std::make_unique<DenseStore>(std::move(values), cells);
 }
 
 Result<SparseVec> WaveletStrategy::TransformUpdate(const Tuple& tuple,

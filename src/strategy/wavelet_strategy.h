@@ -32,10 +32,11 @@ class WaveletStrategy : public LinearStrategy {
       std::span<const RangeSumQuery> queries,
       ThreadPool* pool) const override;
 
-  /// Dense build: copies Δ, transforms the copy in place with the tiled,
-  /// parallel ForwardDwtNd and moves its values into a DenseStore
-  /// (array-based storage; exact, memory ∝ domain cells). Two copies of the
-  /// view are live at the peak: the caller's Δ and the store's array.
+  /// Dense build: the tiled, parallel ForwardDwtNd reads Δ and writes the
+  /// view into a fresh, uninitialised array, which becomes the DenseStore's
+  /// (array-based storage; exact, memory ∝ domain cells). Δ is never
+  /// copied. Two copies of the view are live at the peak: the caller's Δ
+  /// and the store's array.
   std::unique_ptr<CoefficientStore> BuildStore(
       const DenseCube& delta) const override;
 

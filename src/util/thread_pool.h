@@ -16,9 +16,10 @@ namespace wavebatch {
 /// A fixed-size worker pool with a FIFO task queue. Used for plan builds
 /// (a batch's query rewrites, one query per chunk, the master-list merge,
 /// importances and large biggest-B sorts), the view build's axis passes
-/// and bulk K passes. Deliberately minimal: no futures, no work stealing —
-/// callers that need completion tracking use ParallelFor, which is the only
-/// blocking primitive.
+/// (the first writes, and so first-touches, the store's fresh array from
+/// the workers) and bulk K passes. Deliberately minimal: no futures, no
+/// work stealing — callers that need completion tracking use ParallelFor,
+/// which is the only blocking primitive.
 ///
 /// All scheduling here is *deterministic in results*: ParallelFor
 /// partitions an index range into fixed chunks and each chunk writes only

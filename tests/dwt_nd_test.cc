@@ -1,5 +1,6 @@
 #include "wavelet/dwt_nd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -59,7 +60,8 @@ bool SameBits(const DenseCube& a, const DenseCube& b) {
 }
 
 // Checks ForwardDwtNd and InverseDwtNd, each on its own copy of a random
-// cube over `schema`, against LineByLine.
+// cube over `schema`, against LineByLine; then the out-of-place
+// ForwardDwtNd.
 void ExpectTiledMatchesLineByLine(const Schema& schema,
                                   const WaveletFilter& filter) {
   const DenseCube cube = RandomCube(schema, 31);
@@ -76,6 +78,18 @@ void ExpectTiledMatchesLineByLine(const Schema& schema,
         << (forward ? "forward" : "inverse") << " over " << schema.cell_count()
         << " cells, " << schema.num_dims() << " dims";
   }
+  // The destination starts as NaN, so a cell no pass writes differs; the
+  // source must keep its bits.
+  DenseCube reference = cube;
+  LineByLine(reference, filter, /*forward=*/true);
+  DenseCube source = cube;
+  DenseCube out(schema);
+  std::fill(out.values().begin(), out.values().end(), std::nan(""));
+  ForwardDwtNd(source, out.values(), filter);
+  EXPECT_TRUE(SameBits(out, reference))
+      << "out of place over " << schema.cell_count() << " cells, "
+      << schema.num_dims() << " dims";
+  EXPECT_TRUE(SameBits(source, cube)) << "source written";
 }
 
 class DwtNdTest : public ::testing::TestWithParam<WaveletKind> {
@@ -161,10 +175,11 @@ TEST_P(DwtNdTest, ConstantCubeSingleCoefficient) {
 
 TEST_P(DwtNdTest, TiledPassesMatchLineByLineBitForBit) {
   // d = 1..5. Size-2 axes are the smallest a Schema allows (it rejects
-  // size 1). Axes whose stride is below the 8-line tile (1, 2 or 4) take
-  // the single-line path; a stride of exactly 8 is one tile wide; the
-  // 8192-long axis is 8 * 8192 = kDwtChunkCells cells per tile, so each
-  // of its two tiles is a chunk of its own.
+  // size 1). Axes whose stride is below the 8-line tile (1, 2 or 4) are
+  // transposed into it; axes of fewer than 8 lines (every axis of {2},
+  // {64} and {4, 2}) pad it; a stride of exactly 8 is one tile wide; the
+  // 8192-long axis is 8 * 8192 = kDwtChunkCells cells per tile, so each of
+  // its two tiles is a chunk of its own.
   const std::vector<std::vector<uint32_t>> shapes = {
       {2},          {64},         {2, 2},          {4, 2},
       {2, 16},      {16, 4},      {8192, 16},      {8, 2, 2},
