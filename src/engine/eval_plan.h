@@ -72,7 +72,6 @@ class EvalPlan {
       BuildParallelism parallelism = BuildParallelism::kParallel);
 
   const MasterList& list() const { return *list_; }
-  std::shared_ptr<const MasterList> shared_list() const { return list_; }
   /// Null for exact-only plans.
   const PenaltyFunction* penalty() const { return penalty_.get(); }
 

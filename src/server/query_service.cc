@@ -18,15 +18,28 @@ constexpr size_t kTimelineCapacity = 256;
 /// Completed-request timelines retained for /tracez (FIFO).
 constexpr size_t kRecentTimelines = 64;
 
-/// The store's current version: its PinVersion(), or the store itself when
-/// it is its own snapshot.
-std::shared_ptr<const CoefficientStore> CurrentVersion(
-    const std::shared_ptr<const CoefficientStore>& store) {
-  std::shared_ptr<const CoefficientStore> pinned = store->PinVersion();
-  return pinned != nullptr ? pinned : store;
-}
-
 }  // namespace
+
+QueryService::Record::Record(QueryRequest r, ResponseCallback d)
+    : request(std::move(r)),
+      done(std::move(d)),
+      submitted_at(std::chrono::steady_clock::now()),
+      deadline_at(request.deadline.count() > 0
+                      ? submitted_at + request.deadline
+                      : kNoDeadline),
+      // Only a request that can stop early (a target or a deadline) gains
+      // from biggest-B; an exact request reads its master list in key
+      // order, the paper's exact batch evaluation, which walks the plan's
+      // CSR image and the store sequentially.
+      progressive(request.penalty != nullptr &&
+                  (request.target_bound > 0.0 ||
+                   request.deadline.count() > 0)),
+      timeline(kTimelineCapacity) {
+  if (telemetry::Enabled()) {
+    trace.trace_id = telemetry::NewTraceId();
+    trace.request_id = trace.trace_id;
+  }
+}
 
 QueryService::QueryService(std::shared_ptr<const CoefficientStore> store,
                            std::shared_ptr<const LinearStrategy> strategy,
@@ -45,7 +58,7 @@ QueryService::QueryService(std::shared_ptr<const CoefficientStore> store,
   auto& registry = telemetry::MetricsRegistry::Default();
   queue_depth_gauge_ =
       registry.GetGauge("wavebatch_server_admission_queue_depth", {},
-                       "Requests admitted but not yet live.");
+                       "Requests accepted by Submit() and not yet admitted.");
   live_sessions_gauge_ =
       registry.GetGauge("wavebatch_server_live_sessions", {},
                        "Progressive sessions currently being served.");
@@ -53,55 +66,47 @@ QueryService::QueryService(std::shared_ptr<const CoefficientStore> store,
                                   "Requests offered to Submit().");
   sheds_ = registry.GetCounter("wavebatch_server_sheds_total", {},
                                "Requests shed by admission backpressure.");
-  completed_ = registry.GetCounter("wavebatch_server_completed_total", {},
-                                   "Requests completed (exact, bound met, "
-                                   "or deadline-expired).");
+  completed_ = registry.GetCounter(
+      "wavebatch_server_completed_total", {},
+      "Requests answered, one per request Submit accepted, whatever the "
+      "status (exact, bound met, deadline-expired, failed, shut down).");
   deadline_expired_ =
       registry.GetCounter("wavebatch_server_deadline_expired_total", {},
                           "Requests completed approximate at their deadline.");
-  failed_ = registry.GetCounter("wavebatch_server_failed_total", {},
-                                "Requests completed with a non-OK status.");
+  failed_ = registry.GetCounter(
+      "wavebatch_server_failed_total", {},
+      "Answered requests whose status is not OK (each also counts as "
+      "completed).");
   latency_us_ =
       registry.GetHistogram("wavebatch_server_request_latency_us", {},
-                            "Admission-to-completion latency, microseconds.");
+                            "Submit-to-completion latency, microseconds.");
 }
 
 QueryService::~QueryService() {
   Stop();
-  // Fail everything still queued or live — every admitted request gets its
-  // callback exactly once.
+  // Answer everything still live or queued — every request Submit accepted
+  // gets its callback exactly once. A queued record joins live_ without a
+  // session, so FinalizeLocked answers it like any other.
   std::vector<std::function<void()>> callbacks;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto now = std::chrono::steady_clock::now();
-    for (Pending& p : pending_) {
-      QueryResponse response;
-      response.status = Status::Unavailable("query service shut down");
-      response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
-          now - p.admitted_at);
-      callbacks.push_back(
-          [done = std::move(p.done), r = std::move(response)]() mutable {
-            done(std::move(r));
-          });
+    for (; !pending_.empty(); pending_.pop_front()) {
+      live_.push_back(std::move(pending_.front()));
     }
-    pending_.clear();
     queue_depth_gauge_->Set(0.0);
     while (!live_.empty()) {
       callbacks.push_back(FinalizeLocked(
-          live_.size() - 1, Status::Unavailable("query service shut down"),
+          0, Status::Unavailable("query service shut down"),
           /*deadline_expired=*/false, now));
     }
   }
   for (auto& cb : callbacks) cb();
 }
 
-uint64_t QueryService::epoch() const {
-  return CurrentVersion(root_store_)->epoch();
-}
+uint64_t QueryService::epoch() const { return root_store_->epoch(); }
 
-double QueryService::k_sum_abs() const {
-  return CurrentVersion(root_store_)->SumAbs();
-}
+double QueryService::k_sum_abs() const { return root_store_->SumAbs(); }
 
 std::vector<QueryService::TimelineRecord> QueryService::RecentTimelines()
     const {
@@ -132,13 +137,10 @@ size_t QueryService::live_sessions() const {
 Status QueryService::Submit(QueryRequest request, ResponseCallback done) {
   WB_CHECK(done != nullptr);
   requests_->Add();
-  // Mint the trace identity before taking the lock: NewTraceId() is one
-  // relaxed atomic increment, and shed requests simply never use theirs.
-  telemetry::TraceContext trace;
-  if (telemetry::Enabled()) {
-    trace.trace_id = telemetry::NewTraceId();
-    trace.request_id = trace.trace_id;
-  }
+  // Build the record before taking the lock: minting its trace ids is one
+  // relaxed atomic increment, and a shed request simply drops its record.
+  auto record = std::make_unique<Record>(std::move(request), std::move(done));
+  const telemetry::TraceContext trace = record->trace;
   size_t depth_after = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -147,8 +149,7 @@ Status QueryService::Submit(QueryRequest request, ResponseCallback done) {
       ++local_sheds_;
       return Status::Unavailable("admission queue full");
     }
-    pending_.push_back(Pending{std::move(request), std::move(done),
-                               std::chrono::steady_clock::now(), trace});
+    pending_.push_back(std::move(record));
     depth_after = pending_.size();
     queue_depth_gauge_->Set(static_cast<double>(depth_after));
   }
@@ -167,35 +168,15 @@ Status QueryService::Submit(QueryRequest request, ResponseCallback done) {
   return Status::OK();
 }
 
-std::vector<QueryService::Active*> QueryService::AdmitLocked() {
-  std::vector<Active*> admitted;
+std::vector<QueryService::Record*> QueryService::AdmitLocked() {
+  std::vector<Record*> admitted;
   while (!pending_.empty() && live_.size() < options_.max_live_sessions) {
-    Pending pending = std::move(pending_.front());
-    pending_.erase(pending_.begin());
-
-    auto active = std::make_unique<Active>(std::move(pending.request),
-                                           std::move(pending.done));
-    active->admitted_at = pending.admitted_at;
-    active->deadline_at =
-        active->request.deadline.count() > 0
-            ? pending.admitted_at + active->request.deadline
-            : kNoDeadline;
-    active->quantum = active->request.quantum > 0 ? active->request.quantum
-                                                  : options_.default_quantum;
-    // Only a request that can stop early (a target or a deadline) gains
-    // from biggest-B; an exact request reads its master list in key order,
-    // the paper's exact batch evaluation, which walks the plan's CSR image
-    // and the store sequentially.
-    active->progressive = active->request.penalty != nullptr &&
-                          (active->request.target_bound > 0.0 ||
-                           active->request.deadline.count() > 0);
-    active->trace = pending.trace;
-    active->timeline = telemetry::ConvergenceTimeline(kTimelineCapacity);
     // A placeholder until PrepareAdmitted gives it a session: it holds its
     // live slot, and busy keeps every other thread off it.
-    active->busy = true;
-    admitted.push_back(active.get());
-    live_.push_back(std::move(active));
+    pending_.front()->busy = true;
+    admitted.push_back(pending_.front().get());
+    live_.push_back(std::move(pending_.front()));
+    pending_.pop_front();
   }
   if (!admitted.empty()) {
     queue_depth_gauge_->Set(static_cast<double>(pending_.size()));
@@ -204,78 +185,45 @@ std::vector<QueryService::Active*> QueryService::AdmitLocked() {
   return admitted;
 }
 
-void QueryService::PrepareAdmitted(const std::vector<Active*>& admitted) {
-  for (Active* active : admitted) {
+void QueryService::PrepareAdmitted(const std::vector<Record*>& admitted) {
+  for (Record* record : admitted) {
     // Plans are store-free (a transform of the queries alone), so one
     // cached plan serves every epoch. The lookup (and any build it
     // triggers) runs under the request's trace so plan_build /
     // plan_cache_lookup spans attribute to it.
     std::optional<telemetry::ScopedTraceContext> trace_guard;
-    if (active->trace.active()) trace_guard.emplace(active->trace);
+    if (record->trace.active()) trace_guard.emplace(record->trace);
     Result<std::shared_ptr<const EvalPlan>> plan = plan_cache_->GetOrBuild(
-        active->request.batch, *strategy_, active->request.penalty);
+        record->request.batch, *strategy_, record->request.penalty);
     if (!plan.ok()) {
-      active->failure = plan.status();
+      record->failure = plan.status();
       continue;
     }
     EvalSession::Options session_options;
-    session_options.order = active->progressive ? ProgressionOrder::kBiggestB
+    session_options.order = record->progressive ? ProgressionOrder::kBiggestB
                                                 : ProgressionOrder::kKeyOrder;
-    session_options.fault_policy = active->request.fault_policy;
-    active->session = std::make_unique<EvalSession>(
+    session_options.fault_policy = record->request.fault_policy;
+    record->session = std::make_unique<EvalSession>(
         std::move(plan).value(), root_store_, session_options);
-    // The session pinned the store's current version; K and the epoch are
-    // that version's.
-    active->k_sum_abs = active->session->store().SumAbs();
-    active->epoch = active->session->store().epoch();
+    // The session pinned the store's current version; K is that version's.
+    record->k_sum_abs = record->session->store().SumAbs();
   }
 }
 
-void QueryService::FinishAdmissionLocked(
-    const std::vector<Active*>& admitted,
-    std::vector<std::function<void()>>* finished) {
-  const auto now = std::chrono::steady_clock::now();
-  for (Active* active : admitted) {
-    if (active->session != nullptr) {
-      active->busy = false;
-      continue;
-    }
-    // The plan build failed: the request completes here, with its status.
-    auto it = std::find_if(live_.begin(), live_.end(), [active](const auto& a) {
-      return a.get() == active;
-    });
-    WB_CHECK(it != live_.end());  // only this thread removes a placeholder
-    std::unique_ptr<Active> failed = std::move(*it);
-    live_.erase(it);
-    QueryResponse response;
-    response.status = failed->failure;
-    response.request_id = failed->trace.request_id;
-    response.trace_id = failed->trace.trace_id;
-    response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
-        now - failed->admitted_at);
-    failed_->Add();
-    finished->push_back(
-        [done = std::move(failed->done), r = std::move(response)]() mutable {
-          done(std::move(r));
-        });
-  }
-  live_sessions_gauge_->Set(static_cast<double>(live_.size()));
-}
-
-bool QueryService::TargetMetLocked(const Active& active) const {
-  return active.request.target_bound > 0.0 &&
-         active.session->plan().HasImportance() &&
-         active.session->WorstCaseBound(active.k_sum_abs) <=
-             active.request.target_bound;
+bool QueryService::TargetMetLocked(const Record& record) const {
+  return record.request.target_bound > 0.0 &&
+         record.session->plan().HasImportance() &&
+         record.session->WorstCaseBound(record.k_sum_abs) <=
+             record.request.target_bound;
 }
 
 bool QueryService::IsFinishedLocked(
-    const Active& active, std::chrono::steady_clock::time_point now) const {
-  return active.failed || active.session->Done() ||
-         now >= active.deadline_at || TargetMetLocked(active);
+    const Record& record, std::chrono::steady_clock::time_point now) const {
+  return !record.failure.ok() || record.session->Done() ||
+         now >= record.deadline_at || TargetMetLocked(record);
 }
 
-QueryService::Active* QueryService::PickLocked(
+QueryService::Record* QueryService::PickLocked(
     std::chrono::steady_clock::time_point now) {
   // Least deadline slack first; among equals, the session whose next
   // quantum buys the most Theorem-1 bound reduction per retrieval (its next
@@ -284,22 +232,22 @@ QueryService::Active* QueryService::PickLocked(
   // answers only when it is done, so its marginal is 0: it ranks below
   // every progressive one, and exact requests run in admission order (ties
   // keep the first live session).
-  Active* best = nullptr;
+  Record* best = nullptr;
   double best_slack = 0.0;
   double best_marginal = 0.0;
-  for (auto& active : live_) {
-    if (active->busy || IsFinishedLocked(*active, now)) continue;
+  for (auto& record : live_) {
+    if (record->busy || IsFinishedLocked(*record, now)) continue;
     const double slack =
-        active->deadline_at == kNoDeadline
+        record->deadline_at == kNoDeadline
             ? std::numeric_limits<double>::infinity()
             : std::chrono::duration_cast<std::chrono::duration<double>>(
-                  active->deadline_at - now)
+                  record->deadline_at - now)
                   .count();
     const double marginal =
-        active->progressive ? active->session->NextImportance() : 0.0;
+        record->progressive ? record->session->NextImportance() : 0.0;
     if (best == nullptr || slack < best_slack ||
         (slack == best_slack && marginal > best_marginal)) {
-      best = active.get();
+      best = record.get();
       best_slack = slack;
       best_marginal = marginal;
     }
@@ -307,93 +255,96 @@ QueryService::Active* QueryService::PickLocked(
   return best;
 }
 
-void QueryService::SampleTimeline(Active& active, bool force) const {
+void QueryService::SampleTimeline(Record& record, bool force) const {
+  const EvalSession& session = *record.session;
   telemetry::TimelinePoint point;
-  point.steps = active.session->StepsTaken();
-  point.retrievals = active.session->io().retrievals;
-  const std::vector<double>& estimates = active.session->Estimates();
+  point.steps = session.StepsTaken();
+  point.retrievals = session.io().retrievals;
+  const std::vector<double>& estimates = session.Estimates();
   point.estimate = estimates.empty() ? 0.0 : estimates[0];
-  if (active.session->plan().HasImportance()) {
-    point.bound = active.session->WorstCaseBound(active.k_sum_abs);
+  if (session.plan().HasImportance()) {
+    point.bound = session.WorstCaseBound(record.k_sum_abs);
   }
-  point.skipped_importance = active.session->SkippedImportance();
+  point.skipped_importance = session.SkippedImportance();
   point.elapsed_us =
       std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
-          std::chrono::steady_clock::now() - active.admitted_at)
+          std::chrono::steady_clock::now() - record.submitted_at)
           .count();
   if (force) {
-    active.timeline.ForceSample(point);
+    record.timeline.ForceSample(point);
   } else {
-    active.timeline.Sample(point);
+    record.timeline.Sample(point);
   }
 }
 
-void QueryService::StepQuantum(Active& active) {
+void QueryService::StepQuantum(Record& record) {
   // The whole quantum runs under the request's TraceContext, so every
   // backend span it causes (store_fetch_batch) attributes to this request.
-  const bool traced = active.trace.active() && telemetry::Enabled();
+  const bool traced = record.trace.active() && telemetry::Enabled();
   std::optional<telemetry::ScopedTraceContext> trace_guard;
   std::optional<telemetry::ScopedSpan> quantum_span;
   if (traced) {
-    trace_guard.emplace(active.trace);
+    trace_guard.emplace(record.trace);
     quantum_span.emplace("request_quantum");
-    quantum_span->AddAttr("epoch", static_cast<double>(active.epoch));
+    quantum_span->AddAttr(
+        "epoch", static_cast<double>(record.session->store().epoch()));
   }
-  Result<size_t> stepped = active.session->StepBatch(active.quantum);
+  Result<size_t> stepped = record.session->StepBatch(options_.default_quantum);
   if (!stepped.ok()) {
     // kFail: the session is untouched and resumable, but the serving
     // contract is one answer per request — complete with the fault and the
     // progressive estimates gathered so far.
-    active.failure = stepped.status();
-    active.failed = true;
+    record.failure = stepped.status();
   }
-  if (traced) SampleTimeline(active, /*force=*/false);
+  if (traced) SampleTimeline(record, /*force=*/false);
 }
 
 std::function<void()> QueryService::FinalizeLocked(
     size_t live_index, Status status, bool deadline_expired,
     std::chrono::steady_clock::time_point now) {
-  std::unique_ptr<Active> active = std::move(live_[live_index]);
+  std::unique_ptr<Record> record = std::move(live_[live_index]);
   live_.erase(live_.begin() + static_cast<ptrdiff_t>(live_index));
   live_sessions_gauge_->Set(static_cast<double>(live_.size()));
 
-  // Close the convergence record with the request's final state — the
-  // curve's last point is the answer actually returned.
-  if (active->trace.active() && telemetry::Enabled()) {
-    SampleTimeline(*active, /*force=*/true);
-  }
-
   QueryResponse response;
   response.status = std::move(status);
-  response.estimates = active->session->Estimates();
-  response.steps_taken = active->session->StepsTaken();
-  response.total_steps = active->session->TotalSteps();
-  response.skipped_coefficients = active->session->SkippedCoefficients();
-  response.io = active->session->io();
-  response.exact = active->session->Done() &&
-                   active->session->SkippedCoefficients() == 0;
   response.deadline_expired = deadline_expired;
-  response.epoch = active->epoch;
-  if (active->session->plan().HasImportance()) {
-    response.worst_case_bound =
-        active->session->WorstCaseBound(active->k_sum_abs);
-  }
   response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
-      now - active->admitted_at);
-  response.request_id = active->trace.request_id;
-  response.trace_id = active->trace.trace_id;
+      now - record->submitted_at);
+  response.request_id = record->trace.request_id;
+  response.trace_id = record->trace.trace_id;
+  // A request queued at shutdown or whose plan build failed has no session
+  // and answers with its status alone.
+  if (const EvalSession* session = record->session.get()) {
+    // Close the convergence record with the request's final state — the
+    // curve's last point is the answer actually returned.
+    if (record->trace.active() && telemetry::Enabled()) {
+      SampleTimeline(*record, /*force=*/true);
+    }
+    response.estimates = session->Estimates();
+    response.steps_taken = session->StepsTaken();
+    response.total_steps = session->TotalSteps();
+    response.skipped_coefficients = session->SkippedCoefficients();
+    response.io = session->io();
+    response.exact =
+        session->Done() && session->SkippedCoefficients() == 0;
+    response.epoch = session->store().epoch();
+    if (session->plan().HasImportance()) {
+      response.worst_case_bound = session->WorstCaseBound(record->k_sum_abs);
+    }
+  }
 
-  if (!active->timeline.empty()) {
-    TimelineRecord record;
-    record.request_id = active->trace.request_id;
-    record.trace_id = active->trace.trace_id;
-    record.epoch = active->epoch;
-    record.ok = response.status.ok();
-    record.exact = response.exact;
-    record.deadline_expired = deadline_expired;
-    record.points = active->timeline.TakePoints();
-    response.timeline = record.points;
-    recent_timelines_.push_back(std::move(record));
+  if (!record->timeline.empty()) {
+    TimelineRecord timeline;
+    timeline.request_id = response.request_id;
+    timeline.trace_id = response.trace_id;
+    timeline.epoch = response.epoch;
+    timeline.ok = response.status.ok();
+    timeline.exact = response.exact;
+    timeline.deadline_expired = deadline_expired;
+    timeline.points = record->timeline.TakePoints();
+    response.timeline = timeline.points;
+    recent_timelines_.push_back(std::move(timeline));
     while (recent_timelines_.size() > kRecentTimelines) {
       recent_timelines_.pop_front();
     }
@@ -406,7 +357,7 @@ std::function<void()> QueryService::FinalizeLocked(
   if (deadline_expired) deadline_expired_->Add();
   if (!response.status.ok()) failed_->Add();
 
-  return [done = std::move(active->done), r = std::move(response)]() mutable {
+  return [done = std::move(record->done), r = std::move(response)]() mutable {
     done(std::move(r));
   };
 }
@@ -425,29 +376,29 @@ void QueryService::ServeLoop(bool until_idle) {
     std::vector<std::function<void()>> callbacks;
     // Admission fills the free live slots with placeholders; their plans
     // and sessions are built off the lock, so other workers keep stepping
-    // and Submit keeps queueing meanwhile. A failed build frees its slot
-    // for the next pending request.
-    for (std::vector<Active*> admitted = AdmitLocked(); !admitted.empty();
+    // and Submit keeps queueing meanwhile. Once built, each is runnable,
+    // or finished with its failed build's status.
+    for (std::vector<Record*> admitted = AdmitLocked(); !admitted.empty();
          admitted = AdmitLocked()) {
       lock.unlock();
       PrepareAdmitted(admitted);
       lock.lock();
-      FinishAdmissionLocked(admitted, &callbacks);
+      for (Record* record : admitted) record->busy = false;
       cv_.notify_all();
     }
     const auto now = std::chrono::steady_clock::now();
-    // Finalize everything already complete (a deadline may expire while a
-    // session waits its turn; target bounds are met mid-stream).
+    // Finalize everything already complete (a failed plan build or fetch,
+    // a deadline that expired while the session waited its turn, a target
+    // bound met mid-stream).
     for (size_t i = live_.size(); i-- > 0;) {
-      Active& active = *live_[i];
-      if (active.busy || !IsFinishedLocked(active, now)) continue;
+      const Record& record = *live_[i];
+      if (record.busy || !IsFinishedLocked(record, now)) continue;
       // Finished for none of the other reasons: the deadline expired.
-      const bool expired = !active.failed && !active.session->Done() &&
-                           !TargetMetLocked(active);
-      callbacks.push_back(FinalizeLocked(
-          i, active.failed ? active.failure : Status::OK(), expired, now));
+      const bool expired = record.failure.ok() && !record.session->Done() &&
+                           !TargetMetLocked(record);
+      callbacks.push_back(FinalizeLocked(i, record.failure, expired, now));
     }
-    Active* picked = PickLocked(now);
+    Record* picked = PickLocked(now);
     if (picked == nullptr && callbacks.empty()) {
       // Every live session is mid-quantum on another thread, and queued
       // requests (if any) wait for their slots. Wake only when work can

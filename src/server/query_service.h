@@ -25,7 +25,7 @@ namespace wavebatch::server {
 
 /// One client request: a query batch plus how much progress it needs and by
 /// when. Every budget is optional — with none set the request runs to
-/// exactness.
+/// exactness. Every request steps by QueryServiceOptions::default_quantum.
 ///
 /// A request with a penalty and a target_bound or a deadline is
 /// *progressive*: it walks Batch-Biggest-B, so whenever it stops its answer
@@ -49,10 +49,8 @@ struct QueryRequest {
   /// penalty). 0 = run to exact.
   double target_bound = 0.0;
   /// Complete (possibly approximate, with valid progressive bounds) within
-  /// this much time of admission. Zero = no deadline.
+  /// this much time of Submit, queue wait included. Zero = no deadline.
   std::chrono::microseconds deadline{0};
-  /// Coefficients per scheduling quantum; 0 = service default.
-  size_t quantum = 0;
 };
 
 struct QueryResponse {
@@ -73,11 +71,11 @@ struct QueryResponse {
   /// version its session pinned at admission, through any decorators; 0
   /// when the store is not versioned or no session was built.
   uint64_t epoch = 0;
-  /// Admission-to-completion wall time.
+  /// Submit-to-completion wall time, queue wait included.
   std::chrono::microseconds latency{0};
-  /// Trace identity minted at Submit (0 when the request was never
-  /// admitted). Every span the service recorded for this request carries
-  /// these ids; /tracez groups by trace_id.
+  /// Trace identity minted at Submit (0 when telemetry was disabled then).
+  /// Every span the service recorded for this request carries these ids;
+  /// /tracez groups by trace_id.
   uint64_t request_id = 0;
   uint64_t trace_id = 0;
   /// Bound-convergence timeline: one point per scheduler quantum (stride-
@@ -87,9 +85,9 @@ struct QueryResponse {
   std::vector<telemetry::TimelinePoint> timeline;
 };
 
-/// Invoked exactly once per admitted request, outside the service lock (it
-/// may re-enter Submit). Requests shed at admission never get a callback —
-/// Submit's Status is the only signal.
+/// Invoked exactly once per request Submit accepted, outside the service
+/// lock (it may re-enter Submit). Requests shed by Submit never get a
+/// callback — Submit's Status is the only signal.
 using ResponseCallback = std::function<void(QueryResponse)>;
 
 struct QueryServiceOptions {
@@ -97,7 +95,8 @@ struct QueryServiceOptions {
   size_t max_queue_depth = 256;
   /// Concurrently live (admitted, stepping) sessions.
   size_t max_live_sessions = 32;
-  /// Default per-quantum coefficient count for requests with quantum == 0.
+  /// Master-list entries per scheduling quantum (one StepBatch), for every
+  /// request.
   size_t default_quantum = 256;
   /// Plan cache to use; null = a private PlanCache of default capacity.
   std::shared_ptr<PlanCache> plan_cache;
@@ -143,7 +142,7 @@ class QueryService {
   QueryService(std::shared_ptr<const CoefficientStore> store,
                std::shared_ptr<const LinearStrategy> strategy,
                QueryServiceOptions options = {});
-  /// Stops workers and fails every queued and in-flight request with
+  /// Stops workers and answers every queued and in-flight request with
   /// kUnavailable (their callbacks run, with progress so far).
   ~QueryService();
 
@@ -152,7 +151,7 @@ class QueryService {
 
   /// Admission: enqueues the request, or sheds it (kUnavailable, callback
   /// never invoked) when the admission queue is full. `done` runs exactly
-  /// once for every admitted request.
+  /// once for every request accepted here.
   Status Submit(QueryRequest request, ResponseCallback done);
 
   /// Drains the queue on the calling thread until no runnable work is left.
@@ -170,7 +169,7 @@ class QueryService {
   size_t queue_depth() const;
   size_t live_sessions() const;
   /// This instance's counts (the telemetry counters aggregate across all
-  /// services in the process).
+  /// services in the process). Every answer is one completion.
   uint64_t sheds() const;
   uint64_t completed() const;
   /// Always 0: sessions share no fetches across requests. Kept only because
@@ -179,11 +178,12 @@ class QueryService {
   uint64_t shared_hits() const { return 0; }
   uint64_t shared_misses() const { return 0; }
 
-  /// The epoch the next admission would pin: the epoch() of the store's
-  /// current version, 0 when the store is not versioned. Reads the store,
-  /// not the service, so it takes no service lock.
+  /// The epoch the next admission would pin: the store's epoch(), which a
+  /// versioned store and its decorators report for the published version
+  /// (0 when the store is not versioned). Reads the store, not the
+  /// service, so it takes no service lock.
   uint64_t epoch() const;
-  /// Theorem 1's K of the store's current version (its SumAbs()); no
+  /// Theorem 1's K of the published version: the store's SumAbs(); no
   /// service lock either.
   double k_sum_abs() const;
   const PlanCache& plan_cache() const { return *plan_cache_; }
@@ -203,39 +203,35 @@ class QueryService {
   std::vector<TimelineRecord> RecentTimelines() const;
 
  private:
-  struct Pending {
-    QueryRequest request;
-    ResponseCallback done;
-    std::chrono::steady_clock::time_point admitted_at;
-    telemetry::TraceContext trace;  // minted at Submit when telemetry is on
-  };
-
-  struct Active {
-    Active(QueryRequest r, ResponseCallback d)
-        : request(std::move(r)), done(std::move(d)) {}
+  /// One request from Submit to its callback: queued in pending_, then
+  /// live in live_ from admission until FinalizeLocked answers it.
+  struct Record {
+    /// Stamps the Submit time, derives the deadline and the served order,
+    /// and mints the trace ids when telemetry is on.
+    Record(QueryRequest r, ResponseCallback d);
 
     QueryRequest request;
     ResponseCallback done;
-    std::chrono::steady_clock::time_point admitted_at;
+    std::chrono::steady_clock::time_point submitted_at;
     std::chrono::steady_clock::time_point deadline_at;  // max() = none
-    std::unique_ptr<EvalSession> session;
     /// Has a penalty and a target or a deadline, so it may stop early: it
     /// walks biggest-B and is scheduled by its next importance. Otherwise
     /// it is an exact request, served in key order behind every progressive
     /// one.
     bool progressive = false;
+    telemetry::TraceContext trace;
+    telemetry::ConvergenceTimeline timeline;
+    /// Built at admission over the store's current version; null while
+    /// queued and after a failed plan build.
+    std::unique_ptr<EvalSession> session;
     /// Theorem 1's K of the version the session pinned.
     double k_sum_abs = 0.0;
-    uint64_t epoch = 0;  // the pinned version's epoch(), 0 if unversioned
-    size_t quantum = 0;
     /// A thread owns this request: it is building its session (a
     /// placeholder, session null) or stepping its next quantum.
     bool busy = false;
-    /// Sticky non-OK fetch status under kFail, or the failed plan build's.
+    /// The failed plan build's status, or the sticky non-OK fetch status
+    /// under kFail; a non-OK failure finishes the request.
     Status failure;
-    bool failed = false;
-    telemetry::TraceContext trace;
-    telemetry::ConvergenceTimeline timeline;
   };
 
   /// The scheduler, shared by RunUntilIdle() and the workers: admit and
@@ -248,38 +244,36 @@ class QueryService {
   /// free live slot, or some live session is not busy (it is runnable or
   /// complete). Must hold mu_.
   bool HasWorkLocked() const;
-  /// Admits pending requests while live slots allow, each as a busy
-  /// placeholder in live_ with no session yet, and returns them in
-  /// admission order. Must hold mu_.
-  std::vector<Active*> AdmitLocked();
+  /// Moves pending records into live_ while live slots allow, each as a
+  /// busy placeholder with no session yet, and returns them in admission
+  /// order. Must hold mu_.
+  std::vector<Record*> AdmitLocked();
   /// Looks up or builds each admitted request's plan and constructs its
   /// session; a failed plan build leaves the session null and its status
   /// in `failure`. Runs WITHOUT the lock: the placeholders are busy, so no
   /// other thread touches them.
-  void PrepareAdmitted(const std::vector<Active*>& admitted);
-  /// Makes the prepared placeholders runnable, and finalizes the ones
-  /// whose plan build failed into *finished. Must hold mu_.
-  void FinishAdmissionLocked(const std::vector<Active*>& admitted,
-                             std::vector<std::function<void()>>* finished);
+  void PrepareAdmitted(const std::vector<Record*>& admitted);
   /// Picks the runnable live session with (least deadline slack, highest
   /// marginal bound reduction — 0 for an exact request), the earliest
   /// admitted among equals. Null when none is runnable. Must hold mu_.
-  Active* PickLocked(std::chrono::steady_clock::time_point now);
-  /// Runs one quantum for `active` WITHOUT the lock: one StepBatch. When
+  Record* PickLocked(std::chrono::steady_clock::time_point now);
+  /// Runs one quantum for `record` WITHOUT the lock: one StepBatch. When
   /// the request is traced, the quantum runs under its TraceContext (so
   /// backend fetch spans attribute to it), records a "request_quantum"
   /// span, and samples the convergence timeline.
-  void StepQuantum(Active& active);
+  void StepQuantum(Record& record);
   /// Appends one convergence-timeline point from the session's current
   /// progress. `force` bypasses stride decimation (completion point).
-  void SampleTimeline(Active& active, bool force) const;
+  void SampleTimeline(Record& record, bool force) const;
   /// True when the request has a target bound and its Theorem-1 bound is
   /// at or under it.
-  bool TargetMetLocked(const Active& active) const;
-  /// True when the request is complete (exact, bound met, deadline, fault).
-  bool IsFinishedLocked(const Active& active,
+  bool TargetMetLocked(const Record& record) const;
+  /// True when the request is complete (failed, exact, bound met, deadline).
+  bool IsFinishedLocked(const Record& record,
                         std::chrono::steady_clock::time_point now) const;
-  /// Removes `active` from live_, builds its response, returns the callback
+  /// The one place a response is built and counted: removes the record at
+  /// `live_index` from live_, answers it with `status` and its session's
+  /// progress (if it has a session), counts it, and returns the callback
   /// invocation to run outside the lock. Must hold mu_.
   std::function<void()> FinalizeLocked(
       size_t live_index, Status status, bool deadline_expired,
@@ -294,8 +288,8 @@ class QueryService {
   std::condition_variable cv_;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
-  std::vector<Pending> pending_;
-  std::vector<std::unique_ptr<Active>> live_;
+  std::deque<std::unique_ptr<Record>> pending_;
+  std::vector<std::unique_ptr<Record>> live_;
   std::deque<TimelineRecord> recent_timelines_;
   uint64_t local_sheds_ = 0;
   uint64_t local_completed_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.h"
+#include "util/prefetch.h"
 
 namespace wavebatch {
 
@@ -55,11 +56,9 @@ Status DenseStore::DoFetchBatch(std::span<const uint64_t> keys,
   // must surface as OutOfRange at its own index, never as a wild prefetch.
   constexpr size_t kAhead = 8;
   for (size_t i = 0; i < keys.size(); ++i) {
-#if defined(__GNUC__) || defined(__clang__)
     if (i + kAhead < keys.size() && keys[i + kAhead] < capacity) {
-      __builtin_prefetch(&values[keys[i + kAhead]]);
+      WB_PREFETCH(&values[keys[i + kAhead]]);
     }
-#endif
     if (keys[i] >= capacity) {
       return KeyOutOfRange(keys[i], capacity);
     }

@@ -19,24 +19,6 @@ std::vector<Result<SparseVec>> LinearStrategy::TransformQueries(
   return out;
 }
 
-Result<double> LinearStrategy::AnswerQuery(const RangeSumQuery& query,
-                                           const CoefficientStore& store,
-                                           IoStats* io) const {
-  Result<SparseVec> coeffs = TransformQuery(query);
-  if (!coeffs.ok()) return coeffs.status();
-  std::vector<uint64_t> keys;
-  keys.reserve(coeffs->size());
-  for (const SparseEntry& e : *coeffs) keys.push_back(e.key);
-  std::vector<double> values(keys.size());
-  Status status = store.FetchBatch(keys, values, io);
-  if (!status.ok()) return status;
-  double acc = 0.0;
-  for (size_t i = 0; i < coeffs->size(); ++i) {
-    acc += (*coeffs)[i].value * values[i];
-  }
-  return acc;
-}
-
 Status LinearStrategy::InsertTuple(CoefficientStore& store, const Tuple& tuple,
                                    double count) const {
   Result<SparseVec> delta = TransformUpdate(tuple, count);

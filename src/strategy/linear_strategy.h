@@ -73,16 +73,6 @@ class LinearStrategy {
   std::unique_ptr<CoefficientStore> BuildStoreFromRelation(
       const Relation& relation) const;
 
-  /// Answers a single query exactly: rewrites it and retrieves all of its
-  /// coefficients with ONE CoefficientStore::FetchBatch — e.g. the
-  /// prefix-sum strategy's ≤2^d corner lookups become one batched probe
-  /// instead of 2^d round-trips. Costs exactly TransformQuery(query)->size()
-  /// retrievals, the strategy's single-query I/O cost, charged to `io` when
-  /// the caller provides a sink.
-  Result<double> AnswerQuery(const RangeSumQuery& query,
-                             const CoefficientStore& store,
-                             IoStats* io = nullptr) const;
-
   virtual std::string name() const = 0;
 
  protected:

@@ -35,17 +35,12 @@ void MergeRunTree(Iter first, std::vector<size_t> bounds, const Comp& comp,
                   ThreadPool* pool) {
   while (bounds.size() > 2) {
     const size_t pairs = (bounds.size() - 1) / 2;
-    auto merge_pair = [&](size_t begin, size_t end) {
+    ForRange(pool, pairs, /*grain=*/1, [&](size_t begin, size_t end) {
       for (size_t p = begin; p < end; ++p) {
         std::inplace_merge(first + bounds[2 * p], first + bounds[2 * p + 1],
                            first + bounds[2 * p + 2], comp);
       }
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(pairs, /*grain=*/1, merge_pair);
-    } else {
-      merge_pair(0, pairs);
-    }
+    });
     // Keep every other boundary (plus the tail boundary when the run count
     // was odd — that run passes through unmerged this round).
     std::vector<size_t> next;

@@ -38,12 +38,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Default chunk size for the grain-less ParallelFor overload: large
-  /// enough that one chunk amortizes an enqueue + worker wake (~µs) for
-  /// the cheap-per-index loops in this codebase (gathers, importance
-  /// evaluations), small enough to split across a handful of workers.
-  static constexpr size_t kDefaultGrain = 1024;
-
   /// Enqueues `task` for execution on some worker. Fire-and-forget; use
   /// ParallelFor when completion must be observed. A task that throws does
   /// not kill its worker: the exception is counted
@@ -78,11 +72,6 @@ class ThreadPool {
   /// blocked or `fn` dangling.
   void ParallelFor(size_t n, size_t grain,
                    const std::function<void(size_t, size_t)>& fn);
-
-  /// ParallelFor with kDefaultGrain.
-  void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& fn) {
-    ParallelFor(n, kDefaultGrain, fn);
-  }
 
   /// Process-wide shared pool (sized to the hardware), created on first
   /// use. Library code that wants "parallel if possible" without plumbing

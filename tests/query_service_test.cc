@@ -8,7 +8,8 @@
 // target-bound completion, admission backpressure (queue depth and the
 // thread-pool gauge), a writer publishing epochs under live traffic, the
 // epoch a decorated versioned plane reports, more workers than live slots,
-// and what /statusz reports.
+// one counted answer per accepted request even when its plan build fails
+// or the service shuts down, and what /statusz reports.
 
 #include "server/query_service.h"
 
@@ -825,6 +826,46 @@ TEST(QueryServiceLifecycle, DestructorFailsOutstandingRequests) {
   }
   EXPECT_EQ(calls, 1) << "every admitted request gets exactly one callback";
   EXPECT_EQ(last.status.code(), StatusCode::kUnavailable);
+  // The queued request is answered with the ids Submit minted for it.
+  EXPECT_NE(last.request_id, 0u);
+  EXPECT_EQ(last.request_id, last.trace_id);
+}
+
+/// A request whose plan build fails is answered like any other: with the
+/// build's status and the ids Submit minted, counted as a completion, and
+/// its live slot goes to the next request.
+TEST(QueryServiceLifecycle, FailedPlanBuildIsAnsweredLikeAnyRequest) {
+  ServingFixture f;
+  QueryServiceOptions options;
+  options.max_live_sessions = 1;
+  QueryService service(f.BuildView(), f.shared_strategy, options);
+
+  // A 3-d batch against the 2-d strategy: its rewrite is rejected.
+  const Schema wrong = Schema::Uniform(3, 16);
+  QueryBatch bad(wrong);
+  bad.Add(RangeSumQuery::Count(
+      Range::Create(wrong, {{0, 3}, {0, 3}, {0, 3}}).value()));
+  QueryRequest failing(std::move(bad));
+  failing.penalty = f.sse;
+  QueryRequest valid(f.MakeBatch(2));
+  valid.penalty = f.sse;
+
+  const std::vector<QueryResponse> responses =
+      Serve(service, {failing, valid});
+  const QueryResponse& failed = responses[0];
+  EXPECT_EQ(failed.status.code(), StatusCode::kInvalidArgument)
+      << failed.status;
+  EXPECT_TRUE(failed.estimates.empty());
+  EXPECT_EQ(failed.steps_taken, 0u);
+  EXPECT_FALSE(failed.exact);
+  EXPECT_NE(failed.request_id, 0u);
+
+  EXPECT_TRUE(responses[1].status.ok()) << responses[1].status;
+  EXPECT_TRUE(responses[1].exact);
+
+  EXPECT_EQ(service.live_sessions(), 0u);
+  EXPECT_EQ(service.queue_depth(), 0u);
+  EXPECT_EQ(service.completed(), 2u) << "a failed build is an answer too";
 }
 
 /// TSan stress: two workers serving, two client threads submitting, one

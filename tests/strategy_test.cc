@@ -522,55 +522,6 @@ TEST(PrefixSumStrategyTest, CountAndSumExact) {
   }
 }
 
-TEST(PrefixSumStrategyTest, AnswerQueryBatchesCornerLookups) {
-  // AnswerQuery retrieves a query's ≤2^d prefix-sum corners with one
-  // FetchBatch: exact answers at exactly TransformQuery-size retrievals.
-  Schema schema = Schema::Uniform(3, 8);
-  Relation rel = MakeUniformRelation(schema, 200, 17);
-  PrefixSumStrategy strategy(schema, {{0, 0, 0}, {1, 0, 0}});
-  auto store = strategy.BuildStore(rel.FrequencyDistribution());
-  Rng rng(31);
-  for (int t = 0; t < 20; ++t) {
-    Range range = RandomRange(schema, rng);
-    RangeSumQuery q = RangeSumQuery::Count(range);
-    IoStats io;
-    Result<double> answer = strategy.AnswerQuery(q, *store, &io);
-    ASSERT_TRUE(answer.ok()) << answer.status();
-    const double expected = q.BruteForce(rel);
-    EXPECT_NEAR(*answer, expected, 1e-6 * (1.0 + std::abs(expected)));
-    Result<SparseVec> coeffs = strategy.TransformQuery(q);
-    ASSERT_TRUE(coeffs.ok());
-    EXPECT_EQ(io.retrievals, coeffs->size());
-    EXPECT_LE(io.retrievals, 8u);  // ≤ 2^d corners
-  }
-}
-
-TEST(WaveletStrategyTest2, AnswerQueryMatchesEvaluate) {
-  Schema schema = Schema::Uniform(2, 16);
-  Relation rel = MakeUniformRelation(schema, 300, 7);
-  WaveletStrategy strategy(schema, WaveletKind::kDb4);
-  auto store = strategy.BuildStore(rel.FrequencyDistribution());
-  Rng rng(43);
-  for (int t = 0; t < 10; ++t) {
-    Range range = RandomRange(schema, rng);
-    RangeSumQuery q = RangeSumQuery::Count(range);
-    Result<double> answer = strategy.AnswerQuery(q, *store);
-    ASSERT_TRUE(answer.ok());
-    EXPECT_NEAR(*answer, Evaluate(strategy, *store, q), 1e-9);
-  }
-}
-
-TEST(PrefixSumStrategyTest, AnswerQueryPropagatesRewriteFailure) {
-  Schema schema = Schema::Uniform(2, 8);
-  PrefixSumStrategy strategy(schema, {{0, 0}});
-  auto store = strategy.BuildStore(
-      MakeUniformRelation(schema, 20, 3).FrequencyDistribution());
-  Result<double> answer = strategy.AnswerQuery(
-      RangeSumQuery::Sum(Range::All(schema), 0), *store);
-  EXPECT_FALSE(answer.ok());
-  EXPECT_EQ(answer.status().code(), StatusCode::kNotFound);
-}
-
 TEST(PrefixSumStrategyTest, QueryCostAtMostTwoToTheD) {
   Schema schema = Schema::Uniform(4, 8);
   PrefixSumStrategy strategy(schema, {{0, 0, 0, 0}});

@@ -388,37 +388,6 @@ TEST(ThreadPoolTest, ParallelForRethrowsChunkExceptionOnCaller) {
   EXPECT_EQ(sum.load(), 100u * 99u / 2u);
 }
 
-TEST(ThreadPoolTest, ParallelForDefaultGrainOverload) {
-  // The two-argument overload chunks by kDefaultGrain: a range within the
-  // default grain runs inline as one call; a larger one is split on
-  // kDefaultGrain boundaries.
-  ThreadPool pool(2);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  size_t calls = 0;
-  pool.ParallelFor(ThreadPool::kDefaultGrain, [&](size_t begin, size_t end) {
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, ThreadPool::kDefaultGrain);
-    ran_on = std::this_thread::get_id();
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1u);
-  EXPECT_EQ(ran_on, caller);
-
-  std::mutex mu;
-  std::set<std::pair<size_t, size_t>> chunks;
-  pool.ParallelFor(2 * ThreadPool::kDefaultGrain + 1,
-                   [&](size_t begin, size_t end) {
-                     std::lock_guard<std::mutex> lock(mu);
-                     chunks.insert({begin, end});
-                   });
-  const std::set<std::pair<size_t, size_t>> expected = {
-      {0, ThreadPool::kDefaultGrain},
-      {ThreadPool::kDefaultGrain, 2 * ThreadPool::kDefaultGrain},
-      {2 * ThreadPool::kDefaultGrain, 2 * ThreadPool::kDefaultGrain + 1}};
-  EXPECT_EQ(chunks, expected);
-}
-
 TEST(ParallelSortTest, MatchesSerialSortExactly) {
   // The comparator is a strict total order (values are distinct), so the
   // parallel result must equal std::sort element for element — at sizes

@@ -10,10 +10,12 @@
 //   serve mode  ./introspect_dump --serve_s=N [--port=P]
 //               starts the debug HTTP listener (port 0 = ephemeral; the
 //               bound port prints as "listening on 127.0.0.1:<port>"),
-//               serves /metrics, /statusz, /tracez for N seconds, exits 0.
+//               serves /metrics, /statusz, /tracez for N seconds.
 //
-// CI's introspection-smoke job uses serve mode to curl every endpoint and
-// dump mode to exercise the fallback.
+// Either mode exits 1 unless every request of the workload is answered OK
+// and exact. CI's introspection-smoke job uses serve mode to curl every
+// endpoint and dump mode to exercise the fallback; dump mode is also the
+// ctest test tool.introspect_dump.
 
 #include <chrono>
 #include <cstdint>
@@ -70,14 +72,14 @@ QueryBatch MakeBatch(const Schema& schema, uint64_t template_id) {
 }
 
 /// Pushes a traced workload through the service so every endpoint has real
-/// content: 8 requests over 4 templates, drained synchronously.
-void RunWorkload(QueryService& service, const Schema& schema) {
+/// content: 8 requests over 4 templates, drained synchronously. True when
+/// every request was answered OK and exact.
+bool RunWorkload(QueryService& service, const Schema& schema) {
   auto sse = std::make_shared<SsePenalty>();
   std::vector<QueryResponse> responses(8);
   for (size_t i = 0; i < responses.size(); ++i) {
     QueryRequest request(MakeBatch(schema, i % 4));
     request.penalty = sse;
-    request.quantum = 32;
     Status admitted = service.Submit(request, [&responses, i](QueryResponse r) {
       responses[i] = std::move(r);
     });
@@ -85,11 +87,15 @@ void RunWorkload(QueryService& service, const Schema& schema) {
   }
   service.RunUntilIdle();
   size_t traced = 0;
+  size_t exact = 0;
   for (const QueryResponse& r : responses) {
     if (r.trace_id != 0 && !r.timeline.empty()) ++traced;
+    if (r.status.ok() && r.exact) ++exact;
   }
-  std::cout << "workload: " << responses.size() << " requests, " << traced
+  std::cout << "workload: " << responses.size() << " requests, " << exact
+            << " answered OK and exact, " << traced
             << " traced with timelines" << std::endl;
+  return exact == responses.size();
 }
 
 bool WriteFile(const std::string& path, const std::string& content) {
@@ -137,13 +143,13 @@ int Main(int argc, char** argv) {
     }
     // The port line is the serve-mode contract: CI parses it to curl.
     std::cout << "listening on 127.0.0.1:" << http.port() << std::endl;
-    RunWorkload(service, schema);
+    const bool answered = RunWorkload(service, schema);
     std::this_thread::sleep_for(std::chrono::seconds(serve_s));
     http.Stop();
-    return 0;
+    return answered ? 0 : 1;
   }
 
-  RunWorkload(service, schema);
+  bool ok = RunWorkload(service, schema);
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
   if (ec) {
@@ -151,7 +157,6 @@ int Main(int argc, char** argv) {
               << std::endl;
     return 1;
   }
-  bool ok = true;
   ok &= WriteFile(out_dir + "/metrics.prom", telemetry::ExportPrometheus());
   ok &= WriteFile(out_dir + "/statusz.json", server::StatuszJson(service));
   ok &= WriteFile(out_dir + "/tracez.json", server::TracezJson(&service));
