@@ -65,8 +65,10 @@ int main() {
     }
   }
 
-  // Deterministic single-threaded drain; Start(n)/Stop() is the threaded
-  // equivalent for real deployments.
+  // Deterministic drain: the scheduler and every callback run on this
+  // thread, and the exact clients' quanta run side by side on the shared
+  // pool, each session stepping as it would alone. Start(n)/Stop() is the
+  // threaded equivalent for real deployments.
   service.RunUntilIdle();
 
   std::printf("%-7s %-6s %12s %12s %10s %12s\n", "client", "exact", "steps",

@@ -7,6 +7,7 @@
 
 #include "telemetry/span.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace wavebatch::server {
 
@@ -34,6 +35,7 @@ QueryService::Record::Record(QueryRequest r, ResponseCallback d)
       progressive(request.penalty != nullptr &&
                   (request.target_bound > 0.0 ||
                    request.deadline.count() > 0)),
+      in_rounds(!progressive && deadline_at == kNoDeadline),
       timeline(kTimelineCapacity) {
   if (telemetry::Enabled()) {
     trace.trace_id = telemetry::NewTraceId();
@@ -149,6 +151,8 @@ Status QueryService::Submit(QueryRequest request, ResponseCallback done) {
       ++local_sheds_;
       return Status::Unavailable("admission queue full");
     }
+    // A request that may stop early must not wait behind a round.
+    if (!record->in_rounds) preempt_generation_.fetch_add(1);
     pending_.push_back(std::move(record));
     depth_after = pending_.size();
     queue_depth_gauge_->Set(static_cast<double>(depth_after));
@@ -230,8 +234,7 @@ QueryService::Record* QueryService::PickLocked(
   // coefficient's importance — the progression is importance-sorted, so
   // the head is the quantum's densest unit of progress). An exact request
   // answers only when it is done, so its marginal is 0: it ranks below
-  // every progressive one, and exact requests run in admission order (ties
-  // keep the first live session).
+  // every progressive one (ties keep the first live session).
   Record* best = nullptr;
   double best_slack = 0.0;
   double best_marginal = 0.0;
@@ -253,6 +256,37 @@ QueryService::Record* QueryService::PickLocked(
     }
   }
   return best;
+}
+
+std::vector<QueryService::Record*> QueryService::ClaimRoundLocked(
+    std::chrono::steady_clock::time_point now) {
+  std::vector<Record*> round;
+  for (auto& record : live_) {
+    if (record->busy || !record->in_rounds || IsFinishedLocked(*record, now)) {
+      continue;
+    }
+    record->busy = true;
+    round.push_back(record.get());
+  }
+  return round;
+}
+
+void QueryService::StepRound(const std::vector<Record*>& round,
+                             uint64_t generation) {
+  // One member per chunk: a lone member runs inline on the scheduler
+  // thread, and a larger round shares the pool's workers with it. Members
+  // are independent sessions, so each steps exactly the quanta it would
+  // step alone, whichever thread runs it.
+  ThreadPool::Shared().ParallelFor(
+      round.size(), /*grain=*/1, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          Record& record = *round[i];
+          while (record.failure.ok() && !record.session->Done() &&
+                 preempt_generation_.load() == generation) {
+            StepQuantum(record);
+          }
+        }
+      });
 }
 
 void QueryService::SampleTimeline(Record& record, bool force) const {
@@ -373,7 +407,32 @@ void QueryService::RunUntilIdle() { ServeLoop(/*until_idle=*/true); }
 void QueryService::ServeLoop(bool until_idle) {
   std::unique_lock<std::mutex> lock(mu_);
   while (until_idle || !stopping_) {
+    // Answer everything already complete (a failed plan build or fetch, a
+    // deadline that expired while the session waited its turn, a target
+    // bound met mid-stream, a round's members) before admitting more, so a
+    // finished request never waits out the plan builds of requests that
+    // arrived after it. Oldest first, so answers that finish together go
+    // out in admission order.
+    const auto finished_at = std::chrono::steady_clock::now();
     std::vector<std::function<void()>> callbacks;
+    for (size_t i = 0; i < live_.size();) {
+      const Record& record = *live_[i];
+      if (record.busy || !IsFinishedLocked(record, finished_at)) {
+        ++i;
+        continue;
+      }
+      // Finished for none of the other reasons: the deadline expired.
+      const bool expired = record.failure.ok() && !record.session->Done() &&
+                           !TargetMetLocked(record);
+      callbacks.push_back(
+          FinalizeLocked(i, record.failure, expired, finished_at));
+    }
+    if (!callbacks.empty()) {
+      lock.unlock();
+      for (auto& cb : callbacks) cb();
+      lock.lock();
+      continue;
+    }
     // Admission fills the free live slots with placeholders; their plans
     // and sessions are built off the lock, so other workers keep stepping
     // and Submit keeps queueing meanwhile. Once built, each is runnable,
@@ -387,23 +446,14 @@ void QueryService::ServeLoop(bool until_idle) {
       cv_.notify_all();
     }
     const auto now = std::chrono::steady_clock::now();
-    // Finalize everything already complete (a failed plan build or fetch,
-    // a deadline that expired while the session waited its turn, a target
-    // bound met mid-stream).
-    for (size_t i = live_.size(); i-- > 0;) {
-      const Record& record = *live_[i];
-      if (record.busy || !IsFinishedLocked(record, now)) continue;
-      // Finished for none of the other reasons: the deadline expired.
-      const bool expired = record.failure.ok() && !record.session->Done() &&
-                           !TargetMetLocked(record);
-      callbacks.push_back(FinalizeLocked(i, record.failure, expired, now));
-    }
-    Record* picked = PickLocked(now);
-    if (picked == nullptr && callbacks.empty()) {
-      // Every live session is mid-quantum on another thread, and queued
-      // requests (if any) wait for their slots. Wake only when work can
-      // start: waking on a queue that has no free slot would spin here
-      // holding mu_ and starve the threads that would free one.
+    // A stopping worker starts no more work.
+    Record* picked = (until_idle || !stopping_) ? PickLocked(now) : nullptr;
+    if (picked == nullptr) {
+      // Every live session is finished (answered next pass) or mid-quantum
+      // on another thread, and queued requests (if any) wait for their
+      // slots. Wake only when work can start: waking on a queue that has
+      // no free slot would spin here holding mu_ and starve the threads
+      // that would free one.
       if (until_idle && pending_.empty() && live_.empty()) return;
       cv_.wait(lock, [this, until_idle] {
         return HasWorkLocked() ||
@@ -411,12 +461,24 @@ void QueryService::ServeLoop(bool until_idle) {
       });
       continue;
     }
-    if (picked != nullptr) picked->busy = true;
+    // A pick that may stop early steps one quantum. An `in_rounds` pick
+    // means nothing that may stop early is runnable, so it heads a round.
+    std::vector<Record*> round;
+    if (picked->in_rounds) {
+      round = ClaimRoundLocked(now);
+    } else {
+      picked->busy = true;
+    }
+    const uint64_t generation = preempt_generation_.load();
     lock.unlock();
-    for (auto& cb : callbacks) cb();
-    if (picked != nullptr) StepQuantum(*picked);
+    if (!round.empty()) {
+      StepRound(round, generation);
+    } else {
+      StepQuantum(*picked);
+    }
     lock.lock();
-    if (picked != nullptr) picked->busy = false;
+    picked->busy = false;
+    for (Record* record : round) record->busy = false;
     cv_.notify_all();
   }
 }
@@ -438,6 +500,7 @@ void QueryService::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     if (workers_.empty()) return;
     stopping_ = true;
+    preempt_generation_.fetch_add(1);
     workers.swap(workers_);
   }
   cv_.notify_all();

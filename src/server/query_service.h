@@ -1,6 +1,7 @@
 #ifndef WAVEBATCH_SERVER_QUERY_SERVICE_H_
 #define WAVEBATCH_SERVER_QUERY_SERVICE_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -113,18 +114,25 @@ struct QueryServiceOptions {
 /// deadline slack goes first; among equals, the one whose next quantum buys
 /// the largest Theorem-1 bound reduction per retrieval (NextImportance).
 /// Exact requests (see QueryRequest) answer only once every retrieval is
-/// in, so they rank below every progressive request and run first-in
-/// first-out (a worker steps the oldest one not already being stepped),
-/// each in key order.
+/// in, so they rank below every progressive request, each in key order.
 /// Requests complete when exact, when their target bound is reached, or
 /// when their deadline expires (returning the current progressive estimates
 /// and bound — the paper's contract is that partial answers are usable).
 ///
 /// Backpressure: Submit sheds when the admission queue is full.
 ///
-/// Execution: either call RunUntilIdle() on your own thread (deterministic;
-/// tests and single-tenant tools), or Start()/Stop() worker threads. Both
-/// run the same scheduler loop.
+/// Execution: either call RunUntilIdle() on your own thread (deterministic
+/// answers; tests and single-tenant tools), or Start()/Stop() worker
+/// threads. Both run the same scheduler loop. A progressive request (or an
+/// exact one with a deadline) steps one quantum per pick. When the pick is
+/// an exact request with no deadline, nothing that may stop early is
+/// runnable: the scheduler claims every such runnable request as one
+/// *round* and steps its members side by side on ThreadPool::Shared(), each
+/// until it finishes or the round is preempted (Submit accepting a request
+/// that may stop early, or Stop()); the scheduler thread then answers the
+/// round oldest first, before it admits what arrived meanwhile. Every
+/// session steps the same quanta as it would alone, so answers keep their
+/// bits.
 /// Epochs: each admitted request's EvalSession is built over the service's
 /// store and pins its current version (CoefficientStore::PinVersion) at
 /// construction, the one place an epoch is pinned. So an admission serves
@@ -154,9 +162,10 @@ class QueryService {
   /// once for every request accepted here.
   Status Submit(QueryRequest request, ResponseCallback done);
 
-  /// Drains the queue on the calling thread until no runnable work is left.
-  /// Deterministic given a deterministic store; safe alongside workers
-  /// (they just compete for quanta).
+  /// Drains the queue until no runnable work is left. The scheduler and
+  /// every callback run on the calling thread; an exact round's quanta run
+  /// on the shared pool. Answers are deterministic given a deterministic
+  /// store; safe alongside workers (they just compete for work).
   void RunUntilIdle();
 
   /// Spawns `num_threads` worker threads (>= 1). No-op when running.
@@ -219,6 +228,10 @@ class QueryService {
     /// it is an exact request, served in key order behind every progressive
     /// one.
     bool progressive = false;
+    /// Exact with no deadline, so it finishes only by reading its whole
+    /// plan or by failing: it is stepped in rounds, not one quantum per
+    /// pick.
+    bool in_rounds = false;
     telemetry::TraceContext trace;
     telemetry::ConvergenceTimeline timeline;
     /// Built at admission over the store's current version; null while
@@ -227,18 +240,21 @@ class QueryService {
     /// Theorem 1's K of the version the session pinned.
     double k_sum_abs = 0.0;
     /// A thread owns this request: it is building its session (a
-    /// placeholder, session null) or stepping its next quantum.
+    /// placeholder, session null), stepping its next quantum, or stepping
+    /// it as a member of an exact round. Under mu_, nothing but `busy`
+    /// may be read of a busy record.
     bool busy = false;
     /// The failed plan build's status, or the sticky non-OK fetch status
     /// under kFail; a non-OK failure finishes the request.
     Status failure;
   };
 
-  /// The scheduler, shared by RunUntilIdle() and the workers: admit and
-  /// build the admitted sessions outside the lock, finalize what is
-  /// complete, pick one session and run its quantum outside the lock.
-  /// With `until_idle` it returns once nothing is queued or live;
-  /// otherwise it sleeps while no work can start and returns on Stop().
+  /// The scheduler, shared by RunUntilIdle() and the workers: answer what
+  /// is complete (oldest first), admit and build the admitted sessions
+  /// outside the lock, pick a session and run its quantum, or its exact
+  /// round, outside the lock. With `until_idle` it returns once nothing is
+  /// queued or live; otherwise it sleeps while no work can start and
+  /// returns on Stop().
   void ServeLoop(bool until_idle);
   /// True when a waiting thread could start work: a queued request fits a
   /// free live slot, or some live session is not busy (it is runnable or
@@ -257,6 +273,16 @@ class QueryService {
   /// marginal bound reduction — 0 for an exact request), the earliest
   /// admitted among equals. Null when none is runnable. Must hold mu_.
   Record* PickLocked(std::chrono::steady_clock::time_point now);
+  /// Marks every runnable `in_rounds` request busy and returns them in
+  /// admission order: the round PickLocked's `in_rounds` pick heads. Must
+  /// hold mu_.
+  std::vector<Record*> ClaimRoundLocked(
+      std::chrono::steady_clock::time_point now);
+  /// Steps a round WITHOUT the lock, one member per ParallelFor chunk on
+  /// the shared pool: each member runs StepQuantum until its session is
+  /// done, a kFail fetch fails, or preempt_generation_ moves away from
+  /// `generation`.
+  void StepRound(const std::vector<Record*>& round, uint64_t generation);
   /// Runs one quantum for `record` WITHOUT the lock: one StepBatch. When
   /// the request is traced, the quantum runs under its TraceContext (so
   /// backend fetch spans attribute to it), records a "request_quantum"
@@ -287,6 +313,11 @@ class QueryService {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool stopping_ = false;
+  /// The preemption generation. It moves (under mu_) when Submit accepts a
+  /// request that is not `in_rounds` and when Stop() stops the workers; a
+  /// round stops stepping once it moves, so progressive work overtakes
+  /// exact work within one quantum and workers leave promptly.
+  std::atomic<uint64_t> preempt_generation_{0};
   std::vector<std::thread> workers_;
   std::deque<std::unique_ptr<Record>> pending_;
   std::vector<std::unique_ptr<Record>> live_;

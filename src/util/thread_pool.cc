@@ -60,8 +60,13 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::Submit(std::function<void()> task) {
   WB_CHECK(task != nullptr);
+  Enqueue(std::move(task), /*owner=*/nullptr);
+}
+
+void ThreadPool::Enqueue(std::function<void()> fn, const void* owner) {
   Task queued;
-  queued.fn = std::move(task);
+  queued.fn = std::move(fn);
+  queued.owner = owner;
   if (telemetry::Enabled()) {
     queued.ctx = telemetry::CurrentTraceContext();
   }
@@ -84,10 +89,11 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    // The gauge/counter accounting pairs with Submit()'s increment, once per
-    // dequeued task whether the task returns or throws. The gauge is for
-    // export only: each side checks Enabled() on its own, so a task that
-    // crosses a Disable/Enable toggle leaves it off by one.
+    // The gauge/counter accounting pairs with Enqueue()'s increment, once
+    // per dequeued task whether the task returns or throws (ParallelFor
+    // takes back the increments of the helpers it withdraws). The gauge is
+    // for export only: each side checks Enabled() on its own, so a task
+    // that crosses a Disable/Enable toggle leaves it off by one.
     QueueDepth().Add(-1.0);
     TasksExecuted().Add();
     // A throwing task must not take the worker thread down with it (an
@@ -161,9 +167,20 @@ void ThreadPool::ParallelFor(size_t n, size_t grain,
   for (size_t i = 0; i < helpers; ++i) {
     // The lambda copies the shared state but captures `fn` by reference:
     // safe because the caller blocks below until all chunks are done.
-    Submit([run_chunks] { run_chunks(); });
+    Enqueue([run_chunks] { run_chunks(); }, state.get());
   }
   run_chunks();
+  // Every chunk is claimed, so a helper no worker has started would only
+  // wake one to find nothing left: take it back off the queue. A helper a
+  // worker has already dequeued still runs and finds no chunk.
+  size_t withdrawn = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    withdrawn = std::erase_if(queue_, [owner = state.get()](const Task& t) {
+      return t.owner == owner;
+    });
+  }
+  QueueDepth().Add(-static_cast<double>(withdrawn));
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock,
                  [&] { return state->done.load() == num_chunks; });

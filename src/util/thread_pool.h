@@ -62,9 +62,11 @@ class ThreadPool {
   ///
   /// For larger ranges the calling thread participates (it never merely
   /// waits while work remains), so ParallelFor cannot deadlock even when
-  /// every worker is busy or the pool is tiny. Chunk boundaries depend only
-  /// on (n, grain), never on thread count — results must not depend on
-  /// which thread ran a chunk.
+  /// every worker is busy or the pool is tiny. Once every chunk is claimed,
+  /// the call withdraws the helper tasks no worker has started, so it
+  /// leaves nothing queued behind. Chunk boundaries depend only on
+  /// (n, grain), never on thread count — results must not depend on which
+  /// thread ran a chunk.
   ///
   /// If `fn` throws, every chunk still completes (later chunks run; outputs
   /// are then unspecified) and the FIRST exception is rethrown here on the
@@ -81,12 +83,16 @@ class ThreadPool {
  private:
   /// A queued task plus the trace identity of whoever submitted it (the
   /// cross-thread parent link; zero-valued when telemetry was disabled at
-  /// submit time).
+  /// submit time) and, for a ParallelFor helper, the call that owns it.
   struct Task {
     std::function<void()> fn;
     telemetry::TraceContext ctx;
+    const void* owner = nullptr;
   };
 
+  /// Submit's body; `owner` tags a ParallelFor helper so that the call can
+  /// withdraw it while it is still queued.
+  void Enqueue(std::function<void()> fn, const void* owner);
   void WorkerLoop();
 
   std::mutex mu_;

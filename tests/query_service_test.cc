@@ -9,7 +9,9 @@
 // thread-pool gauge), a writer publishing epochs under live traffic, the
 // epoch a decorated versioned plane reports, more workers than live slots,
 // one counted answer per accepted request even when its plan build fails
-// or the service shuts down, and what /statusz reports.
+// or the service shuts down, answers that finish together going out in
+// submission order, exact requests stepped together in rounds that
+// progressive work and Stop() preempt, and what /statusz reports.
 
 #include "server/query_service.h"
 
@@ -133,6 +135,83 @@ class CountingStore : public CoefficientStore {
   std::unique_ptr<CoefficientStore> inner_;
   mutable std::atomic<uint64_t> scans_{0};
   mutable std::atomic<uint64_t> keys_{0};
+};
+
+/// Forwards to an inner store and counts its DoFetchBatch calls (one per
+/// quantum), except that the first call waits until the gate opens: on
+/// Open(), or, with `open_on_another_thread`, when a call arrives from a
+/// thread other than the waiting one. The wait gives up after 10 s, so a
+/// service that never opens the gate fails a test instead of hanging it.
+class GatedStore : public CoefficientStore {
+ public:
+  GatedStore(std::unique_ptr<CoefficientStore> inner,
+             bool open_on_another_thread)
+      : inner_(std::move(inner)),
+        open_on_another_thread_(open_on_another_thread) {}
+
+  double Peek(uint64_t key) const override { return inner_->Peek(key); }
+  void Add(uint64_t key, double delta) override { inner_->Add(key, delta); }
+  uint64_t NumNonZero() const override { return inner_->NumNonZero(); }
+  double SumAbs() const override { return inner_->SumAbs(); }
+  void ForEachNonZero(
+      const std::function<void(uint64_t, double)>& fn) const override {
+    inner_->ForEachNonZero(fn);
+  }
+  std::string name() const override { return inner_->name(); }
+
+  /// Blocks until the first call is waiting at the gate (at most 10 s).
+  bool AwaitWaiting() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return waiting_; });
+  }
+  void Open() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  /// True when the first call stopped waiting because 10 s passed.
+  bool timed_out() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return timed_out_;
+  }
+  uint64_t fetch_batches() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return fetch_batches_;
+  }
+
+ protected:
+  Status DoFetchBatch(std::span<const uint64_t> keys, std::span<double> out,
+                      IoStats* io) const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++fetch_batches_;
+      const std::thread::id self = std::this_thread::get_id();
+      if (fetch_batches_ == 1) {
+        first_ = self;
+        waiting_ = true;
+        cv_.notify_all();
+        timed_out_ = !cv_.wait_for(lock, std::chrono::seconds(10),
+                                   [this] { return open_; });
+        waiting_ = false;
+      } else if (open_on_another_thread_ && self != first_) {
+        open_ = true;
+        cv_.notify_all();
+      }
+    }
+    return DelegateFetchBatch(*inner_, keys, out, io);
+  }
+
+ private:
+  std::unique_ptr<CoefficientStore> inner_;
+  const bool open_on_another_thread_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable uint64_t fetch_batches_ = 0;
+  mutable std::thread::id first_;
+  mutable bool waiting_ = false;
+  mutable bool open_ = false;
+  mutable bool timed_out_ = false;
 };
 
 std::unique_ptr<HashStore> HashCopy(const CoefficientStore& source) {
@@ -786,6 +865,169 @@ TEST(QueryServiceScheduling, ProgressiveRequestsOvertakeQueuedExactOnes) {
   }
 }
 
+/// Two exact requests (a penalty, no target, no deadline) over distinct
+/// fixture batches.
+std::vector<QueryRequest> TwoExactRequests(const ServingFixture& f) {
+  std::vector<QueryRequest> requests;
+  for (uint64_t t = 0; t < 2; ++t) {
+    QueryRequest request(f.MakeBatch(t));
+    request.penalty = f.sse;
+    requests.push_back(std::move(request));
+  }
+  return requests;
+}
+
+/// The first `count` responses are OK, exact, and bit-identical to their
+/// requests' isolated key-order sessions over `store`.
+void ExpectExactAsIsolated(const std::vector<QueryResponse>& responses,
+                           const std::vector<QueryRequest>& requests,
+                           size_t count,
+                           std::shared_ptr<const CoefficientStore> store,
+                           const ServingFixture& f, size_t quantum) {
+  for (size_t i = 0; i < count; ++i) {
+    EXPECT_TRUE(responses[i].status.ok()) << responses[i].status;
+    EXPECT_TRUE(responses[i].exact);
+    ExpectBitIdentical(responses[i],
+                       Isolated(requests[i], store, f.strategy, quantum),
+                       ("exact request " + std::to_string(i)).c_str());
+  }
+}
+
+/// Exact requests waiting together are stepped together: the first fetch
+/// waits for a fetch from another thread, which only a round stepped on
+/// the shared pool supplies (a lone stepping thread would wait out the
+/// gate's 10 s). ThreadPool::Shared() has at least one worker, so this
+/// holds on one core too.
+TEST(QueryServiceScheduling, ExactRequestsStepConcurrently) {
+  ServingFixture f;
+  auto store = std::make_shared<GatedStore>(
+      f.strategy.BuildStore(f.rel.FrequencyDistribution()),
+      /*open_on_another_thread=*/true);
+  constexpr size_t kQuantum = 8;
+  QueryServiceOptions options;
+  options.default_quantum = kQuantum;
+  QueryService service(store, f.shared_strategy, options);
+
+  const std::vector<QueryRequest> requests = TwoExactRequests(f);
+  const std::vector<QueryResponse> responses = Serve(service, requests);
+
+  EXPECT_FALSE(store->timed_out())
+      << "the first fetch waited 10 s for a second stepping thread";
+  ExpectExactAsIsolated(responses, requests, 2, store, f, kQuantum);
+}
+
+/// A progressive request submitted while a round steps preempts it within
+/// one quantum: exact request 0's round stops after its gated first
+/// quantum, the progressive request is served, and then requests 0 and 1,
+/// which arrived during the round, run as the next one.
+TEST(QueryServiceScheduling, ProgressiveRequestPreemptsARound) {
+  ServingFixture f;
+  auto store = std::make_shared<GatedStore>(
+      f.strategy.BuildStore(f.rel.FrequencyDistribution()),
+      /*open_on_another_thread=*/false);
+  constexpr size_t kQuantum = 4;
+  QueryServiceOptions options;
+  options.default_quantum = kQuantum;
+  QueryService service(store, f.shared_strategy, options);
+
+  std::vector<QueryRequest> requests = TwoExactRequests(f);
+  QueryRequest target(f.MakeBatch(2));
+  target.penalty = f.sse;
+  auto target_plan = EvalPlan::Build(target.batch, f.strategy, f.sse).value();
+  target.target_bound =
+      EvalSession(target_plan, store).WorstCaseBound(store->SumAbs()) / 2;
+  requests.push_back(std::move(target));
+
+  std::mutex mu;
+  std::vector<size_t> completion_order;
+  std::vector<QueryResponse> responses(requests.size());
+  auto submit = [&](size_t i) {
+    ASSERT_TRUE(service
+                    .Submit(requests[i],
+                            [&, i](QueryResponse r) {
+                              std::lock_guard<std::mutex> lock(mu);
+                              completion_order.push_back(i);
+                              responses[i] = std::move(r);
+                            })
+                    .ok());
+  };
+  submit(0);
+  std::thread scheduler([&] { service.RunUntilIdle(); });
+  ASSERT_TRUE(store->AwaitWaiting());
+  submit(1);
+  submit(2);
+  store->Open();
+  scheduler.join();
+
+  EXPECT_FALSE(store->timed_out());
+  EXPECT_EQ(completion_order, (std::vector<size_t>{2, 0, 1}));
+  EXPECT_TRUE(responses[2].status.ok()) << responses[2].status;
+  EXPECT_LE(responses[2].worst_case_bound, requests[2].target_bound);
+  ExpectExactAsIsolated(responses, requests, 2, store, f, kQuantum);
+}
+
+/// Stop() preempts a round: the worker leaves after the round's gated
+/// quantum instead of stepping its members to the end, and a later
+/// RunUntilIdle() finishes both requests as if never interrupted.
+TEST(QueryServiceScheduling, StopPreemptsARound) {
+  ServingFixture f;
+  auto store = std::make_shared<GatedStore>(
+      f.strategy.BuildStore(f.rel.FrequencyDistribution()),
+      /*open_on_another_thread=*/false);
+  constexpr size_t kQuantum = 4;
+  QueryServiceOptions options;
+  options.default_quantum = kQuantum;
+  QueryService service(store, f.shared_strategy, options);
+
+  const std::vector<QueryRequest> requests = TwoExactRequests(f);
+  for (const QueryRequest& request : requests) {
+    ASSERT_GT(EvalPlan::Build(request.batch, f.strategy, f.sse).value()->size(),
+              2 * kQuantum)
+        << "the gated request must need several quanta";
+  }
+  std::mutex mu;
+  size_t answered = 0;
+  std::vector<QueryResponse> responses(requests.size());
+  auto submit = [&](size_t i) {
+    ASSERT_TRUE(service
+                    .Submit(requests[i],
+                            [&, i](QueryResponse r) {
+                              std::lock_guard<std::mutex> lock(mu);
+                              responses[i] = std::move(r);
+                              ++answered;
+                            })
+                    .ok());
+  };
+  submit(0);
+  service.Start(1);
+  ASSERT_TRUE(store->AwaitWaiting());
+  submit(1);  // exact: it waits for the next round
+  std::atomic<bool> stopping{false};
+  std::thread stopper([&] {
+    stopping.store(true);
+    service.Stop();
+  });
+  while (!stopping.load()) std::this_thread::yield();
+  // Stop() moves the preemption generation as soon as it takes the
+  // uncontended service lock; give it ample time before the gated quantum
+  // returns.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  store->Open();
+  stopper.join();
+
+  EXPECT_FALSE(store->timed_out());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(answered, 0u);
+  }
+  EXPECT_EQ(store->fetch_batches(), 1u)
+      << "the round stepped on after Stop() moved the generation";
+
+  service.RunUntilIdle();
+  ASSERT_EQ(answered, requests.size());
+  ExpectExactAsIsolated(responses, requests, 2, store, f, kQuantum);
+}
+
 TEST(QueryServiceBackpressure, AdmissionQueueShedsBeyondDepth) {
   ServingFixture f;
   QueryServiceOptions options;
@@ -866,6 +1108,28 @@ TEST(QueryServiceLifecycle, FailedPlanBuildIsAnsweredLikeAnyRequest) {
   EXPECT_EQ(service.live_sessions(), 0u);
   EXPECT_EQ(service.queue_depth(), 0u);
   EXPECT_EQ(service.completed(), 2u) << "a failed build is an answer too";
+}
+
+/// Answers that finish in one finalize pass go out oldest first: three
+/// batches whose plan builds all fail are answered in submission order.
+TEST(QueryServiceLifecycle, SimultaneousAnswersKeepSubmissionOrder) {
+  ServingFixture f;
+  QueryService service(f.BuildView(), f.shared_strategy);
+  const Schema wrong = Schema::Uniform(3, 16);
+  std::vector<size_t> order;
+  for (size_t i = 0; i < 3; ++i) {
+    QueryBatch bad(wrong);
+    bad.Add(RangeSumQuery::Count(
+        Range::Create(wrong, {{0, 3}, {0, 3}, {0, 3}}).value()));
+    QueryRequest request(std::move(bad));
+    request.penalty = f.sse;
+    ASSERT_TRUE(
+        service
+            .Submit(request, [&order, i](QueryResponse) { order.push_back(i); })
+            .ok());
+  }
+  service.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2}));
 }
 
 /// TSan stress: two workers serving, two client threads submitting, one
@@ -982,6 +1246,7 @@ class LatchedStrategy : public LinearStrategy {
       cv_.notify_all();
       cv_.wait_for(lock, std::chrono::seconds(3), [this] { return released_; });
       waiting_ = false;
+      finished_ = true;
     }
     return inner_->TransformQuery(query);
   }
@@ -1012,6 +1277,11 @@ class LatchedStrategy : public LinearStrategy {
     released_ = true;
     cv_.notify_all();
   }
+  /// True once a latched TransformQuery has returned.
+  bool Finished() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return finished_;
+  }
 
  protected:
   std::unique_ptr<CoefficientStore> MakeEmptyStore() const override {
@@ -1024,6 +1294,7 @@ class LatchedStrategy : public LinearStrategy {
   mutable std::condition_variable cv_;
   mutable bool waiting_ = false;
   mutable bool released_ = false;
+  mutable bool finished_ = false;
 };
 
 /// A plan build runs off the service lock: while one worker builds an
@@ -1077,6 +1348,71 @@ TEST(QueryServiceConcurrency, CachedRequestIsServedWhileAnotherPlanBuilds) {
   }
   EXPECT_EQ(responses.front().total_steps,
             EvalPlan::Build(cached.batch, f.strategy, f.sse).value()->size());
+}
+
+/// A finished round is answered before the scheduler admits what arrived
+/// while it ran: request 1 is submitted during request 0's round, and its
+/// plan build blocks until released, so request 0's answer must not wait
+/// for that build.
+TEST(QueryServiceScheduling, FinishedRoundIsAnsweredBeforeLaterPlanBuilds) {
+  ServingFixture f;
+  auto latched = std::make_shared<LatchedStrategy>(f.shared_strategy);
+  auto store = std::make_shared<GatedStore>(
+      f.strategy.BuildStore(f.rel.FrequencyDistribution()),
+      /*open_on_another_thread=*/false);
+  QueryService service(store, latched);
+  QueryRequest first(f.MakeBatch(1));
+  first.penalty = f.sse;
+  QueryBatch slow_batch(f.schema);
+  slow_batch.Add(RangeSumQuery::Count(
+      Range::Create(f.schema, {{0, 15}, {0, 15}}).value(), "latched"));
+  QueryRequest slow(std::move(slow_batch));
+  slow.penalty = f.sse;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<QueryResponse> responses;  // in completion order
+  bool first_before_build = false;
+  ASSERT_TRUE(service
+                  .Submit(first,
+                          [&](QueryResponse r) {
+                            const bool building = !latched->Finished();
+                            std::lock_guard<std::mutex> lock(mu);
+                            first_before_build = building;
+                            responses.push_back(std::move(r));
+                            cv.notify_all();
+                          })
+                  .ok());
+  service.Start(1);
+  ASSERT_TRUE(store->AwaitWaiting());
+  ASSERT_TRUE(service
+                  .Submit(slow,
+                          [&](QueryResponse r) {
+                            std::lock_guard<std::mutex> lock(mu);
+                            responses.push_back(std::move(r));
+                            cv.notify_all();
+                          })
+                  .ok());
+  store->Open();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return !responses.empty(); }));
+  }
+  latched->Release();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return responses.size() == 2; }));
+  }
+  service.Stop();
+  EXPECT_TRUE(first_before_build)
+      << "the finished request was answered only after a later request's "
+         "plan build";
+  for (const QueryResponse& r : responses) {
+    EXPECT_TRUE(r.status.ok()) << r.status;
+    EXPECT_TRUE(r.exact);
+  }
 }
 
 // ---------------------------------------------------------------------------

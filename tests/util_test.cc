@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <future>
 #include <mutex>
 #include <set>
@@ -386,6 +387,54 @@ TEST(ThreadPoolTest, ParallelForRethrowsChunkExceptionOnCaller) {
     for (size_t i = begin; i < end; ++i) sum.fetch_add(i);
   });
   EXPECT_EQ(sum.load(), 100u * 99u / 2u);
+}
+
+TEST(ThreadPoolTest, ParallelForWithdrawsHelpersNoWorkerStarted) {
+  // With both workers parked, the caller runs every chunk itself. The
+  // helpers it enqueued must not outlive the call: queued, they would read
+  // on the queue-depth gauge after it returned, and each would later wake a
+  // worker only to find no chunk left.
+  telemetry::MetricsRegistry::Enable();
+  auto& registry = telemetry::MetricsRegistry::Default();
+  telemetry::Gauge* depth =
+      registry.GetGauge("wavebatch_thread_pool_queue_depth", {});
+  telemetry::Counter* tasks =
+      registry.GetCounter("wavebatch_thread_pool_tasks_total", {});
+  const double depth_before = depth->Value();
+  const uint64_t tasks_before = tasks->Value();
+  {
+    ThreadPool pool(2);
+    std::mutex mu;
+    std::condition_variable cv;
+    int parked = 0;
+    bool released = false;
+    for (int i = 0; i < 2; ++i) {
+      pool.Submit([&] {
+        std::unique_lock<std::mutex> lock(mu);
+        ++parked;
+        cv.notify_all();
+        cv.wait(lock, [&] { return released; });
+      });
+    }
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return parked == 2; });
+    }
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<size_t> on_caller{0};
+    pool.ParallelFor(8, /*grain=*/1, [&](size_t, size_t) {
+      if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+    });
+    EXPECT_EQ(on_caller.load(), 8u);
+    EXPECT_DOUBLE_EQ(depth->Value(), depth_before);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+  }  // the destructor joins the workers once the queue is drained
+  EXPECT_EQ(tasks->Value(), tasks_before + 2) << "only the parked tasks ran";
+  EXPECT_DOUBLE_EQ(depth->Value(), depth_before);
 }
 
 TEST(ParallelSortTest, MatchesSerialSortExactly) {
