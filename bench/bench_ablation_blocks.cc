@@ -108,9 +108,6 @@ int Main(int argc, char** argv) {
   // work, implemented): error at matched *block-read* budgets for
   // block-importance ordering vs coefficient-importance ordering.
   const uint64_t cmp_block_size = 64;
-  auto block_of = [cmp_block_size](uint64_t rank) {
-    return rank / cmp_block_size;
-  };
   double sse_norm = 0.0;
   for (double e : exp.exact) sse_norm += e * e;
   auto nsse = [&](const std::vector<double>& est) {
@@ -124,7 +121,7 @@ int Main(int argc, char** argv) {
   DenseStore block_store(packed);
   DenseStore coeff_store(packed);
   EvalSession::Options block_opts;
-  block_opts.block_of = block_of;
+  block_opts.block_size = cmp_block_size;
   EvalSession by_block(plan, UnownedStore(block_store), block_opts);
   EvalSession by_coeff(plan, UnownedStore(coeff_store));
   std::set<uint64_t> coeff_blocks_touched;
@@ -135,7 +132,7 @@ int Main(int argc, char** argv) {
     WB_CHECK_OK(by_block.StepToBlocks(block_budget));
     while (coeff_blocks_touched.size() < block_budget && !by_coeff.Done()) {
       const size_t entry = by_coeff.Step().value();
-      coeff_blocks_touched.insert(block_of(rank_list.keys()[entry]));
+      coeff_blocks_touched.insert(rank_list.keys()[entry] / cmp_block_size);
     }
     error_table.AddRow(
         {std::to_string(block_budget),

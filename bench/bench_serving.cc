@@ -144,7 +144,6 @@ int Main(int argc, char** argv) {
     if (!timeline_out.empty() && !response.timeline.empty()) {
       QueryService::TimelineRecord record;
       record.request_id = response.request_id;
-      record.trace_id = response.trace_id;
       record.epoch = response.epoch;
       record.ok = response.status.ok();
       record.exact = response.exact;

@@ -62,13 +62,12 @@ int main() {
       cache.GetOrBuild(batch, strategy, sse).value();
   (void)cache.GetOrBuild(batch, strategy, sse).value();
 
-  // While a session is alive, its progress is live telemetry: per-session
-  // gauges (steps taken, remaining importance, Theorem-1 worst-case bound,
-  // skipped importance) labeled {session="N"}. They disappear when the
-  // session is destroyed, so export while it is still in scope.
+  // One batched step: a session_step span around one store_fetch_batch
+  // span, 64 keys on wavebatch_store_keys_fetched_total and one latency
+  // observation. Every series lives for the process, so the export below
+  // holds the same series whether or not the session is still alive.
   EvalSession session(plan, store);
   session.StepBatch(64).value();
-  (void)session.WorstCaseBound(store->SumAbs());
 
   std::string prom = telemetry::ExportPrometheus();
   std::string err;

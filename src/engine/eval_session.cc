@@ -1,15 +1,11 @@
 #include "engine/eval_session.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
-#include "telemetry/metrics.h"
 #include "telemetry/span.h"
 #include "util/check.h"
 
@@ -20,41 +16,6 @@ std::shared_ptr<const CoefficientStore> UnownedStore(
   return std::shared_ptr<const CoefficientStore>(
       &store, [](const CoefficientStore*) {});
 }
-
-struct EvalSession::Telemetry {
-  telemetry::Labels labels;
-  telemetry::Gauge* steps_taken;
-  telemetry::Gauge* remaining_importance;
-  telemetry::Gauge* worst_case_bound;
-  telemetry::Gauge* skipped_importance;
-
-  explicit Telemetry(uint64_t session_id)
-      : labels{{"session", std::to_string(session_id)}} {
-    auto& registry = telemetry::MetricsRegistry::Default();
-    steps_taken = registry.GetGauge(
-        "wavebatch_session_steps_taken", labels,
-        "Coefficients consumed by this session so far.");
-    remaining_importance = registry.GetGauge(
-        "wavebatch_session_remaining_importance", labels,
-        "Importance mass of the not-yet-fetched tail (Theorem 2's sum).");
-    worst_case_bound = registry.GetGauge(
-        "wavebatch_session_worst_case_bound", labels,
-        "Theorem 1 worst-case penalty bound at the last WorstCaseBound().");
-    skipped_importance = registry.GetGauge(
-        "wavebatch_session_skipped_importance", labels,
-        "Importance mass consumed without data under FaultPolicy::kSkip.");
-  }
-
-  // The session is the sole creator of these series, so it may Remove()
-  // them: a finished session leaves no stale gauges in the export.
-  ~Telemetry() {
-    auto& registry = telemetry::MetricsRegistry::Default();
-    registry.Remove("wavebatch_session_steps_taken", labels);
-    registry.Remove("wavebatch_session_remaining_importance", labels);
-    registry.Remove("wavebatch_session_worst_case_bound", labels);
-    registry.Remove("wavebatch_session_skipped_importance", labels);
-  }
-};
 
 EvalSession::EvalSession(std::shared_ptr<const EvalPlan> plan,
                          std::shared_ptr<const CoefficientStore> store,
@@ -75,38 +36,30 @@ EvalSession::EvalSession(std::shared_ptr<const EvalPlan> plan,
     store_ = std::move(pinned);
   }
   kernel_ = plan_->kernel();
-  if (telemetry::Enabled()) {
-    static std::atomic<uint64_t> next_session_id{1};
-    telemetry_ = std::make_unique<Telemetry>(
-        next_session_id.fetch_add(1, std::memory_order_relaxed));
-  }
   estimates_.assign(plan_->num_queries(), 0.0);
   if (plan_->HasImportance()) {
     remaining_importance_ = plan_->total_importance();
   }
 
-  if (options_.block_of) {
-    // Group entries by block in first-appearance order; a block's
-    // importance is the sum of its members' (additive in Theorem 2's
-    // expected-penalty sum), accumulated in entry order.
+  if (options_.block_size != 0) {
+    // The master list ascends by key, so each block is one contiguous run
+    // of entries, found in one scan. A block's importance is the sum of its
+    // members' (additive in Theorem 2's expected-penalty sum), accumulated
+    // in entry order.
     WB_CHECK(plan_->HasImportance())
         << "block granularity needs a penalty to rank blocks";
     const MasterList& list = plan_->list();
-    std::unordered_map<uint64_t, size_t> block_index;
-    std::vector<size_t> block_of_entry(list.size());
-    std::vector<double> importance;  // per block, first-appearance order
-    std::vector<size_t> starts;      // per block: its size, then its start
+    std::vector<size_t> starts;      // per block, ascending: first entry
+    std::vector<double> importance;  // per block
     for (size_t i = 0; i < list.size(); ++i) {
-      auto [it, inserted] = block_index.try_emplace(
-          options_.block_of(list.keys()[i]), importance.size());
-      if (inserted) {
+      const uint64_t block = list.keys()[i] / options_.block_size;
+      if (i == 0 || block != list.keys()[i - 1] / options_.block_size) {
+        starts.push_back(i);
         importance.push_back(0.0);
-        starts.push_back(0);
       }
-      block_of_entry[i] = it->second;
-      importance[it->second] += plan_->importance(i);
-      ++starts[it->second];
+      importance.back() += plan_->importance(i);
     }
+    starts.push_back(list.size());
     // A max-heap of (importance, index) pops in descending pair order;
     // sorting the distinct pairs descending reproduces that sequence.
     std::vector<size_t> order(importance.size());
@@ -116,18 +69,14 @@ EvalSession::EvalSession(std::shared_ptr<const EvalPlan> plan,
              std::make_pair(importance[b], b);
     });
     // Lay the blocks out in that order, each block's entries contiguous and
-    // ascending (a counting sort by block rank).
-    size_t end = 0;
+    // ascending.
+    owned_permutation_.reserve(list.size());
     for (size_t b : order) {
-      const size_t size = starts[b];
-      starts[b] = end;
-      end += size;
-      block_ends_.push_back(end);
+      for (size_t i = starts[b]; i < starts[b + 1]; ++i) {
+        owned_permutation_.push_back(i);
+      }
+      block_ends_.push_back(owned_permutation_.size());
       block_importance_.push_back(importance[b]);
-    }
-    owned_permutation_.resize(list.size());
-    for (size_t i = 0; i < list.size(); ++i) {
-      owned_permutation_[starts[block_of_entry[i]]++] = i;
     }
     permutation_ = owned_permutation_;
   } else if (options_.order == ProgressionOrder::kRandom) {
@@ -143,24 +92,13 @@ EvalSession::EvalSession(std::shared_ptr<const EvalPlan> plan,
   } else {
     permutation_ = plan_->Permutation(options_.order);
   }
-  UpdateTelemetry();
-}
-
-EvalSession::~EvalSession() = default;
-EvalSession::EvalSession(EvalSession&&) noexcept = default;
-EvalSession& EvalSession::operator=(EvalSession&&) noexcept = default;
-
-void EvalSession::UpdateTelemetry() {
-  if (telemetry_ == nullptr || !telemetry::Enabled()) return;
-  telemetry_->steps_taken->Set(static_cast<double>(steps_taken_));
-  telemetry_->remaining_importance->Set(remaining_importance_);
-  telemetry_->skipped_importance->Set(skipped_importance_);
 }
 
 bool EvalSession::Done() const { return steps_taken_ == TotalSteps(); }
 
 Result<size_t> EvalSession::Step() {
-  WB_CHECK(!options_.block_of) << "Step() on a block-granularity session";
+  WB_CHECK(options_.block_size == 0)
+      << "Step() on a block-granularity session";
   WB_CHECK(!Done()) << "Step() after completion";
   const size_t entry_idx = permutation_[steps_taken_];
   Status status = StepEntries(1);
@@ -169,7 +107,8 @@ Result<size_t> EvalSession::Step() {
 }
 
 Result<size_t> EvalSession::StepBatch(size_t n) {
-  WB_CHECK(!options_.block_of) << "StepBatch() on a block-granularity session";
+  WB_CHECK(options_.block_size == 0)
+      << "StepBatch() on a block-granularity session";
   n = std::min<size_t>(n, TotalSteps() - StepsTaken());
   Status status = StepEntries(n);
   if (!status.ok()) return status;
@@ -216,7 +155,6 @@ Status EvalSession::StepEntries(size_t n) {
       kernel_.ApplyOrderedSlice(&entry_idx, 1, &*value, estimates_.data(),
                                 &remaining_importance_);
     }
-    UpdateTelemetry();
     return Status::OK();
   }
   steps_taken_ += n;
@@ -224,12 +162,11 @@ Status EvalSession::StepEntries(size_t n) {
   // accumulation sequence n one-entry steps would produce.
   kernel_.ApplyOrderedSlice(order, n, batch_values_.data(), estimates_.data(),
                             &remaining_importance_);
-  UpdateTelemetry();
   return Status::OK();
 }
 
 Status EvalSession::RunToExact() {
-  if (options_.block_of) {
+  if (options_.block_size != 0) {
     while (!Done()) {
       Result<size_t> block = StepBlock();
       if (!block.ok()) return block.status();
@@ -246,7 +183,8 @@ Status EvalSession::RunToExact() {
 }
 
 Result<size_t> EvalSession::StepBlock() {
-  WB_CHECK(options_.block_of) << "StepBlock() on a coefficient session";
+  WB_CHECK(options_.block_size != 0)
+      << "StepBlock() on a coefficient session";
   WB_CHECK(!Done()) << "StepBlock() after completion";
   // One batched fetch per block — on a BlockStore backend this touches the
   // underlying block exactly once, matching the simulated cost model.
@@ -272,7 +210,7 @@ double EvalSession::NextBlockImportance() const {
 double EvalSession::NextImportance() const {
   WB_CHECK(plan_->HasImportance());
   if (Done()) return 0.0;
-  if (options_.block_of) return NextBlockImportance();
+  if (options_.block_size != 0) return NextBlockImportance();
   return plan_->importance(permutation_[steps_taken_]);
 }
 
@@ -282,7 +220,8 @@ double EvalSession::UnreadMaxImportance() const {
   // (a block's total bounds each member's), so there the next unit is the
   // unread max. Other orders read it from a suffix max along their
   // permutation.
-  if (options_.block_of || options_.order == ProgressionOrder::kBiggestB) {
+  if (options_.block_size != 0 ||
+      options_.order == ProgressionOrder::kBiggestB) {
     return NextImportance();
   }
   if (options_.order == ProgressionOrder::kRandom) {
@@ -300,12 +239,8 @@ double EvalSession::WorstCaseBound(double k_sum_abs) const {
   // magnitude exactly like one we have not read yet, but it never leaves
   // the unknown set.
   const double alpha = plan_->penalty()->HomogeneityDegree();
-  const double bound = std::pow(k_sum_abs, alpha) *
-                       (UnreadMaxImportance() + skipped_importance_);
-  if (telemetry_ != nullptr && telemetry::Enabled()) {
-    telemetry_->worst_case_bound->Set(bound);
-  }
-  return bound;
+  return std::pow(k_sum_abs, alpha) *
+         (UnreadMaxImportance() + skipped_importance_);
 }
 
 double EvalSession::ExpectedPenalty(uint64_t domain_cells) const {

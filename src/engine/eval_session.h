@@ -2,7 +2,6 @@
 #define WAVEBATCH_ENGINE_EVAL_SESSION_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -50,7 +49,7 @@ enum class FaultPolicy {
 ///   exact shared       — {kKeyOrder} + RunToExact()
 ///   progressive        — {kBiggestB} + Step()/StepBatch() to taste
 ///   ablation orders    — {kRoundRobin / kRandom / kKeyOrder}
-///   block-granularity  — Options::block_of set + StepBlock()
+///   block-granularity  — Options::block_size set + StepBlock()
 ///   bounded workspace  — engine/bounded.h groups queries into sessions
 /// Their estimates, bounds, and I/O counts are pinned bit for bit by the
 /// frozen fixture in tests/golden/.
@@ -58,11 +57,13 @@ struct EvalSessionOptions {
   ProgressionOrder order = ProgressionOrder::kBiggestB;
   /// Only read under kRandom.
   uint64_t seed = 0;
-  /// When set, the session progresses at block granularity: entries are
-  /// grouped by block_of(key), a block's importance is the sum of its
-  /// members', and each StepBlock steps one whole block as one fetch.
-  /// `order` is ignored (blocks always go by decreasing total importance).
-  std::function<uint64_t(uint64_t)> block_of;
+  /// Coefficients per block, BlockStore's layout: when nonzero the session
+  /// progresses at block granularity, entries are grouped into blocks by
+  /// key / block_size, a block's importance is the sum of its members',
+  /// and each StepBlock steps one whole block as one fetch. `order` is then
+  /// ignored (blocks always go by decreasing total importance). 0 =
+  /// coefficient granularity.
+  uint64_t block_size = 0;
   /// Fetch-failure handling; see FaultPolicy.
   FaultPolicy fault_policy = FaultPolicy::kFail;
 };
@@ -78,9 +79,9 @@ class EvalSession {
   EvalSession(std::shared_ptr<const EvalPlan> plan,
               std::shared_ptr<const CoefficientStore> store,
               Options options = Options());
-  ~EvalSession();
-  EvalSession(EvalSession&&) noexcept;
-  EvalSession& operator=(EvalSession&&) noexcept;
+  /// Movable, not copyable: permutation_ may view owned_permutation_.
+  EvalSession(EvalSession&&) noexcept = default;
+  EvalSession& operator=(EvalSession&&) noexcept = default;
 
   const EvalPlan& plan() const { return *plan_; }
   /// The store this session actually reads: the one passed in, or — when
@@ -162,13 +163,6 @@ class EvalSession {
   const IoStats& io() const { return io_; }
 
  private:
-  /// Per-session telemetry gauges (steps taken, remaining importance,
-  /// current Theorem-1 bound, skipped mass), labeled by a process-unique
-  /// session id. Created only while the registry is enabled; its destructor
-  /// unregisters the gauges so finished sessions do not accumulate in the
-  /// export. Incomplete here so the header stays free of telemetry types.
-  struct Telemetry;
-
   /// The one step body behind Step, StepBatch and StepBlock: steps the
   /// next `n` entries of permutation_ as one FetchBatch (see StepBatch).
   Status StepEntries(size_t n);
@@ -176,10 +170,6 @@ class EvalSession {
   /// Theorem 1's max ι_p over the entries not yet consumed (0 when done);
   /// see WorstCaseBound.
   double UnreadMaxImportance() const;
-
-  /// Pushes the session's progress counters into its gauges (no-op when the
-  /// session was created with telemetry disabled).
-  void UpdateTelemetry();
 
   std::shared_ptr<const EvalPlan> plan_;
   std::shared_ptr<const CoefficientStore> store_;
@@ -220,7 +210,6 @@ class EvalSession {
   double skipped_importance_ = 0.0;
 
   IoStats io_;
-  std::unique_ptr<Telemetry> telemetry_;
 };
 
 }  // namespace wavebatch

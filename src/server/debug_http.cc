@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -12,6 +13,12 @@
 namespace wavebatch::server {
 
 namespace {
+
+/// How long one read or write on a connection may block. A client that
+/// sends nothing, or reads nothing of a large body, costs the accept thread
+/// at most this long per call before the connection is dropped, so it
+/// cannot wedge other scrapers or Stop().
+constexpr timeval kConnectionIoTimeout{2, 0};
 
 /// Writes the whole buffer, retrying on short writes and EINTR. Best
 /// effort: a peer that hangs up mid-response just loses the tail.
@@ -136,6 +143,10 @@ void DebugHttpServer::AcceptLoop() {
       // the loop is done.
       return;
     }
+    ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &kConnectionIoTimeout,
+                 sizeof(kConnectionIoTimeout));
+    ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &kConnectionIoTimeout,
+                 sizeof(kConnectionIoTimeout));
     ServeConnection(conn);
     ::close(conn);
   }

@@ -23,6 +23,11 @@ namespace wavebatch::server {
 /// return. A handler's returned body is sent with 200 and its declared
 /// content type; unknown paths get 404. Handler registration is only
 /// allowed before Start().
+///
+/// Every read and write on a connection times out after 2 s, so a client
+/// that never sends its request, or never reads its response, holds the
+/// accept thread (and a Stop() waiting to join it) only that long per call
+/// before it loses its connection.
 class DebugHttpServer {
  public:
   /// A handler returns the response body for one GET of its path.

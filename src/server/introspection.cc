@@ -90,8 +90,6 @@ void AppendTimelineRecord(std::string& out,
                           const QueryService::TimelineRecord& record) {
   out += "{\"request_id\":";
   AppendU64(out, record.request_id);
-  out += ",\"trace_id\":";
-  AppendU64(out, record.trace_id);
   out += ",\"epoch\":";
   AppendU64(out, record.epoch);
   out += ",\"ok\":";
@@ -183,30 +181,29 @@ std::string TracezJson(const QueryService* service,
   const std::vector<telemetry::SpanEvent> spans = registry.Spans();
   const size_t begin = spans.size() > max_spans ? spans.size() - max_spans : 0;
 
-  // Group by trace, keeping span recording order inside each trace; order
-  // traces by their latest span so the most recent request comes first.
-  struct TraceGroup {
-    uint64_t request_id = 0;
+  // Group by request, keeping span recording order inside each group;
+  // order the groups by their latest span so the most recent request comes
+  // first.
+  struct RequestGroup {
     double last_ts = 0.0;
     std::vector<const telemetry::SpanEvent*> spans;
   };
-  std::map<uint64_t, TraceGroup> by_trace;
+  std::map<uint64_t, RequestGroup> by_request;
   size_t untraced = 0;
   for (size_t i = begin; i < spans.size(); ++i) {
     const telemetry::SpanEvent& span = spans[i];
-    if (span.trace_id == 0) {
+    if (span.request_id == 0) {
       ++untraced;
       continue;
     }
-    TraceGroup& group = by_trace[span.trace_id];
-    if (span.request_id != 0) group.request_id = span.request_id;
+    RequestGroup& group = by_request[span.request_id];
     group.last_ts = std::max(group.last_ts, span.ts_us + span.dur_us);
     group.spans.push_back(&span);
   }
-  std::vector<std::pair<uint64_t, const TraceGroup*>> ordered;
-  ordered.reserve(by_trace.size());
-  for (const auto& [trace_id, group] : by_trace) {
-    ordered.emplace_back(trace_id, &group);
+  std::vector<std::pair<uint64_t, const RequestGroup*>> ordered;
+  ordered.reserve(by_request.size());
+  for (const auto& [request_id, group] : by_request) {
+    ordered.emplace_back(request_id, &group);
   }
   std::sort(ordered.begin(), ordered.end(), [](const auto& a, const auto& b) {
     return a.second->last_ts > b.second->last_ts;
@@ -221,15 +218,13 @@ std::string TracezJson(const QueryService* service,
   out += ",\"traces\":[";
   for (size_t t = 0; t < ordered.size(); ++t) {
     if (t > 0) out += ',';
-    out += "{\"trace_id\":";
+    out += "{\"request_id\":";
     AppendU64(out, ordered[t].first);
-    out += ",\"request_id\":";
-    AppendU64(out, ordered[t].second->request_id);
     out += ",\"spans\":[";
-    const auto& trace_spans = ordered[t].second->spans;
-    for (size_t s = 0; s < trace_spans.size(); ++s) {
+    const auto& group_spans = ordered[t].second->spans;
+    for (size_t s = 0; s < group_spans.size(); ++s) {
       if (s > 0) out += ',';
-      AppendSpan(out, *trace_spans[s]);
+      AppendSpan(out, *group_spans[s]);
     }
     out += "]}";
   }

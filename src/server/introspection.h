@@ -30,8 +30,8 @@ std::string StatuszJson(const QueryService& service);
 std::string TimelinesJson(
     const std::vector<QueryService::TimelineRecord>& records);
 
-/// /tracez: the registry's recent spans grouped by trace_id (most recent
-/// trace first, at most `max_spans` spans scanned from the tail of the
+/// /tracez: the registry's recent spans grouped by request id (most recent
+/// request first, at most `max_spans` spans scanned from the tail of the
 /// buffer), plus the service's recent convergence timelines. `service` may
 /// be null — then only spans render.
 std::string TracezJson(const QueryService* service,

@@ -37,10 +37,7 @@ QueryService::Record::Record(QueryRequest r, ResponseCallback d)
                    request.deadline.count() > 0)),
       in_rounds(!progressive && deadline_at == kNoDeadline),
       timeline(kTimelineCapacity) {
-  if (telemetry::Enabled()) {
-    trace.trace_id = telemetry::NewTraceId();
-    trace.request_id = trace.trace_id;
-  }
+  if (telemetry::Enabled()) trace.request_id = telemetry::NewRequestId();
 }
 
 QueryService::QueryService(std::shared_ptr<const CoefficientStore> store,
@@ -139,7 +136,7 @@ size_t QueryService::live_sessions() const {
 Status QueryService::Submit(QueryRequest request, ResponseCallback done) {
   WB_CHECK(done != nullptr);
   requests_->Add();
-  // Build the record before taking the lock: minting its trace ids is one
+  // Build the record before taking the lock: minting its request id is one
   // relaxed atomic increment, and a shed request simply drops its record.
   auto record = std::make_unique<Record>(std::move(request), std::move(done));
   const telemetry::TraceContext trace = record->trace;
@@ -158,10 +155,10 @@ Status QueryService::Submit(QueryRequest request, ResponseCallback done) {
     queue_depth_gauge_->Set(static_cast<double>(depth_after));
   }
   if (trace.active()) {
-    // The trace's root marker: a zero-duration span stamped with the fresh
-    // ids, so /tracez shows when the request entered the queue and how deep
-    // the queue was. Recorded outside mu_ (span_mu_ must never nest inside
-    // the service lock's critical sections on the hot path).
+    // The request's root marker: a zero-duration span stamped with the
+    // fresh request id, so /tracez shows when the request entered the queue
+    // and how deep the queue was. Recorded outside mu_ (span_mu_ must never
+    // nest inside the service lock's critical sections on the hot path).
     telemetry::ScopedTraceContext guard(trace);
     const auto now = std::chrono::steady_clock::now();
     telemetry::MetricsRegistry::Default().RecordSpan(
@@ -346,7 +343,6 @@ std::function<void()> QueryService::FinalizeLocked(
   response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
       now - record->submitted_at);
   response.request_id = record->trace.request_id;
-  response.trace_id = record->trace.trace_id;
   // A request queued at shutdown or whose plan build failed has no session
   // and answers with its status alone.
   if (const EvalSession* session = record->session.get()) {
@@ -371,7 +367,6 @@ std::function<void()> QueryService::FinalizeLocked(
   if (!record->timeline.empty()) {
     TimelineRecord timeline;
     timeline.request_id = response.request_id;
-    timeline.trace_id = response.trace_id;
     timeline.epoch = response.epoch;
     timeline.ok = response.status.ok();
     timeline.exact = response.exact;

@@ -74,11 +74,10 @@ struct QueryResponse {
   uint64_t epoch = 0;
   /// Submit-to-completion wall time, queue wait included.
   std::chrono::microseconds latency{0};
-  /// Trace identity minted at Submit (0 when telemetry was disabled then).
-  /// Every span the service recorded for this request carries these ids;
-  /// /tracez groups by trace_id.
+  /// Request id minted at Submit (0 when telemetry was disabled then).
+  /// Every span the service recorded for this request carries it, and
+  /// /tracez groups spans by it.
   uint64_t request_id = 0;
-  uint64_t trace_id = 0;
   /// Bound-convergence timeline: one point per scheduler quantum (stride-
   /// decimated, see telemetry::ConvergenceTimeline) plus a final point at
   /// completion — the request's error-vs-I/O curve. Empty when telemetry
@@ -200,7 +199,6 @@ class QueryService {
   /// A completed request's bound-convergence record, for /tracez.
   struct TimelineRecord {
     uint64_t request_id = 0;
-    uint64_t trace_id = 0;
     uint64_t epoch = 0;
     bool ok = false;
     bool exact = false;
@@ -216,7 +214,7 @@ class QueryService {
   /// live in live_ from admission until FinalizeLocked answers it.
   struct Record {
     /// Stamps the Submit time, derives the deadline and the served order,
-    /// and mints the trace ids when telemetry is on.
+    /// and mints the request id when telemetry is on.
     Record(QueryRequest r, ResponseCallback d);
 
     QueryRequest request;

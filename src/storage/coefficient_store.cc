@@ -21,9 +21,6 @@ const StoreFetchMetrics& CoefficientStore::BindFetchTelemetry() const {
     m.keys_fetched = registry.GetCounter(
         "wavebatch_store_keys_fetched_total", {{"store", store}},
         "Coefficient keys successfully fetched via Fetch/FetchBatch.");
-    m.bytes_fetched = registry.GetCounter(
-        "wavebatch_store_bytes_fetched_total", {{"store", store}},
-        "Coefficient payload bytes successfully fetched.");
     const std::string errors_help = "Failed fetches by status code.";
     m.errors_unavailable = registry.GetCounter(
         "wavebatch_store_fetch_errors_total",

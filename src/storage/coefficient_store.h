@@ -73,7 +73,6 @@ struct IoStats {
 /// share one time series and the handles outlive every store instance.
 struct StoreFetchMetrics {
   telemetry::Counter* keys_fetched;
-  telemetry::Counter* bytes_fetched;
   telemetry::Counter* errors_unavailable;
   telemetry::Counter* errors_out_of_range;
   telemetry::Counter* errors_other;
@@ -261,11 +260,11 @@ class CoefficientStore {
 
  private:
   /// The wrapper every counted read goes through: `hook` runs the backend;
-  /// the wrapper charges `n` retrievals on success only and records keys,
-  /// bytes and errors by code. The one telemetry rule: a one-key read is
-  /// counted but not timed — no clock read, span or latency observation —
-  /// so a Fetch or Step() loop with telemetry on stays within its
-  /// nanoseconds-per-key budget; larger batches amortize the clocks.
+  /// the wrapper charges `n` retrievals on success only and records the
+  /// keys fetched, or the error by its code. The one telemetry rule: a
+  /// one-key read is counted but not timed — no clock read, span or latency
+  /// observation — so a Fetch or Step() loop with telemetry on stays within
+  /// its nanoseconds-per-key budget; larger batches amortize the clocks.
   template <typename Hook>
   Status CountedBatch(size_t n, IoStats* io, Hook&& hook) const {
     if (!telemetry::Enabled()) {
@@ -293,7 +292,6 @@ class CoefficientStore {
     if (status.ok()) {
       if (io != nullptr) io->retrievals += n;
       m.keys_fetched->Add(n);
-      m.bytes_fetched->Add(n * sizeof(double));
     } else {
       m.CountError(status.code());
     }

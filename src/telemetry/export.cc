@@ -177,9 +177,9 @@ std::string ExportChromeTrace(const MetricsRegistry& registry) {
                   ",\n{\"name\":\"%s\",\"cat\":\"wavebatch\",\"ph\":\"X\","
                   "\"pid\":1,\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f,\"args\":{"
                   "\"span_id\":%" PRIu64 ",\"parent_span_id\":%" PRIu64
-                  ",\"trace_id\":%" PRIu64 ",\"request_id\":%" PRIu64,
+                  ",\"request_id\":%" PRIu64,
                   s.name, s.tid, s.ts_us, s.dur_us, s.span_id,
-                  s.parent_span_id, s.trace_id, s.request_id);
+                  s.parent_span_id, s.request_id);
     out += buf;
     for (uint32_t a = 0; a < s.num_attrs; ++a) {
       std::snprintf(buf, sizeof(buf), ",\"%s\":%.17g", s.attrs[a].key,

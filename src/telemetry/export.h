@@ -20,7 +20,7 @@ std::string ExportPrometheus(
 /// Renders the span buffer as a Chrome trace-event JSON document (the
 /// `chrome://tracing` / Perfetto "traceEvents" format): one complete ("X")
 /// event per span with microsecond timestamps, grouped by the recording
-/// thread, carrying span/trace/request ids and the span's structured
+/// thread, carrying its span, parent and request ids and its structured
 /// attributes in "args". Cross-thread parent links (ThreadPool hand-offs)
 /// additionally emit flow-event pairs ("s"/"f"), so one request renders as
 /// a connected lane across worker threads. Load the output via

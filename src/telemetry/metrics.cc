@@ -111,12 +111,6 @@ Histogram* MetricsRegistry::GetHistogram(std::string name, Labels labels,
               ->histogram;
 }
 
-void MetricsRegistry::Remove(const std::string& name, const Labels& labels) {
-  const std::string key = EncodeKey(name, Canonical(labels));
-  std::lock_guard<std::mutex> lock(mu_);
-  metrics_.erase(key);
-}
-
 void MetricsRegistry::ResetValues() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -155,7 +149,6 @@ void MetricsRegistry::RecordSpanWithIds(
                      .count();
   event.span_id = span_id;
   event.parent_span_id = parent_span_id;
-  event.trace_id = internal::t_trace.trace_id;
   event.request_id = internal::t_trace.request_id;
   event.num_attrs = std::min(num_attrs, SpanEvent::kMaxAttrs);
   for (uint32_t i = 0; i < event.num_attrs; ++i) event.attrs[i] = attrs[i];

@@ -47,8 +47,8 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value (queue depth, remaining importance,
-/// a live Theorem-1 bound). Set is a relaxed store; Add is a CAS loop
+/// Last-write-wins instantaneous value (queue depth, live sessions, buffer
+/// occupancy). Set is a relaxed store; Add is a CAS loop
 /// (std::atomic<double>::fetch_add is not guaranteed lock-free everywhere).
 class Gauge {
  public:
@@ -142,9 +142,9 @@ struct SpanAttr {
 /// One completed evaluation span. Spans on the same thread nest by
 /// containment of [ts_us, ts_us + dur_us); across threads, parent_span_id
 /// carries the explicit link (captured at the ThreadPool hand-off), which
-/// the Chrome exporter renders as flow arrows. trace_id/request_id are the
-/// request attribution stamped from the thread's installed TraceContext
-/// (0 = recorded outside any request).
+/// the Chrome exporter renders as flow arrows. request_id is the request
+/// attribution stamped from the thread's installed TraceContext (0 =
+/// recorded outside any request).
 struct SpanEvent {
   const char* name;  // static-storage string supplied by the caller
   uint32_t tid;      // small per-thread ordinal, stable for a thread's life
@@ -152,7 +152,6 @@ struct SpanEvent {
   double dur_us;
   uint64_t span_id = 0;
   uint64_t parent_span_id = 0;  // 0 = root
-  uint64_t trace_id = 0;
   uint64_t request_id = 0;
   static constexpr uint32_t kMaxAttrs = 4;
   SpanAttr attrs[kMaxAttrs] = {};
@@ -161,9 +160,11 @@ struct SpanEvent {
 
 /// Process-wide metric and span store. Registration (GetCounter/GetGauge/
 /// GetHistogram) is the cold path: a mutex-guarded map lookup returning a
-/// stable handle pointer the caller keeps for the metric's lifetime. The
-/// hot path is entirely on the handles (relaxed atomics) and the span
-/// buffer (one short critical section per completed span).
+/// stable handle pointer the caller may keep for the life of the process;
+/// every series lives that long, so the set of series the export holds
+/// depends on what ran, never on what is alive at the moment. The hot path
+/// is entirely on the handles (relaxed atomics) and the span buffer (one
+/// short critical section per completed span).
 ///
 /// Overhead contract (per event):
 ///   - registry disabled (`MetricsRegistry::Disable()`): one relaxed load;
@@ -177,19 +178,14 @@ class MetricsRegistry {
   static MetricsRegistry& Default();
 
   /// Returns the counter registered under (name, labels), creating it on
-  /// first use. The returned handle stays valid until Remove() is called
-  /// for it (library-global metrics are never removed). Asks for the same
-  /// name with a different type abort: a metric name has exactly one type.
+  /// first use. The returned handle lives for the process: no series is
+  /// ever unregistered. Asks for the same name with a different type abort:
+  /// a metric name has exactly one type.
   Counter* GetCounter(std::string name, Labels labels = {},
                       std::string help = "");
   Gauge* GetGauge(std::string name, Labels labels = {}, std::string help = "");
   Histogram* GetHistogram(std::string name, Labels labels = {},
                           std::string help = "");
-
-  /// Unregisters one time series and frees its handle. Only the creator of
-  /// a dynamic series (e.g. an EvalSession removing its own gauges in its
-  /// destructor) may call this — other holders of the handle would dangle.
-  void Remove(const std::string& name, const Labels& labels);
 
   /// Process-wide recording switch (see Enabled()). Disable() is the
   /// runtime null path: handles stay valid, events become no-ops.
@@ -208,7 +204,7 @@ class MetricsRegistry {
   /// (instrumentation sites pass string literals); the same goes for every
   /// attr key. A fresh span id is allocated and the span is parented under
   /// the thread's innermost live span (and stamped with the installed
-  /// TraceContext's trace/request ids). Thread-safe; when the buffer is
+  /// TraceContext's request id). Thread-safe; when the buffer is
   /// full the span is dropped and counted instead (accessor AND the
   /// wavebatch_telemetry_dropped_spans_total counter).
   void RecordSpan(const char* name, std::chrono::steady_clock::time_point begin,
@@ -217,7 +213,7 @@ class MetricsRegistry {
 
   /// RecordSpan for callers that allocated their span id up front
   /// (ScopedSpan does, so nested spans can parent under it while it is
-  /// still open). trace/request ids still come from the thread's installed
+  /// still open). The request id still comes from the thread's installed
   /// context. Attrs beyond SpanEvent::kMaxAttrs are dropped silently.
   void RecordSpanWithIds(const char* name,
                          std::chrono::steady_clock::time_point begin,

@@ -13,8 +13,8 @@ namespace wavebatch::telemetry {
 /// Every span carries an explicit parent: the thread's innermost live span
 /// at construction — which, right after a ScopedTraceContext install, is
 /// the *originating* thread's span (the cross-thread link ThreadPool
-/// captures at Submit). Spans also inherit the installed context's
-/// trace/request ids, so each one is attributable to the request it served.
+/// captures at Submit). Spans also inherit the installed context's request
+/// id, so each one is attributable to the request it served.
 ///
 /// The canonical instrumentation points use fixed names:
 ///   plan_build         — EvalPlan::Build (rewrite + merge + importances)

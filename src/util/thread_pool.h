@@ -45,7 +45,7 @@ class ThreadPool {
   /// queue-depth/tasks accounting stays balanced either way.
   ///
   /// Tracing: while telemetry is enabled, the submitter's TraceContext
-  /// (trace/request ids + innermost live span) is captured with the task
+  /// (request id + innermost live span) is captured with the task
   /// and installed on the worker around its execution, so spans the task
   /// records parent under the *submitting* thread's span instead of
   /// whatever happened to be live on the worker. Disabled: one relaxed

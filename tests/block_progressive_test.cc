@@ -1,10 +1,9 @@
-// Block-granularity Batch-Biggest-B (EvalSession with Options::block_of):
+// Block-granularity Batch-Biggest-B (EvalSession with Options::block_size):
 // blocks go by decreasing total importance, each StepBlock fetches one
 // whole block, and the run still lands on the exact answers.
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -45,18 +44,18 @@ struct BlockFixture {
     expected = batch.BruteForce(rel);
   }
 
-  EvalSession BlockSession(std::function<uint64_t(uint64_t)> block_of) const {
+  EvalSession BlockSession(uint64_t block_size) const {
     EvalSession::Options opts;
-    opts.block_of = std::move(block_of);
+    opts.block_size = block_size;
     return EvalSession(plan, UnownedStore(*store), opts);
   }
 };
 
-uint64_t BlockBy16(uint64_t key) { return key / 16; }
+constexpr uint64_t kBlockSize = 16;
 
 TEST(BlockProgressiveTest, CompletesToExactResults) {
   BlockFixture f;
-  EvalSession ev = f.BlockSession(BlockBy16);
+  EvalSession ev = f.BlockSession(kBlockSize);
   while (!ev.Done()) ASSERT_TRUE(ev.StepBlock().ok());
   EXPECT_EQ(ev.CoefficientsFetched(), f.list->size());
   for (size_t i = 0; i < f.expected.size(); ++i) {
@@ -67,7 +66,7 @@ TEST(BlockProgressiveTest, CompletesToExactResults) {
 
 TEST(BlockProgressiveTest, BlockImportanceIsNonIncreasing) {
   BlockFixture f;
-  EvalSession ev = f.BlockSession(BlockBy16);
+  EvalSession ev = f.BlockSession(kBlockSize);
   double prev = ev.NextBlockImportance();
   while (!ev.Done()) {
     EXPECT_LE(ev.NextBlockImportance(), prev + 1e-12);
@@ -81,15 +80,15 @@ TEST(BlockProgressiveTest, BlockCountMatchesDistinctBlocks) {
   BlockFixture f;
   std::set<uint64_t> distinct;
   for (size_t i = 0; i < f.list->size(); ++i) {
-    distinct.insert(BlockBy16(f.list->keys()[i]));
+    distinct.insert(f.list->keys()[i] / kBlockSize);
   }
-  EvalSession ev = f.BlockSession(BlockBy16);
+  EvalSession ev = f.BlockSession(kBlockSize);
   EXPECT_EQ(ev.TotalBlocks(), distinct.size());
 }
 
 TEST(BlockProgressiveTest, StepToBlocksStopsAtBudgetAndCompletion) {
   BlockFixture f;
-  EvalSession ev = f.BlockSession(BlockBy16);
+  EvalSession ev = f.BlockSession(kBlockSize);
   ASSERT_TRUE(ev.StepToBlocks(3).ok());
   EXPECT_EQ(ev.BlocksFetched(), std::min<uint64_t>(3, ev.TotalBlocks()));
   ASSERT_TRUE(ev.StepToBlocks(1 << 20).ok());
@@ -106,14 +105,14 @@ TEST(BlockProgressiveTest, GreedyMaximizesCapturedImportancePerBlockBudget) {
   std::vector<double> column(f.batch.size(), 0.0);
   for (size_t i = 0; i < f.list->size(); ++i) {
     f.list->ForEachUse(i, [&](uint32_t q, double c) { column[q] = c; });
-    block_importance[BlockBy16(f.list->keys()[i])] += f.sse->Apply(column);
+    block_importance[f.list->keys()[i] / kBlockSize] += f.sse->Apply(column);
     f.list->ForEachUse(i, [&](uint32_t q, double) { column[q] = 0.0; });
   }
   std::vector<double> sorted;
   for (const auto& [id, imp] : block_importance) sorted.push_back(imp);
   std::sort(sorted.rbegin(), sorted.rend());
 
-  EvalSession ev = f.BlockSession(BlockBy16);
+  EvalSession ev = f.BlockSession(kBlockSize);
   double captured = 0.0;
   size_t k = 0;
   while (!ev.Done()) {
@@ -131,7 +130,7 @@ TEST(BlockProgressiveTest, SingleCoefficientBlocksMatchPlainBiggestB) {
   // With one coefficient per block, the block progression degenerates to
   // the plain biggest-B progression (same estimates at every step count).
   BlockFixture f;
-  EvalSession by_block = f.BlockSession([](uint64_t key) { return key; });
+  EvalSession by_block = f.BlockSession(1);
   EvalSession by_coeff(f.plan, UnownedStore(*f.store));
   while (!by_block.Done()) {
     ASSERT_TRUE(by_block.StepBlock().ok());

@@ -432,7 +432,7 @@ TEST(EngineSessionTest, BlockModeGoldenAgainstLegacyBlockEvaluator) {
   Fixture f;
   Backends backends(f);
   EvalSession::Options opts;
-  opts.block_of = [](uint64_t key) { return key / golden::kBlockSize; };
+  opts.block_size = golden::kBlockSize;
   for (auto& [name, store] : backends.stores) {
     SCOPED_TRACE(name);
     EvalSession session(f.plan, UnownedStore(*store), opts);

@@ -338,12 +338,11 @@ TEST(FaultMatrixTest, FailOnceThenHealAcrossBatchedSteps) {
 TEST(FaultMatrixTest, BlockGranularityFaultIsResumable) {
   Fixture f;
   FaultyBackends backends(*f.store);
-  auto block_of = [](uint64_t key) { return key / 8; };
   for (const auto& b : backends.stores) {
     SCOPED_TRACE(b.name);
     b.store->Heal();
     EvalSession::Options opts;
-    opts.block_of = block_of;
+    opts.block_size = 8;
     const std::vector<double> clean = CleanFinals(f.plan, b.store, opts);
 
     FaultInjectionOptions options;

@@ -11,7 +11,8 @@
 // one counted answer per accepted request even when its plan build fails
 // or the service shuts down, answers that finish together going out in
 // submission order, exact requests stepped together in rounds that
-// progressive work and Stop() preempt, and what /statusz reports.
+// progressive work and Stop() preempt, what /statusz reports, and how
+// /tracez groups spans by request.
 
 #include "server/query_service.h"
 
@@ -1070,7 +1071,6 @@ TEST(QueryServiceLifecycle, DestructorFailsOutstandingRequests) {
   EXPECT_EQ(last.status.code(), StatusCode::kUnavailable);
   // The queued request is answered with the ids Submit minted for it.
   EXPECT_NE(last.request_id, 0u);
-  EXPECT_EQ(last.request_id, last.trace_id);
 }
 
 /// A request whose plan build fails is answered like any other: with the
@@ -1449,7 +1449,6 @@ void ExpectFetchSpansAttributed(std::shared_ptr<const CoefficientStore> store,
   for (const QueryResponse& r : responses) {
     ASSERT_TRUE(r.status.ok()) << r.status;
     EXPECT_NE(r.request_id, 0u);
-    EXPECT_NE(r.trace_id, 0u);
     EXPECT_FALSE(r.timeline.empty());
     request_ids.insert(r.request_id);
   }
@@ -1463,7 +1462,6 @@ void ExpectFetchSpansAttributed(std::shared_ptr<const CoefficientStore> store,
         << "backend fetch span not attributable to any admitted request "
            "(request_id="
         << span.request_id << ")";
-    EXPECT_NE(span.trace_id, 0u);
   }
   EXPECT_GT(fetch_spans, 0u);
 }
@@ -1514,7 +1512,6 @@ TEST(QueryServiceTracing, ConvergenceTimelineIsMonotoneAndFinal) {
       service.RecentTimelines();
   ASSERT_EQ(recent.size(), 1u);
   EXPECT_EQ(recent[0].request_id, r.request_id);
-  EXPECT_EQ(recent[0].trace_id, r.trace_id);
   EXPECT_TRUE(recent[0].ok);
   EXPECT_EQ(recent[0].points.size(), r.timeline.size());
 }
@@ -1533,7 +1530,6 @@ TEST(QueryServiceTracing, DisabledTelemetryMintsNoIdsAndNoTimeline) {
 
   ASSERT_TRUE(responses[0].status.ok()) << responses[0].status;
   EXPECT_EQ(responses[0].request_id, 0u);
-  EXPECT_EQ(responses[0].trace_id, 0u);
   EXPECT_TRUE(responses[0].timeline.empty());
   EXPECT_TRUE(service.RecentTimelines().empty());
 }
@@ -1648,6 +1644,47 @@ TEST(QueryServiceIntrospection, StatuszReportsKOfTheCurrentGeneration) {
   EXPECT_EQ(json.find("\"generation\""), std::string::npos) << json;
   EXPECT_EQ(json.find("\"groups\""), std::string::npos) << json;
   EXPECT_EQ(json.find("\"shared_fetch\""), std::string::npos) << json;
+}
+
+/// /tracez groups spans by request id: each served request heads exactly
+/// one group, and that group holds the request's submit marker and its
+/// quanta.
+TEST(QueryServiceIntrospection, TracezGroupsSpansByRequest) {
+  ServingFixture f;
+  telemetry::MetricsRegistry::Enable();
+  telemetry::MetricsRegistry::Default().ResetValues();
+  QueryServiceOptions options;
+  options.default_quantum = 16;
+  QueryService service(f.BuildView(), f.shared_strategy, options);
+
+  std::vector<QueryRequest> requests;
+  for (uint64_t t = 0; t < 2; ++t) {
+    QueryRequest request(f.MakeBatch(t));
+    request.penalty = f.sse;
+    requests.push_back(std::move(request));
+  }
+  const std::vector<QueryResponse> responses = Serve(service, requests);
+  const std::string json = server::TracezJson(&service);
+
+  for (const QueryResponse& r : responses) {
+    ASSERT_TRUE(r.status.ok()) << r.status;
+    ASSERT_NE(r.request_id, 0u);
+    const std::string head = "{\"request_id\":" +
+                             std::to_string(r.request_id) + ",\"spans\":[";
+    const size_t at = json.find(head);
+    ASSERT_NE(at, std::string::npos) << head << " in " << json;
+    EXPECT_EQ(json.find(head, at + 1), std::string::npos)
+        << "request " << r.request_id << " heads more than one group";
+    // No span renders a ']', so the group's span list ends at the first
+    // "]}" after its head.
+    const size_t end = json.find("]}", at);
+    ASSERT_NE(end, std::string::npos) << json;
+    const std::string group = json.substr(at, end - at);
+    EXPECT_NE(group.find("\"name\":\"request_submit\""), std::string::npos)
+        << group;
+    EXPECT_NE(group.find("\"name\":\"request_quantum\""), std::string::npos)
+        << group;
+  }
 }
 
 }  // namespace

@@ -277,7 +277,6 @@ TEST(TelemetryHandoffTest, WorkerDoesNotLeakContextIntoLaterTasks) {
   const telemetry::SpanEvent* second = FindSpan(spans, "tt_leak_second");
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(second->parent_span_id, 0u);
-  EXPECT_EQ(second->trace_id, 0u);
   EXPECT_EQ(second->request_id, 0u);
 }
 
@@ -287,8 +286,7 @@ TEST(TelemetryHandoffTest, TraceIdsPropagateAcrossThePool) {
   registry.ResetValues();
 
   telemetry::TraceContext ctx;
-  ctx.trace_id = telemetry::NewTraceId();
-  ctx.request_id = ctx.trace_id;
+  ctx.request_id = telemetry::NewRequestId();
 
   std::atomic<bool> done{false};
   {
@@ -302,13 +300,12 @@ TEST(TelemetryHandoffTest, TraceIdsPropagateAcrossThePool) {
     AwaitFlag(done);
   }
   // The guard restored this thread's state on destruction.
-  EXPECT_EQ(telemetry::CurrentTraceContext().trace_id, 0u);
+  EXPECT_EQ(telemetry::CurrentTraceContext().request_id, 0u);
 
   const std::vector<telemetry::SpanEvent> spans = registry.Spans();
   for (const char* name : {"tt_prop_parent", "tt_prop_child"}) {
     const telemetry::SpanEvent* span = FindSpan(spans, name);
     ASSERT_NE(span, nullptr);
-    EXPECT_EQ(span->trace_id, ctx.trace_id) << name;
     EXPECT_EQ(span->request_id, ctx.request_id) << name;
   }
 }

@@ -89,7 +89,7 @@ bool RunWorkload(QueryService& service, const Schema& schema) {
   size_t traced = 0;
   size_t exact = 0;
   for (const QueryResponse& r : responses) {
-    if (r.trace_id != 0 && !r.timeline.empty()) ++traced;
+    if (r.request_id != 0 && !r.timeline.empty()) ++traced;
     if (r.status.ok() && r.exact) ++exact;
   }
   std::cout << "workload: " << responses.size() << " requests, " << exact
