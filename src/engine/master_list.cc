@@ -1,9 +1,8 @@
 #include "engine/master_list.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "util/check.h"
-#include "util/parallel_sort.h"
 #include "util/thread_pool.h"
 
 namespace wavebatch {
@@ -15,18 +14,26 @@ namespace {
 /// tests); the build then runs the identical code path serially.
 constexpr size_t kMinParallelCoefficients = size_t{1} << 14;
 
-/// Chunk size for the linear passes (projection, dedup/fold). Boundaries
-/// depend only on the input size, never on thread count.
-constexpr size_t kFoldGrain = size_t{1} << 14;
+/// Target uses per key-range slice of the merge. Like the sample stride
+/// below, a constant of the input's shape: the slices never depend on
+/// thread count or on BuildParallelism.
+constexpr size_t kSliceUses = 4096;
 
-/// One merged (key, query, coefficient) row. The merge sorts rows by
-/// (key, query); both components of that order are realized structurally —
-/// keys by the merge comparator, query tie-break by merge stability over
-/// per-query runs — so the result is unique and thread-count-independent.
-struct UseRow {
-  uint64_t key;
+/// Every this-many-th key of every run is sampled to place the splitters.
+constexpr size_t kSampleStride = 256;
+
+/// One run's unread part within a slice.
+struct RunCursor {
+  const SparseEntry* head;
+  const SparseEntry* end;
   uint32_t query;
-  double value;
+};
+
+/// A slice's entries, built in its own vectors: neighbouring slices' vector
+/// headers share cache lines, so writing them in place would false-share.
+struct SliceEntries {
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> offsets;  // each entry's first use row
 };
 
 }  // namespace
@@ -57,87 +64,117 @@ MasterList MasterList::FromQueryVectors(
   list.num_queries_ = query_coefficients.size();
   const size_t num_queries = query_coefficients.size();
 
-  // Per-query runs laid out back to back: run q is already sorted by key
-  // (SparseVec invariant), so the merge below never needs a full sort.
-  std::vector<size_t> run_bounds(num_queries + 1, 0);
-  for (size_t q = 0; q < num_queries; ++q) {
-    run_bounds[q + 1] = run_bounds[q] + query_coefficients[q].size();
-  }
-  const size_t total = run_bounds[num_queries];
-  list.total_coefficients_ = total;
+  size_t total = 0;
   list.per_query_coefficients_.resize(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     list.per_query_coefficients_[q] = query_coefficients[q].size();
+    total += query_coefficients[q].size();
   }
+  list.total_coefficients_ = total;
 
   ThreadPool* pool = (parallelism == BuildParallelism::kParallel &&
                       total >= kMinParallelCoefficients)
                          ? &ThreadPool::Shared()
                          : nullptr;
 
-  std::vector<UseRow> rows(total);
-  ForRange(pool, num_queries, /*grain=*/4, [&](size_t begin, size_t end) {
-    for (size_t q = begin; q < end; ++q) {
-      const SparseVec& v = query_coefficients[q];
-      UseRow* out = rows.data() + run_bounds[q];
-      for (size_t j = 0; j < v.size(); ++j) {
-        out[j] = {v[j].key, static_cast<uint32_t>(q), v[j].value};
+  // Merge by key range. Slice s holds the keys in [splitters[s - 1],
+  // splitters[s]) (the first slice is open below, the last above), taken
+  // from a sorted sample so that each slice gets about kSliceUses uses.
+  const size_t num_slices = (total + kSliceUses - 1) / kSliceUses;
+  std::vector<uint64_t> splitters;
+  if (num_slices > 1) {
+    std::vector<uint64_t> sample;
+    sample.reserve(total / kSampleStride + num_queries);
+    for (const SparseVec& v : query_coefficients) {
+      for (size_t j = 0; j < v.size(); j += kSampleStride) {
+        sample.push_back(v[j].key);
       }
     }
-  });
+    std::sort(sample.begin(), sample.end());
+    splitters.reserve(num_slices - 1);
+    for (size_t s = 1; s < num_slices; ++s) {
+      splitters.push_back(sample[s * sample.size() / num_slices]);
+    }
+  }
 
-  // Stable pairwise merge of the per-query runs by key: equal keys keep
-  // run (= query) order, so rows end up ascending by (key, query) — the
-  // unique order a serial sort by that pair would produce.
-  MergeSortedRuns(rows.begin(), run_bounds,
-                  [](const UseRow& a, const UseRow& b) { return a.key < b.key; },
-                  pool);
-
-  // Dedup/fold into the CSR image. The uses arrays are the sorted rows
-  // projected 1:1; entry boundaries are the rows where the key changes
-  // ("heads"). Chunked: count heads per fixed chunk, exclusive-scan to get
-  // each chunk's first entry index, then fill — every output slot has
-  // exactly one writer.
+  // Each slice lower-bounds every run at its two splitters: the sum of the
+  // bounds at its lower splitter is its first use row, so it needs no other
+  // slice. It then merges its sub-runs on its own: the smallest head key is
+  // the next entry, and the heads at that key, in query order, are its
+  // uses. Rows come out ascending by (key, query), the unique order of the
+  // CSR image, whatever the splitters or the thread that ran the slice.
   list.uses_query_.resize(total);
   list.uses_coeff_.resize(total);
-  const size_t num_chunks = (total + kFoldGrain - 1) / kFoldGrain;
-  std::vector<size_t> chunk_heads(num_chunks, 0);
-  ForRange(pool, num_chunks, /*grain=*/1, [&](size_t begin, size_t end) {
-    for (size_t c = begin; c < end; ++c) {
-      const size_t lo = c * kFoldGrain;
-      const size_t hi = std::min(total, lo + kFoldGrain);
-      size_t heads = 0;
-      for (size_t i = lo; i < hi; ++i) {
-        list.uses_query_[i] = rows[i].query;
-        list.uses_coeff_[i] = rows[i].value;
-        if (i == 0 || rows[i].key != rows[i - 1].key) ++heads;
+  std::vector<SliceEntries> slices(num_slices);
+  ForRange(pool, num_slices, /*grain=*/1, [&](size_t begin, size_t end) {
+    const auto below = [](const SparseEntry& e, uint64_t key) {
+      return e.key < key;
+    };
+    std::vector<RunCursor> runs;
+    for (size_t s = begin; s < end; ++s) {
+      runs.clear();
+      size_t row = 0;
+      size_t uses = 0;
+      for (size_t q = 0; q < num_queries; ++q) {
+        const SparseEntry* first = query_coefficients[q].entries().data();
+        const SparseEntry* last = first + query_coefficients[q].size();
+        const SparseEntry* lo =
+            s == 0 ? first
+                   : std::lower_bound(first, last, splitters[s - 1], below);
+        const SparseEntry* hi =
+            s + 1 == num_slices
+                ? last
+                : std::lower_bound(lo, last, splitters[s], below);
+        row += static_cast<size_t>(lo - first);
+        uses += static_cast<size_t>(hi - lo);
+        if (lo != hi) runs.push_back({lo, hi, static_cast<uint32_t>(q)});
       }
-      chunk_heads[c] = heads;
-    }
-  });
-  size_t num_entries = 0;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t heads = chunk_heads[c];
-    chunk_heads[c] = num_entries;  // becomes the chunk's first entry index
-    num_entries += heads;
-  }
-  list.keys_.resize(num_entries);
-  list.uses_offsets_.resize(num_entries + 1);
-  ForRange(pool, num_chunks, /*grain=*/1, [&](size_t begin, size_t end) {
-    for (size_t c = begin; c < end; ++c) {
-      const size_t lo = c * kFoldGrain;
-      const size_t hi = std::min(total, lo + kFoldGrain);
-      size_t cursor = chunk_heads[c];
-      for (size_t i = lo; i < hi; ++i) {
-        if (i == 0 || rows[i].key != rows[i - 1].key) {
-          list.keys_[cursor] = rows[i].key;
-          list.uses_offsets_[cursor] = i;
-          ++cursor;
+      std::vector<uint64_t> keys;
+      std::vector<uint64_t> offsets;
+      keys.reserve(uses);
+      offsets.reserve(uses);
+      uint64_t next = ~uint64_t{0};
+      for (const RunCursor& r : runs) next = std::min(next, r.head->key);
+      while (!runs.empty()) {
+        const uint64_t key = next;
+        keys.push_back(key);
+        offsets.push_back(row);
+        next = ~uint64_t{0};
+        bool exhausted = false;
+        for (RunCursor& r : runs) {
+          if (r.head->key == key) {
+            list.uses_query_[row] = r.query;
+            list.uses_coeff_[row] = r.head->value;
+            ++row;
+            if (++r.head == r.end) {
+              exhausted = true;  // leaves the scan once the entry is done
+              continue;
+            }
+          }
+          next = std::min(next, r.head->key);
+        }
+        if (exhausted) {
+          std::erase_if(runs,
+                        [](const RunCursor& r) { return r.head == r.end; });
         }
       }
+      slices[s].keys = std::move(keys);
+      slices[s].offsets = std::move(offsets);
     }
   });
-  list.uses_offsets_[num_entries] = total;
+
+  // The slices are in key order, so appending them in turn places every
+  // slice's entries after the entry counts of the slices below it.
+  size_t num_entries = 0;
+  for (const SliceEntries& slice : slices) num_entries += slice.keys.size();
+  list.keys_.reserve(num_entries);
+  list.uses_offsets_.reserve(num_entries + 1);
+  for (const SliceEntries& slice : slices) {
+    list.keys_.insert(list.keys_.end(), slice.keys.begin(), slice.keys.end());
+    list.uses_offsets_.insert(list.uses_offsets_.end(), slice.offsets.begin(),
+                              slice.offsets.end());
+  }
+  list.uses_offsets_.push_back(total);
   return list;
 }
 

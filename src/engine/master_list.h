@@ -14,8 +14,9 @@ namespace wavebatch {
 /// Whether a plan-time build (query rewrites, master-list merge,
 /// importances, permutation sorts) may fan out across
 /// util::ThreadPool::Shared(). Both settings produce bit-identical
-/// artifacts — parallel construction uses fixed chunk boundaries, stable
-/// merges, and total-order sorts, so the only difference is wall-clock.
+/// artifacts — parallel construction uses fixed chunk boundaries, merge
+/// slices cut by the input alone, and total-order sorts, so the only
+/// difference is wall-clock.
 /// kSerial exists for benchmarking the speedup (BM_PlanBuild) and for
 /// callers that must not touch the shared pool.
 enum class BuildParallelism {
@@ -50,6 +51,15 @@ class MasterList {
       BuildParallelism parallelism = BuildParallelism::kParallel);
 
   /// Merges pre-transformed per-query sparse vectors (index = query index).
+  ///
+  /// The merge runs by key range: splitters from a sorted sample of the
+  /// runs' keys (every 256th key of every run) cut the key space into
+  /// slices of about 4,096 uses. Each slice finds its sub-runs and its first
+  /// use row by lower bounds at its two splitters and merges them on its
+  /// own, writing its use rows in place; at 2^14 uses and above, under
+  /// kParallel, the slices run on the shared pool. Entries are then placed
+  /// slice by slice. The result is the unique (key, query)-ascending CSR
+  /// image, whatever the splitters, the thread count or `parallelism`.
   static MasterList FromQueryVectors(
       const std::vector<SparseVec>& query_coefficients,
       BuildParallelism parallelism = BuildParallelism::kParallel);

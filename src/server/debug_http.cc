@@ -1,12 +1,14 @@
 #include "server/debug_http.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -14,27 +16,49 @@ namespace wavebatch::server {
 
 namespace {
 
-/// How long one read or write on a connection may block. A client that
-/// sends nothing, or reads nothing of a large body, costs the accept thread
-/// at most this long per call before the connection is dropped, so it
-/// cannot wedge other scrapers or Stop().
-constexpr timeval kConnectionIoTimeout{2, 0};
+/// How long one connection may hold the accept thread, from accept to
+/// hang-up. A client that sends its request slowly or not at all, or reads
+/// its response slowly or not at all, is dropped once this is spent, so it
+/// cannot wedge other scrapers or Stop() for longer.
+constexpr std::chrono::milliseconds kConnectionDeadline{2000};
 
-/// Writes the whole buffer, retrying on short writes and EINTR. Best
-/// effort: a peer that hangs up mid-response just loses the tail.
-void WriteAll(int fd, const char* data, size_t len) {
+using Deadline = std::chrono::steady_clock::time_point;
+
+/// Waits until `fd` is ready for `events` (POLLIN or POLLOUT) or the
+/// deadline passes. False means the time is spent and the caller should
+/// hang up; true also covers a hung-up or failed peer, which the following
+/// read or write reports.
+bool WaitReady(int fd, short events, Deadline deadline) {
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd p{fd, events, 0};
+    const int n = ::poll(&p, 1, static_cast<int>(left.count()));
+    if (n > 0) return true;
+    if (n < 0 && errno != EINTR) return false;
+  }
+}
+
+/// Writes the whole buffer, retrying on short writes and EINTR, until the
+/// deadline. Best effort: a peer that hangs up mid-response, or does not
+/// read it in time, just loses the tail.
+void WriteAll(int fd, const char* data, size_t len, Deadline deadline) {
   size_t off = 0;
   while (off < len) {
+    if (!WaitReady(fd, POLLOUT, deadline)) return;
     const ssize_t n = ::write(fd, data + off, len - off);
     if (n < 0) {
-      if (errno == EINTR) continue;
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       return;
     }
     off += static_cast<size_t>(n);
   }
 }
 
-void WriteAll(int fd, const std::string& s) { WriteAll(fd, s.data(), s.size()); }
+void WriteAll(int fd, const std::string& s, Deadline deadline) {
+  WriteAll(fd, s.data(), s.size(), deadline);
+}
 
 std::string StatusLine(int code, const char* reason) {
   std::string line = "HTTP/1.0 ";
@@ -143,23 +167,27 @@ void DebugHttpServer::AcceptLoop() {
       // the loop is done.
       return;
     }
-    ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &kConnectionIoTimeout,
-                 sizeof(kConnectionIoTimeout));
-    ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &kConnectionIoTimeout,
-                 sizeof(kConnectionIoTimeout));
-    ServeConnection(conn);
+    // Non-blocking, so that no read or write outlasts the deadline: each
+    // one first waits in poll() for at most the time left.
+    ::fcntl(conn, F_SETFL, ::fcntl(conn, F_GETFL) | O_NONBLOCK);
+    ServeConnection(conn,
+                    std::chrono::steady_clock::now() + kConnectionDeadline);
     ::close(conn);
   }
 }
 
-void DebugHttpServer::ServeConnection(int fd) {
+void DebugHttpServer::ServeConnection(
+    int fd, std::chrono::steady_clock::time_point deadline) {
   // Read until the request line is complete. Debug clients (curl, the
   // Prometheus scraper) send tiny requests; 4 KiB bounds a misbehaving one.
   std::string request;
   char buf[1024];
   while (request.find("\r\n") == std::string::npos && request.size() < 4096) {
+    if (!WaitReady(fd, POLLIN, deadline)) return;  // time spent; hang up
     const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+      continue;
+    }
     if (n <= 0) break;
     request.append(buf, static_cast<size_t>(n));
   }
@@ -171,7 +199,7 @@ void DebugHttpServer::ServeConnection(int fd) {
   const size_t sp1 = line.find(' ');
   const size_t sp2 = line.find(' ', sp1 == std::string::npos ? 0 : sp1 + 1);
   if (sp1 == std::string::npos || sp2 == std::string::npos) {
-    WriteAll(fd, StatusLine(400, "Bad Request") + "\r\n");
+    WriteAll(fd, StatusLine(400, "Bad Request") + "\r\n", deadline);
     return;
   }
   const std::string method = line.substr(0, sp1);
@@ -180,7 +208,7 @@ void DebugHttpServer::ServeConnection(int fd) {
   if (query != std::string::npos) path.resize(query);
 
   if (method != "GET") {
-    WriteAll(fd, StatusLine(405, "Method Not Allowed") + "\r\n");
+    WriteAll(fd, StatusLine(405, "Method Not Allowed") + "\r\n", deadline);
     return;
   }
 
@@ -198,14 +226,16 @@ void DebugHttpServer::ServeConnection(int fd) {
     const std::string body = "not found: " + path + "\n";
     WriteAll(fd, StatusLine(404, "Not Found") +
                      "Content-Type: text/plain\r\nContent-Length: " +
-                     std::to_string(body.size()) + "\r\n\r\n" + body);
+                     std::to_string(body.size()) + "\r\n\r\n" + body,
+             deadline);
     return;
   }
 
   const std::string body = route.handler();
   WriteAll(fd, StatusLine(200, "OK") + "Content-Type: " + route.content_type +
                    "\r\nContent-Length: " + std::to_string(body.size()) +
-                   "\r\n\r\n" + body);
+                   "\r\n\r\n" + body,
+           deadline);
 }
 
 }  // namespace wavebatch::server

@@ -1,6 +1,7 @@
 #ifndef WAVEBATCH_SERVER_DEBUG_HTTP_H_
 #define WAVEBATCH_SERVER_DEBUG_HTTP_H_
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -24,10 +25,11 @@ namespace wavebatch::server {
 /// content type; unknown paths get 404. Handler registration is only
 /// allowed before Start().
 ///
-/// Every read and write on a connection times out after 2 s, so a client
-/// that never sends its request, or never reads its response, holds the
-/// accept thread (and a Stop() waiting to join it) only that long per call
-/// before it loses its connection.
+/// Each connection has one 2 s deadline from accept: every read and write
+/// waits at most the time left, and the connection is dropped once it is
+/// spent. So a client that sends its request or reads its response slowly,
+/// or not at all, holds the accept thread (and a Stop() waiting to join
+/// it) for at most 2 s.
 class DebugHttpServer {
  public:
   /// A handler returns the response body for one GET of its path.
@@ -61,8 +63,9 @@ class DebugHttpServer {
   };
 
   void AcceptLoop();
-  /// Reads one request line, dispatches, writes one response, closes.
-  void ServeConnection(int fd);
+  /// Reads one request line, dispatches, writes one response, closes;
+  /// gives up on the connection at `deadline`.
+  void ServeConnection(int fd, std::chrono::steady_clock::time_point deadline);
 
   mutable std::mutex mu_;
   std::map<std::string, Route> routes_;

@@ -12,19 +12,11 @@ namespace wavebatch {
 
 /// Deterministic parallel sorting for plan construction: fixed chunk
 /// boundaries, fixed merge pairing, and std::inplace_merge (stable), so the
-/// output never depends on thread count or interleaving. Two entry points:
-///
-///   ParallelSort       — comparator must be a strict *total* order (no two
-///                        elements equivalent), which makes the sorted
-///                        sequence unique and therefore identical to the
-///                        serial std::sort, bit for bit.
-///   MergeSortedRuns    — input is a concatenation of pre-sorted runs; the
-///                        comparator may have ties. Adjacent runs are merged
-///                        pairwise with stable merges, so ties resolve
-///                        toward the earlier run — exactly a stable sort of
-///                        the concatenation.
-///
-/// Both run serially (same code path, same result) when `pool` is null.
+/// output never depends on thread count or interleaving. ParallelSort's
+/// comparator must be a strict *total* order (no two elements equivalent),
+/// which makes the sorted sequence unique and therefore identical to the
+/// serial std::sort, bit for bit. It runs serially (same result) when
+/// `pool` is null.
 
 namespace internal {
 
@@ -52,16 +44,6 @@ void MergeRunTree(Iter first, std::vector<size_t> bounds, const Comp& comp,
 }
 
 }  // namespace internal
-
-/// Stable k-way merge of pre-sorted runs laid out back to back in
-/// [first, first + bounds.back()). Equivalent to a stable sort of the whole
-/// range; ties under `comp` keep earlier-run elements first.
-template <typename Iter, typename Comp>
-void MergeSortedRuns(Iter first, const std::vector<size_t>& bounds,
-                     const Comp& comp, ThreadPool* pool) {
-  if (bounds.size() <= 2) return;  // zero or one run: already sorted
-  internal::MergeRunTree(first, bounds, comp, pool);
-}
 
 /// Sorts [first, first + n) under `comp`, which MUST be a strict total
 /// order (document at the call site why no two elements compare equivalent)

@@ -1,8 +1,10 @@
 // The loopback debug listener (server::DebugHttpServer): what it answers
 // for a route, a query string, an unknown path, a non-GET method and a
-// malformed request line; that Stop() is idempotent; and that a client
-// which never sends its request, or never reads its response, cannot hold
-// the accept thread, so Stop() still returns. Loopback TCP only.
+// malformed request line; that Stop() is idempotent; that a client which
+// never sends its request, or never reads its response, cannot hold the
+// accept thread, so Stop() still returns; and that a client which trickles
+// its request is dropped at the connection's deadline, so a concurrent
+// scrape is still answered. Loopback TCP only.
 
 #include "server/debug_http.h"
 
@@ -169,6 +171,47 @@ TEST(DebugHttpTest, StalledReaderDoesNotWedgeStop) {
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_TRUE(StopReturnsWhileClientStalls(http, client))
       << "Stop() still waiting after 30 s behind a client that reads nothing";
+}
+
+TEST(DebugHttpTest, TricklingClientIsDroppedAtTheDeadline) {
+  DebugHttpServer http;
+  http.Handle("/hello", "text/plain", [] { return std::string("hi\n"); });
+  ASSERT_TRUE(http.Start(0).ok());
+  const uint16_t port = http.port();
+  // Sends "GET /" and more of a request line, one byte every 0.5 s for up
+  // to 10 s, and never ends the line: no single read waits long, so only a
+  // deadline for the whole connection drops it. MSG_NOSIGNAL: once the
+  // listener hangs up, a send fails instead of raising SIGPIPE.
+  const int trickler = Connect(port);
+  ASSERT_GE(trickler, 0);
+  std::atomic<bool> dropped{false};
+  std::thread trickle([trickler, &dropped] {
+    const std::string line = "GET /" + std::string(32, 'x');
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (size_t i = 0;
+         i < line.size() && std::chrono::steady_clock::now() < give_up; ++i) {
+      if (::send(trickler, &line[i], 1, MSG_NOSIGNAL) != 1) {
+        dropped.store(true);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    }
+  });
+  // The listener is reading the trickler when the scrape connects.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto connected = std::chrono::steady_clock::now();
+  const std::string response = Exchange(port, "GET /hello HTTP/1.0\r\n\r\n");
+  const auto waited = std::chrono::steady_clock::now() - connected;
+  EXPECT_EQ(StatusOf(response), 200) << response;
+  EXPECT_LT(waited, std::chrono::seconds(5))
+      << "the scrape waited "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(waited).count()
+      << " ms behind the trickling client";
+  trickle.join();
+  EXPECT_TRUE(dropped.load()) << "the trickling client was never dropped";
+  ::close(trickler);
+  http.Stop();
 }
 
 }  // namespace

@@ -470,55 +470,5 @@ TEST(ParallelSortTest, IdenticalWithAndWithoutPool) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(MergeSortedRunsTest, StableAcrossRuns) {
-  // Three pre-sorted runs with colliding keys; the comparator sees only
-  // the key, so ties must keep run order — this is the property the
-  // master-list merge uses to get the (key, query) order without ever
-  // comparing queries.
-  struct Row {
-    uint64_t key;
-    uint32_t run;
-    bool operator==(const Row& o) const {
-      return key == o.key && run == o.run;
-    }
-  };
-  std::vector<Row> rows = {
-      // run 0
-      {1, 0}, {5, 0}, {9, 0},
-      // run 1
-      {1, 1}, {9, 1},
-      // run 2
-      {5, 2}, {9, 2},
-  };
-  const std::vector<size_t> bounds = {0, 3, 5, 7};
-  ThreadPool pool(2);
-  MergeSortedRuns(rows.begin(), bounds,
-                  [](const Row& a, const Row& b) { return a.key < b.key; },
-                  &pool);
-  const std::vector<Row> expected = {
-      {1, 0}, {1, 1}, {5, 0}, {5, 2}, {9, 0}, {9, 1}, {9, 2}};
-  EXPECT_EQ(rows, expected);
-}
-
-TEST(MergeSortedRunsTest, HandlesOddRunCountsAndEmptyRuns) {
-  Rng rng(5);
-  // Seven runs (odd at multiple levels of the merge tree), some empty.
-  std::vector<size_t> sizes = {13, 0, 7, 1, 0, 29, 4};
-  std::vector<size_t> bounds = {0};
-  std::vector<uint64_t> values;
-  for (size_t s : sizes) {
-    std::vector<uint64_t> run(s);
-    for (uint64_t& v : run) v = rng.Next() % 50;
-    std::sort(run.begin(), run.end());
-    values.insert(values.end(), run.begin(), run.end());
-    bounds.push_back(values.size());
-  }
-  std::vector<uint64_t> expected = values;
-  std::sort(expected.begin(), expected.end());
-  ThreadPool pool(3);
-  MergeSortedRuns(values.begin(), bounds, std::less<uint64_t>(), &pool);
-  EXPECT_EQ(values, expected);
-}
-
 }  // namespace
 }  // namespace wavebatch
